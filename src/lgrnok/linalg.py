@@ -1,16 +1,15 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything here works on tuples of ints or Fractions; nothing ever touches
-floating point.
+Elimination is fraction-free: rows stay integer and are divided by their
+gcd.  Only `primitive` accepts rationals, to clear their denominators;
+nothing ever touches floating point.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 IntMatrix = tuple[tuple[int, ...], ...]
-Vector = tuple[Fraction, ...]
 
 
 def identity(n: int) -> IntMatrix:
@@ -56,66 +55,103 @@ def bareiss_det(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot column indices)."""
-    m = [list(r) for r in rows]
+def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
+
+    Each pivot is cleared from every other row by cross-multiplication,
+    and every row that changes is divided by the gcd of its entries, so the
+    entries stay small.  Afterwards the first len(pivots) rows are the
+    nonzero ones; row k is primitive, positive in column pivots[k] and zero
+    in every other pivot column.  The pivot columns are those of the
+    reduced row echelon form.
+
+    Returns (pivots, num, den): the elimination multiplied the determinant
+    of the rows by num/den, row swaps and sign flips included.
+    """
     pivots: list[int] = []
+    num = den = 1
     r = 0
     ncols = len(m[0]) if m else 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            num = -num
+        row = m[r]
+        p = row[c]
+        for i, other in enumerate(m):
+            f = other[c]
+            if i == r or not f:
+                continue
+            reduced = [p * x - f * y for x, y in zip(other, row)]
+            num *= p
+            g = gcd(*reduced)
+            if g > 1:
+                reduced = [x // g for x in reduced]
+                den *= g
+            m[i] = reduced
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m[:r], pivots
+    for k, c in enumerate(pivots):
+        g = gcd(*m[k]) if m[k][c] > 0 else -gcd(*m[k])
+        if g != 1:
+            m[k] = [x // g for x in m[k]]
+            den *= g
+    return pivots, num, den
 
 
-def invert(matrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of a square matrix over the rationals."""
+def rref(rows) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of an integer matrix, fraction-free.
+
+    Returns (rows, pivot columns).  Each returned row is the primitive
+    integer multiple, with positive pivot, of the corresponding row of the
+    reduced row echelon form over the rationals.
+    """
+    m = [list(row) for row in rows]
+    pivots, _, _ = _gauss_jordan(m)
+    return m[: len(pivots)], pivots
+
+
+def invert(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(adj, det) of a square integer matrix M, with M.adj = det.I.
+
+    Raises ValueError when M is singular.
+    """
     n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    reduced, pivots = rref(aug)
+    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(matrix)]
+    pivots, num, den = _gauss_jordan(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in reduced)
+    # The left block is now diag(d_1..d_n), so det M = prod(d_k) * den / num,
+    # and row k of M^-1 is the right half of row k divided by d_k.
+    diag = 1
+    for k in range(n):
+        diag *= aug[k][k]
+    det = diag * den // num
+    return tuple(tuple(x * det // row[k] for x in row[n:]) for k, row in enumerate(aug)), det
 
 
 def affine_pivot_columns(points) -> list[int]:
-    """Coordinate subset on which the affine span of `points` projects bijectively.
+    """Coordinate subset on which the affine span of integer `points`
+    projects bijectively.
 
     Returns the pivot columns of the matrix of differences p - points[0];
     its length is the affine dimension of the point set.
     """
-    if not points:
+    if len(points) < 2:
         return []
     p0 = points[0]
-    diffs = [[Fraction(x - y) for x, y in zip(p, p0)] for p in points[1:]]
-    if not diffs:
-        return []
-    return rref(diffs)[1]
+    diffs = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
+    return _gauss_jordan(diffs)[0]
 
 
 def primitive(vector) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector, preserving direction."""
-    fracs = [Fraction(x) for x in vector]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    denom = lcm(*(x.denominator for x in vector))
+    ints = [x.numerator * (denom // x.denominator) for x in vector]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)

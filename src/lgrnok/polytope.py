@@ -1,9 +1,15 @@
-"""Exact rational polytope engine.
+"""Exact polytope engine over the integers.
 
 V-polytopes are point lists, H-polytopes are systems c.x + d >= 0 with the
 rows scaled to primitive integer vectors.  Conversions both ways run the
 double description method on a pointed cone with the combinatorial
-adjacency test; no floating point anywhere.
+adjacency test, updating the zero sets of the rays as rows are inserted;
+no floating point anywhere.
+
+Points are rational at the interface (`as_point`, the points `vertices`
+returns, the volume `normalized_volume` returns) and integer inside: a
+point set is scaled once by the lcm L of its denominators, the work runs
+in integers, and facet rows are rescaled by L and volumes divided by L^dim.
 
 Volumes are normalized (dim! times Euclidean).  They come from a recursive
 boundary triangulation: cone each face from its least vertex over the
@@ -16,11 +22,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 
 from .linalg import affine_pivot_columns, bareiss_det, dot, invert, mat_vec, primitive, rref
 
 Point = tuple[Fraction, ...]
+IntPoint = tuple[int, ...]
 Row = tuple[tuple[int, ...], int]  # (coefficients, constant): c.x + d >= 0
 
 MAX_DIM = 10
@@ -42,9 +50,6 @@ class _Deadline:
     def check(self):
         if self.expires is not None and time.monotonic() > self.expires:
             raise TimeBudgetExceeded("hull computation exceeded its time budget")
-
-
-_NO_DEADLINE = _Deadline(None)
 
 
 def as_point(values) -> Point:
@@ -97,66 +102,55 @@ def _extreme_rays(rows: list[tuple[int, ...]], deadline: _Deadline) -> list[tupl
     caller here wants a pointed cone.
     """
     d = len(rows[0])
-    frac = [[Fraction(x) for x in row] for row in rows]
-    reduced, pivots = rref(frac)
-    if len(pivots) < d:
+    # The pivot columns of the transpose are the first rows that span.
+    basis_idx = rref([list(col) for col in zip(*rows)])[1]
+    if len(basis_idx) < d:
         raise UnboundedError("cone has a lineality space")
+    # Column j of adj solves basis.x = det.e_j: the ray leaving basis row j.
+    adj, det = invert([rows[i] for i in basis_idx])
+    sign = 1 if det > 0 else -1
+    rays = [primitive([sign * x for x in col]) for col in zip(*adj)]
+    # Bit k of a ray's zero set: the ray is on the hyperplane of the k-th
+    # processed row.  The basis rays are off exactly their own row.
+    full = (1 << d) - 1
+    zero_sets = {r: full & ~(1 << j) for j, r in enumerate(rays)}
 
-    basis_idx: list[int] = []
-    seen: list[list[Fraction]] = []
-    for i, row in enumerate(frac):
-        trial = seen + [list(row)]
-        if len(rref(trial)[0]) > len(seen):
-            seen = [list(r) for r in rref(trial)[0]]
-            basis_idx.append(i)
-        if len(basis_idx) == d:
-            break
-    basis = [rows[i] for i in basis_idx]
-    inv = invert(basis)
-    rays = [primitive(col) for col in zip(*inv)]
-
-    processed = list(basis_idx)
-    zero_sets: dict[tuple[int, ...], int] = {}
-
-    def zero_mask(ray) -> int:
-        mask = 0
-        for bit, idx in enumerate(processed):
-            if dot(rows[idx], ray) == 0:
-                mask |= 1 << bit
-        return mask
-
-    for r in rays:
-        zero_sets[r] = zero_mask(r)
-
+    processed = d
+    chosen = set(basis_idx)
     for idx, row in enumerate(rows):
-        if idx in basis_idx:
+        if idx in chosen:
             continue
         deadline.check()
-        values = {r: dot(row, r) for r in rays}
+        values = {r: sum(map(mul, row, r)) for r in rays}
+        bit = 1 << processed
+        processed += 1
         plus = [r for r in rays if values[r] > 0]
         zero = [r for r in rays if values[r] == 0]
         minus = [r for r in rays if values[r] < 0]
+        for r in zero:
+            zero_sets[r] |= bit
         if not minus:
-            processed.append(idx)
-            for r in rays:
-                zero_sets[r] = zero_sets[r] | ((values[r] == 0) << (len(processed) - 1))
             continue
-        fresh = []
+        fresh = {}
         for rp in plus:
             for rm in minus:
                 common = zero_sets[rp] & zero_sets[rm]
-                adjacent = not any(
+                # adjacent: no third ray is tight on every row both are
+                if any(
                     r3 is not rp and r3 is not rm and (common & ~zero_sets[r3]) == 0
                     for r3 in rays
+                ):
+                    continue
+                combo = primitive(
+                    [values[rp] * xm - values[rm] * xp for xp, xm in zip(rp, rm)]
                 )
-                if adjacent:
-                    combo = tuple(
-                        values[rp] * xm - values[rm] * xp for xp, xm in zip(rp, rm)
-                    )
-                    fresh.append(primitive(combo))
-        processed.append(idx)
+                # Both parents satisfy every processed row, so the positive
+                # combination is tight exactly where both are, and on this row.
+                fresh[combo] = common | bit
+        for r in minus:
+            del zero_sets[r]
+        zero_sets.update(fresh)
         rays = plus + zero + sorted(set(fresh) - set(plus) - set(zero))
-        zero_sets = {r: zero_mask(r) for r in rays}
     return sorted(set(rays))
 
 
@@ -178,49 +172,75 @@ def vertices(H: HPolytope, deadline_seconds: float | None = None) -> VPolytope:
             if any(ray[1:]):
                 raise UnboundedError(f"recession ray {ray[1:]}")
             continue
-        scale = Fraction(1, ray[0])
-        points.append(tuple(Fraction(x) * scale for x in ray[1:]))
+        points.append(tuple(Fraction(x, ray[0]) for x in ray[1:]))
     if not points:
         raise ValueError("empty polytope")
     return VPolytope.from_points(points)
 
 
-def _facets_full_dim(points: tuple[Point, ...], deadline: _Deadline) -> tuple[Row, ...]:
+def _lattice(points: tuple[Point, ...]) -> tuple[tuple[IntPoint, ...], int]:
+    """(L * points, L) for L the lcm of the coordinates' denominators."""
+    scale = lcm(*(x.denominator for p in points for x in p))
+    return tuple(tuple(x.numerator * (scale // x.denominator) for x in p) for p in points), scale
+
+
+def _facets_full_dim(points: tuple[IntPoint, ...], deadline: _Deadline) -> tuple[Row, ...]:
     """Irredundant facets of a full-dimensional hull via the polar dual."""
-    d = len(points[0])
     m = len(points)
-    centroid = tuple(sum(p[i] for p in points) / m for i in range(d))
-    cone_rows = [(1,) + (0,) * d]
+    sums = [sum(col) for col in zip(*points)]
+    # Polar about the centroid c = sums/m, scaled by m to stay integer:
+    # the row (1, -(p - c)) is a positive multiple of (m, sums - m.p).
+    cone_rows = [(1,) + (0,) * len(sums)]
     for p in points:
-        shifted = tuple(x - c for x, c in zip(p, centroid))
-        cone_rows.append(primitive((Fraction(1),) + tuple(-x for x in shifted)))
+        cone_rows.append(primitive((m,) + tuple(s - m * x for x, s in zip(p, sums))))
     rays = _extreme_rays(cone_rows, deadline)
     rows = []
     for ray in rays:
         if ray[0] == 0:
             raise AssertionError("polar of a full-dimensional hull must be bounded")
-        y = tuple(Fraction(x, ray[0]) for x in ray[1:])
-        # y.(x - centroid) <= 1  becomes  -y.x + (1 + y.centroid) >= 0
-        rows.append(normalize_row(tuple(-v for v in y), 1 + dot(y, centroid)))
+        # y = ray[1:]/ray[0] and y.(x - c) <= 1, times m.ray[0] > 0:
+        # -m.ray[1:].x + (m.ray[0] + ray[1:].sums) >= 0
+        y = ray[1:]
+        rows.append(normalize_row(tuple(-m * v for v in y), m * ray[0] + dot(y, sums)))
     return tuple(sorted(set(rows)))
 
 
-def affine_hull_equalities(points: tuple[Point, ...]) -> tuple[Row, ...]:
-    """Equations c.x + d = 0 cutting out the affine hull of the points."""
+def affine_hull_equalities(points: tuple[IntPoint, ...]) -> tuple[Row, ...]:
+    """Equations c.x + d = 0 cutting out the affine hull of integer points."""
     d = len(points[0])
-    p0 = points[0]
-    homo = [[Fraction(1)] + list(p) for p in points]
-    reduced, pivots = rref(homo)
-    # kernel vectors of the homogenized row space give the equations
+    reduced, pivots = rref([(1,) + tuple(p) for p in points])
+    # kernel vectors of the homogenized row space give the equations; row k
+    # reads reduced[k][pc] * x_pc + reduced[k][f] * x_f = 0 for free f
+    scale = lcm(*(row[pc] for row, pc in zip(reduced, pivots)))
     eqs = []
-    free = [c for c in range(d + 1) if c not in pivots]
-    for f in free:
-        vec = [Fraction(0)] * (d + 1)
-        vec[f] = Fraction(1)
+    for f in range(d + 1):
+        if f in pivots:
+            continue
+        vec = [0] * (d + 1)
+        vec[f] = scale
         for row, pc in zip(reduced, pivots):
-            vec[pc] = -row[f]
+            vec[pc] = -row[f] * (scale // row[pc])
         eqs.append(normalize_row(tuple(vec[1:]), vec[0]))
     return tuple(eq for eq in eqs if any(eq[0]))
+
+
+def _facets(points: tuple[IntPoint, ...], deadline: _Deadline) -> HPolytope:
+    """`facets` of integer points, with the rows in their coordinates."""
+    dim = len(points[0])
+    pivots = affine_pivot_columns(points)
+    if len(pivots) == dim:
+        return HPolytope(dim=dim, rows=_facets_full_dim(points, deadline))
+    if len(pivots) == 0:
+        return HPolytope(dim=dim, rows=(), equalities=affine_hull_equalities(points))
+    projected = tuple(tuple(p[c] for c in pivots) for p in points)
+    proj_rows = _facets_full_dim(tuple(sorted(set(projected))), deadline)
+    lifted = []
+    for coeffs, const in proj_rows:
+        full = [0] * dim
+        for c, col in zip(coeffs, pivots):
+            full[col] = c
+        lifted.append((tuple(full), const))
+    return HPolytope(dim=dim, rows=tuple(lifted), equalities=affine_hull_equalities(points))
 
 
 def facets(V: VPolytope, deadline_seconds: float | None = None) -> HPolytope:
@@ -233,24 +253,13 @@ def facets(V: VPolytope, deadline_seconds: float | None = None) -> HPolytope:
     deadline = _Deadline(deadline_seconds)
     if V.dim > MAX_DIM:
         raise ValueError(f"dimension {V.dim} exceeds the supported {MAX_DIM}")
-    points = V.points
-    pivots = affine_pivot_columns(points)
-    if len(pivots) == V.dim:
-        return HPolytope(dim=V.dim, rows=_facets_full_dim(points, deadline))
-    if len(pivots) == 0:
-        return HPolytope(
-            dim=V.dim, rows=(), equalities=affine_hull_equalities(points)
-        )
-    projected = tuple(tuple(p[c] for c in pivots) for p in points)
-    proj_rows = _facets_full_dim(tuple(sorted(set(projected))), deadline)
-    lifted = []
-    for coeffs, const in proj_rows:
-        full = [0] * V.dim
-        for c, col in zip(coeffs, pivots):
-            full[col] = c
-        lifted.append((tuple(full), const))
+    points, scale = _lattice(V.points)
+    H = _facets(points, deadline)
+    # c.(L x) + d >= 0 is (L c).x + d >= 0
     return HPolytope(
-        dim=V.dim, rows=tuple(lifted), equalities=affine_hull_equalities(points)
+        dim=V.dim,
+        rows=tuple(normalize_row([scale * x for x in c], d) for c, d in H.rows),
+        equalities=tuple(normalize_row([scale * x for x in c], d) for c, d in H.equalities),
     )
 
 
@@ -261,12 +270,12 @@ def f_vector(V: VPolytope, deadline_seconds: float | None = None) -> tuple[int, 
     """(f_0, ..., f_{d-1}) of conv(points) by closing the vertex-facet
     incidences under intersection."""
     deadline = _Deadline(deadline_seconds)
-    pivots = affine_pivot_columns(V.points)
-    d = len(pivots)
+    points, _ = _lattice(V.points)
+    d = len(affine_pivot_columns(points))
     if d > MAX_FACE_LATTICE_DIM:
         raise ValueError(f"face lattice enumeration guarded to dim {MAX_FACE_LATTICE_DIM}")
-    H = facets(V)
-    verts = vertices_of_hull(V, H)
+    H = _facets(points, deadline)
+    verts = vertices_of_hull(VPolytope(dim=V.dim, points=points), H)
     facet_sets = []
     for coeffs, const in H.rows:
         facet_sets.append(
@@ -299,7 +308,7 @@ def vertices_of_hull(V: VPolytope, H: HPolytope | None = None) -> tuple[Point, .
     for p in V.points:
         active = [row for row in H.rows if dot(row[0], p) + row[1] == 0]
         span = [row[0] for row in active] + [eq[0] for eq in H.equalities]
-        if span and len(rref([[Fraction(x) for x in r] for r in span])[0]) == V.dim:
+        if span and len(rref(span)[0]) == V.dim:
             out.append(p)
     return tuple(out)
 
@@ -307,7 +316,7 @@ def vertices_of_hull(V: VPolytope, H: HPolytope | None = None) -> tuple[Point, .
 # -- volume ------------------------------------------------------------------
 
 
-def _triangulate(points: tuple[Point, ...], memo, deadline: _Deadline):
+def _triangulate(points: tuple[IntPoint, ...], memo, deadline: _Deadline):
     """Simplices (as point tuples) triangulating conv(points).
 
     Cones the least point over triangulations of the facets that avoid it;
@@ -342,26 +351,15 @@ def normalized_volume(V: VPolytope, deadline_seconds: float | None = None) -> Fr
     deadline = _Deadline(deadline_seconds)
     if V.dim > MAX_DIM:
         raise ValueError(f"dimension {V.dim} exceeds the supported {MAX_DIM}")
-    pivots = affine_pivot_columns(V.points)
-    if len(pivots) < V.dim:
+    points, scale = _lattice(V.points)
+    if len(affine_pivot_columns(points)) < V.dim:
         raise ValueError("normalized_volume needs a full-dimensional polytope")
-    total = Fraction(0)
-    for simplex in _triangulate(V.points, {}, deadline):
+    total = 0
+    for simplex in _triangulate(points, {}, deadline):
         base = simplex[0]
-        rows = [[x - b for x, b in zip(p, base)] for p in simplex[1:]]
-        scale = 1
-        for row in rows:
-            for x in row:
-                scale = scale * x.denominator // _gcd(scale, x.denominator)
-        int_rows = [[int(x * scale) for x in row] for row in rows]
-        total += Fraction(abs(bareiss_det(int_rows)), scale ** len(rows))
-    return total
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+        total += abs(bareiss_det([[x - b for x, b in zip(p, base)] for p in simplex[1:]]))
+    # scaling by L multiplies the volume by L^dim
+    return Fraction(total, scale ** V.dim)
 
 
 def euclidean_volume(V: VPolytope, deadline_seconds: float | None = None) -> Fraction:

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lgrnok.linalg import affine_pivot_columns, dot
 from lgrnok.polytope import (
     HPolytope,
     UnboundedError,
@@ -65,6 +66,56 @@ def test_rational_coordinates():
     assert vertices(H).points == tri.points
     area2 = normalized_volume(tri)
     assert area2 > 0 and isinstance(area2, Fraction)
+    # the lines 2x + 3y = 1, 50x - 21y + 7 = 0 and 10x - 49y = 5 through
+    # pairs of the corners, and twice the area |det(b - a, c - a)|
+    assert H.row_set() == {((-2, -3), 1), ((50, -21), 7), ((-10, 49), 5)}
+    assert area2 == Fraction(32, 105)
+
+
+def test_scaled_simplex_is_exact():
+    half = VPolytope.from_points(
+        [tuple(Fraction(x, 2) for x in p) for p in simplex(3).points]
+    )
+    assert normalized_volume(half) == Fraction(1, 8)
+    assert facets(half).row_set() == {
+        ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-2, -2, -2), 1)
+    }
+    flat = VPolytope.from_points([(Fraction(1, 3), 0), (0, Fraction(1, 3))])
+    assert facets(flat).equalities == (((3, 3), -1),)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=4))
+def test_facet_rows_are_certified(data, dim):
+    """Every row is valid on all points and tight on an affinely spanning
+    subset of a facet; every equation holds on all points."""
+    coords = st.integers(min_value=-3, max_value=3)
+    pts = data.draw(
+        st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=dim + 5)
+    )
+    H = facets(VPolytope.from_points(pts))
+    k = len(affine_pivot_columns(pts))
+    assert all(dot(c, p) + d == 0 for c, d in H.equalities for p in pts)
+    assert len(set(H.rows)) == len(H.rows)
+    for c, d in H.rows:
+        assert all(dot(c, p) + d >= 0 for p in pts)
+        tight = [p for p in pts if dot(c, p) + d == 0]
+        assert len(affine_pivot_columns(tight)) == k - 1
+
+
+def test_f_vector_bounds_the_facet_run(monkeypatch):
+    from lgrnok import polytope
+
+    armed = []
+    real = polytope._extreme_rays
+
+    def recording(rows, deadline):
+        armed.append(deadline.expires is not None)
+        return real(rows, deadline)
+
+    monkeypatch.setattr(polytope, "_extreme_rays", recording)
+    assert f_vector(cube(4), 5.0) == (16, 32, 24, 8)
+    assert armed and all(armed)
 
 
 def test_unbounded_detection():
