@@ -328,7 +328,7 @@ def cmd_counts(cfg: CommandConfig, out) -> int:
     P = superpotential.build_poset(n)
     antichains = len(superpotential.enumerate_antichains(P))
     syt = staircase_syt_count(n)
-    extensions = superpotential.linear_extension_count(P) if n <= 5 else None
+    extensions = superpotential.linear_extension_count(P)
     if cfg.output_format == "json":
         json.dump(
             {
@@ -345,8 +345,7 @@ def cmd_counts(cfg: CommandConfig, out) -> int:
     else:
         out.write(f"antichains of the staircase poset: {antichains}\n")
         out.write(f"Catalan number C_{n+1}:            {superpotential.antichain_count_formula(n)}\n")
-        le = str(extensions) if extensions is not None else "skipped (n > 5)"
-        out.write(f"linear extensions:                 {le}\n")
+        out.write(f"linear extensions:                 {extensions}\n")
         out.write(f"staircase SYT count (degree):      {syt}\n")
     return 0
 
@@ -367,16 +366,12 @@ def _verification_checks(cfg: CommandConfig, level: str):
         return ("pass" if cond else "fail", witness if not cond else "")
 
     def check_roundtrip():
-        if n > 5:
-            return "skip", "n > 5"
         for I in combinations(range(1, 2 * n + 1), n):
             if partition_to_indexset(indexset_to_partition(I, n), n) != I:
                 return ok(False, f"round trip fails at {I}")
         return ok(True)
 
     def check_orientation():
-        if n > 5:
-            return "skip", "n > 5"
         plabic.corect_network(n)  # raises unless unique
         return ok(True)
 
@@ -422,8 +417,6 @@ def _verification_checks(cfg: CommandConfig, level: str):
         return ok(count == superpotential.antichain_count_formula(n), f"{count}")
 
     def check_extensions():
-        if n > 5:
-            return "skip", "n > 5"
         got = superpotential.linear_extension_count(superpotential.build_poset(n))
         return ok(got == staircase_syt_count(n), f"{got}")
 

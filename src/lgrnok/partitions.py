@@ -180,13 +180,9 @@ def partitions_in_box(n: int) -> tuple[Partition, ...]:
 
 @cache
 def transpose_classes(n: int) -> tuple[Partition, ...]:
-    """One representative (orbit_representative) per transpose class in n x n."""
-    seen = []
-    for lam in partitions_in_box(n):
-        rep = orbit_representative(lam)
-        if rep not in seen:
-            seen.append(rep)
-    return tuple(seen)
+    """One representative (orbit_representative) per transpose class in n x n,
+    in order of first appearance."""
+    return tuple(dict.fromkeys(orbit_representative(lam) for lam in partitions_in_box(n)))
 
 
 def syt_count(shape: Partition) -> int:

@@ -144,23 +144,23 @@ def dyck_to_antichain(P: PosetPn, steps) -> frozenset[Element]:
 
 
 def linear_extension_count(P: PosetPn) -> int:
-    """Exact count by dynamic programming over order ideals."""
-    if P.n > 5:
-        raise ValueError("linear extension count is guarded to n <= 5")
-    down = {x: frozenset(y for y in P.elements if (y, x) in P.leq and y != x)
-            for x in P.elements}
+    """Exact count by dynamic programming over order ideals, each held as
+    a bitmask over P.elements."""
+    bit = {x: 1 << k for k, x in enumerate(P.elements)}
+    down = [sum(bit[y] for y in P.elements if (y, x) in P.leq and y != x)
+            for x in P.elements]
 
     @cache
-    def count(ideal: frozenset) -> int:
+    def count(ideal: int) -> int:
         if not ideal:
             return 1
         total = 0
-        for x in ideal:
-            if not (down[x] & ideal):  # minimal elements can come first
-                total += count(ideal - {x})
+        for k, below in enumerate(down):
+            if ideal >> k & 1 and not below & ideal:  # minimal elements can come first
+                total += count(ideal & ~(1 << k))
         return total
 
-    return count(frozenset(P.elements))
+    return count((1 << len(down)) - 1)
 
 
 # -- the superpotential ----------------------------------------------------

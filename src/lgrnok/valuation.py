@@ -8,23 +8,30 @@ exponent vector over its flow monomials, and the closed form
 
     entry at orbit {mu, mu^T}  =  maxdiag(mu \\ lam) + maxdiag(mu^T \\ lam)
 
-(one summand when mu is self-transpose).
+(one summand when mu is self-transpose).  The cells of a diagram on the
+diagonal c - r = d form an initial run, so the cells of mu \\ lam on that
+diagonal form one run of length l_mu(d) - l_lam(d) (when positive), where
+l_lam(d) counts the cells of lam on it.  The closed form is therefore a
+max-plus product of diagonal-length vectors,
+
+    maxdiag(mu \\ lam)  =  max_d (l_mu(d) - l_lam(d))_+ ,
+
+with l_{mu^T}(d) = l_mu(-d).  `valuation_maxdiag` evaluates this;
+`partitions.maxdiag` on skew cells stays as its oracle.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache
+from operator import sub
 
 from . import plabic
 from .partitions import (
     Partition,
     check_in_box,
-    maxdiag,
     orbit_representative,
     partition_to_indexset,
-    skew_cells,
-    transpose,
     transpose_classes,
 )
 
@@ -74,17 +81,37 @@ def valuation_from_flows(n: int, lam: Partition) -> tuple[int, ...]:
     return low
 
 
-def valuation_maxdiag(n: int, lam: Partition) -> tuple[int, ...]:
-    """Closed-form valuation from diagonal runs of the skew regions."""
-    lam = check_in_box(lam, n)
+def _diagonal_lengths(lam: Partition, n: int) -> tuple[int, ...]:
+    """Cells of lam on each diagonal c - r = d, for d = 1-n, ..., n-1."""
+    lengths = [0] * (2 * n - 1)
+    for r, width in enumerate(lam, start=1):
+        for k in range(n - r, n - r + width):
+            lengths[k] += 1
+    return tuple(lengths)
+
+
+@cache
+def _coordinate_diagonals(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per coordinate orbit {mu, mu^T}: the diagonal lengths of mu, and of
+    mu^T (l_mu reversed) when mu is not self-transpose.  The lengths
+    determine the diagram, so they equal their reversal exactly when
+    mu = mu^T."""
     out = []
     for mu in coordinate_system(n):
-        mu_t = transpose(mu)
-        entry = maxdiag(skew_cells(mu, lam))
-        if mu_t != mu:
-            entry += maxdiag(skew_cells(mu_t, lam))
-        out.append(entry)
+        lengths = _diagonal_lengths(mu, n)
+        flipped = lengths[::-1]
+        out.append((lengths,) if flipped == lengths else (lengths, flipped))
     return tuple(out)
+
+
+def valuation_maxdiag(n: int, lam: Partition) -> tuple[int, ...]:
+    """Closed-form valuation: per orbit, max_d (l_mu(d) - l_lam(d))_+ summed
+    over mu and mu^T."""
+    low = _diagonal_lengths(check_in_box(lam, n), n)
+    return tuple(
+        sum(max(0, max(map(sub, lengths, low))) for lengths in orbit)
+        for orbit in _coordinate_diagonals(n)
+    )
 
 
 def all_plucker_valuations(n: int, cross_check: bool | None = None) -> dict[Partition, tuple[int, ...]]:

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +127,12 @@ def test_counts(capsys):
     assert doc["staircase_syt"] == 768
 
 
+def test_counts_n6_counts_linear_extensions(capsys):
+    code, out = run_cli(capsys, "counts", "--n", "6")
+    assert code == 0
+    assert "linear extensions:                 1100742656\n" in out
+
+
 def test_fold_text_n4(capsys):
     code, out = run_cli(capsys, "fold", "--n", "4")
     assert code == 0
@@ -178,3 +186,19 @@ def test_console_entry_point():
 def test_budget_exceeded_exit_code():
     # an absurdly small budget on a hull computation must exit 3
     assert main(["delta", "--n", "4", "--hrep", "--time-budget", "1e-9"]) == 3
+
+
+def _run_verification_main():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
+    spec = importlib.util.spec_from_file_location("run_verification", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def test_run_verification_exit_codes(capsys):
+    main_script = _run_verification_main()
+    assert main_script(["--max-n", "2"]) == 0
+    # a time budget exceeded stops the run with the CLI's exit code
+    assert main_script(["--max-n", "3", "--time-budget", "1e-9"]) == 3
+    assert "exceeded its time budget" in capsys.readouterr().err

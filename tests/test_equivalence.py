@@ -1,6 +1,6 @@
 import pytest
 
-from lgrnok import polytope
+from lgrnok import equivalence, polytope
 from lgrnok.equivalence import (
     antichain_from_partition,
     build_valuation_matrix,
@@ -11,6 +11,7 @@ from lgrnok.equivalence import (
     gamma_vertices_match_hrep,
     image_of_antichains,
     is_unimodular,
+    pulled_back_gamma_rows,
     reduction_matrix,
     singleton_column_pair,
     upper_left_closed_form,
@@ -20,7 +21,7 @@ from lgrnok.equivalence import (
     verify_valuation_additivity,
 )
 from lgrnok.linalg import mat_mul
-from lgrnok.superpotential import antichain_count_formula
+from lgrnok.superpotential import antichain_count_formula, antichain_indicator, gamma_hrep
 from lgrnok.valuation import delta_vertices
 
 M3 = (
@@ -142,6 +143,15 @@ def test_image_count_matches_catalan():
         assert len(set(images.values())) == len(images)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_image_of_antichains_is_matrix_image(n):
+    M = build_valuation_matrix(n)
+    images = image_of_antichains(n)
+    assert images[frozenset()] == (0,) * M.size
+    for a, image in images.items():
+        assert image == M.apply(antichain_indicator(n, a))
+
+
 def test_main_theorem_hull_n1_and_n2():
     for n in (1, 2):
         report = verify_main_theorem(n, "hull")
@@ -155,6 +165,27 @@ def test_main_theorem_hull_n3_matches_printed_rows():
     assert polytope.facets(V).row_set() == DELTA3_ROWS
     image = polytope.VPolytope.from_points(image_of_antichains(3).values())
     assert polytope.facets(image).row_set() == DELTA3_ROWS
+
+
+def test_pulled_back_gamma_rows_are_the_printed_facets():
+    assert pulled_back_gamma_rows(3) == DELTA3_ROWS
+    assert [len(pulled_back_gamma_rows(n)) for n in (2, 3, 4)] == [5, 10, 18]
+
+
+@pytest.mark.parametrize("tamper", ["drop-chain-row", "perturb-row"])
+def test_hull_check_fails_on_a_wrong_gamma_row_system(monkeypatch, tamper):
+    H = gamma_hrep(3)
+    rows = list(H.rows)
+    if tamper == "drop-chain-row":
+        rows.remove(next(row for row in rows if row[1] == 1))
+    else:
+        coeffs, const = rows[0]
+        rows[0] = (coeffs, const + 1)
+    wrong = polytope.HPolytope(dim=H.dim, rows=tuple(rows))
+    monkeypatch.setattr(equivalence, "gamma_hrep", lambda n: wrong)
+    report = verify_main_theorem(3, "hull")
+    assert report.vertex_ok and report.volume_ok
+    assert report.hull_ok is False and not report.all_ok
 
 
 def test_gamma_vertex_enumeration():

@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -142,6 +143,18 @@ def test_class_counts():
     # (C(2n,n) + 2^n) / 2 representatives; only n <= 3 agrees with C_{n+1}
     assert [len(transpose_classes(n)) for n in (1, 2, 3, 4, 5)] == [2, 5, 14, 43, 142]
     assert [catalan(n + 1) for n in (1, 2, 3, 4, 5)] == [2, 5, 14, 42, 132]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_transpose_classes_in_first_appearance_order(n):
+    seen = []
+    for lam in partitions_in_box(n):
+        rep = orbit_representative(lam)
+        if rep not in seen:
+            seen.append(rep)
+    assert transpose_classes(n) == tuple(seen)
+    # 2^n self-conjugate partitions fit in the box
+    assert len(seen) == (comb(2 * n, n) + 2 ** n) // 2
 
 
 def test_staircase_syt_counts():

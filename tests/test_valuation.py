@@ -1,6 +1,12 @@
 import pytest
 
-from lgrnok.partitions import partitions_in_box, transpose, transpose_classes
+from lgrnok.partitions import (
+    maxdiag,
+    partitions_in_box,
+    skew_cells,
+    transpose,
+    transpose_classes,
+)
 from lgrnok.valuation import (
     all_plucker_valuations,
     coordinate_system,
@@ -45,6 +51,19 @@ def test_maxdiag_examples():
     assert valuation_maxdiag(3, (2,)) == (2, 3, 1, 3, 2, 2)
     for n in (1, 2, 3, 4):
         assert valuation_maxdiag(n, (n,) * n) == (0,) * (n * (n + 1) // 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_diagonal_lengths_match_skew_cell_oracle(n):
+    # every partition in the box, not only the class representatives
+    for lam in partitions_in_box(n):
+        expected = []
+        for mu in coordinate_system(n):
+            entry = maxdiag(skew_cells(mu, lam))
+            if transpose(mu) != mu:
+                entry += maxdiag(skew_cells(transpose(mu), lam))
+            expected.append(entry)
+        assert valuation_maxdiag(n, lam) == tuple(expected), lam
 
 
 def test_flow_examples():
