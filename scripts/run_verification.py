@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run the whole verification suite across a range of sizes.
 
-Vertex-level checks run for every n; hull-level checks (exact hulls,
-f-vectors, volumes) run where they are gated.  Exits 1 if anything fails,
-and stops with exit 3 when a check exceeds the time budget, as the CLI does.
+Every check runs at every n, except where its own n-range skips it (the
+hull-level checks stop at n=4).  One time budget covers the whole run.
+Exits 1 if anything fails, and stops with exit 3 when the time budget runs
+out, as the CLI does.
 
 Usage: python scripts/run_verification.py [--max-n 5] [--time-budget 1800]
 """
@@ -12,8 +13,8 @@ import argparse
 import sys
 import time
 
-from lgrnok.cli import CommandConfig, _verification_checks
-from lgrnok.polytope import TimeBudgetExceeded
+from lgrnok.polytope import Deadline, TimeBudgetExceeded
+from lgrnok.verify import run_checks
 
 
 def main(argv=None) -> int:
@@ -22,29 +23,23 @@ def main(argv=None) -> int:
     parser.add_argument("--time-budget", type=float, default=1800.0)
     args = parser.parse_args(argv)
 
+    deadline = Deadline(args.time_budget)
     failures = 0
     for n in range(1, args.max_n + 1):
-        cfg = CommandConfig(n=n, subcommand="verify", time_budget=args.time_budget)
-        level = "all" if n <= 4 else "vertex"
         start = time.monotonic()
-        results = []
-        for name, call in _verification_checks(cfg, level):
-            try:
-                status, witness = call()
-            except TimeBudgetExceeded as exc:
-                print(f"error: n={n} ({level}) {name}: {exc}", file=sys.stderr)
-                return 3
-            except Exception as exc:
-                status, witness = "fail", f"{type(exc).__name__}: {exc}"
-            results.append((name, status, witness))
+        try:
+            results = run_checks(n, "all", deadline)
+        except TimeBudgetExceeded as exc:
+            print(f"error: n={n} {exc}", file=sys.stderr)
+            return 3
         elapsed = time.monotonic() - start
-        bad = [(name, w) for name, s, w in results if s == "fail"]
-        passed = sum(1 for _, s, _ in results if s == "pass")
-        skipped = sum(1 for _, s, _ in results if s == "skip")
-        print(f"n={n} ({level}): {passed} passed, {skipped} skipped, "
+        bad = [r for r in results if r["status"] == "fail"]
+        passed = sum(r["status"] == "pass" for r in results)
+        skipped = sum(r["status"] == "skip" for r in results)
+        print(f"n={n}: {passed} passed, {skipped} skipped, "
               f"{len(bad)} failed  [{elapsed:.1f}s]")
-        for name, witness in bad:
-            print(f"    FAIL {name}: {witness}")
+        for r in bad:
+            print(f"    FAIL {r['name']}: {r['witness']}")
         failures += len(bad)
     return 1 if failures else 0
 

@@ -353,7 +353,7 @@ def pulled_back_gamma_rows(n: int) -> frozenset:
 def verify_main_theorem(
     n: int,
     level: str = "vertex",
-    deadline_seconds: float | None = None,
+    deadline: polytope.Deadline | None = None,
 ) -> MainTheoremReport:
     """Check that the valuation matrix carries the superpotential polytope
     onto the Newton-Okounkov body.
@@ -386,12 +386,12 @@ def verify_main_theorem(
             superpotential.gamma_vertex_set(n)
         )
         delta_pts = polytope.VPolytope.from_points(images.values())
-        vol_gamma = polytope.normalized_volume(gamma_pts, deadline_seconds)
-        vol_delta = polytope.normalized_volume(delta_pts, deadline_seconds)
+        vol_gamma = polytope.normalized_volume(gamma_pts, deadline)
+        vol_delta = polytope.normalized_volume(delta_pts, deadline)
         volume_ok = vol_gamma == vol_delta == Fraction(expected)
         if not volume_ok:
             detail.append(f"volumes {vol_gamma} / {vol_delta}, expected {expected}")
-        facets_delta = polytope.facets(delta_pts, deadline_seconds).row_set()
+        facets_delta = polytope.facets(delta_pts, deadline).row_set()
         hull_ok = facets_delta == pulled_back_gamma_rows(n)
         if not hull_ok:
             detail.append("facets of Delta differ from the rows of Gamma pulled back through M_n")
@@ -405,9 +405,9 @@ def verify_main_theorem(
     )
 
 
-def gamma_vertices_match_hrep(n: int, deadline_seconds: float | None = None) -> bool:
+def gamma_vertices_match_hrep(n: int, deadline: polytope.Deadline | None = None) -> bool:
     """Vertex enumeration of the superpotential H-rep returns exactly the
     antichain indicator vectors."""
-    enumerated = polytope.vertices(gamma_hrep(n), deadline_seconds)
+    enumerated = polytope.vertices(gamma_hrep(n), deadline)
     expected = tuple(sorted(polytope.as_point(v) for v in superpotential.gamma_vertex_set(n)))
     return enumerated.points == expected

@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from operator import mul
 
 from .linalg import affine_pivot_columns, bareiss_det, dot, invert, mat_vec, primitive, rref
@@ -43,13 +43,16 @@ class TimeBudgetExceeded(RuntimeError):
     pass
 
 
-class _Deadline:
-    def __init__(self, seconds: float | None):
+class Deadline:
+    """A time budget armed once, when it is made, and polled by the engine;
+    with no seconds it never expires."""
+
+    def __init__(self, seconds: float | None = None):
         self.expires = None if seconds is None else time.monotonic() + seconds
 
     def check(self):
         if self.expires is not None and time.monotonic() > self.expires:
-            raise TimeBudgetExceeded("hull computation exceeded its time budget")
+            raise TimeBudgetExceeded("computation exceeded its time budget")
 
 
 def as_point(values) -> Point:
@@ -95,7 +98,7 @@ class HPolytope:
 # -- double description ----------------------------------------------------
 
 
-def _extreme_rays(rows: list[tuple[int, ...]], deadline: _Deadline) -> list[tuple[int, ...]]:
+def _extreme_rays(rows: list[tuple[int, ...]], deadline: Deadline) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {x : r.x >= 0 for every row}.
 
     Raises UnboundedError when the rows leave a lineality space, since every
@@ -154,9 +157,9 @@ def _extreme_rays(rows: list[tuple[int, ...]], deadline: _Deadline) -> list[tupl
     return sorted(set(rays))
 
 
-def vertices(H: HPolytope, deadline_seconds: float | None = None) -> VPolytope:
+def vertices(H: HPolytope, deadline: Deadline | None = None) -> VPolytope:
     """Exact vertex enumeration; raises UnboundedError for unbounded input."""
-    deadline = _Deadline(deadline_seconds)
+    deadline = deadline or Deadline()
     if H.dim > MAX_DIM:
         raise ValueError(f"dimension {H.dim} exceeds the supported {MAX_DIM}")
     cone_rows: list[tuple[int, ...]] = [(1,) + (0,) * H.dim]
@@ -184,7 +187,7 @@ def _lattice(points: tuple[Point, ...]) -> tuple[tuple[IntPoint, ...], int]:
     return tuple(tuple(x.numerator * (scale // x.denominator) for x in p) for p in points), scale
 
 
-def _facets_full_dim(points: tuple[IntPoint, ...], deadline: _Deadline) -> tuple[Row, ...]:
+def _facets_full_dim(points: tuple[IntPoint, ...], deadline: Deadline) -> tuple[Row, ...]:
     """Irredundant facets of a full-dimensional hull via the polar dual."""
     m = len(points)
     sums = [sum(col) for col in zip(*points)]
@@ -224,7 +227,7 @@ def affine_hull_equalities(points: tuple[IntPoint, ...]) -> tuple[Row, ...]:
     return tuple(eq for eq in eqs if any(eq[0]))
 
 
-def _facets(points: tuple[IntPoint, ...], deadline: _Deadline) -> HPolytope:
+def _facets(points: tuple[IntPoint, ...], deadline: Deadline) -> HPolytope:
     """`facets` of integer points, with the rows in their coordinates."""
     dim = len(points[0])
     pivots = affine_pivot_columns(points)
@@ -243,14 +246,14 @@ def _facets(points: tuple[IntPoint, ...], deadline: _Deadline) -> HPolytope:
     return HPolytope(dim=dim, rows=tuple(lifted), equalities=affine_hull_equalities(points))
 
 
-def facets(V: VPolytope, deadline_seconds: float | None = None) -> HPolytope:
+def facets(V: VPolytope, deadline: Deadline | None = None) -> HPolytope:
     """Irredundant H-representation of conv(points).
 
     Input that is not full-dimensional is handled inside its affine hull:
     the hull equations come back in `equalities` and the facet rows only
     mention the pivot coordinates of the hull.
     """
-    deadline = _Deadline(deadline_seconds)
+    deadline = deadline or Deadline()
     if V.dim > MAX_DIM:
         raise ValueError(f"dimension {V.dim} exceeds the supported {MAX_DIM}")
     points, scale = _lattice(V.points)
@@ -266,10 +269,10 @@ def facets(V: VPolytope, deadline_seconds: float | None = None) -> HPolytope:
 # -- face lattice and f-vector ----------------------------------------------
 
 
-def f_vector(V: VPolytope, deadline_seconds: float | None = None) -> tuple[int, ...]:
+def f_vector(V: VPolytope, deadline: Deadline | None = None) -> tuple[int, ...]:
     """(f_0, ..., f_{d-1}) of conv(points) by closing the vertex-facet
     incidences under intersection."""
-    deadline = _Deadline(deadline_seconds)
+    deadline = deadline or Deadline()
     points, _ = _lattice(V.points)
     d = len(affine_pivot_columns(points))
     if d > MAX_FACE_LATTICE_DIM:
@@ -316,7 +319,7 @@ def vertices_of_hull(V: VPolytope, H: HPolytope | None = None) -> tuple[Point, .
 # -- volume ------------------------------------------------------------------
 
 
-def _triangulate(points: tuple[IntPoint, ...], memo, deadline: _Deadline):
+def _triangulate(points: tuple[IntPoint, ...], memo, deadline: Deadline):
     """Simplices (as point tuples) triangulating conv(points).
 
     Cones the least point over triangulations of the facets that avoid it;
@@ -346,9 +349,9 @@ def _triangulate(points: tuple[IntPoint, ...], memo, deadline: _Deadline):
     return simplices
 
 
-def normalized_volume(V: VPolytope, deadline_seconds: float | None = None) -> Fraction:
+def normalized_volume(V: VPolytope, deadline: Deadline | None = None) -> Fraction:
     """dim! times the Euclidean volume, by exact triangulation."""
-    deadline = _Deadline(deadline_seconds)
+    deadline = deadline or Deadline()
     if V.dim > MAX_DIM:
         raise ValueError(f"dimension {V.dim} exceeds the supported {MAX_DIM}")
     points, scale = _lattice(V.points)
@@ -360,10 +363,6 @@ def normalized_volume(V: VPolytope, deadline_seconds: float | None = None) -> Fr
         total += abs(bareiss_det([[x - b for x, b in zip(p, base)] for p in simplex[1:]]))
     # scaling by L multiplies the volume by L^dim
     return Fraction(total, scale ** V.dim)
-
-
-def euclidean_volume(V: VPolytope, deadline_seconds: float | None = None) -> Fraction:
-    return normalized_volume(V, deadline_seconds) / factorial(V.dim)
 
 
 # -- unimodular maps ----------------------------------------------------------

@@ -63,11 +63,6 @@ def exchange_entry(Q: Quiver, mu: Partition, nu: Partition) -> int:
     return counts.get((mu, nu), 0) - counts.get((nu, mu), 0)
 
 
-def orbit_of(label: Partition) -> tuple[Partition, ...]:
-    t = transpose(label)
-    return (label,) if t == label else tuple(sorted((label, t), reverse=True))
-
-
 def mutable_orbit_order(n: int) -> tuple[tuple[Partition, ...], ...]:
     """Self-paired cells first by descending strip, then the true pairs by
     descending strip then height; matches the printed n=4 convention."""

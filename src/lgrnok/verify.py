@@ -1,0 +1,217 @@
+"""The verification suite: the table `CHECKS` and its one run loop, `run_checks`.
+
+A check is a plain function (n, deadline) -> (ok, witness), the witness
+reported only on failure.  Outside its entry's n-range a check is skipped,
+with the entry's reason as its witness.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Callable
+
+from . import equivalence, partitions, plabic, polytope, quiverfold, superpotential, valuation
+from .polytope import Deadline, TimeBudgetExceeded, VPolytope
+
+
+def roundtrip(n, deadline):
+    for I in combinations(range(1, 2 * n + 1), n):
+        if partitions.partition_to_indexset(partitions.indexset_to_partition(I, n), n) != I:
+            return False, f"round trip fails at {I}"
+    return True, ""
+
+
+def orientation_unique(n, deadline):
+    plabic.corect_network(n)  # raises unless unique
+    return True, ""
+
+
+def oracle(n, deadline):
+    valuation.all_plucker_valuations(n, cross_check=True)
+    return True, ""
+
+
+def table_lgr36(n, deadline):
+    table = valuation.all_plucker_valuations(n, cross_check=False)
+    return (table[(3, 2, 1)] == (0, 2, 0, 2, 1, 1)
+            and table[()] == (2, 4, 1, 4, 2, 3)
+            and len(table) == 14), ""
+
+
+# The three flows to {1,4,5} at n=3, sorted; the first is the valuation of
+# p_(3,1,1).  See the README's worked example.
+FLOWS_145 = [(0, 2, 0, 2, 1, 2), (0, 2, 1, 2, 1, 2), (0, 2, 1, 2, 2, 2)]
+
+
+def flow_polynomial_145(n, deadline):
+    G, O = plabic.corect_network(n)
+    flows = plabic.enumerate_flows(G, O, (1, 4, 5))
+    vectors = sorted(valuation.orbit_vector(n, f.monomial(G)) for f in flows)
+    minimal = tuple(min(c) for c in zip(*vectors))
+    return (vectors == FLOWS_145
+            and minimal == valuation.valuation_maxdiag(n, (3, 1, 1))), f"vectors {vectors}"
+
+
+def term_count(n, deadline):
+    terms = superpotential.build_superpotential(n)
+    return len(terms) == n * (n + 1) // 2 + 2 ** (n - 1), f"{len(terms)} terms"
+
+
+def gamma_routes(n, deadline):
+    superpotential.gamma_hrep(n)  # raises on disagreement
+    return True, ""
+
+
+def catalan(n, deadline):
+    count = len(superpotential.enumerate_antichains(superpotential.build_poset(n)))
+    return count == superpotential.antichain_count_formula(n), f"{count}"
+
+
+def extensions(n, deadline):
+    got = superpotential.linear_extension_count(superpotential.build_poset(n))
+    return got == partitions.staircase_syt_count(n), f"{got}"
+
+
+def blocks(n, deadline):
+    report = equivalence.check_blocks(equivalence.build_valuation_matrix(n))
+    return report.all_ok, report.witness
+
+
+def unimodular(n, deadline):
+    good, det = equivalence.is_unimodular(equivalence.build_valuation_matrix(n))
+    return good, f"det {det}"
+
+
+def singletons(n, deadline):
+    return equivalence.verify_singleton_images(n), ""
+
+
+def maxdiag_additivity(n, deadline):
+    return equivalence.verify_maxdiag_additivity(n), ""
+
+
+def valuation_additivity(n, deadline):
+    return equivalence.verify_valuation_additivity(n), ""
+
+
+def vertex_level(n, deadline):
+    report = equivalence.verify_main_theorem(n, "vertex")
+    return report.vertex_ok, report.detail
+
+
+# The folded exchange matrices printed in the paper, by n.
+PRINTED_FOLD = {
+    4: (
+        (0, 1, 0, -1, 0, 0), (-1, 0, 1, 1, 0, -1), (0, -1, 0, 0, 0, 1),
+        (2, -2, 0, 0, -1, 1), (0, 0, 0, 1, 0, -1), (0, 2, -2, -1, 1, 0),
+        (-1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, -1, 1),
+        (0, 0, 2, 0, 0, -1), (0, 0, -1, 0, 0, 0),
+    ),
+}
+
+
+def fold(n, deadline):
+    F = quiverfold.folded_matrix(n)  # raises if ill-defined
+    return F.entries == PRINTED_FOLD.get(n, F.entries), str(F.entries)
+
+
+def gamma_vertices(n, deadline):
+    return equivalence.gamma_vertices_match_hrep(n, deadline), ""
+
+
+# The facet system of Delta printed in the paper for n=3, as (coefficients, constant).
+PRINTED_DELTA3 = frozenset({
+    ((0, -1, 0, 1, 0, 0), 0), ((-1, 1, 2, -1, 0, 0), 0), ((1, 0, -1, 0, 0, 0), 0),
+    ((0, 0, 0, -1, 2, 0), 0), ((0, 0, -1, 1, -1, 0), 0), ((0, 0, 0, 0, -1, 1), 0),
+    ((0, 0, -1, 0, 0, 0), 1), ((1, 0, -1, -1, 1, 0), 1), ((0, 1, 1, -1, -1, 0), 1),
+    ((0, 1, 0, 0, -1, -1), 1),
+})
+
+
+def delta_printed(n, deadline):
+    V = VPolytope.from_points(valuation.delta_vertices(n))
+    return polytope.facets(V, deadline).row_set() == PRINTED_DELTA3, ""
+
+
+def f_vector(n, deadline):
+    fv_delta = polytope.f_vector(VPolytope.from_points(valuation.delta_vertices(n)), deadline)
+    fv_gamma = polytope.f_vector(VPolytope.from_points(superpotential.gamma_vertex_set(n)), deadline)
+    return fv_delta == fv_gamma == (14, 51, 86, 78, 39, 10), f"{fv_delta} / {fv_gamma}"
+
+
+def hull_level(n, deadline):
+    report = equivalence.verify_main_theorem(n, "hull", deadline)
+    return report.all_ok, report.detail
+
+
+@dataclass(frozen=True)
+class Check:
+    name: str
+    level: str  # "vertex" or "hull"
+    run: Callable[[int, Deadline], tuple[bool, str]]
+    n_min: int = 1
+    n_max: float = math.inf
+    skip: str = ""  # the witness of a check skipped for n outside [n_min, n_max]
+
+
+CHECKS = (
+    Check("partition-bijection-roundtrip", "vertex", roundtrip),
+    Check("perfect-orientation-unique", "vertex", orientation_unique),
+    Check("valuation-oracle-equivalence", "vertex", oracle,
+          n_max=4, skip="flow model gated to n <= 4"),
+    Check("valuation-table-lgr36", "vertex", table_lgr36,
+          n_min=3, n_max=3, skip="reference table is for n=3"),
+    Check("flow-polynomial-145", "vertex", flow_polynomial_145,
+          n_min=3, n_max=3, skip="worked example is for n=3"),
+    Check("superpotential-term-count", "vertex", term_count),
+    Check("gamma-tropicalization-vs-chain-polytope", "vertex", gamma_routes),
+    Check("antichain-count-catalan", "vertex", catalan),
+    Check("linear-extensions-equal-syt", "vertex", extensions),
+    Check("matrix-block-lemmas", "vertex", blocks, n_min=2, skip="blocks need n >= 2"),
+    Check("matrix-unimodular", "vertex", unimodular),
+    Check("singleton-antichain-images", "vertex", singletons),
+    Check("maxdiag-additivity", "vertex", maxdiag_additivity,
+          n_max=4, skip="exhaustive check gated to n <= 4"),
+    Check("valuation-additivity", "vertex", valuation_additivity,
+          n_max=4, skip="exhaustive check gated to n <= 4"),
+    Check("main-theorem-vertex-level", "vertex", vertex_level),
+    Check("folded-exchange-matrix", "vertex", fold),
+    Check("gamma-vertex-enumeration", "hull", gamma_vertices,
+          n_max=4, skip="vertex enumeration gated to n <= 4"),
+    Check("delta-facets-match-printed", "hull", delta_printed,
+          n_min=3, n_max=3, skip="printed system is for n=3"),
+    Check("f-vector", "hull", f_vector,
+          n_min=3, n_max=3, skip="reference f-vector is for n=3"),
+    Check("main-theorem-hull-level", "hull", hull_level,
+          n_max=4, skip="hull level gated to n <= 4"),
+)
+
+
+def run_checks(n: int, level: str, deadline: Deadline) -> list[dict]:
+    """Runs the checks of `level` ("vertex", "hull" or "all") at n, in table
+    order, and returns one {"name", "status", "witness"} per check, status
+    "pass", "fail" or "skip".
+
+    A check that raises fails.  The deadline is polled by the engine inside
+    a check and again when each check returns; when it has expired, the run
+    stops with TimeBudgetExceeded naming the check that used up the budget.
+    """
+    results = []
+    for check in CHECKS:
+        if level not in ("all", check.level):
+            continue
+        if not check.n_min <= n <= check.n_max:
+            results.append({"name": check.name, "status": "skip", "witness": check.skip})
+            continue
+        try:
+            ok, witness = check.run(n, deadline)
+            deadline.check()
+        except TimeBudgetExceeded as exc:
+            raise TimeBudgetExceeded(f"{check.name}: {exc}") from exc
+        except Exception as exc:  # a raising check is a failing check
+            ok, witness = False, f"{type(exc).__name__}: {exc}"
+        results.append({"name": check.name, "status": "pass" if ok else "fail",
+                        "witness": "" if ok else witness})
+    return results

@@ -228,7 +228,7 @@ def test_criterion_8_main_theorem_hull_level():
     ok &= polytope.normalized_volume(
         polytope.VPolytope.from_points(gamma_vertex_set(3))) == 16
     # n=4, inside the 30 minute budget (runs in seconds)
-    budget = 1800.0
+    budget = polytope.Deadline(1800.0)
     gamma4 = polytope.VPolytope.from_points(gamma_vertex_set(4))
     delta4 = polytope.VPolytope.from_points(delta_vertices(4))
     try:

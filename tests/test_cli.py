@@ -17,9 +17,9 @@ def run_cli(capsys, *argv):
 
 def test_command_config_validation():
     with pytest.raises(ValueError):
-        CommandConfig(n=0, subcommand="graph")
+        CommandConfig(n=0)
     with pytest.raises(ValueError):
-        CommandConfig(n=2, subcommand="graph", time_budget=0)
+        CommandConfig(n=2, time_budget=0)
 
 
 def test_fmt_fraction():

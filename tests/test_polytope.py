@@ -114,7 +114,7 @@ def test_f_vector_bounds_the_facet_run(monkeypatch):
         return real(rows, deadline)
 
     monkeypatch.setattr(polytope, "_extreme_rays", recording)
-    assert f_vector(cube(4), 5.0) == (16, 32, 24, 8)
+    assert f_vector(cube(4), polytope.Deadline(5.0)) == (16, 32, 24, 8)
     assert armed and all(armed)
 
 

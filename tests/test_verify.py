@@ -1,0 +1,84 @@
+"""The verification registry `lgrnok.verify` and its one run loop."""
+
+import re
+import time
+from pathlib import Path
+
+import pytest
+
+from lgrnok import equivalence, plabic, verify
+from lgrnok.cli import main
+
+BASELINE = Path(__file__).resolve().parents[1] / "benchmark" / "baseline"
+
+EXPECTED_N1 = (
+    "  [PASS] partition-bijection-roundtrip\n"
+    "  [PASS] perfect-orientation-unique\n"
+    "  [PASS] valuation-oracle-equivalence\n"
+    "  [skip] valuation-table-lgr36  (reference table is for n=3)\n"
+    "  [skip] flow-polynomial-145  (worked example is for n=3)\n"
+    "  [PASS] superpotential-term-count\n"
+    "  [PASS] gamma-tropicalization-vs-chain-polytope\n"
+    "  [PASS] antichain-count-catalan\n"
+    "  [PASS] linear-extensions-equal-syt\n"
+    "  [skip] matrix-block-lemmas  (blocks need n >= 2)\n"
+    "  [PASS] matrix-unimodular\n"
+    "  [PASS] singleton-antichain-images\n"
+    "  [PASS] maxdiag-additivity\n"
+    "  [PASS] valuation-additivity\n"
+    "  [PASS] main-theorem-vertex-level\n"
+    "  [PASS] folded-exchange-matrix\n"
+    "  [PASS] gamma-vertex-enumeration\n"
+    "  [skip] delta-facets-match-printed  (printed system is for n=3)\n"
+    "  [skip] f-vector  (reference f-vector is for n=3)\n"
+    "  [PASS] main-theorem-hull-level\n"
+    "all checks passed (n=1, level=all)\n"
+)
+
+
+def test_verify_n1_skip_witnesses(capsys):
+    assert main(["verify", "--n", "1", "--level", "all"]) == 0
+    assert capsys.readouterr().out == EXPECTED_N1
+
+
+def test_one_time_budget_per_run(monkeypatch, capsys):
+    real = equivalence.verify_valuation_additivity
+
+    def slow(n):
+        time.sleep(0.5)
+        return real(n)
+
+    monkeypatch.setattr(equivalence, "verify_valuation_additivity", slow)
+    start = time.monotonic()
+    code = main(["verify", "--n", "3", "--level", "all", "--time-budget", "0.2"])
+    assert code == 3
+    assert time.monotonic() - start < 1.5
+    # stderr names the check that used up the budget
+    assert "valuation-additivity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dropped", [0, 1, 2])
+def test_flow_polynomial_145_fails_without_one_flow(monkeypatch, capsys, dropped):
+    real = plabic.enumerate_flows
+
+    def one_flow_fewer(G, O, J):
+        flows = real(G, O, J)
+        if tuple(sorted(J)) == (1, 4, 5):
+            flows = flows[:dropped] + flows[dropped + 1:]
+        return flows
+
+    monkeypatch.setattr(plabic, "enumerate_flows", one_flow_fewer)
+    assert main(["verify", "--n", "3", "--level", "vertex"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("  [FAIL] flow-polynomial-145  (vectors ") for line in lines)
+
+
+@pytest.mark.parametrize("workload, level", [("vertex-n7", "vertex"), ("hull-n4", "hull")])
+def test_benchmark_check_names_are_registered(workload, level):
+    # The benchmark gate matches check names in `lgrnok verify` output; a
+    # renamed check would drop out of it silently.
+    text = (BASELINE / f"{workload}.out").read_text()
+    names = re.findall(r"^  \[(?:PASS|FAIL|skip)\] (\S+)", text, re.MULTILINE)
+    levels = {check.name: check.level for check in verify.CHECKS}
+    assert names
+    assert {name: levels.get(name) for name in names} == {name: level for name in names}
