@@ -340,11 +340,13 @@ class Flow:
         return weight
 
 
+@cache
 def path_left_faces(G: PlabicGraph, path: tuple[Vertex, ...]) -> frozenset:
     """All faces on the left of a boundary-to-boundary path.
 
     The path cuts the disk in two; flood-fill the left side through every
-    edge the path does not use.
+    edge the path does not use.  Cached, since the flows to different
+    targets share most of their paths.
     """
     darts = list(zip(path, path[1:]))
     blocked = {frozenset(d) for d in darts}

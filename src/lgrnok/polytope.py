@@ -88,12 +88,6 @@ class HPolytope:
     def row_set(self) -> frozenset[Row]:
         return frozenset(normalize_row(c, d) for c, d in self.rows)
 
-    def satisfied_by(self, point) -> bool:
-        p = as_point(point)
-        return all(dot(c, p) + d >= 0 for c, d in self.rows) and all(
-            dot(c, p) + d == 0 for c, d in self.equalities
-        )
-
 
 # -- double description ----------------------------------------------------
 

@@ -2,9 +2,10 @@
 
 Coordinates are indexed by transpose-orbits of face labels of the graph
 (the orbit of the empty label is dropped: no flow ever has that face on its
-left, so the coordinate is identically zero).  Each Pluecker coordinate
+left, so the coordinate is identically zero).  `face_coordinates` maps each
+face of the graph to its coordinate once per n.  Each Pluecker coordinate
 gets an integer vector two independent ways: the coordinatewise-minimal
-exponent vector over its flow monomials, and the closed form
+exponent vector over its flows, and the closed form
 
     entry at orbit {mu, mu^T}  =  maxdiag(mu \\ lam) + maxdiag(mu^T \\ lam)
 
@@ -18,6 +19,11 @@ max-plus product of diagonal-length vectors,
 
 with l_{mu^T}(d) = l_mu(-d).  `valuation_maxdiag` evaluates this;
 `partitions.maxdiag` on skew cells stays as its oracle.
+
+A flow's exponent vector is the sum over its paths of the coordinate counts
+of the path's left faces.  Many flows share a path, so the counts are
+cached per left-face set, and the flows cost little more than enumerating
+them.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from operator import sub
+from types import MappingProxyType
 
 from . import plabic
 from .partitions import (
@@ -51,24 +58,56 @@ def coordinate_system(n: int) -> tuple[Partition, ...]:
     return order
 
 
+@cache
+def face_coordinates(n: int) -> MappingProxyType[plabic.FaceId, int | None]:
+    """Index in `coordinate_system(n)` of each face's orbit, None for the
+    face labelled by the empty partition; read-only, as it is shared."""
+    G = plabic.build_corect_graph(n)
+    index = {rep: i for i, rep in enumerate(coordinate_system(n))}
+    return MappingProxyType({face: index[orbit_representative(label)] if label else None
+                             for face, label in G.faces.items()})
+
+
 def orbit_vector(n: int, monomial: Counter) -> tuple[int, ...]:
     """Collapse a face-variable monomial to exponents per coordinate orbit."""
-    coords = coordinate_system(n)
-    totals: Counter = Counter()
+    G = plabic.build_corect_graph(n)
+    index = {G.faces[face]: i for face, i in face_coordinates(n).items()}
+    totals = [0] * len(coordinate_system(n))
     for label, exp in monomial.items():
-        totals[orbit_representative(label)] += exp
-    if any(rep and rep not in coords for rep in totals):
-        raise ValueError("monomial mentions an unknown face orbit")
-    return tuple(totals.get(rep, 0) for rep in coords)
+        if label not in index:
+            raise ValueError("monomial mentions an unknown face orbit")
+        if index[label] is not None:
+            totals[index[label]] += exp
+    return tuple(totals)
+
+
+@cache
+def _left_faces_vector(n: int, faces: frozenset) -> tuple[int, ...]:
+    """Coordinate counts of one path's left faces."""
+    coords = face_coordinates(n)
+    totals = [0] * len(coordinate_system(n))
+    for face in faces:
+        if coords[face] is not None:
+            totals[coords[face]] += 1
+    return tuple(totals)
+
+
+def flow_vector(n: int, flow: plabic.Flow) -> tuple[int, ...]:
+    """Exponent vector of a flow's monomial: the sum over its paths of the
+    cached coordinate counts of their left faces."""
+    zero = (0,) * len(coordinate_system(n))
+    return tuple(map(sum, zip(zero, *(_left_faces_vector(n, f) for f in flow.left_faces))))
 
 
 def valuation_from_flows(n: int, lam: Partition) -> tuple[int, ...]:
-    """Coordinatewise minimum over the flow monomials for p_lam, which must
-    be attained by exactly one flow."""
+    """Coordinatewise minimum over the flow vectors for p_lam, which must
+    be attained by exactly one flow.  Each flow's vector is summed from
+    `face_coordinates` over its paths' left-face sets, one count per
+    distinct set (`flow_vector`)."""
     lam = check_in_box(lam, n)
     G, O = plabic.corect_network(n)
     J = partition_to_indexset(lam, n)
-    vectors = [orbit_vector(n, m) for m in plabic.flow_polynomial(G, O, J)]
+    vectors = [flow_vector(n, flow) for flow in plabic.enumerate_flows(G, O, J)]
     if not vectors:
         raise ValueError(f"no flow realizes the Pluecker coordinate of {lam}")
     low = tuple(min(col) for col in zip(*vectors))

@@ -160,7 +160,7 @@ CHECKS = (
     Check("partition-bijection-roundtrip", "vertex", roundtrip),
     Check("perfect-orientation-unique", "vertex", orientation_unique),
     Check("valuation-oracle-equivalence", "vertex", oracle,
-          n_max=4, skip="flow model gated to n <= 4"),
+          n_max=5, skip="flow model gated to n <= 5"),
     Check("valuation-table-lgr36", "vertex", table_lgr36,
           n_min=3, n_max=3, skip="reference table is for n=3"),
     Check("flow-polynomial-145", "vertex", flow_polynomial_145,

@@ -1,7 +1,9 @@
 import pytest
 
+from lgrnok import plabic
 from lgrnok.partitions import (
     maxdiag,
+    partition_to_indexset,
     partitions_in_box,
     skew_cells,
     transpose,
@@ -11,6 +13,8 @@ from lgrnok.valuation import (
     all_plucker_valuations,
     coordinate_system,
     delta_vertices,
+    flow_vector,
+    orbit_vector,
     valuation_from_flows,
     valuation_maxdiag,
 )
@@ -131,3 +135,38 @@ def test_minimum_monomial_unique(n):
     # valuation_from_flows raises when the coordinatewise minimum is shared
     for lam in transpose_classes(n):
         valuation_from_flows(n, lam)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_flow_vector_matches_monomial_route(n):
+    # the cached left-face route against collapsing each flow's monomial
+    G, O = plabic.corect_network(n)
+    for lam in transpose_classes(n):
+        for flow in plabic.enumerate_flows(G, O, partition_to_indexset(lam, n)):
+            assert flow_vector(n, flow) == orbit_vector(n, flow.monomial(G)), (lam, flow)
+
+
+def test_orbit_vector_rejects_unknown_label():
+    with pytest.raises(ValueError, match="unknown face orbit"):
+        orbit_vector(3, {(1,): 1})
+
+
+def test_shared_minimum_raises(monkeypatch):
+    n, lam = 3, (3, 2, 1)
+    G, O = plabic.corect_network(n)
+    low = valuation_from_flows(n, lam)
+    (minimal,) = [f for f in plabic.enumerate_flows(G, O, partition_to_indexset(lam, n))
+                  if flow_vector(n, f) == low]
+    monkeypatch.setattr(plabic, "enumerate_flows", lambda G, O, J: (minimal, minimal))
+    with pytest.raises(ValueError, match="attained by 2 monomials"):
+        valuation_from_flows(n, lam)
+
+
+def test_no_flow_raises(monkeypatch):
+    monkeypatch.setattr(plabic, "enumerate_flows", lambda G, O, J: ())
+    with pytest.raises(ValueError, match="no flow realizes"):
+        valuation_from_flows(3, (3, 2, 1))
+
+
+def test_flow_oracle_n5():
+    assert all_plucker_valuations(5, cross_check=True) == all_plucker_valuations(5, cross_check=False)

@@ -82,3 +82,8 @@ def test_benchmark_check_names_are_registered(workload, level):
     levels = {check.name: check.level for check in verify.CHECKS}
     assert names
     assert {name: levels.get(name) for name in names} == {name: level for name in names}
+
+
+def test_flow_oracle_runs_at_n5(capsys):
+    assert main(["verify", "--n", "5", "--level", "vertex"]) == 0
+    assert "  [PASS] valuation-oracle-equivalence\n" in capsys.readouterr().out
