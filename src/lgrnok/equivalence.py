@@ -8,6 +8,10 @@ valuation coordinate system.  M_n carries the antichain indicator vertices
 of the superpotential polytope onto the Pluecker valuation set; the block
 structure, the constructive column reduction, and that vertex match are
 each checkable in exact arithmetic.
+
+The vertex level works on the index set of each transpose class: its
+diagonal-length vector gives its valuation through the closed form, and
+its lattice path gives the hooks of its complement, hence its antichain.
 """
 
 from __future__ import annotations
@@ -21,22 +25,18 @@ from .linalg import bareiss_det, identity, invert, mat_mul, mat_vec
 from .partitions import (
     Partition,
     complement,
-    diagonal_balance,
-    hook_decomposition,
+    complement_hooks,
+    diagonal_excess,
+    diagonal_lengths,
     hook_partition,
     normalize,
+    partition_to_indexset,
     staircase_syt_count,
     transpose_classes,
 )
 from .polytope import normalize_row
-from .superpotential import (
-    build_poset,
-    enumerate_antichains,
-    gamma_hrep,
-    is_antichain,
-    lex_cells,
-)
-from .valuation import coordinate_system, valuation_maxdiag
+from .superpotential import build_poset, enumerate_antichains, gamma_hrep, lex_cells
+from .valuation import _maxplus, coordinate_system, valuation_maxdiag
 
 Pair = tuple[int, int]
 
@@ -237,27 +237,21 @@ def is_unimodular(M: ValuationMatrix) -> tuple[bool, int]:
 
 
 def antichain_from_partition(n: int, lam: Partition) -> frozenset[Pair]:
-    """Hooks of the complement of lam, read as poset elements
-    (n+1-a, b+n+1-a); they are pairwise incomparable.
+    """Hooks (a, b) of the complement of lam, read off lam's lattice path,
+    as poset elements (n+1-a, b+n+1-a).
 
     A hook with arm <= leg is transposed first (complementing a hook or its
     transpose names the same Pluecker class and the same valuation); without
     this the element would fall outside the poset, e.g. the (1,1) hook of
-    (4,2,2) in the 4x4 square.
+    (4,2,2) in the 4x4 square.  Whether the elements form an antichain of
+    the poset is left to the caller: the main theorem looks the set up among
+    the enumerated antichains.
     """
-    lam = normalize(lam)
-    above, below = diagonal_balance(lam)
-    if above < below:
+    hooks = complement_hooks(partition_to_indexset(lam, n), n)
+    if diagonal_excess(lam) < 0:
         raise ValueError(f"{lam} has more boxes below the diagonal than right of it")
-    hooks = hook_decomposition(complement(lam, n))
-    balanced = [(b + 1, a - 1) if a <= b else (a, b) for (a, b) in hooks]
-    members = frozenset((n + 1 - a, b + n + 1 - a) for (a, b) in balanced)
-    P = build_poset(n)
-    if len(members) != len(balanced) or not members <= set(P.elements):
-        raise AssertionError(f"hooks of {lam} do not land in the poset: {sorted(members)}")
-    if not is_antichain(P, members):
-        raise AssertionError(f"hooks of {lam} do not form an antichain: {sorted(members)}")
-    return members
+    return frozenset((n - b, n + a - b - 1) if a <= b else (n + 1 - a, n + 1 - a + b)
+                     for a, b in hooks)
 
 
 def singleton_column_pair(i: int, j: int, n: int) -> Pair:
@@ -288,7 +282,7 @@ def verify_maxdiag_additivity(n: int) -> bool:
     labels = sorted(set(G.faces.values()))
     for lam in transpose_classes(n):
         pieces = [complement(hook_partition(a, b), n)
-                  for (a, b) in hook_decomposition(complement(lam, n))]
+                  for (a, b) in complement_hooks(partition_to_indexset(lam, n), n)]
         for mu in labels:
             whole = maxdiag(skew_cells(mu, lam))
             split = sum(maxdiag(skew_cells(mu, piece)) for piece in pieces)
@@ -301,7 +295,7 @@ def verify_valuation_additivity(n: int) -> bool:
     """val(p_lam) is the coordinatewise sum over the complement's hooks."""
     for lam in transpose_classes(n):
         pieces = [complement(hook_partition(a, b), n)
-                  for (a, b) in hook_decomposition(complement(lam, n))]
+                  for (a, b) in complement_hooks(partition_to_indexset(lam, n), n)]
         total = [0] * (n * (n + 1) // 2)
         for piece in pieces:
             total = [a + b for a, b in zip(total, valuation_maxdiag(n, piece))]
@@ -327,12 +321,10 @@ def image_of_antichains(n: int) -> dict[frozenset, tuple[int, ...]]:
     """M_n applied to each antichain indicator: the sum of the columns the
     antichain picks (the zero vector for the empty antichain)."""
     M = build_valuation_matrix(n)
-    column_of = {cell: t for t, cell in enumerate(lex_cells(n))}
-    images = {}
-    for a in enumerate_antichains(build_poset(n)):
-        picked = [column_of[cell] for cell in a]
-        images[a] = tuple(sum(row[t] for t in picked) for row in M.entries)
-    return images
+    column = dict(zip(lex_cells(n), zip(*M.entries)))
+    zero = (0,) * M.size
+    return {a: tuple(map(sum, zip(zero, *map(column.__getitem__, a))))
+            for a in enumerate_antichains(build_poset(n))}
 
 
 def pulled_back_gamma_rows(n: int) -> frozenset:
@@ -350,6 +342,10 @@ def pulled_back_gamma_rows(n: int) -> frozenset:
     )
 
 
+# Classes the vertex level checks between two polls of the deadline.
+POLL_CLASSES = 256
+
+
 def verify_main_theorem(
     n: int,
     level: str = "vertex",
@@ -359,7 +355,8 @@ def verify_main_theorem(
     onto the Newton-Okounkov body.
 
     level "vertex": antichain indicators land bijectively on the Pluecker
-    valuations, matched by the hook-decomposition bijection.  level "hull"
+    valuations, matched by the hook-decomposition bijection; the deadline
+    is polled every POLL_CLASSES classes.  level "hull"
     additionally compares the facets of Delta with the rows of Gamma pulled
     back through M_n, and the normalized volumes.
     """
@@ -367,15 +364,20 @@ def verify_main_theorem(
         raise ValueError(f"unknown level {level!r}")
     detail = []
 
+    deadline = deadline or polytope.Deadline()
     images = image_of_antichains(n)
-    valuations = {lam: valuation_maxdiag(n, lam) for lam in transpose_classes(n)}
-    vertex_ok = set(images.values()) == set(valuations.values())
-    vertex_ok &= len(set(images.values())) == len(images)
-    for lam, value in valuations.items():
-        if images[antichain_from_partition(n, lam)] != value:
+    vertex_ok = len(set(images.values())) == len(images)
+    values = set()
+    for count, lam in enumerate(transpose_classes(n)):
+        if not count % POLL_CLASSES:
+            deadline.check()
+        value = _maxplus(n, diagonal_lengths(partition_to_indexset(lam, n), n))
+        if images.get(antichain_from_partition(n, lam)) != value:
             vertex_ok = False
             detail.append(f"hook bijection fails at {lam}")
             break
+        values.add(value)
+    vertex_ok &= values == set(images.values())
     if not vertex_ok and not detail:
         detail.append("image of antichain indicators != valuation set")
 

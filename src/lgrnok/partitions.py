@@ -4,25 +4,35 @@ Partitions are plain tuples of weakly decreasing positive ints (trailing
 zeros stripped, so `==` is semantic equality).  An "index set" is the
 n-subset of {1,...,2n} labelling the vertical steps of the lattice path
 from the upper-right to the lower-left corner of the square; the partition
-lies above that path.
+lies above that path, with lam_r = n + r + 1 - I_r for 0-based rows r.
+
+The vertex-level checks work on index sets.  The path gives each of
+these in O(n): the transpose classes (`transpose_classes`), the
+diagonal-length vector (`diagonal_lengths`) and the principal hooks of the
+complement (`complement_hooks`); the diagonal balance (`diagonal_excess`)
+takes one pass over the rows.  The cell-based helpers (`cells`,
+`skew_cells`, `maxdiag`) stay as the definitions the closed forms are
+checked against.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import factorial
+from operator import lt
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]  # (row, column), 1-based
+Hook = tuple[int, int]  # (arm, leg); arm counts the corner box
 
 
 def normalize(parts) -> Partition:
     """Canonical form: weakly decreasing tuple without trailing zeros."""
-    out = tuple(int(p) for p in parts if p != 0)
-    if any(out[i] < out[i + 1] for i in range(len(out) - 1)):
+    out = tuple([int(p) for p in parts if p != 0])
+    if any(map(lt, out, out[1:])):
         raise ValueError(f"parts not weakly decreasing: {parts}")
-    if any(p < 0 for p in out):
+    if out and out[-1] < 0:
         raise ValueError(f"negative part in {parts}")
     return out
 
@@ -60,21 +70,23 @@ def size(lam: Partition) -> int:
     return sum(lam)
 
 
+def _path_partition(I: tuple[int, ...], n: int) -> Partition:
+    """lam_r = n + r - I_r over the 1-based rows r, zero rows dropped."""
+    return tuple([n + r - i for r, i in enumerate(I, start=1) if i != n + r])
+
+
 def indexset_to_partition(indexset, n: int) -> Partition:
     """Partition above the lattice path whose vertical steps carry `indexset`."""
     I = tuple(sorted(indexset))
     if len(I) != n or len(set(I)) != n or I[0] < 1 or I[-1] > 2 * n:
         raise ValueError(f"{indexset} is not an n-subset of [2n] for n={n}")
-    horizontals = sorted(set(range(1, 2 * n + 1)) - set(I))
-    # row r has one box per horizontal step after the r-th vertical step
-    return normalize(sum(1 for h in horizontals if h > I[r]) for r in range(n))
+    return _path_partition(I, n)
 
 
 def partition_to_indexset(lam: Partition, n: int) -> tuple[int, ...]:
     """Inverse of indexset_to_partition."""
     lam = check_in_box(lam, n)
-    padded = lam + (0,) * (n - len(lam))
-    return tuple(n - padded[r] + r + 1 for r in range(n))
+    return tuple([n + r - w for r, w in enumerate(lam + (0,) * (n - len(lam)), start=1)])
 
 
 def transpose(lam: Partition) -> Partition:
@@ -110,7 +122,43 @@ def maxdiag(region) -> int:
     return best
 
 
-Hook = tuple[int, int]  # (arm, leg); arm counts the corner box
+# -- the lattice path --------------------------------------------------------
+#
+# Along the path of an index set I, the vertical steps j <= n end the rows
+# that reach across the main diagonal (arm n - j to the right of it), and
+# the horizontal steps h > n end the columns that reach below it (leg
+# h - n - 1 under it).
+
+
+def diagonal_lengths(indexset: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Cells of the partition on each diagonal c - r = d, for d = 1-n, ...,
+    n-1: the vertical steps among the first n - d steps when d >= 0, the
+    horizontal steps among the last n + d when d < 0."""
+    vertical = [0] * (2 * n + 1)
+    for j in indexset:
+        vertical[j] = 1
+    below = accumulate(1 - vertical[h] for h in range(2 * n, n + 1, -1))
+    above = list(accumulate(vertical[1:n + 1]))
+    return (*below, *reversed(above))
+
+
+def complement_hooks(indexset: tuple[int, ...], n: int) -> tuple[Hook, ...]:
+    """Principal hooks (arm, leg) of the complement, outermost first, read
+    off the path: the complement's path is the reversed one, so its arms
+    are j - n over the vertical steps j > n (descending) and its legs n - h
+    over the horizontal steps h <= n (ascending)."""
+    steps = set(indexset)
+    arms = [j - n for j in range(2 * n, n, -1) if j in steps]
+    legs = [n - h for h in range(1, n + 1) if h not in steps]
+    return tuple(zip(arms, legs))
+
+
+def diagonal_excess(lam: Partition) -> int:
+    """Boxes strictly right of the main diagonal minus boxes strictly below
+    it, sum_{d>0} l(d) - sum_{d<0} l(d), row by row: a row r of width
+    w >= r has w - r boxes right of the diagonal and r - 1 below it, a
+    shorter row has all w below it."""
+    return sum(w - 2 * r + 1 if w >= r else -w for r, w in enumerate(lam, start=1))
 
 
 def hook_partition(arm: int, leg: int) -> Partition:
@@ -120,69 +168,35 @@ def hook_partition(arm: int, leg: int) -> Partition:
     return (arm,) + (1,) * leg
 
 
-def hook_decomposition(lam: Partition) -> tuple[Hook, ...]:
-    """Principal hooks along the main diagonal, outermost first.
-
-    Hook k covers the cells (k, k..lam_k) and (k+1..col_k, k); the nesting
-    a_{k+1} < a_k, b_{k+1} < b_k is automatic from the diagram shape.
-    """
-    lam = normalize(lam)
-    t = transpose(lam)
-    hooks = []
-    k = 1
-    while k <= len(lam) and lam[k - 1] >= k:
-        hooks.append((lam[k - 1] - k + 1, t[k - 1] - k))
-        k += 1
-    return tuple(hooks)
-
-
-def assemble_hooks(hooks) -> Partition:
-    """Rebuild the partition whose principal hooks are `hooks`."""
-    boxes: set[Cell] = set()
-    for k, (arm, leg) in enumerate(hooks, start=1):
-        boxes.update((k, c) for c in range(k, k + arm))
-        boxes.update((r, k) for r in range(k + 1, k + leg + 1))
-    rows: dict[int, int] = {}
-    for (r, c) in boxes:
-        rows[r] = max(rows.get(r, 0), c)
-    if set(rows) != set(range(1, len(rows) + 1)):
-        raise ValueError("hooks do not assemble to a partition")
-    lam = normalize(rows[r] for r in sorted(rows))
-    if set(cells(lam)) != boxes:
-        raise ValueError("hooks do not assemble to a partition")
-    return lam
-
-
-def diagonal_balance(lam: Partition) -> tuple[int, int]:
-    """(boxes strictly right of the main diagonal, boxes strictly below it)."""
-    above = sum(1 for (r, c) in cells(lam) if c > r)
-    below = sum(1 for (r, c) in cells(lam) if c < r)
-    return above, below
+def _representative(lam: Partition, t: Partition) -> Partition:
+    """lam or its transpose t, whichever has more boxes right of the
+    diagonal; the larger tuple on a tie."""
+    excess = diagonal_excess(lam)
+    return lam if excess > 0 else t if excess < 0 else max(lam, t)
 
 
 def orbit_representative(lam: Partition) -> Partition:
-    """Canonical member of {lam, lam^T}: more boxes right of the diagonal."""
-    t = transpose(lam)
-    above, below = diagonal_balance(lam)
-    if above > below:
-        return lam
-    if above < below:
-        return t
-    return max(lam, t)
-
-
-@cache
-def partitions_in_box(n: int) -> tuple[Partition, ...]:
-    """All partitions inside the n x n square, ordered by their index sets."""
-    out = [indexset_to_partition(I, n) for I in combinations(range(1, 2 * n + 1), n)]
-    return tuple(out)
+    """Canonical member of {lam, lam^T}: more boxes right of the diagonal,
+    the larger tuple on a tie."""
+    return _representative(lam, transpose(lam))
 
 
 @cache
 def transpose_classes(n: int) -> tuple[Partition, ...]:
     """One representative (orbit_representative) per transpose class in n x n,
-    in order of first appearance."""
-    return tuple(dict.fromkeys(orbit_representative(lam) for lam in partitions_in_box(n)))
+    in order of first appearance along the index sets in lexicographic order.
+
+    The transpose of the path with index set I has index set
+    {2n+1-h : h not in I}, so a class first appears at I exactly when I is
+    not after that set."""
+    everything = range(1, 2 * n + 1)
+    reps = []
+    for I in combinations(everything, n):
+        steps = set(I)
+        T = tuple(2 * n + 1 - h for h in reversed(everything) if h not in steps)
+        if I <= T:
+            reps.append(_representative(_path_partition(I, n), _path_partition(T, n)))
+    return tuple(reps)
 
 
 def syt_count(shape: Partition) -> int:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .linalg import affine_pivot_columns, bareiss_det, dot, invert, mat_vec, primitive, rref
+from .linalg import affine_pivot_columns, bareiss_det, dot, invert, primitive, rref
 
 Point = tuple[Fraction, ...]
 IntPoint = tuple[int, ...]
@@ -357,38 +357,6 @@ def normalized_volume(V: VPolytope, deadline: Deadline | None = None) -> Fractio
         total += abs(bareiss_det([[x - b for x, b in zip(p, base)] for p in simplex[1:]]))
     # scaling by L multiplies the volume by L^dim
     return Fraction(total, scale ** V.dim)
-
-
-# -- unimodular maps ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UnimodularMap:
-    """x -> M x + t with M an integer matrix of determinant +-1."""
-
-    matrix: tuple[tuple[int, ...], ...]
-    translation: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        det = bareiss_det(self.matrix)
-        if det not in (1, -1):
-            raise ValueError(f"matrix has determinant {det}, not +-1")
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
-
-    def apply_point(self, p) -> Point:
-        image = mat_vec(self.matrix, as_point(p))
-        if self.translation:
-            image = tuple(x + t for x, t in zip(image, self.translation))
-        return tuple(Fraction(x) for x in image)
-
-
-def apply_map(m: UnimodularMap, V: VPolytope) -> VPolytope:
-    if m.dim != V.dim:
-        raise ValueError(f"map dimension {m.dim} != polytope dimension {V.dim}")
-    return VPolytope.from_points(m.apply_point(p) for p in V.points)
 
 
 def euler_characteristic_ok(fvec: tuple[int, ...]) -> bool:

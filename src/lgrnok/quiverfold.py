@@ -57,9 +57,9 @@ def dual_quiver(G: plabic.PlabicGraph) -> Quiver:
     return Quiver(n=G.n, vertices=vertices, frozen=frozen, arrows=tuple(sorted(arrows)))
 
 
-def exchange_entry(Q: Quiver, mu: Partition, nu: Partition) -> int:
-    """B_{mu,nu} = arrows mu -> nu minus arrows nu -> mu."""
-    counts = Q.arrow_counter()
+def exchange_entry(counts: Counter, mu: Partition, nu: Partition) -> int:
+    """B_{mu,nu} = arrows mu -> nu minus arrows nu -> mu, counted in
+    `Quiver.arrow_counter()`."""
     return counts.get((mu, nu), 0) - counts.get((nu, mu), 0)
 
 
@@ -110,7 +110,7 @@ def fold(Q: Quiver) -> FoldedMatrix:
         row = []
         for col_orbit in cols:
             sums = {
-                nu: sum(exchange_entry(Q, mu, nu) for mu in row_orbit)
+                nu: sum(exchange_entry(counts, mu, nu) for mu in row_orbit)
                 for nu in col_orbit
             }
             if len(set(sums.values())) != 1:

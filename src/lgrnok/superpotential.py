@@ -70,16 +70,17 @@ def is_antichain(P: PosetPn, members) -> bool:
 def enumerate_antichains(P: PosetPn) -> tuple[frozenset[Element], ...]:
     """Every antichain including the empty one, in a fixed order."""
     elems = sorted(P.elements)
+    # Bit t of clash[k]: elems[t] is comparable to elems[k].
+    clash = [sum(1 << t for t, y in enumerate(elems) if P.comparable(x, y)) for x in elems]
     out: list[frozenset[Element]] = []
 
-    def grow(start: int, chosen: tuple[Element, ...]):
+    def grow(start: int, chosen: tuple[Element, ...], blocked: int):
         out.append(frozenset(chosen))
         for t in range(start, len(elems)):
-            x = elems[t]
-            if all(not P.comparable(x, c) for c in chosen):
-                grow(t + 1, chosen + (x,))
+            if not blocked >> t & 1:
+                grow(t + 1, chosen + (elems[t],), blocked | clash[t])
 
-    grow(0, ())
+    grow(0, (), 0)
     return tuple(out)
 
 

@@ -17,7 +17,12 @@ max-plus product of diagonal-length vectors,
 
     maxdiag(mu \\ lam)  =  max_d (l_mu(d) - l_lam(d))_+ ,
 
-with l_{mu^T}(d) = l_mu(-d).  `valuation_maxdiag` evaluates this;
+with l_{mu^T}(d) = l_mu(-d).  Partitions enter as index sets: their
+diagonal-length vectors are read off the lattice path
+(`partitions.diagonal_lengths`).  One flat table per n holds every l_mu and
+l_{mu^T}, kept at the few diagonals where the maximum can peak, with the
+coordinate it adds to, so a valuation costs one short max-plus row per
+vector; `valuation_maxdiag` checks its input and evaluates it, and
 `partitions.maxdiag` on skew cells stays as its oracle.
 
 A flow's exponent vector is the sum over its paths of the coordinate counts
@@ -30,13 +35,14 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from operator import sub
+from operator import itemgetter, sub
 from types import MappingProxyType
 
 from . import plabic
 from .partitions import (
     Partition,
     check_in_box,
+    diagonal_lengths,
     orbit_representative,
     partition_to_indexset,
     transpose_classes,
@@ -120,37 +126,55 @@ def valuation_from_flows(n: int, lam: Partition) -> tuple[int, ...]:
     return low
 
 
-def _diagonal_lengths(lam: Partition, n: int) -> tuple[int, ...]:
-    """Cells of lam on each diagonal c - r = d, for d = 1-n, ..., n-1."""
-    lengths = [0] * (2 * n - 1)
-    for r, width in enumerate(lam, start=1):
-        for k in range(n - r, n - r + width):
-            lengths[k] += 1
-    return tuple(lengths)
+def _corners(lengths: tuple[int, ...]) -> tuple[int, ...]:
+    """Positions of the diagonals where max_d (l_mu(d) - l_lam(d)) peaks,
+    whatever lam: the main diagonal, and each diagonal where l_mu, read
+    outward from it, ends a flat stretch with a drop.
+
+    Outward from the main diagonal, l_lam and l_mu each shrink by 0 or 1
+    per diagonal, so the difference cannot fall along a flat stretch of
+    l_mu and cannot rise where l_mu drops."""
+    c = len(lengths) // 2
+    padded = (0, *lengths, 0)  # padded[k + 1] = lengths[k], zero off the square
+    left = [k for k in range(c) if padded[k + 2] == padded[k + 1] > padded[k]]
+    right = [k for k in range(c + 1, len(lengths)) if padded[k] == padded[k + 1] > padded[k + 2]]
+    return (c, *left, *right)
 
 
 @cache
-def _coordinate_diagonals(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per coordinate orbit {mu, mu^T}: the diagonal lengths of mu, and of
-    mu^T (l_mu reversed) when mu is not self-transpose.  The lengths
+def _orbit_table(n: int) -> tuple[tuple[tuple[int, ...], itemgetter, int], ...]:
+    """Every l_mu and l_{mu^T}, each kept at its corner diagonals, with the
+    getter of those diagonals and the coordinate of its orbit {mu, mu^T}:
+    each mu of `coordinate_system(n)` in order, then l_mu reversed, which is
+    l_{mu^T}, for each mu that is not self-transpose.  The lengths
     determine the diagram, so they equal their reversal exactly when
     mu = mu^T."""
-    out = []
-    for mu in coordinate_system(n):
-        lengths = _diagonal_lengths(mu, n)
-        flipped = lengths[::-1]
-        out.append((lengths,) if flipped == lengths else (lengths, flipped))
+    lengths = [diagonal_lengths(partition_to_indexset(mu, n), n) for mu in coordinate_system(n)]
+    vectors = [(ell, k) for k, ell in enumerate(lengths)]
+    vectors += [(ell[::-1], k) for k, ell in enumerate(lengths) if ell[::-1] != ell]
+    table = []
+    for ell, k in vectors:
+        corners = _corners(ell)
+        if len(corners) == 1:  # a getter of one position returns a bare int
+            corners *= 2
+        table.append((tuple(ell[d] for d in corners), itemgetter(*corners), k))
+    return tuple(table)
+
+
+def _maxplus(n: int, low: tuple[int, ...]) -> tuple[int, ...]:
+    """The closed-form valuation of the partition with diagonal lengths
+    `low`: per orbit, max_d (l_mu(d) - low(d))_+ summed over mu and mu^T,
+    the maximum taken over the corner diagonals of mu."""
+    out = [0] * (n * (n + 1) // 2)
+    for lengths, at, k in _orbit_table(n):
+        out[k] += max(0, *map(sub, lengths, at(low)))
     return tuple(out)
 
 
 def valuation_maxdiag(n: int, lam: Partition) -> tuple[int, ...]:
     """Closed-form valuation: per orbit, max_d (l_mu(d) - l_lam(d))_+ summed
     over mu and mu^T."""
-    low = _diagonal_lengths(check_in_box(lam, n), n)
-    return tuple(
-        sum(max(0, max(map(sub, lengths, low))) for lengths in orbit)
-        for orbit in _coordinate_diagonals(n)
-    )
+    return _maxplus(n, diagonal_lengths(partition_to_indexset(lam, n), n))
 
 
 def all_plucker_valuations(n: int, cross_check: bool | None = None) -> dict[Partition, tuple[int, ...]]:

@@ -15,9 +15,14 @@ from typing import Callable
 from . import equivalence, partitions, plabic, polytope, quiverfold, superpotential, valuation
 from .polytope import Deadline, TimeBudgetExceeded, VPolytope
 
+# Index sets the round trip checks between two polls of the deadline.
+POLL_INDEXSETS = 1024
+
 
 def roundtrip(n, deadline):
-    for I in combinations(range(1, 2 * n + 1), n):
+    for count, I in enumerate(combinations(range(1, 2 * n + 1), n)):
+        if not count % POLL_INDEXSETS:
+            deadline.check()
         if partitions.partition_to_indexset(partitions.indexset_to_partition(I, n), n) != I:
             return False, f"round trip fails at {I}"
     return True, ""
@@ -97,7 +102,7 @@ def valuation_additivity(n, deadline):
 
 
 def vertex_level(n, deadline):
-    report = equivalence.verify_main_theorem(n, "vertex")
+    report = equivalence.verify_main_theorem(n, "vertex", deadline)
     return report.vertex_ok, report.detail
 
 

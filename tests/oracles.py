@@ -1,0 +1,104 @@
+"""Reference definitions that the lattice-path code in lgrnok is tested against.
+
+lgrnok reads diagonal balances, transpose classes, diagonal lengths and the
+hooks of a complement off the index set of a partition in O(n).  The
+definitions here work cell by cell and hook by hook instead: slow, and
+checkable by eye.
+"""
+
+from functools import cache
+from itertools import combinations
+
+from lgrnok.partitions import cells, complement, normalize, transpose
+from lgrnok.superpotential import build_poset, is_antichain
+
+
+def partition_above_path(indexset, n):
+    """Row r has one box per horizontal step after the r-th vertical step."""
+    I = tuple(sorted(indexset))
+    horizontals = sorted(set(range(1, 2 * n + 1)) - set(I))
+    return normalize(sum(1 for h in horizontals if h > I[r]) for r in range(n))
+
+
+@cache
+def partitions_in_box(n):
+    """All partitions inside the n x n square, ordered by their index sets."""
+    return tuple(partition_above_path(I, n) for I in combinations(range(1, 2 * n + 1), n))
+
+
+def diagonal_balance(lam):
+    """(boxes strictly right of the main diagonal, boxes strictly below it)."""
+    above = sum(1 for (r, c) in cells(lam) if c > r)
+    below = sum(1 for (r, c) in cells(lam) if c < r)
+    return above, below
+
+
+def cell_diagonal_lengths(lam, n):
+    """Cells of lam on each diagonal c - r = d, for d = 1-n, ..., n-1."""
+    lengths = [0] * (2 * n - 1)
+    for r, c in cells(lam):
+        lengths[c - r + n - 1] += 1
+    return tuple(lengths)
+
+
+def orbit_representative(lam):
+    """Canonical member of {lam, lam^T}: more boxes right of the diagonal."""
+    t = transpose(lam)
+    above, below = diagonal_balance(lam)
+    if above > below:
+        return lam
+    if above < below:
+        return t
+    return max(lam, t)
+
+
+def transpose_classes(n):
+    """One representative per transpose class, in order of first appearance."""
+    return tuple(dict.fromkeys(orbit_representative(lam) for lam in partitions_in_box(n)))
+
+
+def hook_decomposition(lam):
+    """Principal hooks (arm, leg) along the main diagonal, outermost first."""
+    lam = normalize(lam)
+    t = transpose(lam)
+    hooks = []
+    k = 1
+    while k <= len(lam) and lam[k - 1] >= k:
+        hooks.append((lam[k - 1] - k + 1, t[k - 1] - k))
+        k += 1
+    return tuple(hooks)
+
+
+def assemble_hooks(hooks):
+    """Rebuild the partition whose principal hooks are `hooks`."""
+    boxes = set()
+    for k, (arm, leg) in enumerate(hooks, start=1):
+        boxes.update((k, c) for c in range(k, k + arm))
+        boxes.update((r, k) for r in range(k + 1, k + leg + 1))
+    rows = {}
+    for (r, c) in boxes:
+        rows[r] = max(rows.get(r, 0), c)
+    if set(rows) != set(range(1, len(rows) + 1)):
+        raise ValueError("hooks do not assemble to a partition")
+    lam = normalize(rows[r] for r in sorted(rows))
+    if set(cells(lam)) != boxes:
+        raise ValueError("hooks do not assemble to a partition")
+    return lam
+
+
+def antichain_from_partition(n, lam):
+    """Hooks of the complement of lam as poset elements (n+1-a, b+n+1-a),
+    a hook with arm <= leg transposed first; checked to be an antichain."""
+    lam = normalize(lam)
+    above, below = diagonal_balance(lam)
+    if above < below:
+        raise ValueError(f"{lam} has more boxes below the diagonal than right of it")
+    hooks = hook_decomposition(complement(lam, n))
+    balanced = [(b + 1, a - 1) if a <= b else (a, b) for (a, b) in hooks]
+    members = frozenset((n + 1 - a, b + n + 1 - a) for (a, b) in balanced)
+    P = build_poset(n)
+    if len(members) != len(balanced) or not members <= set(P.elements):
+        raise AssertionError(f"hooks of {lam} do not land in the poset: {sorted(members)}")
+    if not is_antichain(P, members):
+        raise AssertionError(f"hooks of {lam} do not form an antichain: {sorted(members)}")
+    return members

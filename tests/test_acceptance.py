@@ -27,7 +27,6 @@ from lgrnok.partitions import (
     complement,
     indexset_to_partition,
     partition_to_indexset,
-    partitions_in_box,
     staircase_syt_count,
     transpose,
     transpose_classes,
@@ -50,6 +49,7 @@ from lgrnok.valuation import (
     valuation_from_flows,
     valuation_maxdiag,
 )
+from oracles import partitions_in_box
 
 TABLE_N3 = {
     (3, 3, 3): (0, 0, 0, 0, 0, 0),

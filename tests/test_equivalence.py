@@ -1,6 +1,7 @@
 import pytest
 
-from lgrnok import equivalence, polytope
+from lgrnok import equivalence, polytope, valuation
+from lgrnok.cli import main
 from lgrnok.equivalence import (
     antichain_from_partition,
     build_valuation_matrix,
@@ -21,8 +22,10 @@ from lgrnok.equivalence import (
     verify_valuation_additivity,
 )
 from lgrnok.linalg import mat_mul
+from lgrnok.partitions import diagonal_excess, transpose, transpose_classes
 from lgrnok.superpotential import antichain_count_formula, antichain_indicator, gamma_hrep
 from lgrnok.valuation import delta_vertices
+import oracles
 
 M3 = (
     (1, 1, 2, 0, 0, 0),
@@ -106,6 +109,19 @@ def test_antichain_from_partition_examples():
     assert antichain_from_partition(4, (4, 3, 1)) == frozenset({(1, 3), (3, 3)})
     with pytest.raises(ValueError):
         antichain_from_partition(3, (1, 1))  # below-heavy member of the orbit
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_antichain_map_matches_hook_oracle(n):
+    # every partition in the box; the oracle reads the hooks cell by cell
+    # and checks that they form an antichain of the poset
+    for lam in oracles.partitions_in_box(n):
+        above, below = oracles.diagonal_balance(lam)
+        if above < below:
+            with pytest.raises(ValueError):
+                antichain_from_partition(n, lam)
+        else:
+            assert antichain_from_partition(n, lam) == oracles.antichain_from_partition(n, lam)
 
 
 def test_singleton_column_pair():
@@ -221,3 +237,58 @@ def test_gamma3_facets_irredundant():
         except polytope.UnboundedError:
             continue
         assert trimmed != base
+
+
+# -- the vertex level can fail ------------------------------------------------
+
+
+def vertex_level_fails(capsys) -> str:
+    """Runs `lgrnok verify --n 5 --level vertex`, which must fail the
+    main theorem's vertex level; returns that check's line."""
+    assert main(["verify", "--n", "5", "--level", "vertex"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("  [FAIL] main-theorem-vertex-level")]
+    assert failed, lines
+    return failed[0]
+
+
+def test_vertex_level_fails_on_a_transposed_representative(monkeypatch, capsys):
+    reps = list(transpose_classes(5))
+    t = next(i for i, lam in enumerate(reps) if diagonal_excess(lam) > 0)
+    reps[t] = transpose(reps[t])
+    monkeypatch.setattr(equivalence, "transpose_classes",
+                        lambda n: tuple(reps) if n == 5 else transpose_classes(n))
+    assert "more boxes below the diagonal" in vertex_level_fails(capsys)
+
+
+@pytest.fixture
+def fresh_matrices():
+    """Valuation matrices built inside the test are dropped after it."""
+    for cached in (equivalence.build_valuation_matrix, equivalence.reduction_matrix):
+        cached.cache_clear()
+    yield
+    for cached in (equivalence.build_valuation_matrix, equivalence.reduction_matrix):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("orbit", [0, 7, 14])
+def test_vertex_level_fails_on_an_off_by_one_orbit(monkeypatch, capsys, fresh_matrices, orbit):
+    # M_5 is rebuilt from the same wrong table, so its columns carry the
+    # error too; the hook bijection still breaks
+    real = valuation._orbit_table
+
+    def off_by_one(n):
+        return tuple((tuple(x + 1 for x in lengths), at, k) if n == 5 and k == orbit
+                     else (lengths, at, k) for lengths, at, k in real(n))
+
+    monkeypatch.setattr(valuation, "_orbit_table", off_by_one)
+    vertex_level_fails(capsys)
+
+
+@pytest.mark.parametrize("wrong", [frozenset(), frozenset({(1, 1), (1, 2)})],
+                         ids=["another-antichain", "a-chain"])
+def test_vertex_level_fails_on_a_wrong_hook_map(monkeypatch, capsys, wrong):
+    real = equivalence.antichain_from_partition
+    monkeypatch.setattr(equivalence, "antichain_from_partition",
+                        lambda n, lam: wrong if lam == () else real(n, lam))
+    assert "hook bijection fails at ()" in vertex_level_fails(capsys)

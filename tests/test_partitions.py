@@ -5,25 +5,33 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lgrnok.partitions import (
-    assemble_hooks,
     catalan,
     cells,
     complement,
-    diagonal_balance,
+    complement_hooks,
+    diagonal_excess,
+    diagonal_lengths,
     format_partition,
-    hook_decomposition,
     hook_partition,
     indexset_to_partition,
     maxdiag,
     orbit_representative,
     parse_partition,
     partition_to_indexset,
-    partitions_in_box,
     skew_cells,
     staircase_syt_count,
     syt_count,
     transpose,
     transpose_classes,
+)
+import oracles
+from oracles import (
+    assemble_hooks,
+    cell_diagonal_lengths,
+    diagonal_balance,
+    hook_decomposition,
+    partition_above_path,
+    partitions_in_box,
 )
 
 
@@ -128,6 +136,7 @@ def test_diagonal_balance():
     assert diagonal_balance((1, 1)) == (0, 1)
     # self-conjugate staircase: cells (1,2),(1,3) above, (2,1),(3,1) below
     assert diagonal_balance((3, 2, 1)) == (2, 2)
+    assert [diagonal_excess(lam) for lam in ((2,), (1, 1), (3, 2, 1), ())] == [1, -1, 0, 0]
     assert orbit_representative((1, 1)) == (2,)
     assert orbit_representative((2,)) == (2,)
 
@@ -137,6 +146,7 @@ def test_diagonal_balance_swaps_under_transpose(nl):
     _, lam = nl
     above, below = diagonal_balance(lam)
     assert diagonal_balance(transpose(lam)) == (below, above)
+    assert diagonal_excess(transpose(lam)) == -diagonal_excess(lam)
 
 
 def test_class_counts():
@@ -145,16 +155,28 @@ def test_class_counts():
     assert [catalan(n + 1) for n in (1, 2, 3, 4, 5)] == [2, 5, 14, 42, 132]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_transpose_classes_in_first_appearance_order(n):
-    seen = []
-    for lam in partitions_in_box(n):
-        rep = orbit_representative(lam)
-        if rep not in seen:
-            seen.append(rep)
-    assert transpose_classes(n) == tuple(seen)
+    # the oracle keeps the first appearance of the cell-based representative
+    seen = oracles.transpose_classes(n)
+    assert transpose_classes(n) == seen
     # 2^n self-conjugate partitions fit in the box
     assert len(seen) == (comb(2 * n, n) + 2 ** n) // 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_path_readings_match_cell_oracles(n):
+    # every partition in the box: what lgrnok reads off the index set equals
+    # the cell-by-cell and hook-by-hook definitions
+    for I in combinations(range(1, 2 * n + 1), n):
+        lam = partition_above_path(I, n)
+        assert indexset_to_partition(I, n) == lam
+        assert partition_to_indexset(lam, n) == I
+        above, below = diagonal_balance(lam)
+        assert diagonal_excess(lam) == above - below
+        assert orbit_representative(lam) == oracles.orbit_representative(lam)
+        assert diagonal_lengths(I, n) == cell_diagonal_lengths(lam, n)
+        assert complement_hooks(I, n) == hook_decomposition(complement(lam, n))
 
 
 def test_staircase_syt_counts():

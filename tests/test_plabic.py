@@ -4,8 +4,9 @@ from itertools import combinations, product
 import pytest
 
 from lgrnok import plabic
-from lgrnok.partitions import partitions_in_box, partition_to_indexset, transpose
+from lgrnok.partitions import partition_to_indexset, transpose
 from lgrnok.valuation import orbit_vector
+from oracles import partitions_in_box
 
 
 def test_face_labels_n3():

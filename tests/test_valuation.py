@@ -4,7 +4,6 @@ from lgrnok import plabic
 from lgrnok.partitions import (
     maxdiag,
     partition_to_indexset,
-    partitions_in_box,
     skew_cells,
     transpose,
     transpose_classes,
@@ -18,6 +17,7 @@ from lgrnok.valuation import (
     valuation_from_flows,
     valuation_maxdiag,
 )
+from oracles import partitions_in_box
 
 # the full LGr(3,6) table, keyed by class representative
 TABLE_N3 = {

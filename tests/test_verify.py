@@ -1,5 +1,6 @@
 """The verification registry `lgrnok.verify` and its one run loop."""
 
+import hashlib
 import re
 import time
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from lgrnok import equivalence, plabic, verify
 from lgrnok.cli import main
+from lgrnok.polytope import Deadline, TimeBudgetExceeded
 
 BASELINE = Path(__file__).resolve().parents[1] / "benchmark" / "baseline"
 
@@ -87,3 +89,46 @@ def test_benchmark_check_names_are_registered(workload, level):
 def test_flow_oracle_runs_at_n5(capsys):
     assert main(["verify", "--n", "5", "--level", "vertex"]) == 0
     assert "  [PASS] valuation-oracle-equivalence\n" in capsys.readouterr().out
+
+
+def test_vertex_level_budget_holds_at_n9(capsys):
+    start = time.monotonic()
+    assert main(["verify", "--n", "9", "--level", "vertex", "--time-budget", "0.5"]) == 3
+    assert time.monotonic() - start < 1.5
+    assert "exceeded its time budget" in capsys.readouterr().err
+
+
+def test_roundtrip_polls_the_deadline():
+    # the whole round trip at n=10 (184,756 index sets) takes far longer
+    start = time.monotonic()
+    with pytest.raises(TimeBudgetExceeded):
+        verify.roundtrip(10, Deadline(0.05))
+    assert time.monotonic() - start < 0.5
+
+
+def test_vertex_level_loop_polls_the_deadline(monkeypatch):
+    # The antichain images and the classes come before the loop over the
+    # 24,566 classes at n=9, unpolled; they are made ready first, so that
+    # only the loop is timed.
+    images = equivalence.image_of_antichains(9)
+    monkeypatch.setattr(equivalence, "image_of_antichains", lambda n: images)
+    equivalence.transpose_classes(9)
+    start = time.monotonic()
+    with pytest.raises(TimeBudgetExceeded):
+        equivalence.verify_main_theorem(9, "vertex", Deadline(0.05))
+    assert time.monotonic() - start < 0.5
+
+
+# sha256 of stdout, recorded from the cell-by-cell implementation that
+# the lattice-path code replaced.
+PINNED_STDOUT = {
+    "verify --n 8 --level vertex": "4cdc74bc1dff8f5d547c0c08f9385086c2c96bafb04c91623a00a3737c2227fb",
+    "valuations --n 6": "765d9af3cea661711ee719f0a53c6d82fc62074267363b5567e4b3f7948f3ce9",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_stdout_pinned(capsys, command):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
