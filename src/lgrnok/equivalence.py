@@ -247,11 +247,15 @@ def antichain_from_partition(n: int, lam: Partition) -> frozenset[Pair]:
     the poset is left to the caller: the main theorem looks the set up among
     the enumerated antichains.
     """
-    hooks = complement_hooks(partition_to_indexset(lam, n), n)
+    return _hook_antichain(n, lam, partition_to_indexset(lam, n))
+
+
+def _hook_antichain(n: int, lam: Partition, indexset: tuple[int, ...]) -> frozenset[Pair]:
+    """`antichain_from_partition` for lam in the box, given its index set."""
     if diagonal_excess(lam) < 0:
         raise ValueError(f"{lam} has more boxes below the diagonal than right of it")
     return frozenset((n - b, n + a - b - 1) if a <= b else (n + 1 - a, n + 1 - a + b)
-                     for a, b in hooks)
+                     for a, b in complement_hooks(indexset, n))
 
 
 def singleton_column_pair(i: int, j: int, n: int) -> Pair:
@@ -371,8 +375,9 @@ def verify_main_theorem(
     for count, lam in enumerate(transpose_classes(n)):
         if not count % POLL_CLASSES:
             deadline.check()
-        value = _maxplus(n, diagonal_lengths(partition_to_indexset(lam, n), n))
-        if images.get(antichain_from_partition(n, lam)) != value:
+        indexset = partition_to_indexset(lam, n)
+        value = _maxplus(n, diagonal_lengths(indexset, n))
+        if images.get(_hook_antichain(n, lam, indexset)) != value:
             vertex_ok = False
             detail.append(f"hook bijection fails at {lam}")
             break

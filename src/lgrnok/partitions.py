@@ -48,13 +48,6 @@ def check_in_box(lam: Partition, n: int) -> Partition:
     return lam
 
 
-def parse_partition(text: str) -> Partition:
-    text = text.strip()
-    if text in ("", "0", "-"):
-        return ()
-    return normalize(int(p) for p in text.split(","))
-
-
 def format_partition(lam: Partition) -> str:
     return ",".join(str(p) for p in lam) if lam else "-"
 

@@ -13,8 +13,10 @@ in integers, and facet rows are rescaled by L and volumes divided by L^dim.
 
 Volumes are normalized (dim! times Euclidean).  They come from a recursive
 boundary triangulation: cone each face from its least vertex over the
-triangulations of the facets avoiding it, memoized per face so every face
-of the polytope is hulled exactly once.
+triangulations of the facets avoiding it.  One facet run on the whole point
+set gives every face: a face is the set of points on it, held as a bitmask,
+and its facets are its maximal proper intersections with the polytope's
+facets, so no face is hulled again.
 """
 
 from __future__ import annotations
@@ -130,6 +132,8 @@ def _extreme_rays(rows: list[tuple[int, ...]], deadline: Deadline) -> list[tuple
             continue
         fresh = {}
         for rp in plus:
+            # a single insertion ran for over 80 s (facets of Delta at n=7)
+            deadline.check()
             for rm in minus:
                 common = zero_sets[rp] & zero_sets[rm]
                 # adjacent: no third ray is tight on every row both are
@@ -313,34 +317,49 @@ def vertices_of_hull(V: VPolytope, H: HPolytope | None = None) -> tuple[Point, .
 # -- volume ------------------------------------------------------------------
 
 
-def _triangulate(points: tuple[IntPoint, ...], memo, deadline: Deadline):
-    """Simplices (as point tuples) triangulating conv(points).
+def _triangulate(points: tuple[IntPoint, ...], deadline: Deadline) -> list[tuple[IntPoint, ...]]:
+    """Simplices (as point tuples in the order of `points`) triangulating
+    conv(points), for sorted points spanning their space; sorted, so the
+    least point on a face is a vertex of it.
 
-    Cones the least point over triangulations of the facets that avoid it;
-    memoized on the point set so shared faces are hulled once.
+    A face is the bitmask of the points on it.  The facets of a face F are
+    the maximal proper nonempty masks F & G over the facets G of the
+    polytope, so one facet run gives the whole face lattice.  Each face is
+    coned from its least point over the triangulations of its facets that
+    avoid it, memoized on the mask; a k-face is a simplex when it holds
+    k + 1 points.
     """
-    if points in memo:
-        return memo[points]
-    pivots = affine_pivot_columns(points)
-    if len(points) == len(pivots) + 1:
-        memo[points] = [points]
-        return memo[points]
-    projected = tuple(tuple(p[c] for c in pivots) for p in points)
-    proj_rows = _facets_full_dim(tuple(sorted(set(projected))), deadline)
-    apex = points[0]
-    apex_proj = projected[0]
-    simplices = []
-    for coeffs, const in proj_rows:
-        if dot(coeffs, apex_proj) + const == 0:
-            continue
-        deadline.check()
-        on_facet = tuple(
-            p for p, q in zip(points, projected) if dot(coeffs, q) + const == 0
-        )
-        for s in _triangulate(on_facet, memo, deadline):
-            simplices.append((apex,) + s)
-    memo[points] = simplices
-    return simplices
+    dim = len(points[0])
+    if len(points) == dim + 1:
+        return [points]
+    facet_masks = [
+        sum(1 << i for i, p in enumerate(points) if dot(coeffs, p) + const == 0)
+        for coeffs, const in _facets_full_dim(points, deadline)
+    ]
+    memo: dict[int, list[int]] = {}
+
+    def cone(face: int, k: int) -> list[int]:
+        if face in memo:
+            return memo[face]
+        if face.bit_count() == k + 1:
+            memo[face] = [face]
+            return memo[face]
+        cuts = {face & g for g in facet_masks} - {0, face}
+        apex = face & -face
+        simplices = []
+        for cut in cuts:
+            if cut & apex or any(cut != other and cut & other == cut for other in cuts):
+                continue
+            deadline.check()
+            simplices.extend(apex | s for s in cone(cut, k - 1))
+        memo[face] = simplices
+        return simplices
+
+    full = (1 << len(points)) - 1
+    return [
+        tuple(p for i, p in enumerate(points) if s >> i & 1)
+        for s in cone(full, dim)
+    ]
 
 
 def normalized_volume(V: VPolytope, deadline: Deadline | None = None) -> Fraction:
@@ -352,7 +371,7 @@ def normalized_volume(V: VPolytope, deadline: Deadline | None = None) -> Fractio
     if len(affine_pivot_columns(points)) < V.dim:
         raise ValueError("normalized_volume needs a full-dimensional polytope")
     total = 0
-    for simplex in _triangulate(points, {}, deadline):
+    for simplex in _triangulate(points, deadline):
         base = simplex[0]
         total += abs(bareiss_det([[x - b for x, b in zip(p, base)] for p in simplex[1:]]))
     # scaling by L multiplies the volume by L^dim

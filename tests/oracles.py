@@ -1,16 +1,29 @@
-"""Reference definitions that the lattice-path code in lgrnok is tested against.
+"""Reference definitions that the lattice-path code and the triangulation
+in lgrnok are tested against.
 
 lgrnok reads diagonal balances, transpose classes, diagonal lengths and the
 hooks of a complement off the index set of a partition in O(n).  The
 definitions here work cell by cell and hook by hook instead: slow, and
-checkable by eye.
+checkable by eye.  Likewise lgrnok finds every face of a polytope from one
+facet run; the reference triangulation hulls each face again from its own
+points.
 """
 
 from functools import cache
 from itertools import combinations
 
+from lgrnok.linalg import affine_pivot_columns, dot
 from lgrnok.partitions import cells, complement, normalize, transpose
+from lgrnok.polytope import _facets_full_dim
 from lgrnok.superpotential import build_poset, is_antichain
+
+
+def parse_partition(text):
+    """A partition from its comma-separated parts; "", "0" or "-" is empty."""
+    text = text.strip()
+    if text in ("", "0", "-"):
+        return ()
+    return normalize(int(p) for p in text.split(","))
 
 
 def partition_above_path(indexset, n):
@@ -102,3 +115,34 @@ def antichain_from_partition(n, lam):
     if not is_antichain(P, members):
         raise AssertionError(f"hooks of {lam} do not form an antichain: {sorted(members)}")
     return members
+
+
+def triangulate_by_face_hulls(points, memo, deadline):
+    """Simplices (as point tuples) triangulating conv(points), the integer
+    points sorted.
+
+    Cones the least point over triangulations of the facets that avoid it,
+    each face hulled again from its own points in the coordinates of its
+    affine hull; memoized on the point set so shared faces are hulled once.
+    """
+    if points in memo:
+        return memo[points]
+    pivots = affine_pivot_columns(points)
+    if len(points) == len(pivots) + 1:
+        memo[points] = [points]
+        return memo[points]
+    projected = tuple(tuple(p[c] for c in pivots) for p in points)
+    proj_rows = _facets_full_dim(tuple(sorted(set(projected))), deadline)
+    apex = points[0]
+    apex_proj = projected[0]
+    simplices = []
+    for coeffs, const in proj_rows:
+        if dot(coeffs, apex_proj) + const == 0:
+            continue
+        on_facet = tuple(
+            p for p, q in zip(points, projected) if dot(coeffs, q) + const == 0
+        )
+        for s in triangulate_by_face_hulls(on_facet, memo, deadline):
+            simplices.append((apex,) + s)
+    memo[points] = simplices
+    return simplices

@@ -288,7 +288,7 @@ def test_vertex_level_fails_on_an_off_by_one_orbit(monkeypatch, capsys, fresh_ma
 @pytest.mark.parametrize("wrong", [frozenset(), frozenset({(1, 1), (1, 2)})],
                          ids=["another-antichain", "a-chain"])
 def test_vertex_level_fails_on_a_wrong_hook_map(monkeypatch, capsys, wrong):
-    real = equivalence.antichain_from_partition
-    monkeypatch.setattr(equivalence, "antichain_from_partition",
-                        lambda n, lam: wrong if lam == () else real(n, lam))
+    real = equivalence._hook_antichain
+    monkeypatch.setattr(equivalence, "_hook_antichain",
+                        lambda n, lam, indexset: wrong if lam == () else real(n, lam, indexset))
     assert "hook bijection fails at ()" in vertex_level_fails(capsys)

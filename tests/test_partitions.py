@@ -16,7 +16,6 @@ from lgrnok.partitions import (
     indexset_to_partition,
     maxdiag,
     orbit_representative,
-    parse_partition,
     partition_to_indexset,
     skew_cells,
     staircase_syt_count,
@@ -30,6 +29,7 @@ from oracles import (
     cell_diagonal_lengths,
     diagonal_balance,
     hook_decomposition,
+    parse_partition,
     partition_above_path,
     partitions_in_box,
 )

@@ -4,7 +4,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lgrnok.linalg import affine_pivot_columns, dot
+import oracles
+from lgrnok import polytope
+from lgrnok.linalg import affine_pivot_columns, bareiss_det, dot
 from lgrnok.polytope import (
     HPolytope,
     UnboundedError,
@@ -114,6 +116,62 @@ def test_f_vector_bounds_the_facet_run(monkeypatch):
     monkeypatch.setattr(polytope, "_extreme_rays", recording)
     assert f_vector(cube(4), polytope.Deadline(5.0)) == (16, 32, 24, 8)
     assert armed and all(armed)
+
+
+class CountingDeadline(polytope.Deadline):
+    def __init__(self):
+        super().__init__()
+        self.polls = 0
+
+    def check(self):
+        self.polls += 1
+        super().check()
+
+
+def test_facet_run_polls_inside_an_insertion():
+    # the polar cone of the 4-cube has 5 basis rows and 12 inserted ones
+    deadline = CountingDeadline()
+    assert len(facets(cube(4), deadline).rows) == 8
+    inserted = len(cube(4).points) + 1 - 5
+    assert deadline.polls > inserted
+
+
+def assert_matches_face_hull_oracle(body):
+    """The triangulation from one facet run has the simplices of the
+    reference that hulls every face again, and their volume."""
+    lattice, scale = polytope._lattice(body.points)
+    deadline = polytope.Deadline()
+    simplices = sorted(polytope._triangulate(lattice, deadline))
+    assert simplices == sorted(oracles.triangulate_by_face_hulls(lattice, {}, deadline))
+    total = sum(abs(bareiss_det([[x - b for x, b in zip(p, s[0])] for p in s[1:]]))
+                for s in simplices)
+    assert normalized_volume(body) == Fraction(total, scale ** body.dim)
+
+
+@pytest.mark.parametrize("points", [
+    list(product(range(3), repeat=3)),
+    [p for p in product(range(4), repeat=3) if sum(p) <= 3],
+    # a 3-face and a facet that meet in an edge, not a ridge
+    [(0, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1), (1, 0, 1, 0), (1, 0, 1, 1), (1, 1, 0, 1),
+     (1, 1, 1, 1)],
+], ids=["cube-grid", "simplex-grid", "0/1-polytope"])
+def test_triangulation_with_boundary_points_matches_oracle(points):
+    assert_matches_face_hull_oracle(VPolytope.from_points(points))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=5))
+def test_triangulation_matches_oracle(data, dim):
+    from hypothesis import assume
+
+    # few distinct coordinates, so faces are often not simplices
+    coords = st.sampled_from([-1, Fraction(-1, 2), 0, Fraction(1, 3), 1])
+    points = data.draw(
+        st.lists(st.tuples(*[coords] * dim), min_size=dim + 2, max_size=dim + 8)
+    )
+    body = VPolytope.from_points(points)
+    assume(len(affine_pivot_columns(polytope._lattice(body.points)[0])) == dim)
+    assert_matches_face_hull_oracle(body)
 
 
 def test_unbounded_detection():
