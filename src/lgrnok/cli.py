@@ -332,9 +332,10 @@ def cmd_volume(cfg: CommandConfig, args, out) -> int:
 def cmd_counts(cfg: CommandConfig, args, out) -> int:
     n = cfg.n
     P = superpotential.build_poset(n)
-    antichains = len(superpotential.enumerate_antichains(P))
+    deadline = Deadline(cfg.time_budget)
+    antichains = len(superpotential.enumerate_antichains(P, deadline))
     syt = staircase_syt_count(n)
-    extensions = superpotential.linear_extension_count(P)
+    extensions = superpotential.linear_extension_count(P, deadline)
     if cfg.output_format == "json":
         json.dump(
             {

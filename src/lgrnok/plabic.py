@@ -16,6 +16,13 @@ r = 0..n-1 and carry the label (n^k, r^(n-k)), the complement of an
 full square.  For each edge we record which face lies on each side, which
 is all the global structure flows need.  n = 1 degenerates to the triangle
 L, T and two boundary vertices with faces {empty, square}.
+
+A flow to an index set J is a family of vertex-disjoint directed paths, one
+from each boundary source outside J to its own boundary target in J.  The
+whole network has few source-to-boundary paths (251 at n=5, 923 at n=6),
+so they are listed once per network, each with a bitmask of its internal
+vertices and its left faces, and a flow is chosen path by path from that
+table: a path fits when its end is free and its mask misses the others.
 """
 
 from __future__ import annotations
@@ -365,46 +372,78 @@ def path_left_faces(G: PlabicGraph, path: tuple[Vertex, ...]) -> frozenset:
     return frozenset(region)
 
 
+@cache
+def _path_table(G: PlabicGraph, O: PerfectOrientation) -> dict[int, tuple[tuple, ...]]:
+    """Every directed path from each boundary source of O to the boundary,
+    in lexicographic order: (vertices, mask, end, left faces) per path,
+    keyed by the source's label.
+
+    The mask has the bits of the path's internal vertices, one bit per
+    vertex of `sorted(G.colors)`; `end` is the label of the boundary vertex
+    the path stops at, the first one it reaches.  No path repeats a vertex,
+    whether or not the network is acyclic.  Built on first use, once per
+    network.
+    """
+    adj = O.out_neighbors()
+    bit = {v: 1 << k for k, v in enumerate(sorted(G.colors))}
+    table = {}
+    for s in O.source_set:
+        paths = []
+
+        def walk(path: tuple[Vertex, ...], mask: int):
+            for w in adj.get(path[-1], ()):
+                longer = path + (w,)
+                if w not in bit:
+                    paths.append((longer, mask, w[1], path_left_faces(G, longer)))
+                elif not mask & bit[w]:
+                    walk(longer, mask | bit[w])
+
+        walk((_b(s),), 0)
+        table[s] = tuple(paths)
+    return table
+
+
 def enumerate_flows(G: PlabicGraph, O: PerfectOrientation, J) -> tuple[Flow, ...]:
     """All flows from the orientation's source set to J, in lexicographic
-    order of their path vertex sequences."""
+    order of their path vertex sequences.
+
+    A flow joins each source outside J to its own target of J outside the
+    source set, by vertex-disjoint paths; every matching of sources to
+    targets is tried.  The paths come whole from `_path_table`, grouped per
+    source by their end: the sources are placed in ascending order, each
+    taking a path to a free target whose mask misses the union of the
+    masks taken so far.  A boundary vertex has one edge, so the masks alone
+    keep the ends apart; tracking the free targets skips whole groups.
+    """
     J = tuple(sorted(J))
     n = G.n
     if len(J) != n or len(set(J)) != n or any(j < 1 or j > 2 * n for j in J):
         raise ValueError(f"{J} is not an n-subset of [2n] for n={n}")
-    starts = sorted(set(O.source_set) - set(J))
-    targets = {_b(t) for t in sorted(set(J) - set(O.source_set))}
-    adj = O.out_neighbors()
+    table = _path_table(G, O)
+    targets = frozenset(J) - set(O.source_set)
+    by_end: list[dict[int, list]] = []
+    for s in sorted(set(O.source_set) - set(J)):
+        ends: dict[int, list] = {}
+        for path, mask, end, left in table[s]:
+            if end in targets:
+                ends.setdefault(end, []).append((mask, (path, left)))
+        by_end.append(ends)
+    systems = []
 
-    systems: list[tuple[tuple[Vertex, ...], ...]] = []
-
-    def extend(v: Vertex, path: list[Vertex], used: set[Vertex], acc, i):
-        for w in adj.get(v, ()):
-            if w in used:
-                continue
-            if w[0] == "b":
-                if w in targets:
-                    place(i + 1, used | set(path) | {w}, acc + [tuple(path) + (w,)])
-                continue
-            path.append(w)
-            used.add(w)
-            extend(w, path, used, acc, i)
-            used.discard(w)
-            path.pop()
-
-    def place(i: int, used: set[Vertex], acc):
-        if i == len(starts):
-            systems.append(tuple(acc))
+    def place(i: int, used: int, free: frozenset, acc: tuple):
+        if i == len(by_end):
+            systems.append(acc)
             return
-        s = _b(starts[i])
-        extend(s, [s], used | {s}, acc, i)
+        for end in free:
+            rest = free - {end}
+            for mask, entry in by_end[i].get(end, ()):
+                if not mask & used:
+                    place(i + 1, used | mask, rest, acc + (entry,))
 
-    place(0, {_b(t) for t in J if t in set(O.source_set)}, [])
-    flows = []
-    for paths in sorted(systems):
-        lefts = tuple(path_left_faces(G, p) for p in paths)
-        flows.append(Flow(paths=paths, left_faces=lefts))
-    return tuple(flows)
+    place(0, 0, targets, ())
+    systems.sort(key=lambda acc: [path for path, _ in acc])
+    return tuple(Flow(paths=tuple(path for path, _ in acc), left_faces=tuple(left for _, left in acc))
+                 for acc in systems)
 
 
 def flow_polynomial(G: PlabicGraph, O: PerfectOrientation, J) -> tuple[Counter, ...]:

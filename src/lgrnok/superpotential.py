@@ -14,11 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import count
 
 from .partitions import catalan
-from .polytope import HPolytope
+from .polytope import Deadline, HPolytope
 
 Element = tuple[int, int]
+
+# Antichains, or order ideals, visited between two polls of the deadline.
+POLL_EVERY = 1024
 
 
 @dataclass(frozen=True)
@@ -67,14 +71,17 @@ def is_antichain(P: PosetPn, members) -> bool:
     )
 
 
-def enumerate_antichains(P: PosetPn) -> tuple[frozenset[Element], ...]:
-    """Every antichain including the empty one, in a fixed order."""
+def enumerate_antichains(P: PosetPn, deadline: Deadline | None = None) -> tuple[frozenset[Element], ...]:
+    """Every antichain including the empty one, in a fixed order; the
+    deadline, if any, is polled every POLL_EVERY antichains."""
     elems = sorted(P.elements)
     # Bit t of clash[k]: elems[t] is comparable to elems[k].
     clash = [sum(1 << t for t, y in enumerate(elems) if P.comparable(x, y)) for x in elems]
     out: list[frozenset[Element]] = []
 
     def grow(start: int, chosen: tuple[Element, ...], blocked: int):
+        if deadline is not None and not len(out) % POLL_EVERY:
+            deadline.check()
         out.append(frozenset(chosen))
         for t in range(start, len(elems)):
             if not blocked >> t & 1:
@@ -144,24 +151,29 @@ def dyck_to_antichain(P: PosetPn, steps) -> frozenset[Element]:
 # -- linear extensions ----------------------------------------------------
 
 
-def linear_extension_count(P: PosetPn) -> int:
+def linear_extension_count(P: PosetPn, deadline: Deadline | None = None) -> int:
     """Exact count by dynamic programming over order ideals, each held as
-    a bitmask over P.elements."""
+    a bitmask over P.elements; the deadline, if any, is polled every
+    POLL_EVERY ideals counted."""
     bit = {x: 1 << k for k, x in enumerate(P.elements)}
     down = [sum(bit[y] for y in P.elements if (y, x) in P.leq and y != x)
             for x in P.elements]
 
+    ideals = count()
+
     @cache
-    def count(ideal: int) -> int:
+    def extensions(ideal: int) -> int:
+        if deadline is not None and not next(ideals) % POLL_EVERY:
+            deadline.check()
         if not ideal:
             return 1
         total = 0
         for k, below in enumerate(down):
             if ideal >> k & 1 and not below & ideal:  # minimal elements can come first
-                total += count(ideal & ~(1 << k))
+                total += extensions(ideal & ~(1 << k))
         return total
 
-    return count((1 << len(down)) - 1)
+    return extensions((1 << len(down)) - 1)
 
 
 # -- the superpotential ----------------------------------------------------

@@ -70,12 +70,12 @@ def gamma_routes(n, deadline):
 
 
 def catalan(n, deadline):
-    count = len(superpotential.enumerate_antichains(superpotential.build_poset(n)))
+    count = len(superpotential.enumerate_antichains(superpotential.build_poset(n), deadline))
     return count == superpotential.antichain_count_formula(n), f"{count}"
 
 
 def extensions(n, deadline):
-    got = superpotential.linear_extension_count(superpotential.build_poset(n))
+    got = superpotential.linear_extension_count(superpotential.build_poset(n), deadline)
     return got == partitions.staircase_syt_count(n), f"{got}"
 
 

@@ -6,7 +6,8 @@ hooks of a complement off the index set of a partition in O(n).  The
 definitions here work cell by cell and hook by hook instead: slow, and
 checkable by eye.  Likewise lgrnok finds every face of a polytope from one
 facet run; the reference triangulation hulls each face again from its own
-points.
+points.  And lgrnok enumerates flows from one table of whole paths per
+network; the reference walks the network vertex by vertex for every target.
 """
 
 from functools import cache
@@ -14,6 +15,7 @@ from itertools import combinations
 
 from lgrnok.linalg import affine_pivot_columns, dot
 from lgrnok.partitions import cells, complement, normalize, transpose
+from lgrnok.plabic import Flow, path_left_faces
 from lgrnok.polytope import _facets_full_dim
 from lgrnok.superpotential import build_poset, is_antichain
 
@@ -146,3 +148,42 @@ def triangulate_by_face_hulls(points, memo, deadline):
             simplices.append((apex,) + s)
     memo[points] = simplices
     return simplices
+
+
+def enumerate_flows_by_dfs(G, O, J):
+    """All flows from the orientation's source set to J, sorted, by a
+    depth-first walk from each source in turn, one vertex at a time, to any
+    free target of J."""
+    J = tuple(sorted(J))
+    n = G.n
+    if len(J) != n or len(set(J)) != n or any(j < 1 or j > 2 * n for j in J):
+        raise ValueError(f"{J} is not an n-subset of [2n] for n={n}")
+    starts = sorted(set(O.source_set) - set(J))
+    targets = {("b", t) for t in set(J) - set(O.source_set)}
+    adj = O.out_neighbors()
+    systems = []
+
+    def extend(v, path, used, acc, i):
+        for w in adj.get(v, ()):
+            if w in used:
+                continue
+            if w[0] == "b":
+                if w in targets:
+                    place(i + 1, used | set(path) | {w}, acc + [tuple(path) + (w,)])
+                continue
+            path.append(w)
+            used.add(w)
+            extend(w, path, used, acc, i)
+            used.discard(w)
+            path.pop()
+
+    def place(i, used, acc):
+        if i == len(starts):
+            systems.append(tuple(acc))
+            return
+        s = ("b", starts[i])
+        extend(s, [s], used | {s}, acc, i)
+
+    place(0, {("b", t) for t in J if t in O.source_set}, [])
+    return tuple(Flow(paths=paths, left_faces=tuple(path_left_faces(G, p) for p in paths))
+                 for paths in sorted(systems))

@@ -186,6 +186,8 @@ def test_console_entry_point():
 def test_budget_exceeded_exit_code():
     # an absurdly small budget on a hull computation must exit 3
     assert main(["delta", "--n", "4", "--hrep", "--time-budget", "1e-9"]) == 3
+    # and so must the poset counts, which poll it while they enumerate
+    assert main(["counts", "--n", "8", "--time-budget", "1e-9"]) == 3
 
 
 def _run_verification_main():

@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -6,7 +7,7 @@ import pytest
 from lgrnok import plabic
 from lgrnok.partitions import partition_to_indexset, transpose
 from lgrnok.valuation import orbit_vector
-from oracles import partitions_in_box
+from oracles import enumerate_flows_by_dfs, partitions_in_box
 
 
 def test_face_labels_n3():
@@ -109,8 +110,9 @@ def test_orientation_exists_and_unique(n):
             assert ins[v] == 1
 
 
-def test_orientation_is_acyclic_n3():
-    _, O = plabic.corect_network(3)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_orientation_is_acyclic(n):
+    _, O = plabic.corect_network(n)
     adj = O.out_neighbors()
     seen, done = set(), set()
 
@@ -132,6 +134,28 @@ def test_empty_flow():
         G, O = plabic.corect_network(n)
         flows = plabic.enumerate_flows(G, O, tuple(range(1, n + 1)))
         assert len(flows) == 1 and flows[0].paths == ()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_flows_match_dfs_oracle_for_every_target(n):
+    G, O = plabic.corect_network(n)
+    for J in combinations(range(1, 2 * n + 1), n):
+        assert plabic.enumerate_flows(G, O, J) == enumerate_flows_by_dfs(G, O, J), J
+
+
+def test_flows_match_dfs_oracle_on_sampled_targets_n6():
+    G, O = plabic.corect_network(6)
+    targets = random.Random(6).sample(list(combinations(range(1, 13), 6)), 20)
+    for J in targets:
+        assert plabic.enumerate_flows(G, O, J) == enumerate_flows_by_dfs(G, O, J), J
+
+
+@pytest.mark.parametrize("J", [(1, 1, 2), (4, 5, 5), (0, 1, 2), (1, 2, 7), (1, 2), (1, 2, 3, 4)],
+                         ids=["repeated", "repeated-target", "zero", "above-2n", "short", "long"])
+def test_enumerate_flows_rejects_a_bad_target(J):
+    G, O = plabic.corect_network(3)
+    with pytest.raises(ValueError, match="not an n-subset"):
+        plabic.enumerate_flows(G, O, J)
 
 
 def _lgv_flow_count(n, J):

@@ -1,8 +1,13 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from lgrnok.partitions import staircase_syt_count
+from lgrnok import verify
+from lgrnok.partitions import catalan, staircase_syt_count
+from lgrnok.polytope import Deadline, TimeBudgetExceeded
 from lgrnok.superpotential import (
+    POLL_EVERY,
     antichain_count_formula,
     antichain_indicator,
     antichain_to_dyck,
@@ -108,6 +113,39 @@ def test_linear_extensions_equal_staircase_syt_n6_n7():
     # the order-ideal program has no size bound; n=7 has 1430 ideals
     for n in (6, 7):
         assert linear_extension_count(build_poset(n)) == staircase_syt_count(n)
+
+
+class CountingDeadline(Deadline):
+    def __init__(self):
+        super().__init__()
+        self.polls = 0
+
+    def check(self):
+        self.polls += 1
+        super().check()
+
+
+# P_8 has catalan(9) = 4862 antichains and as many order ideals.
+POLLS_P8 = math.ceil(catalan(9) / POLL_EVERY)
+
+
+def test_antichains_and_ideals_poll_the_deadline():
+    P = build_poset(8)
+    deadline = CountingDeadline()
+    assert len(enumerate_antichains(P, deadline)) == catalan(9)
+    assert deadline.polls == POLLS_P8
+    deadline = CountingDeadline()
+    assert linear_extension_count(P, deadline) == staircase_syt_count(8)
+    assert deadline.polls == POLLS_P8
+
+
+@pytest.mark.parametrize("check", [verify.catalan, verify.extensions])
+def test_poset_checks_pass_their_deadline(check):
+    deadline = CountingDeadline()
+    assert check(8, deadline)[0]
+    assert deadline.polls == POLLS_P8
+    with pytest.raises(TimeBudgetExceeded):
+        check(8, Deadline(-1))
 
 
 def test_superpotential_n3():

@@ -170,3 +170,8 @@ def test_no_flow_raises(monkeypatch):
 
 def test_flow_oracle_n5():
     assert all_plucker_valuations(5, cross_check=True) == all_plucker_valuations(5, cross_check=False)
+
+
+def test_flow_oracle_on_every_tenth_class_n6():
+    for rep in transpose_classes(6)[::10]:
+        assert valuation_from_flows(6, rep) == valuation_maxdiag(6, rep), rep
