@@ -9,9 +9,12 @@ of the superpotential polytope onto the Pluecker valuation set; the block
 structure, the constructive column reduction, and that vertex match are
 each checkable in exact arithmetic.
 
-The vertex level works on the index set of each transpose class: its
-diagonal-length vector gives its valuation through the closed form, and
-its lattice path gives the hooks of its complement, hence its antichain.
+The vertex level works on the index set of each transpose class's
+representative, as `partitions.class_indexsets` lists them: its
+diagonal-length vector gives its diagonal balance and, through the packed
+max-plus table of `valuation` (exact for n <= valuation.MAX_PACKED_N), its
+valuation; its lattice path gives the hooks of its complement, hence its
+antichain.
 """
 
 from __future__ import annotations
@@ -24,11 +27,13 @@ from . import polytope, superpotential
 from .linalg import bareiss_det, identity, invert, mat_mul, mat_vec
 from .partitions import (
     Partition,
+    class_indexsets,
     complement,
     complement_hooks,
     diagonal_excess,
     diagonal_lengths,
     hook_partition,
+    indexset_to_partition,
     normalize,
     partition_to_indexset,
     staircase_syt_count,
@@ -74,9 +79,9 @@ class ValuationMatrix:
 
 @cache
 def build_valuation_matrix(n: int) -> ValuationMatrix:
-    rows = coordinate_system(n)
     pairs = column_pairs(n)
     columns = [valuation_maxdiag(n, column_partition(n, i, j)) for (i, j) in pairs]
+    rows = coordinate_system(n)
     entries = tuple(tuple(col[r] for col in columns) for r in range(len(rows)))
     return ValuationMatrix(n=n, entries=entries, row_labels=rows, col_pairs=pairs)
 
@@ -247,13 +252,20 @@ def antichain_from_partition(n: int, lam: Partition) -> frozenset[Pair]:
     the poset is left to the caller: the main theorem looks the set up among
     the enumerated antichains.
     """
-    return _hook_antichain(n, lam, partition_to_indexset(lam, n))
-
-
-def _hook_antichain(n: int, lam: Partition, indexset: tuple[int, ...]) -> frozenset[Pair]:
-    """`antichain_from_partition` for lam in the box, given its index set."""
+    indexset = partition_to_indexset(lam, n)
     if diagonal_excess(lam) < 0:
-        raise ValueError(f"{lam} has more boxes below the diagonal than right of it")
+        raise _below_heavy(lam)
+    return _hook_antichain(n, indexset)
+
+
+def _below_heavy(lam: Partition) -> ValueError:
+    """The error for a partition that is no class representative: only a
+    right-heavy or balanced one has its hook antichain inside the poset."""
+    return ValueError(f"{lam} has more boxes below the diagonal than right of it")
+
+
+def _hook_antichain(n: int, indexset: tuple[int, ...]) -> frozenset[Pair]:
+    """`antichain_from_partition` of a representative, from its index set."""
     return frozenset((n - b, n + a - b - 1) if a <= b else (n + 1 - a, n + 1 - a + b)
                      for a, b in complement_hooks(indexset, n))
 
@@ -321,14 +333,15 @@ class MainTheoremReport:
         return self.vertex_ok and self.volume_ok is not False and self.hull_ok is not False
 
 
-def image_of_antichains(n: int) -> dict[frozenset, tuple[int, ...]]:
+def image_of_antichains(n: int, deadline: polytope.Deadline | None = None) -> dict[frozenset, tuple[int, ...]]:
     """M_n applied to each antichain indicator: the sum of the columns the
-    antichain picks (the zero vector for the empty antichain)."""
+    antichain picks (the zero vector for the empty antichain).  The
+    deadline, if any, is polled as the antichains are enumerated."""
     M = build_valuation_matrix(n)
     column = dict(zip(lex_cells(n), zip(*M.entries)))
     zero = (0,) * M.size
     return {a: tuple(map(sum, zip(zero, *map(column.__getitem__, a))))
-            for a in enumerate_antichains(build_poset(n))}
+            for a in enumerate_antichains(build_poset(n), deadline)}
 
 
 def pulled_back_gamma_rows(n: int) -> frozenset:
@@ -360,26 +373,29 @@ def verify_main_theorem(
 
     level "vertex": antichain indicators land bijectively on the Pluecker
     valuations, matched by the hook-decomposition bijection; the deadline
-    is polled every POLL_CLASSES classes.  level "hull"
-    additionally compares the facets of Delta with the rows of Gamma pulled
-    back through M_n, and the normalized volumes.
+    is polled as the antichains are enumerated and every POLL_CLASSES
+    classes.  level "hull" additionally compares the facets of Delta with
+    the rows of Gamma pulled back through M_n, and the normalized volumes;
+    the volume of Delta reuses the facet run of that comparison.
     """
     if level not in ("vertex", "hull"):
         raise ValueError(f"unknown level {level!r}")
     detail = []
 
     deadline = deadline or polytope.Deadline()
-    images = image_of_antichains(n)
+    images = image_of_antichains(n, deadline)
     vertex_ok = len(set(images.values())) == len(images)
     values = set()
-    for count, lam in enumerate(transpose_classes(n)):
+    for count, indexset in enumerate(class_indexsets(n)):
         if not count % POLL_CLASSES:
             deadline.check()
-        indexset = partition_to_indexset(lam, n)
-        value = _maxplus(n, diagonal_lengths(indexset, n))
-        if images.get(_hook_antichain(n, lam, indexset)) != value:
+        low = diagonal_lengths(indexset, n)
+        if sum(low[n:]) < sum(low[:n - 1]):  # fewer boxes right of the diagonal than below
+            raise _below_heavy(indexset_to_partition(indexset, n))
+        value = _maxplus(n, low)
+        if images.get(_hook_antichain(n, indexset)) != value:
             vertex_ok = False
-            detail.append(f"hook bijection fails at {lam}")
+            detail.append(f"hook bijection fails at {indexset_to_partition(indexset, n)}")
             break
         values.add(value)
     vertex_ok &= values == set(images.values())
@@ -393,13 +409,13 @@ def verify_main_theorem(
             superpotential.gamma_vertex_set(n)
         )
         delta_pts = polytope.VPolytope.from_points(images.values())
+        facets_delta = polytope.facets(delta_pts, deadline)
         vol_gamma = polytope.normalized_volume(gamma_pts, deadline)
-        vol_delta = polytope.normalized_volume(delta_pts, deadline)
+        vol_delta = polytope.normalized_volume(delta_pts, deadline, facets_delta)
         volume_ok = vol_gamma == vol_delta == Fraction(expected)
         if not volume_ok:
             detail.append(f"volumes {vol_gamma} / {vol_delta}, expected {expected}")
-        facets_delta = polytope.facets(delta_pts, deadline).row_set()
-        hull_ok = facets_delta == pulled_back_gamma_rows(n)
+        hull_ok = facets_delta.row_set() == pulled_back_gamma_rows(n)
         if not hull_ok:
             detail.append("facets of Delta differ from the rows of Gamma pulled back through M_n")
 

@@ -6,13 +6,13 @@ n-subset of {1,...,2n} labelling the vertical steps of the lattice path
 from the upper-right to the lower-left corner of the square; the partition
 lies above that path, with lam_r = n + r + 1 - I_r for 0-based rows r.
 
-The vertex-level checks work on index sets.  The path gives each of
-these in O(n): the transpose classes (`transpose_classes`), the
-diagonal-length vector (`diagonal_lengths`) and the principal hooks of the
-complement (`complement_hooks`); the diagonal balance (`diagonal_excess`)
-takes one pass over the rows.  The cell-based helpers (`cells`,
-`skew_cells`, `maxdiag`) stay as the definitions the closed forms are
-checked against.
+The vertex-level checks work on index sets: one per transpose class
+(`class_indexsets`).  The path gives each of these in O(n) its
+diagonal-length vector (`diagonal_lengths`) and the principal hooks of
+its complement (`complement_hooks`); the diagonal balance of a partition
+(`diagonal_excess`) takes one pass over the rows.  The cell-based helpers
+(`cells`, `skew_cells`, `maxdiag`) stay as the definitions the closed
+forms are checked against.
 """
 
 from __future__ import annotations
@@ -175,21 +175,29 @@ def orbit_representative(lam: Partition) -> Partition:
 
 
 @cache
-def transpose_classes(n: int) -> tuple[Partition, ...]:
-    """One representative (orbit_representative) per transpose class in n x n,
-    in order of first appearance along the index sets in lexicographic order.
+def class_indexsets(n: int) -> tuple[tuple[int, ...], ...]:
+    """Index set of the representative (`orbit_representative`) of each
+    transpose class in n x n, in order of first appearance along the index
+    sets in lexicographic order.
 
     The transpose of the path with index set I has index set
-    {2n+1-h : h not in I}, so a class first appears at I exactly when I is
-    not after that set."""
+    T = {2n+1-h : h not in I}, so a class first appears at I exactly when
+    I is not after T."""
     everything = range(1, 2 * n + 1)
-    reps = []
+    indexsets = []
     for I in combinations(everything, n):
         steps = set(I)
         T = tuple(2 * n + 1 - h for h in reversed(everything) if h not in steps)
         if I <= T:
-            reps.append(_representative(_path_partition(I, n), _path_partition(T, n)))
-    return tuple(reps)
+            lam = _path_partition(I, n)
+            indexsets.append(I if _representative(lam, _path_partition(T, n)) is lam else T)
+    return tuple(indexsets)
+
+
+def transpose_classes(n: int) -> tuple[Partition, ...]:
+    """One representative per transpose class, in the order of
+    `class_indexsets`."""
+    return tuple(_path_partition(I, n) for I in class_indexsets(n))
 
 
 def syt_count(shape: Partition) -> int:

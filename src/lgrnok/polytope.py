@@ -317,10 +317,12 @@ def vertices_of_hull(V: VPolytope, H: HPolytope | None = None) -> tuple[Point, .
 # -- volume ------------------------------------------------------------------
 
 
-def _triangulate(points: tuple[IntPoint, ...], deadline: Deadline) -> list[tuple[IntPoint, ...]]:
+def _triangulate(points: tuple[IntPoint, ...], deadline: Deadline,
+                 rows: tuple[Row, ...] | None = None) -> list[tuple[IntPoint, ...]]:
     """Simplices (as point tuples in the order of `points`) triangulating
     conv(points), for sorted points spanning their space; sorted, so the
-    least point on a face is a vertex of it.
+    least point on a face is a vertex of it.  `rows`, the facets if known,
+    saves the facet run.
 
     A face is the bitmask of the points on it.  The facets of a face F are
     the maximal proper nonempty masks F & G over the facets G of the
@@ -334,7 +336,7 @@ def _triangulate(points: tuple[IntPoint, ...], deadline: Deadline) -> list[tuple
         return [points]
     facet_masks = [
         sum(1 << i for i, p in enumerate(points) if dot(coeffs, p) + const == 0)
-        for coeffs, const in _facets_full_dim(points, deadline)
+        for coeffs, const in rows or _facets_full_dim(points, deadline)
     ]
     memo: dict[int, list[int]] = {}
 
@@ -362,16 +364,20 @@ def _triangulate(points: tuple[IntPoint, ...], deadline: Deadline) -> list[tuple
     ]
 
 
-def normalized_volume(V: VPolytope, deadline: Deadline | None = None) -> Fraction:
-    """dim! times the Euclidean volume, by exact triangulation."""
+def normalized_volume(V: VPolytope, deadline: Deadline | None = None,
+                      H: HPolytope | None = None) -> Fraction:
+    """dim! times the Euclidean volume, by exact triangulation.  H, the
+    facets of V when the caller already has them, saves the facet run."""
     deadline = deadline or Deadline()
     if V.dim > MAX_DIM:
         raise ValueError(f"dimension {V.dim} exceeds the supported {MAX_DIM}")
     points, scale = _lattice(V.points)
     if len(affine_pivot_columns(points)) < V.dim:
         raise ValueError("normalized_volume needs a full-dimensional polytope")
+    # c.x + d >= 0 is c.(L x) + L d >= 0
+    rows = None if H is None else tuple((c, scale * d) for c, d in H.rows)
     total = 0
-    for simplex in _triangulate(points, deadline):
+    for simplex in _triangulate(points, deadline, rows):
         base = simplex[0]
         total += abs(bareiss_det([[x - b for x, b in zip(p, base)] for p in simplex[1:]]))
     # scaling by L multiplies the volume by L^dim

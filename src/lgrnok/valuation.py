@@ -19,11 +19,17 @@ max-plus product of diagonal-length vectors,
 
 with l_{mu^T}(d) = l_mu(-d).  Partitions enter as index sets: their
 diagonal-length vectors are read off the lattice path
-(`partitions.diagonal_lengths`).  One flat table per n holds every l_mu and
-l_{mu^T}, kept at the few diagonals where the maximum can peak, with the
-coordinate it adds to, so a valuation costs one short max-plus row per
-vector; `valuation_maxdiag` checks its input and evaluates it, and
-`partitions.maxdiag` on skew cells stays as its oracle.
+(`partitions.diagonal_lengths`).  One packed table per n, built on first
+use, holds every l_mu and l_{mu^T} at the few diagonals where the maximum
+can peak, biased, one byte per vector and peak in a few Python ints
+(`_packed_table`).  A valuation then costs a few big-integer operations
+whatever the number of vectors: a multiply-subtract per diagonal, a
+guard-bit fieldwise maximum against the bias per peak, one add of the
+mu^T half onto the mu half (`_maxplus`).  The bytes are exact for
+n <= MAX_PACKED_N; past it the table refuses to be built.
+`valuation_maxdiag`, `all_plucker_valuations` and the valuation matrix all
+evaluate this way; `partitions.maxdiag` on skew cells and a vector-by-vector
+max-plus in the tests stay as its oracles.
 
 A flow's exponent vector is the sum over its paths of the coordinate counts
 of the path's left faces.  Many flows share a path, so the counts are
@@ -35,13 +41,14 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from operator import itemgetter, sub
+from operator import mul
 from types import MappingProxyType
 
 from . import plabic
 from .partitions import (
     Partition,
     check_in_box,
+    class_indexsets,
     diagonal_lengths,
     orbit_representative,
     partition_to_indexset,
@@ -141,34 +148,85 @@ def _corners(lengths: tuple[int, ...]) -> tuple[int, ...]:
     return (c, *left, *right)
 
 
+# One byte per field of the packed table.  A live field holds
+# BIAS + l_mu(d) - l_lam(d), between BIAS - n and BIAS + n: it stays clear
+# of the guard bit 2**7 and above 0 for n <= MAX_PACKED_N, and two maxima
+# summed, at most 2n, fit the byte.
+FIELD_BITS = 8
+BIAS = 64
+MAX_PACKED_N = BIAS - 1
+
+
 @cache
-def _orbit_table(n: int) -> tuple[tuple[tuple[int, ...], itemgetter, int], ...]:
-    """Every l_mu and l_{mu^T}, each kept at its corner diagonals, with the
-    getter of those diagonals and the coordinate of its orbit {mu, mu^T}:
-    each mu of `coordinate_system(n)` in order, then l_mu reversed, which is
-    l_{mu^T}, for each mu that is not self-transpose.  The lengths
-    determine the diagram, so they equal their reversal exactly when
-    mu = mu^T."""
+def _packed_table(n: int) -> tuple:
+    """Every l_mu and l_{mu^T} at its corner diagonals, packed; raises
+    ValueError past MAX_PACKED_N, where a field could wrap.
+
+    With N = n(n+1)/2 coordinates, a slot is 2N one-byte fields: field k
+    holds l_mu and field N + k holds l_{mu^T} for the k-th mu of
+    `coordinate_system(n)`, field N + k dead when mu = mu^T.  Slot s keeps
+    each vector at its s-th corner diagonal (`_corners`); a vector with
+    fewer corners leaves its later slots dead.  The table is
+
+      base    all slots, slot s from bit s * 16N up: BIAS + l(d) in each
+              live field, 0 in each dead one;
+      masks   per diagonal d, laid out like base: 1 in each live field
+              kept at d;
+      shifts  the bit offset of each slot;
+      slot    all bits of one slot;
+      guards  the top bit of each field of a slot;
+      floor   BIAS in each field of a slot, (.)_+ in biased form;
+      N.
+    """
+    if not 1 <= n <= MAX_PACKED_N:
+        raise ValueError(f"n={n} is outside the packed max-plus table's range 1..{MAX_PACKED_N}")
     lengths = [diagonal_lengths(partition_to_indexset(mu, n), n) for mu in coordinate_system(n)]
-    vectors = [(ell, k) for k, ell in enumerate(lengths)]
-    vectors += [(ell[::-1], k) for k, ell in enumerate(lengths) if ell[::-1] != ell]
-    table = []
-    for ell, k in vectors:
-        corners = _corners(ell)
-        if len(corners) == 1:  # a getter of one position returns a bare int
-            corners *= 2
-        table.append((tuple(ell[d] for d in corners), itemgetter(*corners), k))
-    return tuple(table)
+    N = len(lengths)
+    # The lengths determine the diagram, so they equal their reversal, which
+    # is l_{mu^T}, exactly when mu = mu^T.
+    vectors = [(k, ell) for k, ell in enumerate(lengths)]
+    vectors += [(N + k, ell[::-1]) for k, ell in enumerate(lengths) if ell[::-1] != ell]
+    corners = [(field, ell, _corners(ell)) for field, ell in vectors]
+    slots = max(len(at) for _, _, at in corners)
+    base = bytearray(2 * N * slots)
+    masks = [bytearray(2 * N * slots) for _ in range(2 * n - 1)]
+    for field, ell, at in corners:
+        for s, d in enumerate(at):
+            base[2 * N * s + field] = BIAS + ell[d]
+            masks[d][2 * N * s + field] = 1
+    width = 2 * N * FIELD_BITS
+    return (
+        int.from_bytes(base, "little"),
+        tuple(int.from_bytes(mask, "little") for mask in masks),
+        tuple(width * s for s in range(slots)),
+        (1 << width) - 1,
+        int.from_bytes(bytes([1 << FIELD_BITS - 1]) * (2 * N), "little"),
+        int.from_bytes(bytes([BIAS]) * (2 * N), "little"),
+        N,
+    )
 
 
 def _maxplus(n: int, low: tuple[int, ...]) -> tuple[int, ...]:
     """The closed-form valuation of the partition with diagonal lengths
     `low`: per orbit, max_d (l_mu(d) - low(d))_+ summed over mu and mu^T,
-    the maximum taken over the corner diagonals of mu."""
-    out = [0] * (n * (n + 1) // 2)
-    for lengths, at, k in _orbit_table(n):
-        out[k] += max(0, *map(sub, lengths, at(low)))
-    return tuple(out)
+    the maximum taken over the corner diagonals of mu.
+
+    One multiply-subtract per diagonal takes low off every field of the
+    packed table at once.  Each slot is then merged into the running
+    fieldwise maximum, which starts at the bias (the (.)_+): a field's guard
+    bit survives y + 2**7 - best exactly when y >= best.  With the bias
+    taken off, adding the mu^T half onto the mu half sums each orbit.
+    """
+    base, masks, shifts, slot, guards, floor, N = _packed_table(n)
+    x = base - sum(map(mul, low, masks))
+    best = floor
+    for shift in shifts:
+        y = (x >> shift) & slot
+        won = ((y | guards) - best) & guards
+        best ^= (best ^ y) & (won - (won >> FIELD_BITS - 1))
+    best -= floor
+    total = best + (best >> N * FIELD_BITS)  # the sums, in the low half
+    return tuple(total.to_bytes(2 * N, "little")[:N])
 
 
 def valuation_maxdiag(n: int, lam: Partition) -> tuple[int, ...]:
@@ -186,9 +244,10 @@ def all_plucker_valuations(n: int, cross_check: bool | None = None) -> dict[Part
     """
     if cross_check is None:
         cross_check = n <= 4
+    _packed_table(n)  # past MAX_PACKED_N, raise before enumerating the classes
     table: dict[Partition, tuple[int, ...]] = {}
-    for rep in transpose_classes(n):
-        value = valuation_maxdiag(n, rep)
+    for rep, indexset in zip(transpose_classes(n), class_indexsets(n)):
+        value = _maxplus(n, diagonal_lengths(indexset, n))
         if cross_check:
             flows = valuation_from_flows(n, rep)
             if flows != value:

@@ -8,16 +8,26 @@ checkable by eye.  Likewise lgrnok finds every face of a polytope from one
 facet run; the reference triangulation hulls each face again from its own
 points.  And lgrnok enumerates flows from one table of whole paths per
 network; the reference walks the network vertex by vertex for every target.
+And lgrnok evaluates a valuation's max-plus product on one packed integer
+per class; the reference takes one short max-plus row per vector.
 """
 
 from functools import cache
 from itertools import combinations
 
 from lgrnok.linalg import affine_pivot_columns, dot
-from lgrnok.partitions import cells, complement, normalize, transpose
+from lgrnok.partitions import (
+    cells,
+    complement,
+    diagonal_lengths,
+    normalize,
+    partition_to_indexset,
+    transpose,
+)
 from lgrnok.plabic import Flow, path_left_faces
 from lgrnok.polytope import _facets_full_dim
 from lgrnok.superpotential import build_poset, is_antichain
+from lgrnok.valuation import _corners, coordinate_system
 
 
 def parse_partition(text):
@@ -187,3 +197,22 @@ def enumerate_flows_by_dfs(G, O, J):
     place(0, {("b", t) for t in J if t in O.source_set}, [])
     return tuple(Flow(paths=paths, left_faces=tuple(path_left_faces(G, p) for p in paths))
                  for paths in sorted(systems))
+
+
+@cache
+def orbit_table(n):
+    """Every l_mu and l_{mu^T} at its corner diagonals, one row per vector:
+    (the lengths there, their diagonals, the coordinate of {mu, mu^T})."""
+    lengths = [diagonal_lengths(partition_to_indexset(mu, n), n) for mu in coordinate_system(n)]
+    vectors = [(ell, k) for k, ell in enumerate(lengths)]
+    vectors += [(ell[::-1], k) for k, ell in enumerate(lengths) if ell[::-1] != ell]
+    return tuple((tuple(ell[d] for d in _corners(ell)), _corners(ell), k) for ell, k in vectors)
+
+
+def maxplus_by_vector(n, low):
+    """The closed-form valuation from diagonal lengths `low`, one short
+    max-plus row per vector of `orbit_table`."""
+    out = [0] * (n * (n + 1) // 2)
+    for lengths, corners, k in orbit_table(n):
+        out[k] += max(0, *(ell - low[d] for ell, d in zip(lengths, corners)))
+    return tuple(out)

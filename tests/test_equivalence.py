@@ -22,9 +22,22 @@ from lgrnok.equivalence import (
     verify_valuation_additivity,
 )
 from lgrnok.linalg import mat_mul
-from lgrnok.partitions import diagonal_excess, transpose, transpose_classes
-from lgrnok.superpotential import antichain_count_formula, antichain_indicator, gamma_hrep
-from lgrnok.valuation import delta_vertices
+from lgrnok.partitions import (
+    catalan,
+    class_indexsets,
+    diagonal_excess,
+    partition_to_indexset,
+    transpose,
+    transpose_classes,
+)
+from lgrnok.superpotential import (
+    POLL_EVERY,
+    antichain_count_formula,
+    antichain_indicator,
+    gamma_hrep,
+)
+from lgrnok.valuation import FIELD_BITS, delta_vertices
+from test_superpotential import CountingDeadline
 import oracles
 
 M3 = (
@@ -168,6 +181,13 @@ def test_image_of_antichains_is_matrix_image(n):
         assert image == M.apply(antichain_indicator(n, a))
 
 
+def test_image_of_antichains_polls_the_deadline():
+    # P_7 has catalan(8) = 1430 antichains
+    deadline = CountingDeadline()
+    assert len(image_of_antichains(7, deadline)) == catalan(8) == 1430
+    assert deadline.polls == -(-catalan(8) // POLL_EVERY)
+
+
 def test_main_theorem_hull_n1_and_n2():
     for n in (1, 2):
         report = verify_main_theorem(n, "hull")
@@ -181,6 +201,16 @@ def test_main_theorem_hull_n3_matches_printed_rows():
     assert polytope.facets(V).row_set() == DELTA3_ROWS
     image = polytope.VPolytope.from_points(image_of_antichains(3).values())
     assert polytope.facets(image).row_set() == DELTA3_ROWS
+
+
+def test_hull_level_runs_one_double_description_per_point_set(monkeypatch):
+    # the volume of Delta reuses the facets the hull comparison needs
+    runs = []
+    real = polytope._facets_full_dim
+    monkeypatch.setattr(polytope, "_facets_full_dim",
+                        lambda points, deadline: runs.append(points) or real(points, deadline))
+    assert verify_main_theorem(3, "hull").all_ok
+    assert len(runs) == len(set(runs)) == 2
 
 
 def test_pulled_back_gamma_rows_are_the_printed_facets():
@@ -253,11 +283,11 @@ def vertex_level_fails(capsys) -> str:
 
 
 def test_vertex_level_fails_on_a_transposed_representative(monkeypatch, capsys):
-    reps = list(transpose_classes(5))
-    t = next(i for i, lam in enumerate(reps) if diagonal_excess(lam) > 0)
-    reps[t] = transpose(reps[t])
-    monkeypatch.setattr(equivalence, "transpose_classes",
-                        lambda n: tuple(reps) if n == 5 else transpose_classes(n))
+    table = list(class_indexsets(5))
+    t = next(i for i, lam in enumerate(transpose_classes(5)) if diagonal_excess(lam) > 0)
+    table[t] = partition_to_indexset(transpose(transpose_classes(5)[t]), 5)
+    monkeypatch.setattr(equivalence, "class_indexsets",
+                        lambda n: tuple(table) if n == 5 else class_indexsets(n))
     assert "more boxes below the diagonal" in vertex_level_fails(capsys)
 
 
@@ -274,14 +304,18 @@ def fresh_matrices():
 @pytest.mark.parametrize("orbit", [0, 7, 14])
 def test_vertex_level_fails_on_an_off_by_one_orbit(monkeypatch, capsys, fresh_matrices, orbit):
     # M_5 is rebuilt from the same wrong table, so its columns carry the
-    # error too; the hook bijection still breaks
-    real = valuation._orbit_table
+    # error too; the hook bijection still breaks.  +1 in the orbit's mu and
+    # mu^T fields of every slot: each live field reads l + 1 at its corner,
+    # a dead one (0) stays below the bias.
+    real = valuation._packed_table
 
     def off_by_one(n):
-        return tuple((tuple(x + 1 for x in lengths), at, k) if n == 5 and k == orbit
-                     else (lengths, at, k) for lengths, at, k in real(n))
+        base, masks, shifts, *rest, N = real(n)
+        if n == 5:
+            base += sum(1 << shift + FIELD_BITS * f for shift in shifts for f in (orbit, N + orbit))
+        return (base, masks, shifts, *rest, N)
 
-    monkeypatch.setattr(valuation, "_orbit_table", off_by_one)
+    monkeypatch.setattr(valuation, "_packed_table", off_by_one)
     vertex_level_fails(capsys)
 
 
@@ -289,6 +323,7 @@ def test_vertex_level_fails_on_an_off_by_one_orbit(monkeypatch, capsys, fresh_ma
                          ids=["another-antichain", "a-chain"])
 def test_vertex_level_fails_on_a_wrong_hook_map(monkeypatch, capsys, wrong):
     real = equivalence._hook_antichain
+    empty = partition_to_indexset((), 5)
     monkeypatch.setattr(equivalence, "_hook_antichain",
-                        lambda n, lam, indexset: wrong if lam == () else real(n, lam, indexset))
+                        lambda n, indexset: wrong if indexset == empty else real(n, indexset))
     assert "hook bijection fails at ()" in vertex_level_fails(capsys)

@@ -1,23 +1,31 @@
 import pytest
 
-from lgrnok import plabic
+from lgrnok import plabic, valuation
+from lgrnok.equivalence import build_valuation_matrix
 from lgrnok.partitions import (
+    class_indexsets,
+    diagonal_lengths,
     maxdiag,
+    orbit_representative,
     partition_to_indexset,
     skew_cells,
     transpose,
     transpose_classes,
 )
 from lgrnok.valuation import (
+    BIAS,
+    FIELD_BITS,
+    MAX_PACKED_N,
     all_plucker_valuations,
     coordinate_system,
     delta_vertices,
+    face_coordinates,
     flow_vector,
     orbit_vector,
     valuation_from_flows,
     valuation_maxdiag,
 )
-from oracles import partitions_in_box
+from oracles import maxplus_by_vector, partitions_in_box
 
 # the full LGr(3,6) table, keyed by class representative
 TABLE_N3 = {
@@ -68,6 +76,55 @@ def test_diagonal_lengths_match_skew_cell_oracle(n):
                 entry += maxdiag(skew_cells(transpose(mu), lam))
             expected.append(entry)
         assert valuation_maxdiag(n, lam) == tuple(expected), lam
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_packed_maxplus_matches_the_vector_by_vector_oracle(n):
+    for indexset in class_indexsets(n):
+        low = diagonal_lengths(indexset, n)
+        assert valuation._maxplus(n, low) == maxplus_by_vector(n, low), indexset
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_valuation_matches_skew_cells_at_every_face_label(n):
+    G = plabic.build_corect_graph(n)
+    coords = face_coordinates(n)
+    for lam in transpose_classes(n):
+        value = valuation_maxdiag(n, lam)
+        for face, mu in G.faces.items():
+            if not mu:
+                continue
+            orbit = {mu, transpose(mu)}
+            assert value[coords[face]] == sum(maxdiag(skew_cells(nu, lam)) for nu in orbit), (lam, mu)
+            assert coordinate_system(n)[coords[face]] == orbit_representative(mu)
+
+
+def test_packing_bound(monkeypatch):
+    # up to the bound a field, BIAS + l_mu(d) - l_lam(d) with each length at
+    # most n, stays under the guard bit and above 0, and an orbit's sum, at
+    # most 2n, fits the field; past it every evaluation refuses before any
+    # graph or table is built
+    n = MAX_PACKED_N
+    assert 0 < BIAS - n and BIAS + n < 2 ** (FIELD_BITS - 1) and 2 * n < 2 ** FIELD_BITS
+
+    def no_graph(n):
+        raise AssertionError("a graph was built")
+
+    def no_classes(n):
+        raise AssertionError("the classes were enumerated")
+
+    monkeypatch.setattr(plabic, "build_corect_graph", no_graph)
+    monkeypatch.setattr(valuation, "class_indexsets", no_classes)
+    monkeypatch.setattr(valuation, "transpose_classes", no_classes)
+    tables = valuation._packed_table.cache_info().currsize
+    n = MAX_PACKED_N + 1
+    for evaluate in (lambda: valuation_maxdiag(n, ()),
+                     lambda: valuation._maxplus(n, (0,) * (2 * n - 1)),
+                     lambda: all_plucker_valuations(n),
+                     lambda: build_valuation_matrix(n)):
+        with pytest.raises(ValueError, match="packed max-plus"):
+            evaluate()
+    assert valuation._packed_table.cache_info().currsize == tables
 
 
 def test_flow_examples():

@@ -111,8 +111,8 @@ def test_vertex_level_loop_polls_the_deadline(monkeypatch):
     # 24,566 classes at n=9, unpolled; they are made ready first, so that
     # only the loop is timed.
     images = equivalence.image_of_antichains(9)
-    monkeypatch.setattr(equivalence, "image_of_antichains", lambda n: images)
-    equivalence.transpose_classes(9)
+    monkeypatch.setattr(equivalence, "image_of_antichains", lambda n, deadline: images)
+    equivalence.class_indexsets(9)
     start = time.monotonic()
     with pytest.raises(TimeBudgetExceeded):
         equivalence.verify_main_theorem(9, "vertex", Deadline(0.05))
