@@ -333,7 +333,7 @@ def cmd_counts(cfg: CommandConfig, args, out) -> int:
     n = cfg.n
     P = superpotential.build_poset(n)
     deadline = Deadline(cfg.time_budget)
-    antichains = len(superpotential.enumerate_antichains(P, deadline))
+    antichains = superpotential.antichain_count(P, deadline)
     syt = staircase_syt_count(n)
     extensions = superpotential.linear_extension_count(P, deadline)
     if cfg.output_format == "json":

@@ -9,12 +9,22 @@ of the superpotential polytope onto the Pluecker valuation set; the block
 structure, the constructive column reduction, and that vertex match are
 each checkable in exact arithmetic.
 
-The vertex level works on the index set of each transpose class's
-representative, as `partitions.class_indexsets` lists them: its
-diagonal-length vector gives its diagonal balance and, through the packed
-max-plus table of `valuation` (exact for n <= valuation.MAX_PACKED_N), its
-valuation; its lattice path gives the hooks of its complement, hence its
-antichain.
+The vertex level is one depth-first walk over the 2n steps of the lattice
+paths in the n x n square, with no table of classes or antichains.  Each
+step updates the packed max-plus operand of `valuation` (exact for
+n <= valuation.MAX_PACKED_N) and the diagonal excess; each vertical step of
+the second half closes a horizontal step of the first, and that pair is a
+hook of the complement, whose poset element, clash mask and packed column
+are read off one table.  At the end of a path the walk keeps the class's
+representative only, and checks that its hooks form an antichain whose
+image under M_n is its valuation.
+
+Several classes share one antichain, so the bijection with the antichains
+is proved on a section of the classes: those whose antichain decodes back
+to their own index set, each element (i, j) to the hook (n+1-i, j-i).  The
+decode is a left inverse of the hook map there, so the map is injective on
+the sections, and there must be as many sections as antichains, Catalan(n+1)
+(`verify_main_theorem`).
 """
 
 from __future__ import annotations
@@ -23,15 +33,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from . import polytope, superpotential
+from . import polytope, superpotential, valuation
 from .linalg import bareiss_det, identity, invert, mat_mul, mat_vec
 from .partitions import (
     Partition,
-    class_indexsets,
     complement,
     complement_hooks,
     diagonal_excess,
-    diagonal_lengths,
     hook_partition,
     indexset_to_partition,
     normalize,
@@ -40,8 +48,14 @@ from .partitions import (
     transpose_classes,
 )
 from .polytope import normalize_row
-from .superpotential import build_poset, enumerate_antichains, gamma_hrep, lex_cells
-from .valuation import _maxplus, coordinate_system, valuation_maxdiag
+from .superpotential import (
+    antichain_count_formula,
+    build_poset,
+    enumerate_antichains,
+    gamma_hrep,
+    lex_cells,
+)
+from .valuation import FIELD_BITS, coordinate_system, valuation_maxdiag
 
 Pair = tuple[int, int]
 
@@ -72,9 +86,6 @@ class ValuationMatrix:
 
     def column(self, t: int) -> tuple[int, ...]:
         return tuple(row[t] for row in self.entries)
-
-    def apply(self, vector) -> tuple:
-        return mat_vec(self.entries, tuple(vector))
 
 
 @cache
@@ -249,25 +260,21 @@ def antichain_from_partition(n: int, lam: Partition) -> frozenset[Pair]:
     transpose names the same Pluecker class and the same valuation); without
     this the element would fall outside the poset, e.g. the (1,1) hook of
     (4,2,2) in the 4x4 square.  Whether the elements form an antichain of
-    the poset is left to the caller: the main theorem looks the set up among
-    the enumerated antichains.
+    the poset is left to the caller: the main theorem tests it with the
+    clash masks of `enumerate_antichains`.
     """
     indexset = partition_to_indexset(lam, n)
     if diagonal_excess(lam) < 0:
-        raise _below_heavy(lam)
-    return _hook_antichain(n, indexset)
+        raise ValueError(f"{lam} has more boxes below the diagonal than right of it")
+    return frozenset(_hook_element(n, a, b) for a, b in complement_hooks(indexset, n))
 
 
-def _below_heavy(lam: Partition) -> ValueError:
-    """The error for a partition that is no class representative: only a
-    right-heavy or balanced one has its hook antichain inside the poset."""
-    return ValueError(f"{lam} has more boxes below the diagonal than right of it")
-
-
-def _hook_antichain(n: int, indexset: tuple[int, ...]) -> frozenset[Pair]:
-    """`antichain_from_partition` of a representative, from its index set."""
-    return frozenset((n - b, n + a - b - 1) if a <= b else (n + 1 - a, n + 1 - a + b)
-                     for a, b in complement_hooks(indexset, n))
+def _hook_element(n: int, arm: int, leg: int) -> Pair:
+    """The poset element (n+1-arm, n+1-arm+leg) of a complement's hook,
+    the hook transposed first when arm <= leg."""
+    if arm <= leg:
+        arm, leg = leg + 1, arm - 1
+    return (n + 1 - arm, n + 1 - arm + leg)
 
 
 def singleton_column_pair(i: int, j: int, n: int) -> Pair:
@@ -336,7 +343,8 @@ class MainTheoremReport:
 def image_of_antichains(n: int, deadline: polytope.Deadline | None = None) -> dict[frozenset, tuple[int, ...]]:
     """M_n applied to each antichain indicator: the sum of the columns the
     antichain picks (the zero vector for the empty antichain).  The
-    deadline, if any, is polled as the antichains are enumerated."""
+    deadline, if any, is polled as the antichains are enumerated.  The
+    main theorem does not build this table; the tests compare against it."""
     M = build_valuation_matrix(n)
     column = dict(zip(lex_cells(n), zip(*M.entries)))
     zero = (0,) * M.size
@@ -359,8 +367,116 @@ def pulled_back_gamma_rows(n: int) -> frozenset:
     )
 
 
-# Classes the vertex level checks between two polls of the deadline.
-POLL_CLASSES = 256
+def _walk_table(n: int) -> tuple:
+    """What one step of a lattice path adds on the vertex walk.
+
+      vertical    per vertical step k <= n: the packed diagonals 0..n-k of
+                  `valuation._packed_table`, each of which the step
+                  lengthens by one cell, and the n - k cells it adds right
+                  of the main diagonal;
+      horizontal  per horizontal step k >= n+2: the packed diagonals
+                  n+1-k..-1, and minus the k-n-1 cells it adds below the
+                  main diagonal;
+      hooks       hooks[j][h] for the vertical step j > n that closes the
+                  horizontal step h <= n, whose pair is the complement's
+                  hook (j-n, n-h): the bit of its poset element, that
+                  element's clash mask, M_n's column of it packed one byte
+                  per entry, and the two steps the element decodes to.
+
+    Steps that add nothing hold (0, 0).  Raises ValueError unless every
+    entry of M_n is >= 0 and n times the largest is below 2**8: a hook
+    set has at most n elements, so then no byte of a sum of its columns
+    carries into the next and a wrong image cannot alias the right one.
+    """
+    masks = valuation._packed_table(n)[1]  # diagonal d at masks[d + n - 1]
+    vertical = [(0, 0)] * (2 * n + 1)
+    horizontal = [(0, 0)] * (2 * n + 1)
+    for k in range(1, n + 1):
+        vertical[k] = (sum(masks[n - 1:2 * n - k]), n - k)
+    for k in range(n + 2, 2 * n + 1):
+        horizontal[k] = (sum(masks[2 * n - k:n - 1]), n + 1 - k)
+    M = build_valuation_matrix(n)
+    if min(map(min, M.entries)) < 0 or n * max(map(max, M.entries)) >= 1 << FIELD_BITS:
+        raise ValueError(f"M_{n} has entries outside 0..{((1 << FIELD_BITS) - 1) // n}, "
+                         "too wide for a packed sum of n columns")
+    columns = [int.from_bytes(bytes(col), "little") for col in zip(*M.entries)]
+    clash = superpotential._clash_masks(build_poset(n))
+    index = {x: t for t, x in enumerate(lex_cells(n))}
+    hooks = [[None] * (n + 1) for _ in range(2 * n + 1)]
+    for j in range(n + 1, 2 * n + 1):
+        for h in range(1, n + 1):
+            i, top = element = _hook_element(n, j - n, n - h)
+            t = index[element]
+            # (i, top) decodes to the hook (n+1-i, top-i): steps 2n+1-i and n-top+i.
+            decode = (1 << 2 * n + 1 - i) | (1 << n - top + i)
+            hooks[j][h] = (1 << t, clash[t], columns[t], decode)
+    return vertical, horizontal, hooks
+
+
+class _Unmatched(Exception):
+    """A class whose hooks form no antichain, or whose hook image is not
+    its valuation; the message names it."""
+
+
+def _vertex_walk(n: int, deadline: polytope.Deadline, values: set | None) -> int:
+    """Walks every lattice path of the n x n square, depth first, and
+    returns the number of section classes; raises _Unmatched at the first
+    class that fails.  The deadline is polled once per first half of a
+    path.  The valuation of each class is added to `values`, unless None.
+
+    Along the path the walk keeps, step by step (`_walk_table`): the packed
+    max-plus operand x = base - sum_d l(d) masks[d], the diagonal excess,
+    the index sets of the path (I) and of its transpose (T) as bitmasks,
+    the open horizontal steps of the first half and, as each is closed,
+    the summed packed columns, the clash masks and the decoded steps of
+    the hooks' poset elements.
+    """
+    table = valuation._packed_table(n)
+    vertical, horizontal, hooks = _walk_table(n)
+    last = 2 * n
+    first_half = (1 << n + 1) - 2  # the steps 1..n
+    sections = 0
+
+    def partition(I: int) -> Partition:
+        return indexset_to_partition([k for k in range(1, last + 1) if I >> k & 1], n)
+
+    def second(k, opened, r, x, excess, I, T, image, blocked, decoded):
+        nonlocal sections
+        if k > last:
+            diff = I ^ T  # I <= T exactly when its lowest bit is I's
+            if excess < 0 or not excess and diff & -diff & T:
+                return  # T's class, counted at T
+            value = valuation._packed_maxplus(table, x)
+            if image != value:
+                raise _Unmatched(f"hook bijection fails at {partition(I)}")
+            if decoded == I ^ first_half:
+                sections += 1
+            if values is not None:
+                values.add(value)
+            return
+        if r:  # a vertical step closes the latest open horizontal step
+            bit, clash, column, decode = hooks[k][opened[r - 1]]
+            if blocked & bit:
+                raise _Unmatched(f"the hooks of {partition(I | ((1 << r) - 1) << k)} "
+                                 "do not form an antichain")
+            second(k + 1, opened, r - 1, x, excess, I | 1 << k, T,
+                   image + column, blocked | clash, decoded | decode)
+        if r <= last - k:
+            cells, below = horizontal[k]
+            second(k + 1, opened, r, x - cells, excess + below, I, T | 1 << last + 1 - k,
+                   image, blocked, decoded)
+
+    def first(k, opened, x, excess, I, T):
+        if k > n:
+            deadline.check()
+            second(k, opened, len(opened), x, excess, I, T, 0, 0, 0)
+            return
+        cells, right = vertical[k]
+        first(k + 1, opened, x - cells, excess + right, I | 1 << k, T)
+        first(k + 1, opened + (k,), x, excess, I, T | 1 << last + 1 - k)
+
+    first(1, (), table[0], 0, 0, 0)
+    return sections
 
 
 def verify_main_theorem(
@@ -371,44 +487,53 @@ def verify_main_theorem(
     """Check that the valuation matrix carries the superpotential polytope
     onto the Newton-Okounkov body.
 
-    level "vertex": antichain indicators land bijectively on the Pluecker
-    valuations, matched by the hook-decomposition bijection; the deadline
-    is polled as the antichains are enumerated and every POLL_CLASSES
-    classes.  level "hull" additionally compares the facets of Delta with
-    the rows of Gamma pulled back through M_n, and the normalized volumes;
-    the volume of Delta reuses the facet run of that comparison.
+    level "vertex": the valuation set is M_n(antichain indicators).  One
+    walk over the lattice paths (`_vertex_walk`) visits each transpose
+    class once, at its representative I (more boxes right of the diagonal
+    than below, or as many and I <= T), and checks that
+      - the poset elements of the complement's hooks form an antichain
+        (the clash masks of `enumerate_antichains`), and
+      - M_n's columns summed over them equal the valuation of I.
+    Several classes share one antichain, so the bijection is proved on a
+    section of the classes: those whose antichain decodes back to I, each
+    element (i, j) to the hook (n+1-i, j-i).  The decode is a left inverse
+    of the hook map on the sections, so the map is injective there; there
+    must be as many sections as antichain_count_formula(n), so the
+    sections' antichains are all the antichains.  Then every valuation is
+    an image, and every image is a section's valuation.  That the images
+    are distinct follows from `matrix-unimodular`; no set of values is
+    kept.  The deadline is polled once per first half of a path.
+
+    level "hull" additionally gathers the valuations and compares the
+    facets of Delta with the rows of Gamma pulled back through M_n, and the
+    normalized volumes; the volume of Delta reuses the facet run of that
+    comparison.  It runs only when the vertex level passes.
     """
     if level not in ("vertex", "hull"):
         raise ValueError(f"unknown level {level!r}")
     detail = []
 
     deadline = deadline or polytope.Deadline()
-    images = image_of_antichains(n, deadline)
-    vertex_ok = len(set(images.values())) == len(images)
-    values = set()
-    for count, indexset in enumerate(class_indexsets(n)):
-        if not count % POLL_CLASSES:
-            deadline.check()
-        low = diagonal_lengths(indexset, n)
-        if sum(low[n:]) < sum(low[:n - 1]):  # fewer boxes right of the diagonal than below
-            raise _below_heavy(indexset_to_partition(indexset, n))
-        value = _maxplus(n, low)
-        if images.get(_hook_antichain(n, indexset)) != value:
-            vertex_ok = False
-            detail.append(f"hook bijection fails at {indexset_to_partition(indexset, n)}")
-            break
-        values.add(value)
-    vertex_ok &= values == set(images.values())
-    if not vertex_ok and not detail:
-        detail.append("image of antichain indicators != valuation set")
+    values = set() if level == "hull" else None
+    try:
+        sections = _vertex_walk(n, deadline, values)
+    except _Unmatched as exc:
+        vertex_ok = False
+        detail.append(str(exc))
+    else:
+        antichains = antichain_count_formula(n)
+        vertex_ok = sections == antichains
+        if not vertex_ok:
+            detail.append(f"{sections} section classes against {antichains} antichains")
 
     volume_ok = hull_ok = None
-    if level == "hull":
+    if level == "hull" and vertex_ok:
         expected = staircase_syt_count(n)
         gamma_pts = polytope.VPolytope.from_points(
             superpotential.gamma_vertex_set(n)
         )
-        delta_pts = polytope.VPolytope.from_points(images.values())
+        size = build_valuation_matrix(n).size
+        delta_pts = polytope.VPolytope.from_points(v.to_bytes(size, "little") for v in values)
         facets_delta = polytope.facets(delta_pts, deadline)
         vol_gamma = polytope.normalized_volume(gamma_pts, deadline)
         vol_delta = polytope.normalized_volume(delta_pts, deadline, facets_delta)

@@ -6,8 +6,10 @@ n-subset of {1,...,2n} labelling the vertical steps of the lattice path
 from the upper-right to the lower-left corner of the square; the partition
 lies above that path, with lam_r = n + r + 1 - I_r for 0-based rows r.
 
-The vertex-level checks work on index sets: one per transpose class
-(`class_indexsets`).  The path gives each of these in O(n) its
+The valuation table works on index sets, one per transpose class
+(`class_indexsets`); the main theorem's vertex level in `equivalence`
+reads the same quantities off each path step by step.  The path gives
+each index set in O(n) its
 diagonal-length vector (`diagonal_lengths`) and the principal hooks of
 its complement (`complement_hooks`); the diagonal balance of a partition
 (`diagonal_excess`) takes one pass over the rows.  The cell-based helpers

@@ -137,9 +137,6 @@ class PlabicGraph:
     def edges(self) -> tuple[frozenset, ...]:
         return self._edges
 
-    def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        return tuple(sorted(w for (u, w) in self.left_face if u == v))
-
     def internal_vertices(self) -> tuple[Vertex, ...]:
         return tuple(sorted(self.colors))
 
@@ -444,16 +441,6 @@ def enumerate_flows(G: PlabicGraph, O: PerfectOrientation, J) -> tuple[Flow, ...
     systems.sort(key=lambda acc: [path for path, _ in acc])
     return tuple(Flow(paths=tuple(path for path, _ in acc), left_faces=tuple(left for _, left in acc))
                  for acc in systems)
-
-
-def flow_polynomial(G: PlabicGraph, O: PerfectOrientation, J) -> tuple[Counter, ...]:
-    """Flow monomials in the face variables, one per flow (coefficients are
-    all 1 before any identification of faces)."""
-    return tuple(flow.monomial(G) for flow in enumerate_flows(G, O, J))
-
-
-def monomial_key(mono: Counter) -> tuple:
-    return tuple(sorted(mono.items()))
 
 
 # -- exports --------------------------------------------------------------

@@ -382,8 +382,3 @@ def normalized_volume(V: VPolytope, deadline: Deadline | None = None,
         total += abs(bareiss_det([[x - b for x, b in zip(p, base)] for p in simplex[1:]]))
     # scaling by L multiplies the volume by L^dim
     return Fraction(total, scale ** V.dim)
-
-
-def euler_characteristic_ok(fvec: tuple[int, ...]) -> bool:
-    d = len(fvec)
-    return sum((-1) ** i * f for i, f in enumerate(fvec)) == 1 - (-1) ** d

@@ -71,12 +71,18 @@ def is_antichain(P: PosetPn, members) -> bool:
     )
 
 
+def _clash_masks(P: PosetPn) -> list[int]:
+    """Bit t of the k-th mask: the t-th element of P in sorted order is
+    comparable to the k-th (each element to itself too)."""
+    elems = sorted(P.elements)
+    return [sum(1 << t for t, y in enumerate(elems) if P.comparable(x, y)) for x in elems]
+
+
 def enumerate_antichains(P: PosetPn, deadline: Deadline | None = None) -> tuple[frozenset[Element], ...]:
     """Every antichain including the empty one, in a fixed order; the
     deadline, if any, is polled every POLL_EVERY antichains."""
     elems = sorted(P.elements)
-    # Bit t of clash[k]: elems[t] is comparable to elems[k].
-    clash = [sum(1 << t for t, y in enumerate(elems) if P.comparable(x, y)) for x in elems]
+    clash = _clash_masks(P)
     out: list[frozenset[Element]] = []
 
     def grow(start: int, chosen: tuple[Element, ...], blocked: int):
@@ -89,6 +95,25 @@ def enumerate_antichains(P: PosetPn, deadline: Deadline | None = None) -> tuple[
 
     grow(0, (), 0)
     return tuple(out)
+
+
+def antichain_count(P: PosetPn, deadline: Deadline | None = None) -> int:
+    """The number of antichains, the empty one included: the recursion of
+    `enumerate_antichains`, with nothing built.  The deadline, if any, is
+    polled every POLL_EVERY antichains."""
+    clash = _clash_masks(P)
+    counted = count()
+
+    def grow(start: int, blocked: int) -> int:
+        if deadline is not None and not next(counted) % POLL_EVERY:
+            deadline.check()
+        total = 1
+        for t in range(start, len(clash)):
+            if not blocked >> t & 1:
+                total += grow(t + 1, blocked | clash[t])
+        return total
+
+    return grow(0, 0)
 
 
 def maximal_chains(P: PosetPn) -> tuple[tuple[Element, ...], ...]:
@@ -129,23 +154,6 @@ def antichain_to_dyck(P: PosetPn, antichain) -> tuple[int, ...]:
     if any(s not in (-1, 1) for s in steps) or any(h < 0 for h in heights):
         raise AssertionError(f"ideal {sorted(ideal)} produced a broken path")
     return steps
-
-
-def dyck_to_antichain(P: PosetPn, steps) -> frozenset[Element]:
-    """Inverse of antichain_to_dyck: maximal elements of the covered boxes."""
-    n = P.n
-    heights = [0]
-    for s in steps:
-        heights.append(heights[-1] + s)
-    covered = {
-        (i, j)
-        for (i, j) in P.elements
-        if heights[n + j - 2 * i + 2] >= n + 2 - j
-    }
-    return frozenset(
-        x for x in covered
-        if not any(y != x and (x, y) in P.leq for y in covered)
-    )
 
 
 # -- linear extensions ----------------------------------------------------

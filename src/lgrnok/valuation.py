@@ -28,7 +28,9 @@ guard-bit fieldwise maximum against the bias per peak, one add of the
 mu^T half onto the mu half (`_maxplus`).  The bytes are exact for
 n <= MAX_PACKED_N; past it the table refuses to be built.
 `valuation_maxdiag`, `all_plucker_valuations` and the valuation matrix all
-evaluate this way; `partitions.maxdiag` on skew cells and a vector-by-vector
+evaluate this way, and the vertex level of `equivalence` subtracts the
+diagonals one lattice-path step at a time before the same slot merge
+(`_packed_maxplus`); `partitions.maxdiag` on skew cells and a vector-by-vector
 max-plus in the tests stay as its oracles.
 
 A flow's exponent vector is the sum over its paths of the coordinate counts
@@ -206,27 +208,36 @@ def _packed_table(n: int) -> tuple:
     )
 
 
-def _maxplus(n: int, low: tuple[int, ...]) -> tuple[int, ...]:
-    """The closed-form valuation of the partition with diagonal lengths
-    `low`: per orbit, max_d (l_mu(d) - low(d))_+ summed over mu and mu^T,
-    the maximum taken over the corner diagonals of mu.
+def _packed_maxplus(table: tuple, x: int) -> int:
+    """The slot merge of `_maxplus` on x = base - sum_d low(d) * masks[d]:
+    the valuation as an int, one byte per orbit.
 
-    One multiply-subtract per diagonal takes low off every field of the
-    packed table at once.  Each slot is then merged into the running
-    fieldwise maximum, which starts at the bias (the (.)_+): a field's guard
-    bit survives y + 2**7 - best exactly when y >= best.  With the bias
-    taken off, adding the mu^T half onto the mu half sums each orbit.
+    Each slot is merged into the running fieldwise maximum, which starts at
+    the bias (the (.)_+): a field's guard bit survives y + 2**7 - best
+    exactly when y >= best.  With the bias taken off, adding the mu^T half
+    onto the mu half sums each orbit.
     """
-    base, masks, shifts, slot, guards, floor, N = _packed_table(n)
-    x = base - sum(map(mul, low, masks))
+    base, masks, shifts, slot, guards, floor, N = table
     best = floor
     for shift in shifts:
         y = (x >> shift) & slot
         won = ((y | guards) - best) & guards
         best ^= (best ^ y) & (won - (won >> FIELD_BITS - 1))
     best -= floor
-    total = best + (best >> N * FIELD_BITS)  # the sums, in the low half
-    return tuple(total.to_bytes(2 * N, "little")[:N])
+    return (best + (best >> N * FIELD_BITS)) & (slot >> N * FIELD_BITS)
+
+
+def _maxplus(n: int, low: tuple[int, ...]) -> tuple[int, ...]:
+    """The closed-form valuation of the partition with diagonal lengths
+    `low`: per orbit, max_d (l_mu(d) - low(d))_+ summed over mu and mu^T,
+    the maximum taken over the corner diagonals of mu.
+
+    One multiply-subtract per diagonal takes low off every field of the
+    packed table at once; `_packed_maxplus` does the rest.
+    """
+    table = _packed_table(n)
+    base, masks, *_, N = table
+    return tuple(_packed_maxplus(table, base - sum(map(mul, low, masks))).to_bytes(N, "little"))
 
 
 def valuation_maxdiag(n: int, lam: Partition) -> tuple[int, ...]:

@@ -70,7 +70,7 @@ def gamma_routes(n, deadline):
 
 
 def catalan(n, deadline):
-    count = len(superpotential.enumerate_antichains(superpotential.build_poset(n), deadline))
+    count = superpotential.antichain_count(superpotential.build_poset(n), deadline)
     return count == superpotential.antichain_count_formula(n), f"{count}"
 
 

@@ -10,12 +10,18 @@ points.  And lgrnok enumerates flows from one table of whole paths per
 network; the reference walks the network vertex by vertex for every target.
 And lgrnok evaluates a valuation's max-plus product on one packed integer
 per class; the reference takes one short max-plus row per vector.
+
+The last few helpers have no caller in lgrnok: M_n applied to a vector,
+flow polynomials and their monomials, a vertex's neighbours, the inverse
+of the Dyck path of an antichain and the Euler relation of an f-vector.
+Only the tests read them.
 """
 
 from functools import cache
 from itertools import combinations
 
-from lgrnok.linalg import affine_pivot_columns, dot
+from lgrnok import plabic
+from lgrnok.linalg import affine_pivot_columns, dot, mat_vec
 from lgrnok.partitions import (
     cells,
     complement,
@@ -216,3 +222,45 @@ def maxplus_by_vector(n, low):
     for lengths, corners, k in orbit_table(n):
         out[k] += max(0, *(ell - low[d] for ell, d in zip(lengths, corners)))
     return tuple(out)
+
+
+def apply(M, vector):
+    """M_n applied to a vector."""
+    return mat_vec(M.entries, tuple(vector))
+
+
+def flow_polynomial(G, O, J):
+    """Flow monomials in the face variables, one per flow (coefficients are
+    all 1 before any identification of faces)."""
+    return tuple(flow.monomial(G) for flow in plabic.enumerate_flows(G, O, J))
+
+
+def monomial_key(mono):
+    return tuple(sorted(mono.items()))
+
+
+def neighbors(G, v):
+    """The vertices joined to v by an edge, sorted."""
+    return tuple(sorted(w for (u, w) in G.left_face if u == v))
+
+
+def dyck_to_antichain(P, steps):
+    """Inverse of antichain_to_dyck: maximal elements of the covered boxes."""
+    n = P.n
+    heights = [0]
+    for s in steps:
+        heights.append(heights[-1] + s)
+    covered = {
+        (i, j)
+        for (i, j) in P.elements
+        if heights[n + j - 2 * i + 2] >= n + 2 - j
+    }
+    return frozenset(
+        x for x in covered
+        if not any(y != x and (x, y) in P.leq for y in covered)
+    )
+
+
+def euler_characteristic_ok(fvec):
+    d = len(fvec)
+    return sum((-1) ** i * f for i, f in enumerate(fvec)) == 1 - (-1) ** d

@@ -49,7 +49,7 @@ from lgrnok.valuation import (
     valuation_from_flows,
     valuation_maxdiag,
 )
-from oracles import partitions_in_box
+from oracles import flow_polynomial, partitions_in_box
 
 TABLE_N3 = {
     (3, 3, 3): (0, 0, 0, 0, 0, 0),
@@ -121,7 +121,7 @@ def _plucker_violations(n: int) -> tuple[int, list]:
     p = {
         J: sum(
             prod(weight[label] ** e for label, e in mono.items())
-            for mono in plabic.flow_polynomial(G, O, J)
+            for mono in flow_polynomial(G, O, J)
         )
         for J in combinations(range(1, 2 * n + 1), n)
     }

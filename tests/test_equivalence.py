@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from operator import mul
+from pathlib import Path
+
 import pytest
 
-from lgrnok import equivalence, polytope, valuation
+from lgrnok import equivalence, polytope, superpotential, valuation
 from lgrnok.cli import main
 from lgrnok.equivalence import (
     antichain_from_partition,
@@ -25,16 +32,14 @@ from lgrnok.linalg import mat_mul
 from lgrnok.partitions import (
     catalan,
     class_indexsets,
-    diagonal_excess,
-    partition_to_indexset,
-    transpose,
-    transpose_classes,
+    diagonal_lengths,
 )
 from lgrnok.superpotential import (
     POLL_EVERY,
     antichain_count_formula,
     antichain_indicator,
     gamma_hrep,
+    lex_cells,
 )
 from lgrnok.valuation import FIELD_BITS, delta_vertices
 from test_superpotential import CountingDeadline
@@ -178,7 +183,7 @@ def test_image_of_antichains_is_matrix_image(n):
     images = image_of_antichains(n)
     assert images[frozenset()] == (0,) * M.size
     for a, image in images.items():
-        assert image == M.apply(antichain_indicator(n, a))
+        assert image == oracles.apply(M, antichain_indicator(n, a))
 
 
 def test_image_of_antichains_polls_the_deadline():
@@ -283,12 +288,19 @@ def vertex_level_fails(capsys) -> str:
 
 
 def test_vertex_level_fails_on_a_transposed_representative(monkeypatch, capsys):
-    table = list(class_indexsets(5))
-    t = next(i for i, lam in enumerate(transpose_classes(5)) if diagonal_excess(lam) > 0)
-    table[t] = partition_to_indexset(transpose(transpose_classes(5)[t]), 5)
-    monkeypatch.setattr(equivalence, "class_indexsets",
-                        lambda n: tuple(table) if n == 5 else class_indexsets(n))
-    assert "more boxes below the diagonal" in vertex_level_fails(capsys)
+    # Every step's share of the diagonal excess negated: the walk keeps the
+    # member of each class with more boxes below the diagonal.  Its hook
+    # antichain and its valuation are its transpose's, so only the section
+    # count can see it: such a member never decodes back to itself.
+    real = equivalence._walk_table
+
+    def transposed(n):
+        vertical, horizontal, hooks = real(n)
+        return ([(cells, -excess) for cells, excess in vertical],
+                [(cells, -excess) for cells, excess in horizontal], hooks)
+
+    monkeypatch.setattr(equivalence, "_walk_table", transposed)
+    assert "section classes against 132 antichains" in vertex_level_fails(capsys)
 
 
 @pytest.fixture
@@ -316,14 +328,119 @@ def test_vertex_level_fails_on_an_off_by_one_orbit(monkeypatch, capsys, fresh_ma
         return (base, masks, shifts, *rest, N)
 
     monkeypatch.setattr(valuation, "_packed_table", off_by_one)
-    vertex_level_fails(capsys)
+    assert "hook bijection fails at" in vertex_level_fails(capsys)
 
 
-@pytest.mark.parametrize("wrong", [frozenset(), frozenset({(1, 1), (1, 2)})],
-                         ids=["another-antichain", "a-chain"])
+def plant_elements(monkeypatch, wrong, right):
+    """Runs the walk with every hook of poset element `wrong` carrying
+    element `right` instead (its bit, clash mask and decoded steps), each
+    hook's own column kept, so that every image still equals its value."""
+    real = equivalence._walk_table
+
+    def planted(n):
+        vertical, horizontal, hooks = real(n)
+        cells = lex_cells(n)
+        bit, clash, _, decode = next(entry for row in hooks for entry in row
+                                     if entry and entry[0] == 1 << cells.index(right))
+        hooks = [[(bit, clash, entry[2], decode) if entry and entry[0] == 1 << cells.index(wrong)
+                  else entry for entry in row] for row in hooks]
+        return vertical, horizontal, hooks
+
+    monkeypatch.setattr(equivalence, "_walk_table", planted)
+
+
+@pytest.mark.parametrize("wrong", ["another-antichain", "a-chain"])
 def test_vertex_level_fails_on_a_wrong_hook_map(monkeypatch, capsys, wrong):
-    real = equivalence._hook_antichain
-    empty = partition_to_indexset((), 5)
-    monkeypatch.setattr(equivalence, "_hook_antichain",
-                        lambda n, indexset: wrong if indexset == empty else real(n, indexset))
-    assert "hook bijection fails at ()" in vertex_level_fails(capsys)
+    if wrong == "another-antichain":
+        # The innermost hook (1, 0), one cell, sent to (4, 4) instead of
+        # (5, 5), column and all: first met alone, in the complement of
+        # (5, 5, 5, 5, 4).
+        real = equivalence._hook_element
+        monkeypatch.setattr(equivalence, "_hook_element",
+                            lambda n, arm, leg: (4, 4) if (arm, leg) == (1, 0) else real(n, arm, leg))
+        assert "hook bijection fails at (5, 5, 5, 5, 4)" in vertex_level_fails(capsys)
+    else:
+        # The hook (1, 0) made (4, 4), which lies above (4, 5), the element
+        # of the hook (2, 1) around it.
+        plant_elements(monkeypatch, (5, 5), (4, 4))
+        assert "do not form an antichain" in vertex_level_fails(capsys)
+
+
+def test_vertex_level_fails_when_two_sections_share_an_antichain(monkeypatch, capsys):
+    # The hook (5, 0), a full row, made the element (1, 2) of the hook
+    # (5, 1): both section classes now land on {(1, 2)}.  Only the section
+    # count can see it: (1, 1) is the top, alone in every antichain it is
+    # in, so every hook set stays an antichain.
+    plant_elements(monkeypatch, (1, 1), (1, 2))
+    assert "131 section classes against 132 antichains" in vertex_level_fails(capsys)
+
+
+def test_vertex_level_fails_on_a_wrong_clash_table(monkeypatch, capsys):
+    # (1, 5) and (2, 5) marked comparable: both are in the antichain of the
+    # empty partition, the hooks of the whole square.
+    real = superpotential._clash_masks
+
+    def planted(P):
+        clash = real(P)
+        if P.n == 5:
+            a, b = lex_cells(5).index((1, 5)), lex_cells(5).index((2, 5))
+            clash[a] |= 1 << b
+            clash[b] |= 1 << a
+        return clash
+
+    monkeypatch.setattr(superpotential, "_clash_masks", planted)
+    assert "do not form an antichain" in vertex_level_fails(capsys)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_vertex_walk_keeps_one_representative_per_class(monkeypatch, n):
+    # The walk evaluates exactly the classes of `class_indexsets`, each at
+    # its representative: the same packed operands, base - sum l(d) masks[d].
+    base, masks, *_ = valuation._packed_table(n)
+    build_valuation_matrix(n)  # evaluated before the count starts
+    operands = []
+    real = valuation._packed_maxplus
+    monkeypatch.setattr(valuation, "_packed_maxplus",
+                        lambda table, x: operands.append(x) or real(table, x))
+    assert verify_main_theorem(n).vertex_ok
+    expected = [base - sum(map(mul, diagonal_lengths(I, n), masks)) for I in class_indexsets(n)]
+    assert sorted(operands) == sorted(expected)
+
+
+@pytest.mark.parametrize("entry, guarded", [(51, False), (52, True), (-1, True)])
+def test_walk_refuses_columns_too_wide_to_pack(monkeypatch, entry, guarded):
+    # Five columns of entries up to 51 sum to at most 255, one byte; past
+    # that, or below 0, a carry could alias a wrong image onto the value.
+    M = build_valuation_matrix(5)
+    wide = replace(M, entries=((entry, *M.entries[0][1:]), *M.entries[1:]))
+    monkeypatch.setattr(equivalence, "build_valuation_matrix", lambda n: wide)
+    if guarded:
+        with pytest.raises(ValueError, match="too wide"):
+            verify_main_theorem(5)
+    else:
+        report = verify_main_theorem(5)
+        assert not report.vertex_ok and "hook bijection fails" in report.detail
+
+
+def test_vertex_level_polls_once_per_first_half():
+    deadline = CountingDeadline()
+    assert verify_main_theorem(7, "vertex", deadline).vertex_ok
+    assert deadline.polls == 2 ** 7
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the child's own peak resident size from /proc")
+def test_vertex_level_n10_peaks_small():
+    # No table of classes or antichains: the n=10 vertex level peaks under
+    # 40 MB resident (the two tables took 127 MB).  VmHWM, not ru_maxrss,
+    # which a child inherits from the process that started it.
+    code = ("from lgrnok.equivalence import verify_main_theorem\n"
+            "assert verify_main_theorem(10, 'vertex').vertex_ok\n"
+            "print(*[line.split()[1] for line in open('/proc/self/status')\n"
+            "        if line.startswith('VmHWM:')])\n")
+    src = str(Path(equivalence.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 40 * 1024  # kB

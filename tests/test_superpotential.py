@@ -3,18 +3,19 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from lgrnok import verify
 from lgrnok.partitions import catalan, staircase_syt_count
 from lgrnok.polytope import Deadline, TimeBudgetExceeded
 from lgrnok.superpotential import (
     POLL_EVERY,
+    antichain_count,
     antichain_count_formula,
     antichain_indicator,
     antichain_to_dyck,
     build_poset,
     build_superpotential,
     chain_polytope_rows,
-    dyck_to_antichain,
     enumerate_antichains,
     gamma_hrep,
     gamma_vertex_set,
@@ -57,9 +58,17 @@ def test_poset_order():
 def test_antichain_counts(n, count):
     P = build_poset(n)
     antichains = enumerate_antichains(P)
-    assert len(antichains) == count == antichain_count_formula(n)
+    assert len(antichains) == count == antichain_count_formula(n) == antichain_count(P)
     assert frozenset() in antichains
     assert all(is_antichain(P, a) for a in antichains)
+
+
+def test_antichain_count_lists_nothing():
+    for n in range(7, 11):
+        assert antichain_count(build_poset(n)) == catalan(n + 1)
+    deadline = CountingDeadline()
+    assert antichain_count(build_poset(8), deadline) == catalan(9)
+    assert deadline.polls == POLLS_P8
 
 
 def test_dyck_figure_example():
@@ -75,7 +84,7 @@ def test_dyck_bijection(n):
     for a in enumerate_antichains(P):
         steps = antichain_to_dyck(P, a)
         assert len(steps) == 2 * n + 2
-        assert dyck_to_antichain(P, steps) == a
+        assert oracles.dyck_to_antichain(P, steps) == a
         paths.add(steps)
     assert len(paths) == antichain_count_formula(n)
 
