@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import equivalence, plabic, polytope, quiverfold, superpotential, valuation
@@ -22,19 +21,6 @@ from .partitions import (
 )
 from .polytope import Deadline, TimeBudgetExceeded, UnboundedError, VPolytope
 from .verify import run_checks
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    n: int
-    output_format: str = "text"
-    time_budget: float = 1800.0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.time_budget <= 0:
-            raise ValueError("time budget must be positive")
 
 
 def fmt_fraction(x) -> str:
@@ -61,29 +47,29 @@ def _vrep_json(points) -> dict:
 # -- subcommand handlers -------------------------------------------------------
 
 
-def cmd_graph(cfg: CommandConfig, args, out) -> int:
-    G = plabic.build_corect_graph(cfg.n)
-    if cfg.output_format == "dot":
+def cmd_graph(args, out) -> int:
+    G = plabic.build_corect_graph(args.n)
+    if args.format == "dot":
         out.write(plabic.graph_to_dot(G))
-    elif cfg.output_format == "json":
-        json.dump({"n": cfg.n, "faces": plabic.faces_json(G)}, out, indent=2)
+    elif args.format == "json":
+        json.dump({"n": args.n, "faces": plabic.faces_json(G)}, out, indent=2)
         out.write("\n")
     else:
-        out.write(f"co-rectangles plabic graph, n={cfg.n}: "
+        out.write(f"co-rectangles plabic graph, n={args.n}: "
                   f"{len(G.faces)} faces, {len(G.colors)} internal vertices\n")
         for entry in plabic.faces_json(G):
             out.write(f"  face {entry['label']}: {' '.join(entry['boundary'])}\n")
     return 0
 
 
-def cmd_orientation(cfg: CommandConfig, args, out) -> int:
-    G, O = plabic.corect_network(cfg.n)
-    if cfg.output_format == "dot":
+def cmd_orientation(args, out) -> int:
+    G, O = plabic.corect_network(args.n)
+    if args.format == "dot":
         out.write(plabic.graph_to_dot(G, O))
-    elif cfg.output_format == "json":
+    elif args.format == "json":
         json.dump(
             {
-                "n": cfg.n,
+                "n": args.n,
                 "sources": list(O.source_set),
                 "darts": [
                     [plabic.vertex_name(t), plabic.vertex_name(h)]
@@ -110,17 +96,17 @@ def _monomial_str(n, mono) -> str:
     )
 
 
-def cmd_flows(cfg: CommandConfig, args, out) -> int:
+def cmd_flows(args, out) -> int:
     try:
         target = tuple(int(x) for x in args.target.split(","))
     except ValueError:
         raise ValueError(f"malformed target {args.target!r}") from None
-    G, O = plabic.corect_network(cfg.n)
+    G, O = plabic.corect_network(args.n)
     flows = plabic.enumerate_flows(G, O, target)
-    if cfg.output_format == "json":
+    if args.format == "json":
         json.dump(
             {
-                "n": cfg.n,
+                "n": args.n,
                 "target": sorted(target),
                 "flows": [
                     {
@@ -129,7 +115,7 @@ def cmd_flows(cfg: CommandConfig, args, out) -> int:
                             format_partition(lab): e
                             for lab, e in sorted(f.monomial(G).items())
                         },
-                        "orbit_vector": list(valuation.orbit_vector(cfg.n, f.monomial(G))),
+                        "orbit_vector": list(valuation.orbit_vector(args.n, f.monomial(G))),
                     }
                     for f in flows
                 ],
@@ -144,20 +130,20 @@ def cmd_flows(cfg: CommandConfig, args, out) -> int:
             out.write(f"flow {i}:\n")
             for p in f.paths:
                 out.write("  path: " + " -> ".join(plabic.vertex_name(v) for v in p) + "\n")
-            out.write("  weight: " + _monomial_str(cfg.n, f.monomial(G)) + "\n")
-        poly = [valuation.orbit_vector(cfg.n, f.monomial(G)) for f in flows]
+            out.write("  weight: " + _monomial_str(args.n, f.monomial(G)) + "\n")
+        poly = [valuation.orbit_vector(args.n, f.monomial(G)) for f in flows]
         out.write("flow polynomial exponents (orbit coordinates "
-                  + ", ".join(format_partition(c) for c in valuation.coordinate_system(cfg.n))
+                  + ", ".join(format_partition(c) for c in valuation.coordinate_system(args.n))
                   + "):\n")
         for vec in sorted(poly):
             out.write(f"  {vec}\n")
     return 0
 
 
-def cmd_valuations(cfg: CommandConfig, args, out) -> int:
-    n = cfg.n
+def cmd_valuations(args, out) -> int:
+    n = args.n
     table = valuation.all_plucker_valuations(n)
-    if cfg.output_format == "json":
+    if args.format == "json":
         json.dump(
             [
                 {
@@ -199,13 +185,13 @@ def _render_inequality(coeffs, const, names) -> str:
     return (" ".join(parts) if parts else "0") + " >= 0"
 
 
-def cmd_gamma(cfg: CommandConfig, args, out) -> int:
-    n = cfg.n
+def cmd_gamma(args, out) -> int:
+    n = args.n
     H = superpotential.gamma_hrep(n)
     names = _gamma_coords(n)
     if args.vrep:
         points = superpotential.gamma_vertex_set(n)
-        if cfg.output_format == "json":
+        if args.format == "json":
             json.dump({"coords": names} | _vrep_json(points), out, indent=2)
             out.write("\n")
         else:
@@ -213,7 +199,7 @@ def cmd_gamma(cfg: CommandConfig, args, out) -> int:
             for p in points:
                 out.write(f"  {p}\n")
         return 0
-    if cfg.output_format == "json":
+    if args.format == "json":
         json.dump(_hrep_json(H, names), out, indent=2)
         out.write("\n")
     else:
@@ -223,13 +209,13 @@ def cmd_gamma(cfg: CommandConfig, args, out) -> int:
     return 0
 
 
-def cmd_delta(cfg: CommandConfig, args, out) -> int:
-    deadline = Deadline(cfg.time_budget)
-    n = cfg.n
+def cmd_delta(args, out) -> int:
+    deadline = Deadline(args.time_budget)
+    n = args.n
     points = valuation.delta_vertices(n)
     names = [_indexset_str(c, n) for c in valuation.coordinate_system(n)]
     if args.vrep:
-        if cfg.output_format == "json":
+        if args.format == "json":
             json.dump({"coords": names} | _vrep_json(points), out, indent=2)
             out.write("\n")
         else:
@@ -240,14 +226,14 @@ def cmd_delta(cfg: CommandConfig, args, out) -> int:
     V = VPolytope.from_points(points)
     if args.fvector:
         fv = polytope.f_vector(V, deadline)
-        if cfg.output_format == "json":
+        if args.format == "json":
             json.dump({"f_vector": list(fv)}, out, indent=2)
             out.write("\n")
         else:
             out.write(f"f-vector: {fv}\n")
         return 0
     H = polytope.facets(V, deadline)
-    if cfg.output_format == "json":
+    if args.format == "json":
         json.dump(_hrep_json(H, names), out, indent=2)
         out.write("\n")
     else:
@@ -258,12 +244,12 @@ def cmd_delta(cfg: CommandConfig, args, out) -> int:
     return 0
 
 
-def cmd_matrix(cfg: CommandConfig, args, out) -> int:
-    M = equivalence.build_valuation_matrix(cfg.n)
-    if cfg.output_format == "json":
+def cmd_matrix(args, out) -> int:
+    M = equivalence.build_valuation_matrix(args.n)
+    if args.format == "json":
         json.dump(
             {
-                "n": cfg.n,
+                "n": args.n,
                 "rows": [list(r) for r in M.entries],
                 "row_labels": [format_partition(p) for p in M.row_labels],
                 "column_pairs": [list(p) for p in M.col_pairs],
@@ -278,16 +264,16 @@ def cmd_matrix(cfg: CommandConfig, args, out) -> int:
     return 0
 
 
-def cmd_fold(cfg: CommandConfig, args, out) -> int:
-    if cfg.output_format == "dot":
-        Q = quiverfold.dual_quiver(plabic.build_corect_graph(cfg.n))
+def cmd_fold(args, out) -> int:
+    if args.format == "dot":
+        Q = quiverfold.dual_quiver(plabic.build_corect_graph(args.n))
         out.write(quiverfold.quiver_to_dot(Q))
         return 0
-    F = quiverfold.folded_matrix(cfg.n)
-    if cfg.output_format == "json":
+    F = quiverfold.folded_matrix(args.n)
+    if args.format == "json":
         json.dump(
             {
-                "n": cfg.n,
+                "n": args.n,
                 "row_orbits": [[format_partition(p) for p in o] for o in F.row_orbits],
                 "col_orbits": [[format_partition(p) for p in o] for o in F.col_orbits],
                 "entries": [list(r) for r in F.entries],
@@ -302,15 +288,15 @@ def cmd_fold(cfg: CommandConfig, args, out) -> int:
     return 0
 
 
-def cmd_volume(cfg: CommandConfig, args, out) -> int:
-    deadline = Deadline(cfg.time_budget)
-    n = cfg.n
+def cmd_volume(args, out) -> int:
+    deadline = Deadline(args.time_budget)
+    n = args.n
     expected = staircase_syt_count(n)
     gamma = VPolytope.from_points(superpotential.gamma_vertex_set(n))
     delta = VPolytope.from_points(valuation.delta_vertices(n))
     vol_gamma = polytope.normalized_volume(gamma, deadline)
     vol_delta = polytope.normalized_volume(delta, deadline)
-    if cfg.output_format == "json":
+    if args.format == "json":
         json.dump(
             {
                 "n": n,
@@ -329,14 +315,14 @@ def cmd_volume(cfg: CommandConfig, args, out) -> int:
     return 0 if vol_gamma == vol_delta == expected else 1
 
 
-def cmd_counts(cfg: CommandConfig, args, out) -> int:
-    n = cfg.n
+def cmd_counts(args, out) -> int:
+    n = args.n
     P = superpotential.build_poset(n)
-    deadline = Deadline(cfg.time_budget)
+    deadline = Deadline(args.time_budget)
     antichains = superpotential.antichain_count(P, deadline)
     syt = staircase_syt_count(n)
     extensions = superpotential.linear_extension_count(P, deadline)
-    if cfg.output_format == "json":
+    if args.format == "json":
         json.dump(
             {
                 "n": n,
@@ -357,11 +343,11 @@ def cmd_counts(cfg: CommandConfig, args, out) -> int:
     return 0
 
 
-def cmd_verify(cfg: CommandConfig, args, out) -> int:
-    results = run_checks(cfg.n, args.level, Deadline(cfg.time_budget))
+def cmd_verify(args, out) -> int:
+    results = run_checks(args.n, args.level, Deadline(args.time_budget))
     all_ok = all(r["status"] != "fail" for r in results)
-    if cfg.output_format == "json":
-        json.dump({"n": cfg.n, "level": args.level, "ok": all_ok, "checks": results}, out, indent=2)
+    if args.format == "json":
+        json.dump({"n": args.n, "level": args.level, "ok": all_ok, "checks": results}, out, indent=2)
         out.write("\n")
     else:
         for r in results:
@@ -370,7 +356,7 @@ def cmd_verify(cfg: CommandConfig, args, out) -> int:
             if r["witness"]:
                 line += f"  ({r['witness']})"
             out.write(line + "\n")
-        out.write(("all checks passed" if all_ok else "FAILURES above") + f" (n={cfg.n}, level={args.level})\n")
+        out.write(("all checks passed" if all_ok else "FAILURES above") + f" (n={args.n}, level={args.level})\n")
     return 0 if all_ok else 1
 
 
@@ -417,12 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = CommandConfig(n=args.n, output_format=args.format, time_budget=args.time_budget)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(cfg, args, sys.stdout)
+        if args.n < 1:
+            raise ValueError("n must be >= 1")
+        if args.time_budget <= 0:
+            raise ValueError("time budget must be positive")
+        return args.func(args, sys.stdout)
     except TimeBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -25,12 +25,18 @@ to their own index set, each element (i, j) to the hook (n+1-i, j-i).  The
 decode is a left inverse of the hook map there, so the map is injective on
 the sections, and there must be as many sections as antichains, Catalan(n+1)
 (`verify_main_theorem`).
+
+The main theorem is checked at two levels, by two functions with the
+shape of the verification registry, (n, deadline) -> (ok, witness).  The
+vertex level, `verify_main_theorem`, is the walk above.  The hull level,
+`verify_hull_level`, runs the vertex level first and then compares the
+facets of Delta with the rows of Gamma pulled back through M_n, and both
+normalized volumes with the staircase SYT count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from . import polytope, superpotential, valuation
@@ -108,26 +114,11 @@ def upper_left_closed_form(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@dataclass(frozen=True)
-class BlockReport:
-    n: int
-    upper_left_ok: bool
-    lower_right_ok: bool
-    lower_left_ok: bool
-    upper_right_bottom_row_ok: bool
-    witness: str = ""
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.upper_left_ok
-            and self.lower_right_ok
-            and self.lower_left_ok
-            and self.upper_right_bottom_row_ok
-        )
-
-
-def check_blocks(M: ValuationMatrix) -> BlockReport:
+def check_blocks(M: ValuationMatrix) -> tuple[bool, str]:
+    """The block lemmas of M_n: the upper left block in closed form, the
+    lower right block equal to M_{n-1}, equal nonzero lower left columns
+    and a zero bottom row in the upper right block.  Returns (all hold,
+    the failures)."""
     n = M.n
     if n < 2:
         raise ValueError("block structure needs n >= 2")
@@ -135,42 +126,27 @@ def check_blocks(M: ValuationMatrix) -> BlockReport:
     witness = []
 
     ul_expect = upper_left_closed_form(n)
-    ul_ok = all(e[i][j] == ul_expect[i][j] for i in range(n) for j in range(n))
-    if not ul_ok:
-        bad = next(
-            (i, j, e[i][j], ul_expect[i][j])
-            for i in range(n)
-            for j in range(n)
-            if e[i][j] != ul_expect[i][j]
-        )
-        witness.append(f"upper left {bad}")
+    bad = [(i, j, e[i][j], ul_expect[i][j])
+           for i in range(n) for j in range(n) if e[i][j] != ul_expect[i][j]]
+    if bad:
+        witness.append(f"upper left {bad[0]}")
 
     prev = build_valuation_matrix(n - 1).entries
-    lr_ok = all(
+    if not all(
         e[n + r][n + c] == prev[r][c]
         for r in range(len(prev))
         for c in range(len(prev))
-    )
-    if not lr_ok:
+    ):
         witness.append("lower right block differs from the (n-1) matrix")
 
     ll_cols = [tuple(e[r][c] for r in range(n, M.size)) for c in range(n)]
-    ll_ok = len(set(ll_cols)) == 1 and any(ll_cols[0])
-    if not ll_ok:
+    if not (len(set(ll_cols)) == 1 and any(ll_cols[0])):
         witness.append(f"lower left columns {ll_cols}")
 
-    ur_ok = all(e[n - 1][c] == 0 for c in range(n, M.size))
-    if not ur_ok:
+    if any(e[n - 1][c] for c in range(n, M.size)):
         witness.append(f"upper right bottom row {[e[n - 1][c] for c in range(n, M.size)]}")
 
-    return BlockReport(
-        n=n,
-        upper_left_ok=ul_ok,
-        lower_right_ok=lr_ok,
-        lower_left_ok=ll_ok,
-        upper_right_bottom_row_ok=ur_ok,
-        witness="; ".join(witness),
-    )
+    return not witness, "; ".join(witness)
 
 
 # -- unimodularity ------------------------------------------------------------
@@ -327,19 +303,6 @@ def verify_valuation_additivity(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class MainTheoremReport:
-    n: int
-    vertex_ok: bool
-    volume_ok: bool | None
-    hull_ok: bool | None
-    detail: str = ""
-
-    @property
-    def all_ok(self) -> bool:
-        return self.vertex_ok and self.volume_ok is not False and self.hull_ok is not False
-
-
 def image_of_antichains(n: int, deadline: polytope.Deadline | None = None) -> dict[frozenset, tuple[int, ...]]:
     """M_n applied to each antichain indicator: the sum of the columns the
     antichain picks (the zero vector for the empty antichain).  The
@@ -418,11 +381,11 @@ class _Unmatched(Exception):
     its valuation; the message names it."""
 
 
-def _vertex_walk(n: int, deadline: polytope.Deadline, values: set | None) -> int:
+def _vertex_walk(n: int, deadline: polytope.Deadline) -> int:
     """Walks every lattice path of the n x n square, depth first, and
     returns the number of section classes; raises _Unmatched at the first
     class that fails.  The deadline is polled once per first half of a
-    path.  The valuation of each class is added to `values`, unless None.
+    path.
 
     Along the path the walk keeps, step by step (`_walk_table`): the packed
     max-plus operand x = base - sum_d l(d) masks[d], the diagonal excess,
@@ -446,13 +409,10 @@ def _vertex_walk(n: int, deadline: polytope.Deadline, values: set | None) -> int
             diff = I ^ T  # I <= T exactly when its lowest bit is I's
             if excess < 0 or not excess and diff & -diff & T:
                 return  # T's class, counted at T
-            value = valuation._packed_maxplus(table, x)
-            if image != value:
+            if image != valuation._packed_maxplus(table, x):
                 raise _Unmatched(f"hook bijection fails at {partition(I)}")
             if decoded == I ^ first_half:
                 sections += 1
-            if values is not None:
-                values.add(value)
             return
         if r:  # a vertical step closes the latest open horizontal step
             bit, clash, column, decode = hooks[k][opened[r - 1]]
@@ -479,16 +439,12 @@ def _vertex_walk(n: int, deadline: polytope.Deadline, values: set | None) -> int
     return sections
 
 
-def verify_main_theorem(
-    n: int,
-    level: str = "vertex",
-    deadline: polytope.Deadline | None = None,
-) -> MainTheoremReport:
-    """Check that the valuation matrix carries the superpotential polytope
-    onto the Newton-Okounkov body.
+def verify_main_theorem(n: int, deadline: polytope.Deadline | None = None) -> tuple[bool, str]:
+    """Check that the valuation matrix carries the vertices of the
+    superpotential polytope onto those of the Newton-Okounkov body: the
+    valuation set is M_n(antichain indicators).  Returns (ok, witness).
 
-    level "vertex": the valuation set is M_n(antichain indicators).  One
-    walk over the lattice paths (`_vertex_walk`) visits each transpose
+    One walk over the lattice paths (`_vertex_walk`) visits each transpose
     class once, at its representative I (more boxes right of the diagonal
     than below, or as many and I <= T), and checks that
       - the poset elements of the complement's hooks form an antichain
@@ -503,54 +459,41 @@ def verify_main_theorem(
     an image, and every image is a section's valuation.  That the images
     are distinct follows from `matrix-unimodular`; no set of values is
     kept.  The deadline is polled once per first half of a path.
-
-    level "hull" additionally gathers the valuations and compares the
-    facets of Delta with the rows of Gamma pulled back through M_n, and the
-    normalized volumes; the volume of Delta reuses the facet run of that
-    comparison.  It runs only when the vertex level passes.
     """
-    if level not in ("vertex", "hull"):
-        raise ValueError(f"unknown level {level!r}")
-    detail = []
-
-    deadline = deadline or polytope.Deadline()
-    values = set() if level == "hull" else None
     try:
-        sections = _vertex_walk(n, deadline, values)
+        sections = _vertex_walk(n, deadline or polytope.Deadline())
     except _Unmatched as exc:
-        vertex_ok = False
-        detail.append(str(exc))
-    else:
-        antichains = antichain_count_formula(n)
-        vertex_ok = sections == antichains
-        if not vertex_ok:
-            detail.append(f"{sections} section classes against {antichains} antichains")
+        return False, str(exc)
+    antichains = antichain_count_formula(n)
+    return sections == antichains, f"{sections} section classes against {antichains} antichains"
 
-    volume_ok = hull_ok = None
-    if level == "hull" and vertex_ok:
-        expected = staircase_syt_count(n)
-        gamma_pts = polytope.VPolytope.from_points(
-            superpotential.gamma_vertex_set(n)
-        )
-        size = build_valuation_matrix(n).size
-        delta_pts = polytope.VPolytope.from_points(v.to_bytes(size, "little") for v in values)
-        facets_delta = polytope.facets(delta_pts, deadline)
-        vol_gamma = polytope.normalized_volume(gamma_pts, deadline)
-        vol_delta = polytope.normalized_volume(delta_pts, deadline, facets_delta)
-        volume_ok = vol_gamma == vol_delta == Fraction(expected)
-        if not volume_ok:
-            detail.append(f"volumes {vol_gamma} / {vol_delta}, expected {expected}")
-        hull_ok = facets_delta.row_set() == pulled_back_gamma_rows(n)
-        if not hull_ok:
-            detail.append("facets of Delta differ from the rows of Gamma pulled back through M_n")
 
-    return MainTheoremReport(
-        n=n,
-        vertex_ok=vertex_ok,
-        volume_ok=volume_ok,
-        hull_ok=hull_ok,
-        detail="; ".join(detail),
-    )
+def verify_hull_level(n: int, deadline: polytope.Deadline | None = None) -> tuple[bool, str]:
+    """Check that the facets of Delta are the rows of Gamma pulled back
+    through M_n, and that both polytopes have the normalized volume
+    staircase_syt_count(n), the degree of LGr(n, 2n).  Returns (ok, witness).
+
+    The vertex level runs first, and its failure is returned as it is: the
+    hull is compared only once the walk has shown that Delta's points,
+    `valuation.delta_vertices`, are the images of the antichain indicators.
+    The volume of Delta reuses the facet run of the comparison.
+    """
+    deadline = deadline or polytope.Deadline()
+    ok, witness = verify_main_theorem(n, deadline)
+    if not ok:
+        return ok, witness
+    delta = polytope.VPolytope.from_points(valuation.delta_vertices(n))
+    gamma = polytope.VPolytope.from_points(superpotential.gamma_vertex_set(n))
+    facets_delta = polytope.facets(delta, deadline)
+    vol_gamma = polytope.normalized_volume(gamma, deadline)
+    vol_delta = polytope.normalized_volume(delta, deadline, facets_delta)
+    expected = staircase_syt_count(n)
+    detail = []
+    if not vol_gamma == vol_delta == expected:
+        detail.append(f"volumes {vol_gamma} / {vol_delta}, expected {expected}")
+    if facets_delta.row_set() != pulled_back_gamma_rows(n):
+        detail.append("facets of Delta differ from the rows of Gamma pulled back through M_n")
+    return not detail, "; ".join(detail)
 
 
 def gamma_vertices_match_hrep(n: int, deadline: polytope.Deadline | None = None) -> bool:

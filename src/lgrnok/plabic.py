@@ -202,8 +202,9 @@ class PerfectOrientation:
         return {v: tuple(sorted(ws)) for v, ws in adj.items()}
 
 
-def _all_perfect_orientations(G: PlabicGraph, sources, limit: int | None = None):
-    """Backtracking over edge directions with unit propagation.
+def _all_perfect_orientations(G: PlabicGraph, sources):
+    """Backtracking over edge directions with unit propagation, stopped at
+    the second solution: enough to tell a unique orientation from others.
 
     Filled internal vertices need exactly one outgoing edge, hollow ones
     exactly one incoming; boundary sources point in, sinks point out.
@@ -283,13 +284,12 @@ def _all_perfect_orientations(G: PlabicGraph, sources, limit: int | None = None)
         return solutions
 
     def search() -> bool:
-        if limit is not None and len(solutions) >= limit:
-            return True
+        """True once the second solution is found."""
         try:
             i = assign.index(None)
         except ValueError:
             solutions.append(tuple(assign))  # type: ignore[arg-type]
-            return limit is not None and len(solutions) >= limit
+            return len(solutions) == 2
         u, w = sorted(edges[i])
         for dart in ((u, w), (w, u)):
             marker: list[int] = []
@@ -309,7 +309,7 @@ def _all_perfect_orientations(G: PlabicGraph, sources, limit: int | None = None)
 def find_perfect_orientation(G: PlabicGraph, sources) -> PerfectOrientation:
     """The unique perfect orientation with the given boundary source set."""
     sources = tuple(sorted(sources))
-    solutions = _all_perfect_orientations(G, sources, limit=2)
+    solutions = _all_perfect_orientations(G, sources)
     if len(solutions) != 1:
         raise ValueError(
             f"expected a unique perfect orientation for sources {sources}, "

@@ -45,6 +45,11 @@ class TimeBudgetExceeded(RuntimeError):
     pass
 
 
+# Steps of a long loop (index sets, antichains, order ideals) between two
+# polls of a Deadline.
+POLL_EVERY = 1024
+
+
 class Deadline:
     """A time budget armed once, when it is made, and polled by the engine;
     with no seconds it never expires."""

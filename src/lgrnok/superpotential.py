@@ -17,12 +17,9 @@ from functools import cache
 from itertools import count
 
 from .partitions import catalan
-from .polytope import Deadline, HPolytope
+from .polytope import POLL_EVERY, Deadline, HPolytope
 
 Element = tuple[int, int]
-
-# Antichains, or order ideals, visited between two polls of the deadline.
-POLL_EVERY = 1024
 
 
 @dataclass(frozen=True)

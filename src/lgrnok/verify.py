@@ -13,15 +13,12 @@ from itertools import combinations
 from typing import Callable
 
 from . import equivalence, partitions, plabic, polytope, quiverfold, superpotential, valuation
-from .polytope import Deadline, TimeBudgetExceeded, VPolytope
-
-# Index sets the round trip checks between two polls of the deadline.
-POLL_INDEXSETS = 1024
+from .polytope import POLL_EVERY, Deadline, TimeBudgetExceeded, VPolytope
 
 
 def roundtrip(n, deadline):
     for count, I in enumerate(combinations(range(1, 2 * n + 1), n)):
-        if not count % POLL_INDEXSETS:
+        if not count % POLL_EVERY:
             deadline.check()
         if partitions.partition_to_indexset(partitions.indexset_to_partition(I, n), n) != I:
             return False, f"round trip fails at {I}"
@@ -80,8 +77,7 @@ def extensions(n, deadline):
 
 
 def blocks(n, deadline):
-    report = equivalence.check_blocks(equivalence.build_valuation_matrix(n))
-    return report.all_ok, report.witness
+    return equivalence.check_blocks(equivalence.build_valuation_matrix(n))
 
 
 def unimodular(n, deadline):
@@ -99,11 +95,6 @@ def maxdiag_additivity(n, deadline):
 
 def valuation_additivity(n, deadline):
     return equivalence.verify_valuation_additivity(n), ""
-
-
-def vertex_level(n, deadline):
-    report = equivalence.verify_main_theorem(n, "vertex", deadline)
-    return report.vertex_ok, report.detail
 
 
 # The folded exchange matrices printed in the paper, by n.
@@ -146,11 +137,6 @@ def f_vector(n, deadline):
     return fv_delta == fv_gamma == (14, 51, 86, 78, 39, 10), f"{fv_delta} / {fv_gamma}"
 
 
-def hull_level(n, deadline):
-    report = equivalence.verify_main_theorem(n, "hull", deadline)
-    return report.all_ok, report.detail
-
-
 @dataclass(frozen=True)
 class Check:
     name: str
@@ -181,7 +167,10 @@ CHECKS = (
           n_max=4, skip="exhaustive check gated to n <= 4"),
     Check("valuation-additivity", "vertex", valuation_additivity,
           n_max=4, skip="exhaustive check gated to n <= 4"),
-    Check("main-theorem-vertex-level", "vertex", vertex_level),
+    # Looked up when called, so that a wrapper set on the module later (the
+    # benchmark's traced run) still sees each call of the main theorem.
+    Check("main-theorem-vertex-level", "vertex",
+          lambda n, deadline: equivalence.verify_main_theorem(n, deadline)),
     Check("folded-exchange-matrix", "vertex", fold),
     Check("gamma-vertex-enumeration", "hull", gamma_vertices,
           n_max=4, skip="vertex enumeration gated to n <= 4"),
@@ -189,7 +178,8 @@ CHECKS = (
           n_min=3, n_max=3, skip="printed system is for n=3"),
     Check("f-vector", "hull", f_vector,
           n_min=3, n_max=3, skip="reference f-vector is for n=3"),
-    Check("main-theorem-hull-level", "hull", hull_level,
+    Check("main-theorem-hull-level", "hull",
+          lambda n, deadline: equivalence.verify_hull_level(n, deadline),
           n_max=4, skip="hull level gated to n <= 4"),
 )
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lgrnok.cli import CommandConfig, fmt_fraction, main
+from lgrnok.cli import fmt_fraction, main
 
 
 def run_cli(capsys, *argv):
@@ -15,11 +15,13 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-def test_command_config_validation():
-    with pytest.raises(ValueError):
-        CommandConfig(n=0)
-    with pytest.raises(ValueError):
-        CommandConfig(n=2, time_budget=0)
+def test_usage_errors_exit_2(capsys):
+    for argv, message in [(["verify", "--n", "0"], "n must be >= 1"),
+                          (["matrix", "--n", "2", "--time-budget", "0"],
+                           "time budget must be positive")]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_fmt_fraction():

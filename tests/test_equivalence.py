@@ -23,6 +23,7 @@ from lgrnok.equivalence import (
     reduction_matrix,
     singleton_column_pair,
     upper_left_closed_form,
+    verify_hull_level,
     verify_main_theorem,
     verify_maxdiag_additivity,
     verify_singleton_images,
@@ -83,8 +84,8 @@ def test_matrices_match_reference():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_block_structure(n):
-    report = check_blocks(build_valuation_matrix(n))
-    assert report.all_ok, report.witness
+    ok, witness = check_blocks(build_valuation_matrix(n))
+    assert ok, witness
 
 
 def test_upper_left_closed_form():
@@ -166,8 +167,8 @@ def test_valuation_additivity(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_main_theorem_vertex_level(n):
-    report = verify_main_theorem(n, "vertex")
-    assert report.vertex_ok, report.detail
+    ok, witness = verify_main_theorem(n)
+    assert ok, witness
 
 
 def test_image_count_matches_catalan():
@@ -195,13 +196,13 @@ def test_image_of_antichains_polls_the_deadline():
 
 def test_main_theorem_hull_n1_and_n2():
     for n in (1, 2):
-        report = verify_main_theorem(n, "hull")
-        assert report.all_ok, report.detail
+        ok, witness = verify_hull_level(n)
+        assert ok, witness
 
 
 def test_main_theorem_hull_n3_matches_printed_rows():
-    report = verify_main_theorem(3, "hull")
-    assert report.all_ok, report.detail
+    ok, witness = verify_hull_level(3)
+    assert ok, witness
     V = polytope.VPolytope.from_points(delta_vertices(3))
     assert polytope.facets(V).row_set() == DELTA3_ROWS
     image = polytope.VPolytope.from_points(image_of_antichains(3).values())
@@ -214,7 +215,7 @@ def test_hull_level_runs_one_double_description_per_point_set(monkeypatch):
     real = polytope._facets_full_dim
     monkeypatch.setattr(polytope, "_facets_full_dim",
                         lambda points, deadline: runs.append(points) or real(points, deadline))
-    assert verify_main_theorem(3, "hull").all_ok
+    assert verify_hull_level(3)[0]
     assert len(runs) == len(set(runs)) == 2
 
 
@@ -234,9 +235,21 @@ def test_hull_check_fails_on_a_wrong_gamma_row_system(monkeypatch, tamper):
         rows[0] = (coeffs, const + 1)
     wrong = polytope.HPolytope(dim=H.dim, rows=tuple(rows))
     monkeypatch.setattr(equivalence, "gamma_hrep", lambda n: wrong)
-    report = verify_main_theorem(3, "hull")
-    assert report.vertex_ok and report.volume_ok
-    assert report.hull_ok is False and not report.all_ok
+    # the vertex level and the volumes still pass: only the facets fail
+    assert verify_hull_level(3) == (
+        False, "facets of Delta differ from the rows of Gamma pulled back through M_n")
+
+
+def test_hull_level_reports_a_walk_fault_and_stops(monkeypatch):
+    # The _hook_element plant of the vertex level at n=3: the innermost
+    # hook (1, 0) sent to (2, 2) instead of (3, 3), column and all.  The
+    # hull level returns the walk's witness and runs no facet enumeration.
+    real = equivalence._hook_element
+    monkeypatch.setattr(equivalence, "_hook_element",
+                        lambda n, arm, leg: (2, 2) if (arm, leg) == (1, 0) else real(n, arm, leg))
+    monkeypatch.setattr(polytope, "facets", lambda *args: pytest.fail("the hull ran"))
+    ok, witness = verify_hull_level(3)
+    assert not ok and witness.startswith("hook bijection fails at"), witness
 
 
 def test_gamma_vertex_enumeration():
@@ -402,7 +415,7 @@ def test_vertex_walk_keeps_one_representative_per_class(monkeypatch, n):
     real = valuation._packed_maxplus
     monkeypatch.setattr(valuation, "_packed_maxplus",
                         lambda table, x: operands.append(x) or real(table, x))
-    assert verify_main_theorem(n).vertex_ok
+    assert verify_main_theorem(n)[0]
     expected = [base - sum(map(mul, diagonal_lengths(I, n), masks)) for I in class_indexsets(n)]
     assert sorted(operands) == sorted(expected)
 
@@ -418,13 +431,13 @@ def test_walk_refuses_columns_too_wide_to_pack(monkeypatch, entry, guarded):
         with pytest.raises(ValueError, match="too wide"):
             verify_main_theorem(5)
     else:
-        report = verify_main_theorem(5)
-        assert not report.vertex_ok and "hook bijection fails" in report.detail
+        ok, witness = verify_main_theorem(5)
+        assert not ok and "hook bijection fails" in witness
 
 
 def test_vertex_level_polls_once_per_first_half():
     deadline = CountingDeadline()
-    assert verify_main_theorem(7, "vertex", deadline).vertex_ok
+    assert verify_main_theorem(7, deadline)[0]
     assert deadline.polls == 2 ** 7
 
 
@@ -435,7 +448,7 @@ def test_vertex_level_n10_peaks_small():
     # 40 MB resident (the two tables took 127 MB).  VmHWM, not ru_maxrss,
     # which a child inherits from the process that started it.
     code = ("from lgrnok.equivalence import verify_main_theorem\n"
-            "assert verify_main_theorem(10, 'vertex').vertex_ok\n"
+            "assert verify_main_theorem(10)[0]\n"
             "print(*[line.split()[1] for line in open('/proc/self/status')\n"
             "        if line.startswith('VmHWM:')])\n")
     src = str(Path(equivalence.__file__).resolve().parents[1])

@@ -114,7 +114,7 @@ def test_vertex_level_loop_polls_the_deadline():
     equivalence.build_valuation_matrix(10)
     start = time.monotonic()
     with pytest.raises(TimeBudgetExceeded):
-        equivalence.verify_main_theorem(10, "vertex", Deadline(0.05))
+        equivalence.verify_main_theorem(10, Deadline(0.05))
     assert time.monotonic() - start < 0.5
 
 
