@@ -303,11 +303,11 @@ def verify_valuation_additivity(n: int) -> bool:
     return True
 
 
-def image_of_antichains(n: int, deadline: polytope.Deadline | None = None) -> dict[frozenset, tuple[int, ...]]:
+def image_of_antichains(n: int, deadline: polytope.Deadline = polytope.Deadline()) -> dict[frozenset, tuple[int, ...]]:
     """M_n applied to each antichain indicator: the sum of the columns the
     antichain picks (the zero vector for the empty antichain).  The
-    deadline, if any, is polled as the antichains are enumerated.  The
-    main theorem does not build this table; the tests compare against it."""
+    deadline is polled as the antichains are enumerated.  The main
+    theorem does not build this table; the tests compare against it."""
     M = build_valuation_matrix(n)
     column = dict(zip(lex_cells(n), zip(*M.entries)))
     zero = (0,) * M.size
@@ -439,7 +439,7 @@ def _vertex_walk(n: int, deadline: polytope.Deadline) -> int:
     return sections
 
 
-def verify_main_theorem(n: int, deadline: polytope.Deadline | None = None) -> tuple[bool, str]:
+def verify_main_theorem(n: int, deadline: polytope.Deadline = polytope.Deadline()) -> tuple[bool, str]:
     """Check that the valuation matrix carries the vertices of the
     superpotential polytope onto those of the Newton-Okounkov body: the
     valuation set is M_n(antichain indicators).  Returns (ok, witness).
@@ -461,14 +461,14 @@ def verify_main_theorem(n: int, deadline: polytope.Deadline | None = None) -> tu
     kept.  The deadline is polled once per first half of a path.
     """
     try:
-        sections = _vertex_walk(n, deadline or polytope.Deadline())
+        sections = _vertex_walk(n, deadline)
     except _Unmatched as exc:
         return False, str(exc)
     antichains = antichain_count_formula(n)
     return sections == antichains, f"{sections} section classes against {antichains} antichains"
 
 
-def verify_hull_level(n: int, deadline: polytope.Deadline | None = None) -> tuple[bool, str]:
+def verify_hull_level(n: int, deadline: polytope.Deadline = polytope.Deadline()) -> tuple[bool, str]:
     """Check that the facets of Delta are the rows of Gamma pulled back
     through M_n, and that both polytopes have the normalized volume
     staircase_syt_count(n), the degree of LGr(n, 2n).  Returns (ok, witness).
@@ -478,7 +478,6 @@ def verify_hull_level(n: int, deadline: polytope.Deadline | None = None) -> tupl
     `valuation.delta_vertices`, are the images of the antichain indicators.
     The volume of Delta reuses the facet run of the comparison.
     """
-    deadline = deadline or polytope.Deadline()
     ok, witness = verify_main_theorem(n, deadline)
     if not ok:
         return ok, witness
@@ -496,7 +495,7 @@ def verify_hull_level(n: int, deadline: polytope.Deadline | None = None) -> tupl
     return not detail, "; ".join(detail)
 
 
-def gamma_vertices_match_hrep(n: int, deadline: polytope.Deadline | None = None) -> bool:
+def gamma_vertices_match_hrep(n: int, deadline: polytope.Deadline = polytope.Deadline()) -> bool:
     """Vertex enumeration of the superpotential H-rep returns exactly the
     antichain indicator vectors."""
     enumerated = polytope.vertices(gamma_hrep(n), deadline)

@@ -6,23 +6,32 @@ double description method on a pointed cone with the combinatorial
 adjacency test, updating the zero sets of the rays as rows are inserted;
 no floating point anywhere.
 
-Points are rational at the interface (`as_point`, the points `vertices`
-returns, the volume `normalized_volume` returns) and integer inside: a
-point set is scaled once by the lcm L of its denominators, the work runs
-in integers, and facet rows are rescaled by L and volumes divided by L^dim.
+A point set must be full-dimensional: `facets`, `f_vector` and
+`normalized_volume` raise ValueError otherwise (Delta and Gamma are
+full-dimensional at every n).  Points are rational at the interface
+(`as_point`, the points `vertices` returns, the volume `normalized_volume`
+returns) and integer inside: a point set is scaled once by the lcm L of its
+denominators, the work runs in integers, and facet rows are rescaled by L
+and volumes divided by L^dim.
 
-Volumes are normalized (dim! times Euclidean).  They come from a recursive
-boundary triangulation: cone each face from its least vertex over the
-triangulations of the facets avoiding it.  One facet run on the whole point
-set gives every face: a face is the set of points on it, held as a bitmask,
-and its facets are its maximal proper intersections with the polytope's
-facets, so no face is hulled again.
+One facet run gives the whole face lattice.  A face is the set of points on
+it, held as a bitmask, and its facets are its maximal proper nonempty
+intersections with the polytope's facets (`_facets_of`), so no face is
+hulled again.  The f-vector counts the faces one dimension at a time, down
+from the facets.  Volumes are normalized (dim! times Euclidean) and come
+from a recursive boundary triangulation: cone each face from its least
+point over the triangulations of its facets avoiding it.
+
+No dimension is refused.  The one bound is the Deadline, polled in every
+long loop: per inserted row and per plus ray of the double description,
+per face, and every POLL_EVERY simplices of a volume.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -32,9 +41,6 @@ from .linalg import affine_pivot_columns, bareiss_det, dot, invert, primitive, r
 Point = tuple[Fraction, ...]
 IntPoint = tuple[int, ...]
 Row = tuple[tuple[int, ...], int]  # (coefficients, constant): c.x + d >= 0
-
-MAX_DIM = 10
-MAX_FACE_LATTICE_DIM = 8
 
 
 class UnboundedError(ValueError):
@@ -90,7 +96,6 @@ class VPolytope:
 class HPolytope:
     dim: int
     rows: tuple[Row, ...]
-    equalities: tuple[Row, ...] = field(default=())
 
     def row_set(self) -> frozenset[Row]:
         return frozenset(normalize_row(c, d) for c, d in self.rows)
@@ -160,17 +165,11 @@ def _extreme_rays(rows: list[tuple[int, ...]], deadline: Deadline) -> list[tuple
     return sorted(set(rays))
 
 
-def vertices(H: HPolytope, deadline: Deadline | None = None) -> VPolytope:
+def vertices(H: HPolytope, deadline: Deadline = Deadline()) -> VPolytope:
     """Exact vertex enumeration; raises UnboundedError for unbounded input."""
-    deadline = deadline or Deadline()
-    if H.dim > MAX_DIM:
-        raise ValueError(f"dimension {H.dim} exceeds the supported {MAX_DIM}")
     cone_rows: list[tuple[int, ...]] = [(1,) + (0,) * H.dim]
     for c, d in H.rows:
         cone_rows.append((d,) + tuple(c))
-    for c, d in H.equalities:
-        cone_rows.append((d,) + tuple(c))
-        cone_rows.append(tuple(-x for x in (d,) + tuple(c)))
     rays = _extreme_rays(cone_rows, deadline)
     points = []
     for ray in rays:
@@ -188,6 +187,15 @@ def _lattice(points: tuple[Point, ...]) -> tuple[tuple[IntPoint, ...], int]:
     """(L * points, L) for L the lcm of the coordinates' denominators."""
     scale = lcm(*(x.denominator for p in points for x in p))
     return tuple(tuple(x.numerator * (scale // x.denominator) for x in p) for p in points), scale
+
+
+def _full_dim_lattice(V: VPolytope) -> tuple[tuple[IntPoint, ...], int]:
+    """`_lattice` of V's points; raises ValueError unless they affinely span
+    R^dim."""
+    points, scale = _lattice(V.points)
+    if len(affine_pivot_columns(points)) < V.dim:
+        raise ValueError("the polytope engine needs a full-dimensional point set")
+    return points, scale
 
 
 def _facets_full_dim(points: tuple[IntPoint, ...], deadline: Deadline) -> tuple[Row, ...]:
@@ -211,138 +219,68 @@ def _facets_full_dim(points: tuple[IntPoint, ...], deadline: Deadline) -> tuple[
     return tuple(sorted(set(rows)))
 
 
-def affine_hull_equalities(points: tuple[IntPoint, ...]) -> tuple[Row, ...]:
-    """Equations c.x + d = 0 cutting out the affine hull of integer points."""
-    d = len(points[0])
-    reduced, pivots = rref([(1,) + tuple(p) for p in points])
-    # kernel vectors of the homogenized row space give the equations; row k
-    # reads reduced[k][pc] * x_pc + reduced[k][f] * x_f = 0 for free f
-    scale = lcm(*(row[pc] for row, pc in zip(reduced, pivots)))
-    eqs = []
-    for f in range(d + 1):
-        if f in pivots:
-            continue
-        vec = [0] * (d + 1)
-        vec[f] = scale
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = -row[f] * (scale // row[pc])
-        eqs.append(normalize_row(tuple(vec[1:]), vec[0]))
-    return tuple(eq for eq in eqs if any(eq[0]))
-
-
-def _facets(points: tuple[IntPoint, ...], deadline: Deadline) -> HPolytope:
-    """`facets` of integer points, with the rows in their coordinates."""
-    dim = len(points[0])
-    pivots = affine_pivot_columns(points)
-    if len(pivots) == dim:
-        return HPolytope(dim=dim, rows=_facets_full_dim(points, deadline))
-    if len(pivots) == 0:
-        return HPolytope(dim=dim, rows=(), equalities=affine_hull_equalities(points))
-    projected = tuple(tuple(p[c] for c in pivots) for p in points)
-    proj_rows = _facets_full_dim(tuple(sorted(set(projected))), deadline)
-    lifted = []
-    for coeffs, const in proj_rows:
-        full = [0] * dim
-        for c, col in zip(coeffs, pivots):
-            full[col] = c
-        lifted.append((tuple(full), const))
-    return HPolytope(dim=dim, rows=tuple(lifted), equalities=affine_hull_equalities(points))
-
-
-def facets(V: VPolytope, deadline: Deadline | None = None) -> HPolytope:
-    """Irredundant H-representation of conv(points).
-
-    Input that is not full-dimensional is handled inside its affine hull:
-    the hull equations come back in `equalities` and the facet rows only
-    mention the pivot coordinates of the hull.
-    """
-    deadline = deadline or Deadline()
-    if V.dim > MAX_DIM:
-        raise ValueError(f"dimension {V.dim} exceeds the supported {MAX_DIM}")
-    points, scale = _lattice(V.points)
-    H = _facets(points, deadline)
+def facets(V: VPolytope, deadline: Deadline = Deadline()) -> HPolytope:
+    """Irredundant H-representation of conv(points), which must be
+    full-dimensional."""
+    points, scale = _full_dim_lattice(V)
     # c.(L x) + d >= 0 is (L c).x + d >= 0
-    return HPolytope(
-        dim=V.dim,
-        rows=tuple(normalize_row([scale * x for x in c], d) for c, d in H.rows),
-        equalities=tuple(normalize_row([scale * x for x in c], d) for c, d in H.equalities),
-    )
+    return HPolytope(dim=V.dim, rows=tuple(
+        normalize_row([scale * x for x in c], d) for c, d in _facets_full_dim(points, deadline)
+    ))
 
 
-# -- face lattice and f-vector ----------------------------------------------
+# -- face lattice: f-vector and volume ----------------------------------------
 
 
-def f_vector(V: VPolytope, deadline: Deadline | None = None) -> tuple[int, ...]:
-    """(f_0, ..., f_{d-1}) of conv(points) by closing the vertex-facet
-    incidences under intersection."""
-    deadline = deadline or Deadline()
-    points, _ = _lattice(V.points)
-    d = len(affine_pivot_columns(points))
-    if d > MAX_FACE_LATTICE_DIM:
-        raise ValueError(f"face lattice enumeration guarded to dim {MAX_FACE_LATTICE_DIM}")
-    H = _facets(points, deadline)
-    verts = vertices_of_hull(VPolytope(dim=V.dim, points=points), H)
-    facet_sets = []
-    for coeffs, const in H.rows:
-        facet_sets.append(
-            frozenset(i for i, p in enumerate(verts) if dot(coeffs, p) + const == 0)
-        )
-    faces: set[frozenset[int]] = set(facet_sets)
-    frontier = set(facet_sets)
-    while frontier:
-        deadline.check()
-        fresh: set[frozenset[int]] = set()
-        for face in frontier:
-            for fs in facet_sets:
-                cut = face & fs
-                if cut and cut != face and cut not in faces:
-                    fresh.add(cut)
-        faces |= fresh
-        frontier = fresh
-    counts = [0] * d
-    for face in faces:
-        pts = [verts[i] for i in face]
-        counts[len(affine_pivot_columns(pts))] += 1
-    return tuple(counts)
+def _facet_masks(points: tuple[IntPoint, ...], rows: tuple[Row, ...]) -> list[int]:
+    """Bit i of a facet's mask: points[i] lies on the facet."""
+    return [sum(1 << i for i, p in enumerate(points) if dot(coeffs, p) + const == 0)
+            for coeffs, const in rows]
 
 
-def vertices_of_hull(V: VPolytope, H: HPolytope | None = None) -> tuple[Point, ...]:
-    """Extreme points among V.points (drops interior and boundary-interior
-    points)."""
-    H = H or facets(V)
-    out = []
-    for p in V.points:
-        active = [row for row in H.rows if dot(row[0], p) + row[1] == 0]
-        span = [row[0] for row in active] + [eq[0] for eq in H.equalities]
-        if span and len(rref(span)[0]) == V.dim:
-            out.append(p)
-    return tuple(out)
+def _facets_of(face: int, facet_masks: list[int]) -> list[int]:
+    """The facets of a face: its maximal proper nonempty intersections with
+    the polytope's facets, all masks of points."""
+    cuts = {face & g for g in facet_masks} - {0, face}
+    return [cut for cut in cuts if not any(cut != other and cut & other == cut for other in cuts)]
 
 
-# -- volume ------------------------------------------------------------------
+def f_vector(V: VPolytope, deadline: Deadline = Deadline()) -> tuple[int, ...]:
+    """(f_0, ..., f_{d-1}) of conv(points), which must be full-dimensional.
+
+    The (d-1)-faces are the facet masks of one facet run; going down one
+    dimension at a time, the k-faces are the facets of the (k+1)-faces.
+    The deadline is polled once per face.
+    """
+    points, _ = _full_dim_lattice(V)
+    masks = _facet_masks(points, _facets_full_dim(points, deadline))
+    faces = set(masks)
+    counts = [len(faces)]
+    for _ in range(V.dim - 1):
+        below: set[int] = set()
+        for face in faces:
+            deadline.check()
+            below.update(_facets_of(face, masks))
+        faces = below
+        counts.append(len(faces))
+    return tuple(reversed(counts))
 
 
 def _triangulate(points: tuple[IntPoint, ...], deadline: Deadline,
-                 rows: tuple[Row, ...] | None = None) -> list[tuple[IntPoint, ...]]:
+                 rows: tuple[Row, ...] | None = None) -> Iterable[tuple[IntPoint, ...]]:
     """Simplices (as point tuples in the order of `points`) triangulating
     conv(points), for sorted points spanning their space; sorted, so the
     least point on a face is a vertex of it.  `rows`, the facets if known,
     saves the facet run.
 
-    A face is the bitmask of the points on it.  The facets of a face F are
-    the maximal proper nonempty masks F & G over the facets G of the
-    polytope, so one facet run gives the whole face lattice.  Each face is
-    coned from its least point over the triangulations of its facets that
-    avoid it, memoized on the mask; a k-face is a simplex when it holds
-    k + 1 points.
+    Each face is coned from its least point over the triangulations of its
+    facets (`_facets_of`) that avoid it, memoized on the mask; a k-face is
+    a simplex when it holds k + 1 points.
     """
     dim = len(points[0])
     if len(points) == dim + 1:
         return [points]
-    facet_masks = [
-        sum(1 << i for i, p in enumerate(points) if dot(coeffs, p) + const == 0)
-        for coeffs, const in rows or _facets_full_dim(points, deadline)
-    ]
+    facet_masks = _facet_masks(points, rows or _facets_full_dim(points, deadline))
     memo: dict[int, list[int]] = {}
 
     def cone(face: int, k: int) -> list[int]:
@@ -351,38 +289,35 @@ def _triangulate(points: tuple[IntPoint, ...], deadline: Deadline,
         if face.bit_count() == k + 1:
             memo[face] = [face]
             return memo[face]
-        cuts = {face & g for g in facet_masks} - {0, face}
         apex = face & -face
         simplices = []
-        for cut in cuts:
-            if cut & apex or any(cut != other and cut & other == cut for other in cuts):
+        for cut in _facets_of(face, facet_masks):
+            if cut & apex:
                 continue
             deadline.check()
             simplices.extend(apex | s for s in cone(cut, k - 1))
         memo[face] = simplices
         return simplices
 
-    full = (1 << len(points)) - 1
-    return [
-        tuple(p for i, p in enumerate(points) if s >> i & 1)
-        for s in cone(full, dim)
-    ]
+    masks = cone((1 << len(points)) - 1, dim)
+    # lazily, so that the caller's polled loop over the simplices pays for
+    # the conversion (seconds for the 292,864 simplices at n=5)
+    return (tuple(p for i, p in enumerate(points) if s >> i & 1) for s in masks)
 
 
-def normalized_volume(V: VPolytope, deadline: Deadline | None = None,
+def normalized_volume(V: VPolytope, deadline: Deadline = Deadline(),
                       H: HPolytope | None = None) -> Fraction:
-    """dim! times the Euclidean volume, by exact triangulation.  H, the
-    facets of V when the caller already has them, saves the facet run."""
-    deadline = deadline or Deadline()
-    if V.dim > MAX_DIM:
-        raise ValueError(f"dimension {V.dim} exceeds the supported {MAX_DIM}")
-    points, scale = _lattice(V.points)
-    if len(affine_pivot_columns(points)) < V.dim:
-        raise ValueError("normalized_volume needs a full-dimensional polytope")
+    """dim! times the Euclidean volume, by exact triangulation of the
+    full-dimensional conv(points).  H, the facets of V when the caller
+    already has them, saves the facet run.  The deadline is polled every
+    POLL_EVERY simplices, from the first."""
+    points, scale = _full_dim_lattice(V)
     # c.x + d >= 0 is c.(L x) + L d >= 0
     rows = None if H is None else tuple((c, scale * d) for c, d in H.rows)
     total = 0
-    for simplex in _triangulate(points, deadline, rows):
+    for count, simplex in enumerate(_triangulate(points, deadline, rows)):
+        if not count % POLL_EVERY:
+            deadline.check()
         base = simplex[0]
         total += abs(bareiss_det([[x - b for x, b in zip(p, base)] for p in simplex[1:]]))
     # scaling by L multiplies the volume by L^dim

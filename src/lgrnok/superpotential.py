@@ -75,15 +75,15 @@ def _clash_masks(P: PosetPn) -> list[int]:
     return [sum(1 << t for t, y in enumerate(elems) if P.comparable(x, y)) for x in elems]
 
 
-def enumerate_antichains(P: PosetPn, deadline: Deadline | None = None) -> tuple[frozenset[Element], ...]:
+def enumerate_antichains(P: PosetPn, deadline: Deadline = Deadline()) -> tuple[frozenset[Element], ...]:
     """Every antichain including the empty one, in a fixed order; the
-    deadline, if any, is polled every POLL_EVERY antichains."""
+    deadline is polled every POLL_EVERY antichains."""
     elems = sorted(P.elements)
     clash = _clash_masks(P)
     out: list[frozenset[Element]] = []
 
     def grow(start: int, chosen: tuple[Element, ...], blocked: int):
-        if deadline is not None and not len(out) % POLL_EVERY:
+        if not len(out) % POLL_EVERY:
             deadline.check()
         out.append(frozenset(chosen))
         for t in range(start, len(elems)):
@@ -94,15 +94,15 @@ def enumerate_antichains(P: PosetPn, deadline: Deadline | None = None) -> tuple[
     return tuple(out)
 
 
-def antichain_count(P: PosetPn, deadline: Deadline | None = None) -> int:
+def antichain_count(P: PosetPn, deadline: Deadline = Deadline()) -> int:
     """The number of antichains, the empty one included: the recursion of
-    `enumerate_antichains`, with nothing built.  The deadline, if any, is
-    polled every POLL_EVERY antichains."""
+    `enumerate_antichains`, with nothing built.  The deadline is polled
+    every POLL_EVERY antichains."""
     clash = _clash_masks(P)
     counted = count()
 
     def grow(start: int, blocked: int) -> int:
-        if deadline is not None and not next(counted) % POLL_EVERY:
+        if not next(counted) % POLL_EVERY:
             deadline.check()
         total = 1
         for t in range(start, len(clash)):
@@ -156,29 +156,29 @@ def antichain_to_dyck(P: PosetPn, antichain) -> tuple[int, ...]:
 # -- linear extensions ----------------------------------------------------
 
 
-def linear_extension_count(P: PosetPn, deadline: Deadline | None = None) -> int:
-    """Exact count by dynamic programming over order ideals, each held as
-    a bitmask over P.elements; the deadline, if any, is polled every
-    POLL_EVERY ideals counted."""
+def linear_extension_count(P: PosetPn, deadline: Deadline = Deadline()) -> int:
+    """Exact count by dynamic programming over the sets of elements still
+    to place, each held as a bitmask over P.elements: a linear extension
+    places a minimal element of what is left at each step.  Only one step's
+    sets are kept, each with its number of ways; the deadline is polled
+    every POLL_EVERY sets."""
     bit = {x: 1 << k for k, x in enumerate(P.elements)}
     down = [sum(bit[y] for y in P.elements if (y, x) in P.leq and y != x)
             for x in P.elements]
 
-    ideals = count()
-
-    @cache
-    def extensions(ideal: int) -> int:
-        if deadline is not None and not next(ideals) % POLL_EVERY:
-            deadline.check()
-        if not ideal:
-            return 1
-        total = 0
-        for k, below in enumerate(down):
-            if ideal >> k & 1 and not below & ideal:  # minimal elements can come first
-                total += extensions(ideal & ~(1 << k))
-        return total
-
-    return extensions((1 << len(down)) - 1)
+    polled = count()
+    ways = {(1 << len(down)) - 1: 1}
+    for _ in down:
+        fewer: dict[int, int] = {}
+        for rest, w in ways.items():
+            if not next(polled) % POLL_EVERY:
+                deadline.check()
+            for k, below in enumerate(down):
+                if rest >> k & 1 and not below & rest:  # minimal elements can come first
+                    key = rest & ~(1 << k)
+                    fewer[key] = fewer.get(key, 0) + w
+        ways = fewer
+    return ways[0]
 
 
 # -- the superpotential ----------------------------------------------------

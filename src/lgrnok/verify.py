@@ -173,7 +173,7 @@ CHECKS = (
           lambda n, deadline: equivalence.verify_main_theorem(n, deadline)),
     Check("folded-exchange-matrix", "vertex", fold),
     Check("gamma-vertex-enumeration", "hull", gamma_vertices,
-          n_max=4, skip="vertex enumeration gated to n <= 4"),
+          n_max=6, skip="vertex enumeration gated to n <= 6"),
     Check("delta-facets-match-printed", "hull", delta_printed,
           n_min=3, n_max=3, skip="printed system is for n=3"),
     Check("f-vector", "hull", f_vector,

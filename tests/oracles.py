@@ -1,13 +1,15 @@
-"""Reference definitions that the lattice-path code and the triangulation
-in lgrnok are tested against.
+"""Reference definitions that the lattice-path code, the triangulation and
+the f-vector in lgrnok are tested against.
 
 lgrnok reads diagonal balances, transpose classes, diagonal lengths and the
 hooks of a complement off the index set of a partition in O(n).  The
 definitions here work cell by cell and hook by hook instead: slow, and
 checkable by eye.  Likewise lgrnok finds every face of a polytope from one
 facet run; the reference triangulation hulls each face again from its own
-points.  And lgrnok enumerates flows from one table of whole paths per
-network; the reference walks the network vertex by vertex for every target.
+points, and the reference f-vector closes the vertex sets of the facets
+under intersection and ranks each face by its vertices.  And lgrnok
+enumerates flows from one table of whole paths per network; the reference
+walks the network vertex by vertex for every target.
 And lgrnok evaluates a valuation's max-plus product on one packed integer
 per class; the reference takes one short max-plus row per vector.
 
@@ -21,7 +23,7 @@ from functools import cache
 from itertools import combinations
 
 from lgrnok import plabic
-from lgrnok.linalg import affine_pivot_columns, dot, mat_vec
+from lgrnok.linalg import affine_pivot_columns, dot, mat_vec, rref
 from lgrnok.partitions import (
     cells,
     complement,
@@ -31,7 +33,7 @@ from lgrnok.partitions import (
     transpose,
 )
 from lgrnok.plabic import Flow, path_left_faces
-from lgrnok.polytope import _facets_full_dim
+from lgrnok.polytope import _facets_full_dim, _lattice
 from lgrnok.superpotential import build_poset, is_antichain
 from lgrnok.valuation import _corners, coordinate_system
 
@@ -164,6 +166,40 @@ def triangulate_by_face_hulls(points, memo, deadline):
             simplices.append((apex,) + s)
     memo[points] = simplices
     return simplices
+
+
+def f_vector_by_face_ranks(V, deadline):
+    """(f_0, ..., f_{d-1}) of a full-dimensional conv(points).
+
+    A point is a vertex when the normals of the facets through it span the
+    space.  The vertex sets of the facets are closed under intersection,
+    and each face is ranked by the affine rank of its vertices.
+    """
+    points, _ = _lattice(V.points)
+    rows = _facets_full_dim(points, deadline)
+    verts = []
+    for p in points:
+        normals = [c for c, d in rows if dot(c, p) + d == 0]
+        if normals and len(rref(normals)[1]) == V.dim:
+            verts.append(p)
+    facet_sets = [frozenset(i for i, p in enumerate(verts) if dot(c, p) + d == 0)
+                  for c, d in rows]
+    faces = set(facet_sets)
+    frontier = set(facet_sets)
+    while frontier:
+        deadline.check()
+        fresh = set()
+        for face in frontier:
+            for fs in facet_sets:
+                cut = face & fs
+                if cut and cut != face and cut not in faces:
+                    fresh.add(cut)
+        faces |= fresh
+        frontier = fresh
+    counts = [0] * V.dim
+    for face in faces:
+        counts[len(affine_pivot_columns([verts[i] for i in face]))] += 1
+    return tuple(counts)
 
 
 def enumerate_flows_by_dfs(G, O, J):

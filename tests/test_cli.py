@@ -2,6 +2,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,22 @@ def test_delta_fvector(capsys):
     assert "(14, 51, 86, 78, 39, 10)" in out
 
 
+def test_delta_fvector_n4(capsys):
+    code, out = run_cli(capsys, "delta", "--n", "4", "--fvector")
+    assert code == 0
+    assert out == "f-vector: (42, 313, 1094, 2236, 2923, 2539, 1477, 565, 135, 18)\n"
+
+
+def test_delta_n5_prints_the_pulled_back_rows(capsys):
+    from lgrnok.equivalence import pulled_back_gamma_rows
+
+    code, out = run_cli(capsys, "delta", "--n", "5")
+    assert code == 0
+    rows = [tuple(map(int, line.split())) for line in out.splitlines()[1:]]
+    assert len(rows) == 31
+    assert {(r[1:], r[0]) for r in rows} == pulled_back_gamma_rows(5)
+
+
 def test_delta_hrep_row_count(capsys):
     code, out = run_cli(capsys, "delta", "--n", "3", "--hrep", "--format", "json")
     doc = json.loads(out)
@@ -190,6 +207,15 @@ def test_budget_exceeded_exit_code():
     assert main(["delta", "--n", "4", "--hrep", "--time-budget", "1e-9"]) == 3
     # and so must the poset counts, which poll it while they enumerate
     assert main(["counts", "--n", "8", "--time-budget", "1e-9"]) == 3
+
+
+def test_volume_n5_stops_at_its_budget(capsys):
+    # the triangulation of Gamma at n=5 alone takes several seconds
+    start = time.monotonic()
+    assert main(["volume", "--n", "5", "--time-budget", "1"]) == 3
+    assert time.monotonic() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeded its time budget" in captured.err
 
 
 def _run_verification_main():

@@ -1,14 +1,17 @@
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from lgrnok import polytope
+from lgrnok import polytope, superpotential, valuation
 from lgrnok.linalg import affine_pivot_columns, bareiss_det, dot
 from lgrnok.polytope import (
+    Deadline,
     HPolytope,
+    TimeBudgetExceeded,
     UnboundedError,
     VPolytope,
     as_point,
@@ -16,7 +19,6 @@ from lgrnok.polytope import (
     facets,
     normalized_volume,
     vertices,
-    vertices_of_hull,
 )
 
 
@@ -53,7 +55,8 @@ def test_vertices_drops_non_extreme_points():
     H = facets(sq)
     assert len(H.rows) == 4
     assert set(vertices(H).points) == {as_point(p) for p in [(0, 0), (2, 0), (0, 2), (2, 2)]}
-    assert set(vertices_of_hull(sq)) == set(vertices(H).points)
+    # the edge point (1, 0) and the centre are not vertices
+    assert f_vector(sq) == oracles.f_vector_by_face_ranks(sq, Deadline()) == (4, 4)
 
 
 def test_rational_coordinates():
@@ -80,26 +83,30 @@ def test_scaled_simplex_is_exact():
         ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-2, -2, -2), 1)
     }
     flat = VPolytope.from_points([(Fraction(1, 3), 0), (0, Fraction(1, 3))])
-    assert facets(flat).equalities == (((3, 3), -1),)
+    with pytest.raises(ValueError, match="full-dimensional"):
+        facets(flat)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data(), st.integers(min_value=1, max_value=4))
 def test_facet_rows_are_certified(data, dim):
     """Every row is valid on all points and tight on an affinely spanning
-    subset of a facet; every equation holds on all points."""
+    subset of a facet; points that do not span their space are refused."""
     coords = st.integers(min_value=-3, max_value=3)
     pts = data.draw(
         st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=dim + 5)
     )
-    H = facets(VPolytope.from_points(pts))
-    k = len(affine_pivot_columns(pts))
-    assert all(dot(c, p) + d == 0 for c, d in H.equalities for p in pts)
+    body = VPolytope.from_points(pts)
+    if len(affine_pivot_columns(pts)) < dim:
+        with pytest.raises(ValueError, match="full-dimensional"):
+            facets(body)
+        return
+    H = facets(body)
     assert len(set(H.rows)) == len(H.rows)
     for c, d in H.rows:
         assert all(dot(c, p) + d >= 0 for p in pts)
         tight = [p for p in pts if dot(c, p) + d == 0]
-        assert len(affine_pivot_columns(tight)) == k - 1
+        assert len(affine_pivot_columns(tight)) == dim - 1
 
 
 def test_f_vector_bounds_the_facet_run(monkeypatch):
@@ -161,8 +168,6 @@ def test_triangulation_with_boundary_points_matches_oracle(points):
 @settings(max_examples=80, deadline=None)
 @given(st.data(), st.integers(min_value=1, max_value=5))
 def test_triangulation_matches_oracle(data, dim):
-    from hypothesis import assume
-
     # few distinct coordinates, so faces are often not simplices
     coords = st.sampled_from([-1, Fraction(-1, 2), 0, Fraction(1, 3), 1])
     points = data.draw(
@@ -185,22 +190,22 @@ def test_empty_polytope_reported():
         vertices(HPolytope(dim=1, rows=(((1,), -1), ((-1,), 0))))
 
 
-def test_degenerate_input_reports_affine_hull():
+def test_degenerate_input_is_refused():
     flat = VPolytope.from_points([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
-    H = facets(flat)
-    assert H.equalities  # z = 1
-    assert ((0, 0, 1), -1) in {tuple(e) for e in H.equalities} or ((0, 0, -1), 1) in {
-        tuple(e) for e in H.equalities
-    }
+    for engine in (facets, f_vector, normalized_volume):
+        with pytest.raises(ValueError, match="full-dimensional"):
+            engine(flat)
+    # the square's rows, with z = 1 as two opposite rows, still give its corners
+    H = HPolytope(dim=3, rows=(((1, 0, 0), 0), ((-1, 0, 0), 1), ((0, 1, 0), 0),
+                               ((0, -1, 0), 1), ((0, 0, 1), -1), ((0, 0, -1), 1)))
     assert set(vertices(H).points) == set(flat.points)
-    with pytest.raises(ValueError):
-        normalized_volume(flat)
 
 
 def test_single_point():
     pt = VPolytope.from_points([(3, 4)])
-    H = facets(pt)
-    assert not H.rows and len(H.equalities) == 2
+    with pytest.raises(ValueError, match="full-dimensional"):
+        facets(pt)
+    H = HPolytope(dim=2, rows=(((1, 0), -3), ((-1, 0), 3), ((0, 1), -4), ((0, -1), 4)))
     assert vertices(H).points == pt.points
 
 
@@ -264,10 +269,6 @@ def unimodular_matrix(draw, dim):
 @settings(max_examples=25, deadline=None)
 @given(st.data(), st.integers(min_value=2, max_value=6))
 def test_volume_invariant_under_unimodular_maps(data, dim):
-    from hypothesis import assume
-
-    from lgrnok.linalg import bareiss_det
-
     pts = [
         tuple(data.draw(st.integers(min_value=-4, max_value=4)) for _ in range(dim))
         for _ in range(dim + 1)
@@ -289,8 +290,53 @@ def test_cube_volume_invariant(data):
     assert normalized_volume(image) == 6
 
 
-def test_dimension_guards():
-    with pytest.raises(ValueError):
-        facets(VPolytope(dim=11, points=((0,) * 11,)))
-    with pytest.raises(ValueError):
-        f_vector(cube(9))
+def test_volume_polls_the_budget_after_triangulating(monkeypatch):
+    """The deadline is the only bound, so the determinant loop polls it
+    too: a budget that runs out once the triangulation is done stops the
+    volume at its first simplex."""
+    real = polytope._triangulate
+
+    def then_sleep(points, deadline, rows=None):
+        simplices = real(points, deadline, rows)
+        time.sleep(0.1)
+        return simplices
+
+    monkeypatch.setattr(polytope, "_triangulate", then_sleep)
+    delta4 = VPolytope.from_points(valuation.delta_vertices(4))
+    with pytest.raises(TimeBudgetExceeded) as raised:
+        normalized_volume(delta4, Deadline(0.05))
+    assert raised.traceback[-2].name == "normalized_volume"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=5))
+def test_f_vector_matches_face_rank_oracle(data, dim):
+    # few distinct coordinates, so many points lie inside faces
+    coords = st.sampled_from([-1, Fraction(-1, 2), 0, Fraction(1, 3), 1])
+    points = data.draw(
+        st.lists(st.tuples(*[coords] * dim), min_size=dim + 1, max_size=dim + 8)
+    )
+    body = VPolytope.from_points(points)
+    assume(len(affine_pivot_columns(polytope._lattice(body.points)[0])) == dim)
+    assert f_vector(body) == oracles.f_vector_by_face_ranks(body, Deadline())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_f_vector_matches_face_rank_oracle_on_delta_and_gamma(n):
+    delta = VPolytope.from_points(valuation.delta_vertices(n))
+    gamma = VPolytope.from_points(superpotential.gamma_vertex_set(n))
+    fv = oracles.f_vector_by_face_ranks(delta, Deadline())
+    assert oracles.f_vector_by_face_ranks(gamma, Deadline()) == fv
+    assert f_vector(delta) == f_vector(gamma) == fv
+    if n == 3:
+        assert fv == (14, 51, 86, 78, 39, 10)
+
+
+F_VECTOR_4 = (42, 313, 1094, 2236, 2923, 2539, 1477, 565, 135, 18)
+
+
+def test_f_vector_at_n4():
+    delta = VPolytope.from_points(valuation.delta_vertices(4))
+    gamma = VPolytope.from_points(superpotential.gamma_vertex_set(4))
+    assert f_vector(delta) == f_vector(gamma) == F_VECTOR_4
+    assert oracles.euler_characteristic_ok(F_VECTOR_4)

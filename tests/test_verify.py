@@ -91,6 +91,14 @@ def test_flow_oracle_runs_at_n5(capsys):
     assert "  [PASS] valuation-oracle-equivalence\n" in capsys.readouterr().out
 
 
+def test_gamma_vertex_enumeration_runs_to_n6(capsys):
+    assert main(["verify", "--n", "6", "--level", "hull"]) == 0
+    assert "  [PASS] gamma-vertex-enumeration\n" in capsys.readouterr().out
+    assert main(["verify", "--n", "7", "--level", "hull"]) == 0
+    assert ("  [skip] gamma-vertex-enumeration  (vertex enumeration gated to n <= 6)\n"
+            in capsys.readouterr().out)
+
+
 def test_vertex_level_budget_holds_at_n9(capsys):
     # the whole command takes about 0.4 s at n=9, so a 0.1 s budget expires
     start = time.monotonic()
