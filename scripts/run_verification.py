@@ -4,7 +4,8 @@
 Every check runs at every n, except where its own n-range skips it (the
 hull-level checks stop at n=4).  One time budget covers the whole run.
 Exits 1 if anything fails, and stops with exit 3 when the time budget runs
-out, as the CLI does.
+out, as the CLI does; a --max-n below 1 or a budget that is not positive
+exits 2.
 
 Usage: python scripts/run_verification.py [--max-n 5] [--time-budget 1800]
 """
@@ -22,6 +23,12 @@ def main(argv=None) -> int:
     parser.add_argument("--max-n", type=int, default=5)
     parser.add_argument("--time-budget", type=float, default=1800.0)
     args = parser.parse_args(argv)
+    if args.max_n < 1:
+        print("error: max-n must be >= 1", file=sys.stderr)
+        return 2
+    if not args.time_budget > 0:  # also refuses nan
+        print("error: time budget must be positive", file=sys.stderr)
+        return 2
 
     deadline = Deadline(args.time_budget)
     failures = 0

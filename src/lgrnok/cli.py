@@ -405,7 +405,7 @@ def main(argv=None) -> int:
     try:
         if args.n < 1:
             raise ValueError("n must be >= 1")
-        if args.time_budget <= 0:
+        if not args.time_budget > 0:  # also refuses nan
             raise ValueError("time budget must be positive")
         return args.func(args, sys.stdout)
     except TimeBudgetExceeded as exc:

@@ -17,6 +17,10 @@ full square.  For each edge we record which face lies on each side, which
 is all the global structure flows need.  n = 1 degenerates to the triangle
 L, T and two boundary vertices with faces {empty, square}.
 
+The perfect orientation with sources {1..n} is not searched for: the
+boundary edges and the one-edge rule at each vertex force every edge, so
+the orientation found is the only one.
+
 A flow to an index set J is a family of vertex-disjoint directed paths, one
 from each boundary source outside J to its own boundary target in J.  The
 whole network has few source-to-boundary paths (251 at n=5, 923 at n=6),
@@ -202,120 +206,58 @@ class PerfectOrientation:
         return {v: tuple(sorted(ws)) for v, ws in adj.items()}
 
 
-def _all_perfect_orientations(G: PlabicGraph, sources):
-    """Backtracking over edge directions with unit propagation, stopped at
-    the second solution: enough to tell a unique orientation from others.
+def find_perfect_orientation(G: PlabicGraph, sources) -> PerfectOrientation:
+    """The perfect orientation with the given boundary source set, forced
+    edge by edge from the boundary.
 
-    Filled internal vertices need exactly one outgoing edge, hollow ones
-    exactly one incoming; boundary sources point in, sinks point out.
+    Boundary sources point in, sinks point out.  A filled internal vertex
+    has exactly one outgoing edge and a hollow one exactly one incoming:
+    once a vertex has its one edge, its open edges take the other way; a
+    vertex with none and one open edge gives it that edge.  Every step is
+    forced, so an orientation found this way is the only one.  Raises
+    ValueError at an edge forced both ways, at a vertex that cannot meet
+    its rule, or when edges are left open.
     """
-    src = set(sources)
+    sources = tuple(sorted(sources))
     edges = G.edges
-    index = {e: i for i, e in enumerate(edges)}
     incident: dict[Vertex, list[int]] = {}
-    for e in edges:
+    for i, e in enumerate(edges):
         for v in e:
-            incident.setdefault(v, []).append(index[e])
-
+            incident.setdefault(v, []).append(i)
     assign: list[Dart | None] = [None] * len(edges)
-    solutions: list[tuple[Dart, ...]] = []
+    queue: list[int] = []
 
-    def force(i: int, dart: Dart, queue: list[int]) -> bool:
-        if assign[i] is not None:
-            return assign[i] == dart
-        assign[i] = dart
-        queue.append(i)
-        return True
+    def force(i: int, dart: Dart):
+        if assign[i] is None:
+            assign[i] = dart
+            queue.append(i)
+        elif assign[i] != dart:
+            u, w = map(vertex_name, dart)
+            raise ValueError(f"edge {u}-{w} is forced both ways for sources {sources}")
 
-    def propagate(changed: list[int]) -> tuple[bool, list[int]]:
-        queue = list(changed)
-        touched: list[int] = list(changed)
-        while queue:
-            i = queue.pop()
-            for v in edges[i]:
-                if v not in G.colors:
-                    continue
-                want_out = G.colors[v] == "filled"
-                outs = ins = 0
-                open_edges = []
-                for j in incident[v]:
-                    d = assign[j]
-                    if d is None:
-                        open_edges.append(j)
-                    elif d[0] == v:
-                        outs += 1
-                    else:
-                        ins += 1
-                have = outs if want_out else ins
-                if have > 1 or (have == 0 and not open_edges):
-                    return False, touched
-                if have == 1:
-                    for j in open_edges:
-                        u, w = sorted(edges[j])
-                        other = w if u == v else u
-                        dart = (other, v) if want_out else (v, other)
-                        if not force(j, dart, queue):
-                            return False, touched
-                        touched.append(j)
-                elif len(open_edges) == 1:
-                    j = open_edges[0]
-                    u, w = sorted(edges[j])
-                    other = w if u == v else u
-                    dart = (v, other) if want_out else (other, v)
-                    if not force(j, dart, queue):
-                        return False, touched
-                    touched.append(j)
-        return True, touched
-
-    def undo(touched: list[int], keep: int):
-        for i in touched[keep:]:
-            assign[i] = None
-
-    seed: list[int] = []
     for b in G.boundary:
         (i,) = incident[b]
-        other = next(v for v in edges[i] if v != b)
-        dart = (b, other) if b[1] in src else (other, b)
-        if not force(i, dart, seed):
-            return solutions
-    ok, touched = propagate(seed)
-    if not ok:
-        undo(touched, 0)
-        return solutions
-
-    def search() -> bool:
-        """True once the second solution is found."""
-        try:
-            i = assign.index(None)
-        except ValueError:
-            solutions.append(tuple(assign))  # type: ignore[arg-type]
-            return len(solutions) == 2
-        u, w = sorted(edges[i])
-        for dart in ((u, w), (w, u)):
-            marker: list[int] = []
-            if force(i, dart, marker):
-                ok, touched = propagate(marker)
-                if ok and search():
-                    return True
-                undo(touched, 0)
-            else:
-                undo(marker, 0)
-        return False
-
-    search()
-    return solutions
-
-
-def find_perfect_orientation(G: PlabicGraph, sources) -> PerfectOrientation:
-    """The unique perfect orientation with the given boundary source set."""
-    sources = tuple(sorted(sources))
-    solutions = _all_perfect_orientations(G, sources)
-    if len(solutions) != 1:
-        raise ValueError(
-            f"expected a unique perfect orientation for sources {sources}, "
-            f"found {len(solutions)}"
-        )
-    return PerfectOrientation(direction=solutions[0], source_set=sources)
+        (v,) = edges[i] - {b}
+        force(i, (b, v) if b[1] in sources else (v, b))
+    while queue:
+        for v in edges[queue.pop()]:
+            color = G.colors.get(v)
+            if color is None:
+                continue
+            side = 0 if color == "filled" else 1  # where v sits in its one dart
+            have = sum(1 for j in incident[v] if assign[j] and assign[j][side] == v)
+            open_edges = [j for j in incident[v] if assign[j] is None]
+            if have > 1 or not (have or open_edges):
+                raise ValueError(f"{color} vertex {vertex_name(v)} cannot have exactly one "
+                                 f"{('out', 'in')[side]}-edge for sources {sources}")
+            if have or len(open_edges) == 1:
+                for j in open_edges:
+                    (w,) = edges[j] - {v}
+                    dart = (v, w) if color == "filled" else (w, v)
+                    force(j, dart[::-1] if have else dart)
+    if None in assign:
+        raise ValueError(f"{assign.count(None)} edges are not forced for sources {sources}")
+    return PerfectOrientation(direction=tuple(assign), source_set=sources)
 
 
 @cache

@@ -20,13 +20,13 @@ def roundtrip(n, deadline):
     for count, I in enumerate(combinations(range(1, 2 * n + 1), n)):
         if not count % POLL_EVERY:
             deadline.check()
-        if partitions.partition_to_indexset(partitions.indexset_to_partition(I, n), n) != I:
+        if partitions.partition_to_indexset(partitions._path_partition(I, n), n) != I:
             return False, f"round trip fails at {I}"
     return True, ""
 
 
 def orientation_unique(n, deadline):
-    plabic.corect_network(n)  # raises unless unique
+    plabic.corect_network(n)  # raises unless every edge is forced, hence unique
     return True, ""
 
 
@@ -37,9 +37,9 @@ def oracle(n, deadline):
 
 def table_lgr36(n, deadline):
     table = valuation.all_plucker_valuations(n, cross_check=False)
-    return (table[(3, 2, 1)] == (0, 2, 0, 2, 1, 1)
-            and table[()] == (2, 4, 1, 4, 2, 3)
-            and len(table) == 14), ""
+    rows = table.get((3, 2, 1)), table.get(())
+    return (rows == ((0, 2, 0, 2, 1, 1), (2, 4, 1, 4, 2, 3)) and len(table) == 14,
+            f"(3,2,1) -> {rows[0]}, () -> {rows[1]}, {len(table)} classes")
 
 
 # The three flows to {1,4,5} at n=3, sorted; the first is the valuation of
@@ -128,7 +128,9 @@ PRINTED_DELTA3 = frozenset({
 
 def delta_printed(n, deadline):
     V = VPolytope.from_points(valuation.delta_vertices(n))
-    return polytope.facets(V, deadline).row_set() == PRINTED_DELTA3, ""
+    rows = polytope.facets(V, deadline).row_set()
+    return rows == PRINTED_DELTA3, (f"missing {sorted(PRINTED_DELTA3 - rows)}, "
+                                    f"extra {sorted(rows - PRINTED_DELTA3)}")
 
 
 def f_vector(n, deadline):

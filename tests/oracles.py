@@ -9,16 +9,19 @@ facet run; the reference triangulation hulls each face again from its own
 points, and the reference f-vector closes the vertex sets of the facets
 under intersection and ranks each face by its vertices.  And lgrnok
 enumerates flows from one table of whole paths per network; the reference
-walks the network vertex by vertex for every target.
+walks the network vertex by vertex for every target.  lgrnok forces the
+perfect orientation from the boundary; the reference searches every
+orientation by backtracking and stops at the second.
 And lgrnok evaluates a valuation's max-plus product on one packed integer
 per class; the reference takes one short max-plus row per vector.
 
 The last few helpers have no caller in lgrnok: M_n applied to a vector,
 flow polynomials and their monomials, a vertex's neighbours, the inverse
-of the Dyck path of an antichain and the Euler relation of an f-vector.
-Only the tests read them.
+of the Dyck path of an antichain, a graph with one vertex recoloured and
+the Euler relation of an f-vector.  Only the tests read them.
 """
 
+import copy
 from functools import cache
 from itertools import combinations
 
@@ -241,6 +244,110 @@ def enumerate_flows_by_dfs(G, O, J):
                  for paths in sorted(systems))
 
 
+def perfect_orientations_by_search(G, sources):
+    """Backtracking over edge directions with unit propagation, stopped at
+    the second solution: enough to tell a unique orientation from others.
+
+    Filled internal vertices need exactly one outgoing edge, hollow ones
+    exactly one incoming; boundary sources point in, sinks point out.
+    Returns the solutions found, each one dart per edge of `G.edges`.
+    """
+    src = set(sources)
+    edges = G.edges
+    index = {e: i for i, e in enumerate(edges)}
+    incident = {}
+    for e in edges:
+        for v in e:
+            incident.setdefault(v, []).append(index[e])
+
+    assign = [None] * len(edges)
+    solutions = []
+
+    def force(i, dart, queue):
+        if assign[i] is not None:
+            return assign[i] == dart
+        assign[i] = dart
+        queue.append(i)
+        return True
+
+    def propagate(changed):
+        queue = list(changed)
+        touched = list(changed)
+        while queue:
+            i = queue.pop()
+            for v in edges[i]:
+                if v not in G.colors:
+                    continue
+                want_out = G.colors[v] == "filled"
+                outs = ins = 0
+                open_edges = []
+                for j in incident[v]:
+                    d = assign[j]
+                    if d is None:
+                        open_edges.append(j)
+                    elif d[0] == v:
+                        outs += 1
+                    else:
+                        ins += 1
+                have = outs if want_out else ins
+                if have > 1 or (have == 0 and not open_edges):
+                    return False, touched
+                if have == 1:
+                    for j in open_edges:
+                        u, w = sorted(edges[j])
+                        other = w if u == v else u
+                        dart = (other, v) if want_out else (v, other)
+                        if not force(j, dart, queue):
+                            return False, touched
+                        touched.append(j)
+                elif len(open_edges) == 1:
+                    j = open_edges[0]
+                    u, w = sorted(edges[j])
+                    other = w if u == v else u
+                    dart = (v, other) if want_out else (other, v)
+                    if not force(j, dart, queue):
+                        return False, touched
+                    touched.append(j)
+        return True, touched
+
+    def undo(touched):
+        for i in touched:
+            assign[i] = None
+
+    seed = []
+    for b in G.boundary:
+        (i,) = incident[b]
+        other = next(v for v in edges[i] if v != b)
+        dart = (b, other) if b[1] in src else (other, b)
+        if not force(i, dart, seed):
+            return solutions
+    ok, touched = propagate(seed)
+    if not ok:
+        return solutions
+
+    def search():
+        """True once the second solution is found."""
+        try:
+            i = assign.index(None)
+        except ValueError:
+            solutions.append(tuple(assign))
+            return len(solutions) == 2
+        u, w = sorted(edges[i])
+        for dart in ((u, w), (w, u)):
+            marker = []
+            if force(i, dart, marker):
+                ok, touched = propagate(marker)
+                if ok and search():
+                    return True
+                undo(touched)
+            else:
+                undo(marker)
+        return False
+
+    search()
+    return solutions
+
+
 @cache
 def orbit_table(n):
     """Every l_mu and l_{mu^T} at its corner diagonals, one row per vector:
@@ -295,6 +402,14 @@ def dyck_to_antichain(P, steps):
         x for x in covered
         if not any(y != x and (x, y) in P.leq for y in covered)
     )
+
+
+def recoloured(G, v):
+    """A copy of G with the internal vertex v in the other colour."""
+    planted = copy.copy(G)
+    planted.colors = dict(G.colors)
+    planted.colors[v] = "hollow" if G.colors[v] == "filled" else "filled"
+    return planted
 
 
 def euler_characteristic_ok(fvec):

@@ -19,6 +19,10 @@ def run_cli(capsys, *argv):
 def test_usage_errors_exit_2(capsys):
     for argv, message in [(["verify", "--n", "0"], "n must be >= 1"),
                           (["matrix", "--n", "2", "--time-budget", "0"],
+                           "time budget must be positive"),
+                          (["counts", "--n", "3", "--time-budget", "nan"],
+                           "time budget must be positive"),
+                          (["counts", "--n", "3", "--time-budget", "-1"],
                            "time budget must be positive")]:
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -232,3 +236,10 @@ def test_run_verification_exit_codes(capsys):
     # a time budget exceeded stops the run with the CLI's exit code
     assert main_script(["--max-n", "3", "--time-budget", "1e-9"]) == 3
     assert "exceeded its time budget" in capsys.readouterr().err
+    # usage errors exit 2 with one error line, as in the CLI
+    for argv, message in [(["--max-n", "0"], "max-n must be >= 1"),
+                          (["--time-budget", "0"], "time budget must be positive"),
+                          (["--time-budget", "nan"], "time budget must be positive")]:
+        assert main_script(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")

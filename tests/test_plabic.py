@@ -13,6 +13,8 @@ from oracles import (
     monomial_key,
     neighbors,
     partitions_in_box,
+    perfect_orientations_by_search,
+    recoloured,
 )
 
 
@@ -96,6 +98,33 @@ def test_orientation_matches_brute_force_n2():
     assert len(brute) == 1
     O = plabic.find_perfect_orientation(G, (1, 2))
     assert set(O.direction) == set(brute[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_forcing_agrees_with_search_for_every_source_set(n):
+    # Where the search finds exactly one orientation the forcing pass
+    # returns it, dart for dart; everywhere else the pass raises.
+    G = plabic.build_corect_graph(n)
+    for sources in combinations(range(1, 2 * n + 1), n):
+        found = perfect_orientations_by_search(G, sources)
+        if len(found) == 1:
+            assert plabic.find_perfect_orientation(G, sources).direction == found[0], sources
+        else:
+            with pytest.raises(ValueError):
+                plabic.find_perfect_orientation(G, sources)
+
+
+def test_two_orientations_are_not_forced():
+    G = plabic.build_corect_graph(3)
+    assert len(perfect_orientations_by_search(G, (1, 2, 4))) == 2
+    with pytest.raises(ValueError, match="edges are not forced for sources \\(1, 2, 4\\)"):
+        plabic.find_perfect_orientation(G, (1, 2, 4))
+
+
+def test_recoloured_vertex_is_named():
+    G = recoloured(plabic.build_corect_graph(3), ("f", 1, 2))
+    with pytest.raises(ValueError, match="hollow vertex f\\(1,2\\) cannot have exactly one in-edge"):
+        plabic.find_perfect_orientation(G, (1, 2, 3))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from lgrnok import equivalence, plabic, verify
+from lgrnok import equivalence, plabic, valuation, verify
 from lgrnok.cli import main
 from lgrnok.polytope import Deadline, TimeBudgetExceeded
+from oracles import recoloured
 
 BASELINE = Path(__file__).resolve().parents[1] / "benchmark" / "baseline"
 
@@ -73,6 +74,36 @@ def test_flow_polynomial_145_fails_without_one_flow(monkeypatch, capsys, dropped
     assert main(["verify", "--n", "3", "--level", "vertex"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("  [FAIL] flow-polynomial-145  (vectors ") for line in lines)
+
+
+def test_recoloured_vertex_fails_the_orientation_check(monkeypatch, capsys):
+    planted = recoloured(plabic.build_corect_graph(3), ("f", 1, 2))
+    monkeypatch.setattr(plabic, "build_corect_graph", lambda n: planted)
+    monkeypatch.setattr(plabic, "corect_network", plabic.corect_network.__wrapped__)
+    assert main(["verify", "--n", "3", "--level", "vertex"]) == 1
+    assert ("  [FAIL] perfect-orientation-unique  (ValueError: hollow vertex f(1,2) cannot "
+            "have exactly one in-edge for sources (1, 2, 3))\n") in capsys.readouterr().out
+
+
+def test_table_lgr36_names_the_rows_that_differ(monkeypatch):
+    real = valuation.all_plucker_valuations
+
+    def planted(n, cross_check):
+        table = dict(real(n, cross_check=cross_check))
+        table[()] = (0,) * 6
+        return table
+
+    monkeypatch.setattr(valuation, "all_plucker_valuations", planted)
+    assert verify.table_lgr36(3, Deadline()) == (
+        False, "(3,2,1) -> (0, 2, 0, 2, 1, 1), () -> (0, 0, 0, 0, 0, 0), 14 classes")
+
+
+def test_delta_printed_names_the_rows_that_differ(monkeypatch):
+    real_row = ((0, 0, -1, 0, 0, 0), 1)
+    wrong_row = ((0, 0, -1, 0, 0, 0), 2)
+    monkeypatch.setattr(verify, "PRINTED_DELTA3", verify.PRINTED_DELTA3 - {real_row} | {wrong_row})
+    assert verify.delta_printed(3, Deadline()) == (
+        False, f"missing {[wrong_row]}, extra {[real_row]}")
 
 
 @pytest.mark.parametrize("workload, level", [("vertex-n7", "vertex"), ("hull-n4", "hull")])
