@@ -1,0 +1,31 @@
+"""The time budget: a Deadline armed once per run and polled by every long
+loop, which raises TimeBudgetExceeded once it has expired.
+
+It sits apart from the polytope engine so that the valuation table can
+poll it without importing the engine.
+"""
+
+from __future__ import annotations
+
+import time
+
+
+class TimeBudgetExceeded(RuntimeError):
+    pass
+
+
+# Steps of a long loop (index sets, antichains, order ideals) between two
+# polls of a Deadline.
+POLL_EVERY = 1024
+
+
+class Deadline:
+    """A time budget armed once, when it is made, and polled by the engine;
+    with no seconds it never expires."""
+
+    def __init__(self, seconds: float | None = None):
+        self.expires = None if seconds is None else time.monotonic() + seconds
+
+    def check(self):
+        if self.expires is not None and time.monotonic() > self.expires:
+            raise TimeBudgetExceeded("computation exceeded its time budget")

@@ -47,7 +47,7 @@ def _vrep_json(points) -> dict:
 # -- subcommand handlers -------------------------------------------------------
 
 
-def cmd_graph(args, out) -> int:
+def cmd_graph(args, out, deadline) -> int:
     G = plabic.build_corect_graph(args.n)
     if args.format == "dot":
         out.write(plabic.graph_to_dot(G))
@@ -62,7 +62,7 @@ def cmd_graph(args, out) -> int:
     return 0
 
 
-def cmd_orientation(args, out) -> int:
+def cmd_orientation(args, out, deadline) -> int:
     G, O = plabic.corect_network(args.n)
     if args.format == "dot":
         out.write(plabic.graph_to_dot(G, O))
@@ -96,7 +96,7 @@ def _monomial_str(n, mono) -> str:
     )
 
 
-def cmd_flows(args, out) -> int:
+def cmd_flows(args, out, deadline) -> int:
     try:
         target = tuple(int(x) for x in args.target.split(","))
     except ValueError:
@@ -140,9 +140,9 @@ def cmd_flows(args, out) -> int:
     return 0
 
 
-def cmd_valuations(args, out) -> int:
+def cmd_valuations(args, out, deadline) -> int:
     n = args.n
-    table = valuation.all_plucker_valuations(n)
+    table = valuation.all_plucker_valuations(n, deadline=deadline)
     if args.format == "json":
         json.dump(
             [
@@ -185,12 +185,12 @@ def _render_inequality(coeffs, const, names) -> str:
     return (" ".join(parts) if parts else "0") + " >= 0"
 
 
-def cmd_gamma(args, out) -> int:
+def cmd_gamma(args, out, deadline) -> int:
     n = args.n
-    H = superpotential.gamma_hrep(n)
+    H = superpotential.gamma_hrep(n, deadline)
     names = _gamma_coords(n)
     if args.vrep:
-        points = superpotential.gamma_vertex_set(n)
+        points = superpotential.gamma_vertex_set(n, deadline)
         if args.format == "json":
             json.dump({"coords": names} | _vrep_json(points), out, indent=2)
             out.write("\n")
@@ -209,10 +209,9 @@ def cmd_gamma(args, out) -> int:
     return 0
 
 
-def cmd_delta(args, out) -> int:
-    deadline = Deadline(args.time_budget)
+def cmd_delta(args, out, deadline) -> int:
     n = args.n
-    points = valuation.delta_vertices(n)
+    points = valuation.delta_vertices(n, deadline)
     names = [_indexset_str(c, n) for c in valuation.coordinate_system(n)]
     if args.vrep:
         if args.format == "json":
@@ -244,7 +243,7 @@ def cmd_delta(args, out) -> int:
     return 0
 
 
-def cmd_matrix(args, out) -> int:
+def cmd_matrix(args, out, deadline) -> int:
     M = equivalence.build_valuation_matrix(args.n)
     if args.format == "json":
         json.dump(
@@ -264,7 +263,7 @@ def cmd_matrix(args, out) -> int:
     return 0
 
 
-def cmd_fold(args, out) -> int:
+def cmd_fold(args, out, deadline) -> int:
     if args.format == "dot":
         Q = quiverfold.dual_quiver(plabic.build_corect_graph(args.n))
         out.write(quiverfold.quiver_to_dot(Q))
@@ -288,12 +287,11 @@ def cmd_fold(args, out) -> int:
     return 0
 
 
-def cmd_volume(args, out) -> int:
-    deadline = Deadline(args.time_budget)
+def cmd_volume(args, out, deadline) -> int:
     n = args.n
     expected = staircase_syt_count(n)
-    gamma = VPolytope.from_points(superpotential.gamma_vertex_set(n))
-    delta = VPolytope.from_points(valuation.delta_vertices(n))
+    gamma = VPolytope.from_points(superpotential.gamma_vertex_set(n, deadline))
+    delta = VPolytope.from_points(valuation.delta_vertices(n, deadline))
     vol_gamma = polytope.normalized_volume(gamma, deadline)
     vol_delta = polytope.normalized_volume(delta, deadline)
     if args.format == "json":
@@ -315,10 +313,9 @@ def cmd_volume(args, out) -> int:
     return 0 if vol_gamma == vol_delta == expected else 1
 
 
-def cmd_counts(args, out) -> int:
+def cmd_counts(args, out, deadline) -> int:
     n = args.n
     P = superpotential.build_poset(n)
-    deadline = Deadline(args.time_budget)
     antichains = superpotential.antichain_count(P, deadline)
     syt = staircase_syt_count(n)
     extensions = superpotential.linear_extension_count(P, deadline)
@@ -343,8 +340,8 @@ def cmd_counts(args, out) -> int:
     return 0
 
 
-def cmd_verify(args, out) -> int:
-    results = run_checks(args.n, args.level, Deadline(args.time_budget))
+def cmd_verify(args, out, deadline) -> int:
+    results = run_checks(args.n, args.level, deadline)
     all_ok = all(r["status"] != "fail" for r in results)
     if args.format == "json":
         json.dump({"n": args.n, "level": args.level, "ok": all_ok, "checks": results}, out, indent=2)
@@ -407,7 +404,7 @@ def main(argv=None) -> int:
             raise ValueError("n must be >= 1")
         if not args.time_budget > 0:  # also refuses nan
             raise ValueError("time budget must be positive")
-        return args.func(args, sys.stdout)
+        return args.func(args, sys.stdout, Deadline(args.time_budget))
     except TimeBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

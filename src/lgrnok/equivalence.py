@@ -43,15 +43,14 @@ from . import polytope, superpotential, valuation
 from .linalg import bareiss_det, identity, invert, mat_mul, mat_vec
 from .partitions import (
     Partition,
+    _path_partition,
+    class_indexsets,
     complement,
     complement_hooks,
-    diagonal_excess,
     hook_partition,
     indexset_to_partition,
     normalize,
-    partition_to_indexset,
     staircase_syt_count,
-    transpose_classes,
 )
 from .polytope import normalize_row
 from .superpotential import (
@@ -228,26 +227,13 @@ def is_unimodular(M: ValuationMatrix) -> tuple[bool, int]:
 # -- hooks, antichains, and the main theorem ----------------------------------
 
 
-def antichain_from_partition(n: int, lam: Partition) -> frozenset[Pair]:
-    """Hooks (a, b) of the complement of lam, read off lam's lattice path,
-    as poset elements (n+1-a, b+n+1-a).
-
-    A hook with arm <= leg is transposed first (complementing a hook or its
-    transpose names the same Pluecker class and the same valuation); without
-    this the element would fall outside the poset, e.g. the (1,1) hook of
-    (4,2,2) in the 4x4 square.  Whether the elements form an antichain of
-    the poset is left to the caller: the main theorem tests it with the
-    clash masks of `enumerate_antichains`.
-    """
-    indexset = partition_to_indexset(lam, n)
-    if diagonal_excess(lam) < 0:
-        raise ValueError(f"{lam} has more boxes below the diagonal than right of it")
-    return frozenset(_hook_element(n, a, b) for a, b in complement_hooks(indexset, n))
-
-
 def _hook_element(n: int, arm: int, leg: int) -> Pair:
     """The poset element (n+1-arm, n+1-arm+leg) of a complement's hook,
-    the hook transposed first when arm <= leg."""
+    the hook transposed first when arm <= leg: complementing a hook or its
+    transpose names the same Pluecker class and the same valuation, and
+    without it the element would fall outside the poset, e.g. the (1,1)
+    hook of (4,2,2) in the 4x4 square.  The one hook-to-element map: the
+    vertex walk's table (`_walk_table`) reads every hook through it."""
     if arm <= leg:
         arm, leg = leg + 1, arm - 1
     return (n + 1 - arm, n + 1 - arm + leg)
@@ -279,9 +265,9 @@ def verify_maxdiag_additivity(n: int) -> bool:
 
     G = plabic.build_corect_graph(n)
     labels = sorted(set(G.faces.values()))
-    for lam in transpose_classes(n):
-        pieces = [complement(hook_partition(a, b), n)
-                  for (a, b) in complement_hooks(partition_to_indexset(lam, n), n)]
+    for I in class_indexsets(n):
+        lam = _path_partition(I, n)
+        pieces = [complement(hook_partition(a, b), n) for (a, b) in complement_hooks(I, n)]
         for mu in labels:
             whole = maxdiag(skew_cells(mu, lam))
             split = sum(maxdiag(skew_cells(mu, piece)) for piece in pieces)
@@ -292,13 +278,12 @@ def verify_maxdiag_additivity(n: int) -> bool:
 
 def verify_valuation_additivity(n: int) -> bool:
     """val(p_lam) is the coordinatewise sum over the complement's hooks."""
-    for lam in transpose_classes(n):
-        pieces = [complement(hook_partition(a, b), n)
-                  for (a, b) in complement_hooks(partition_to_indexset(lam, n), n)]
+    for I in class_indexsets(n):
+        pieces = [complement(hook_partition(a, b), n) for (a, b) in complement_hooks(I, n)]
         total = [0] * (n * (n + 1) // 2)
         for piece in pieces:
             total = [a + b for a, b in zip(total, valuation_maxdiag(n, piece))]
-        if tuple(total) != valuation_maxdiag(n, lam):
+        if tuple(total) != valuation_maxdiag(n, _path_partition(I, n)):
             return False
     return True
 
@@ -481,8 +466,8 @@ def verify_hull_level(n: int, deadline: polytope.Deadline = polytope.Deadline())
     ok, witness = verify_main_theorem(n, deadline)
     if not ok:
         return ok, witness
-    delta = polytope.VPolytope.from_points(valuation.delta_vertices(n))
-    gamma = polytope.VPolytope.from_points(superpotential.gamma_vertex_set(n))
+    delta = polytope.VPolytope.from_points(valuation.delta_vertices(n, deadline))
+    gamma = polytope.VPolytope.from_points(superpotential.gamma_vertex_set(n, deadline))
     facets_delta = polytope.facets(delta, deadline)
     vol_gamma = polytope.normalized_volume(gamma, deadline)
     vol_delta = polytope.normalized_volume(delta, deadline, facets_delta)
@@ -498,6 +483,7 @@ def verify_hull_level(n: int, deadline: polytope.Deadline = polytope.Deadline())
 def gamma_vertices_match_hrep(n: int, deadline: polytope.Deadline = polytope.Deadline()) -> bool:
     """Vertex enumeration of the superpotential H-rep returns exactly the
     antichain indicator vectors."""
-    enumerated = polytope.vertices(gamma_hrep(n), deadline)
-    expected = tuple(sorted(polytope.as_point(v) for v in superpotential.gamma_vertex_set(n)))
+    enumerated = polytope.vertices(gamma_hrep(n, deadline), deadline)
+    indicators = superpotential.gamma_vertex_set(n, deadline)
+    expected = tuple(sorted(polytope.as_point(v) for v in indicators))
     return enumerated.points == expected

@@ -6,20 +6,21 @@ n-subset of {1,...,2n} labelling the vertical steps of the lattice path
 from the upper-right to the lower-left corner of the square; the partition
 lies above that path, with lam_r = n + r + 1 - I_r for 0-based rows r.
 
-The valuation table works on index sets, one per transpose class
-(`class_indexsets`); the main theorem's vertex level in `equivalence`
-reads the same quantities off each path step by step.  The path gives
-each index set in O(n) its
-diagonal-length vector (`diagonal_lengths`) and the principal hooks of
-its complement (`complement_hooks`); the diagonal balance of a partition
-(`diagonal_excess`) takes one pass over the rows.  The cell-based helpers
-(`cells`, `skew_cells`, `maxdiag`) stay as the definitions the closed
-forms are checked against.
+The transpose classes are decided once, on index sets: `class_indexsets`
+streams the representative's index set of each class, and the valuation
+table and the additivity checks read that stream; the main theorem's
+vertex level in `equivalence` walks the same paths and reads the same
+quantities off each one step by step.  The path gives each index set in
+O(n) its diagonal-length vector (`diagonal_lengths`) and the principal
+hooks of its complement (`complement_hooks`); the diagonal balance of a
+partition (`diagonal_excess`) takes one pass over the rows.  The
+cell-based helpers (`cells`, `skew_cells`, `maxdiag`) stay as the
+definitions the closed forms are checked against.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from collections.abc import Iterator
 from itertools import accumulate, combinations
 from math import factorial
 from operator import lt
@@ -163,37 +164,30 @@ def hook_partition(arm: int, leg: int) -> Partition:
     return (arm,) + (1,) * leg
 
 
-def _representative(lam: Partition, t: Partition) -> Partition:
-    """lam or its transpose t, whichever has more boxes right of the
-    diagonal; the larger tuple on a tie."""
+def orbit_representative(lam: Partition) -> Partition:
+    """Canonical member of {lam, lam^T}: more boxes right of the diagonal,
+    the larger tuple on a tie."""
+    t = transpose(lam)
     excess = diagonal_excess(lam)
     return lam if excess > 0 else t if excess < 0 else max(lam, t)
 
 
-def orbit_representative(lam: Partition) -> Partition:
-    """Canonical member of {lam, lam^T}: more boxes right of the diagonal,
-    the larger tuple on a tie."""
-    return _representative(lam, transpose(lam))
-
-
-@cache
-def class_indexsets(n: int) -> tuple[tuple[int, ...], ...]:
+def class_indexsets(n: int) -> Iterator[tuple[int, ...]]:
     """Index set of the representative (`orbit_representative`) of each
     transpose class in n x n, in order of first appearance along the index
-    sets in lexicographic order.
+    sets in lexicographic order, streamed: nothing is kept.
 
     The transpose of the path with index set I has index set
     T = {2n+1-h : h not in I}, so a class first appears at I exactly when
-    I is not after T."""
+    I <= T.  The lexicographically smaller index set carries the larger
+    partition, so on a tie of the diagonal excess the representative is
+    I; otherwise it is whichever of I and T has the excess >= 0."""
     everything = range(1, 2 * n + 1)
-    indexsets = []
     for I in combinations(everything, n):
         steps = set(I)
         T = tuple(2 * n + 1 - h for h in reversed(everything) if h not in steps)
         if I <= T:
-            lam = _path_partition(I, n)
-            indexsets.append(I if _representative(lam, _path_partition(T, n)) is lam else T)
-    return tuple(indexsets)
+            yield I if diagonal_excess(_path_partition(I, n)) >= 0 else T
 
 
 def transpose_classes(n: int) -> tuple[Partition, ...]:

@@ -29,13 +29,14 @@ per face, and every POLL_EVERY simplices of a volume.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
 
+# The engine's callers import the time budget's names from here too.
+from .budget import POLL_EVERY, Deadline, TimeBudgetExceeded
 from .linalg import affine_pivot_columns, bareiss_det, dot, invert, primitive, rref
 
 Point = tuple[Fraction, ...]
@@ -45,27 +46,6 @@ Row = tuple[tuple[int, ...], int]  # (coefficients, constant): c.x + d >= 0
 
 class UnboundedError(ValueError):
     pass
-
-
-class TimeBudgetExceeded(RuntimeError):
-    pass
-
-
-# Steps of a long loop (index sets, antichains, order ideals) between two
-# polls of a Deadline.
-POLL_EVERY = 1024
-
-
-class Deadline:
-    """A time budget armed once, when it is made, and polled by the engine;
-    with no seconds it never expires."""
-
-    def __init__(self, seconds: float | None = None):
-        self.expires = None if seconds is None else time.monotonic() + seconds
-
-    def check(self):
-        if self.expires is not None and time.monotonic() > self.expires:
-            raise TimeBudgetExceeded("computation exceeded its time budget")
 
 
 def as_point(values) -> Point:

@@ -12,6 +12,7 @@ chain polytope of P_n.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 from itertools import count
@@ -26,7 +27,6 @@ Element = tuple[int, int]
 class PosetPn:
     n: int
     elements: tuple[Element, ...]
-    leq: frozenset[tuple[Element, Element]]  # (x, y) with x <= y
 
     def covers(self) -> tuple[tuple[Element, Element], ...]:
         """Pairs (upper, lower) with upper covering lower."""
@@ -37,12 +37,18 @@ class PosetPn:
                     out.append(((i, j), low))
         return tuple(sorted(out))
 
+    def below(self, x: Element, y: Element) -> bool:
+        """x <= y: x = (k, l) is reached from y = (i, j) by l - j steps
+        (i, j) -> (i, j+1) or (i+1, j+1), of which k - i are diagonal."""
+        (k, l), (i, j) = x, y
+        return l >= j and i <= k <= i + l - j
+
     def comparable(self, x: Element, y: Element) -> bool:
-        return (x, y) in self.leq or (y, x) in self.leq
+        return self.below(x, y) or self.below(y, x)
 
     def down_set(self, elements) -> frozenset[Element]:
         return frozenset(x for x in self.elements
-                         if any((x, a) in self.leq for a in elements))
+                         if any(self.below(x, a) for a in elements))
 
 
 @cache
@@ -50,13 +56,7 @@ def build_poset(n: int) -> PosetPn:
     if n < 1:
         raise ValueError("n must be positive")
     elements = tuple((i, j) for i in range(1, n + 1) for j in range(i, n + 1))
-    leq = set()
-    for (i, j) in elements:
-        for (k, l) in elements:
-            # (k,l) below (i,j): reachable by steps (i,j)->(i,j+1)/(i+1,j+1)
-            if l >= j and i <= k <= i + (l - j):
-                leq.add(((k, l), (i, j)))
-    return PosetPn(n=n, elements=elements, leq=frozenset(leq))
+    return PosetPn(n=n, elements=elements)
 
 
 def is_antichain(P: PosetPn, members) -> bool:
@@ -163,7 +163,7 @@ def linear_extension_count(P: PosetPn, deadline: Deadline = Deadline()) -> int:
     sets are kept, each with its number of ways; the deadline is polled
     every POLL_EVERY sets."""
     bit = {x: 1 << k for k, x in enumerate(P.elements)}
-    down = [sum(bit[y] for y in P.elements if (y, x) in P.leq and y != x)
+    down = [sum(bit[y] for y in P.elements if y != x and P.below(y, x))
             for x in P.elements]
 
     polled = count()
@@ -191,12 +191,6 @@ class SuperpotentialTerm:
 
     kind: str  # "linear" | "quantum"
     cells: tuple[Element, ...]
-
-    def __str__(self) -> str:
-        if self.kind == "linear":
-            (i, j), = self.cells
-            return f"a{i}{j}"
-        return "q/(" + " ".join(f"a{i}{j}" for (i, j) in self.cells) + ")"
 
 
 def strict_staircase_partitions(n: int) -> tuple[tuple[int, ...], ...]:
@@ -234,63 +228,65 @@ def build_superpotential(n: int) -> tuple[SuperpotentialTerm, ...]:
     return tuple(terms)
 
 
-@dataclass(frozen=True)
-class TropicalInequality:
-    """coeffs . A + const >= 0 over the coordinates A_ij."""
-
-    coeffs: tuple[tuple[Element, int], ...]
-    const: int
-
-    def as_row(self, cells: tuple[Element, ...]) -> tuple[tuple[int, ...], int]:
-        lookup = dict(self.coeffs)
-        return tuple(lookup.get(c, 0) for c in cells), self.const
-
-
-def tropicalize(terms) -> tuple[TropicalInequality, ...]:
-    """One inequality per term: a_ij >= 0 becomes A_ij >= 0, and each
-    quantum term q/prod a becomes 1 - sum A >= 0 (q tropicalizes to 1)."""
-    out = []
+def tropicalize(n: int, terms) -> Iterator[tuple[tuple[int, ...], int]]:
+    """One row (coefficients over lex_cells(n), constant) per term: a_ij
+    >= 0 becomes A_ij >= 0, and each quantum term q/prod a becomes
+    1 - sum A >= 0 (q tropicalizes to 1)."""
+    cells = lex_cells(n)
     for term in terms:
-        if term.kind == "linear":
-            out.append(TropicalInequality(((term.cells[0], 1),), 0))
-        else:
-            out.append(TropicalInequality(tuple((c, -1) for c in term.cells), 1))
-    return tuple(out)
+        sign, const = (1, 0) if term.kind == "linear" else (-1, 1)
+        members = set(term.cells)
+        yield tuple(sign if c in members else 0 for c in cells), const
 
 
-def chain_polytope_rows(P: PosetPn) -> tuple[tuple[tuple[int, ...], int], ...]:
+def chain_polytope_rows(P: PosetPn) -> Iterator[tuple[tuple[int, ...], int]]:
     """Stanley's chain polytope of P_n: positivity plus 'at most 1 along
     every maximal chain'."""
     cells = lex_cells(P.n)
-    rows = [(tuple(1 if c == cell else 0 for c in cells), 0) for cell in cells]
+    for cell in cells:
+        yield tuple(1 if c == cell else 0 for c in cells), 0
     for chain in maximal_chains(P):
-        rows.append((tuple(-1 if c in chain else 0 for c in cells), 1))
-    return tuple(rows)
+        yield tuple(-1 if c in chain else 0 for c in cells), 1
 
 
-def gamma_hrep(n: int) -> HPolytope:
+def gamma_hrep(n: int, deadline: Deadline = Deadline()) -> HPolytope:
     """H-representation of the superpotential polytope in coordinates A_ij
     ordered lexicographically.  The tropicalization route and the chain
-    polytope of P_n must produce the same normalized rows."""
-    cells = lex_cells(n)
-    trop_rows = tuple(ineq.as_row(cells) for ineq in tropicalize(build_superpotential(n)))
-    chain_rows = chain_polytope_rows(build_poset(n))
+    polytope of P_n must produce the same normalized rows.  The deadline
+    is polled every POLL_EVERY rows of each route."""
+
+    def polled(route) -> list:
+        rows = []
+        for row in route:
+            if not len(rows) % POLL_EVERY:
+                deadline.check()
+            rows.append(row)
+        return rows
+
+    trop_rows = polled(tropicalize(n, build_superpotential(n)))
+    chain_rows = polled(chain_polytope_rows(build_poset(n)))
     if set(trop_rows) != set(chain_rows):
         raise AssertionError(
             "tropicalized superpotential and chain polytope disagree: "
             f"{sorted(set(trop_rows) ^ set(chain_rows))}"
         )
-    return HPolytope(dim=len(cells), rows=trop_rows)
+    return HPolytope(dim=n * (n + 1) // 2, rows=tuple(trop_rows))
 
 
 def antichain_indicator(n: int, antichain) -> tuple[int, ...]:
     return tuple(1 if c in antichain else 0 for c in lex_cells(n))
 
 
-def gamma_vertex_set(n: int) -> tuple[tuple[int, ...], ...]:
-    """Indicator vectors of the antichains of P_n, sorted."""
-    P = build_poset(n)
-    return tuple(sorted(antichain_indicator(n, a) for a in enumerate_antichains(P)))
+def gamma_vertex_set(n: int, deadline: Deadline = Deadline()) -> tuple[tuple[int, ...], ...]:
+    """Indicator vectors of the antichains of P_n, sorted.  The deadline is
+    polled every POLL_EVERY antichains, as they are enumerated and as their
+    indicators are built."""
+    points = []
+    for a in enumerate_antichains(build_poset(n), deadline):
+        if not len(points) % POLL_EVERY:
+            deadline.check()
+        points.append(antichain_indicator(n, a))
+    return tuple(sorted(points))
 
 
 def antichain_count_formula(n: int) -> int:

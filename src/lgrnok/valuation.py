@@ -47,14 +47,15 @@ from operator import mul
 from types import MappingProxyType
 
 from . import plabic
+from .budget import POLL_EVERY, Deadline
 from .partitions import (
     Partition,
+    _path_partition,
     check_in_box,
     class_indexsets,
     diagonal_lengths,
     orbit_representative,
     partition_to_indexset,
-    transpose_classes,
 )
 
 
@@ -246,18 +247,22 @@ def valuation_maxdiag(n: int, lam: Partition) -> tuple[int, ...]:
     return _maxplus(n, diagonal_lengths(partition_to_indexset(lam, n), n))
 
 
-def all_plucker_valuations(n: int, cross_check: bool | None = None) -> dict[Partition, tuple[int, ...]]:
+def all_plucker_valuations(n: int, cross_check: bool = False,
+                           deadline: Deadline = Deadline()) -> dict[Partition, tuple[int, ...]]:
     """Valuation of one representative per transpose class, keyed by the
-    representative, in ascending index-set order.
+    representative, in ascending index-set order: one pass over the
+    stream of `class_indexsets`, each value read off the index set.  The
+    deadline is polled every POLL_EVERY classes.
 
-    By default the flow model is replayed against the closed form for
-    n <= 4; a mismatch raises.
+    With cross_check, the flow model is replayed against the closed form
+    at every class; a mismatch raises.
     """
-    if cross_check is None:
-        cross_check = n <= 4
     _packed_table(n)  # past MAX_PACKED_N, raise before enumerating the classes
     table: dict[Partition, tuple[int, ...]] = {}
-    for rep, indexset in zip(transpose_classes(n), class_indexsets(n)):
+    for count, indexset in enumerate(class_indexsets(n)):
+        if not count % POLL_EVERY:
+            deadline.check()
+        rep = _path_partition(indexset, n)
         value = _maxplus(n, diagonal_lengths(indexset, n))
         if cross_check:
             flows = valuation_from_flows(n, rep)
@@ -270,7 +275,8 @@ def all_plucker_valuations(n: int, cross_check: bool | None = None) -> dict[Part
     return table
 
 
-def delta_vertices(n: int) -> tuple[tuple[int, ...], ...]:
+def delta_vertices(n: int, deadline: Deadline = Deadline()) -> tuple[tuple[int, ...], ...]:
     """Value set of the Pluecker valuations: the generators whose convex
-    hull is the Newton-Okounkov body."""
-    return tuple(sorted(set(all_plucker_valuations(n, cross_check=False).values())))
+    hull is the Newton-Okounkov body.  The deadline is polled every
+    POLL_EVERY classes."""
+    return tuple(sorted(set(all_plucker_valuations(n, deadline=deadline).values())))

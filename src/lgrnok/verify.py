@@ -31,12 +31,12 @@ def orientation_unique(n, deadline):
 
 
 def oracle(n, deadline):
-    valuation.all_plucker_valuations(n, cross_check=True)
+    valuation.all_plucker_valuations(n, cross_check=True, deadline=deadline)
     return True, ""
 
 
 def table_lgr36(n, deadline):
-    table = valuation.all_plucker_valuations(n, cross_check=False)
+    table = valuation.all_plucker_valuations(n, deadline=deadline)
     rows = table.get((3, 2, 1)), table.get(())
     return (rows == ((0, 2, 0, 2, 1, 1), (2, 4, 1, 4, 2, 3)) and len(table) == 14,
             f"(3,2,1) -> {rows[0]}, () -> {rows[1]}, {len(table)} classes")
@@ -62,7 +62,7 @@ def term_count(n, deadline):
 
 
 def gamma_routes(n, deadline):
-    superpotential.gamma_hrep(n)  # raises on disagreement
+    superpotential.gamma_hrep(n, deadline)  # raises on disagreement
     return True, ""
 
 
@@ -127,15 +127,16 @@ PRINTED_DELTA3 = frozenset({
 
 
 def delta_printed(n, deadline):
-    V = VPolytope.from_points(valuation.delta_vertices(n))
+    V = VPolytope.from_points(valuation.delta_vertices(n, deadline))
     rows = polytope.facets(V, deadline).row_set()
     return rows == PRINTED_DELTA3, (f"missing {sorted(PRINTED_DELTA3 - rows)}, "
                                     f"extra {sorted(rows - PRINTED_DELTA3)}")
 
 
 def f_vector(n, deadline):
-    fv_delta = polytope.f_vector(VPolytope.from_points(valuation.delta_vertices(n)), deadline)
-    fv_gamma = polytope.f_vector(VPolytope.from_points(superpotential.gamma_vertex_set(n)), deadline)
+    delta = VPolytope.from_points(valuation.delta_vertices(n, deadline))
+    gamma = VPolytope.from_points(superpotential.gamma_vertex_set(n, deadline))
+    fv_delta, fv_gamma = polytope.f_vector(delta, deadline), polytope.f_vector(gamma, deadline)
     return fv_delta == fv_gamma == (14, 51, 86, 78, 39, 10), f"{fv_delta} / {fv_gamma}"
 
 

@@ -16,9 +16,11 @@ And lgrnok evaluates a valuation's max-plus product on one packed integer
 per class; the reference takes one short max-plus row per vector.
 
 The last few helpers have no caller in lgrnok: M_n applied to a vector,
-flow polynomials and their monomials, a vertex's neighbours, the inverse
-of the Dyck path of an antichain, a graph with one vertex recoloured and
-the Euler relation of an f-vector.  Only the tests read them.
+flow polynomials and their monomials, the order of P_n as the closure of
+its covers (lgrnok reads it off a closed form), a vertex's neighbours, the
+inverse of the Dyck path of an antichain, a graph with one vertex
+recoloured and the Euler relation of an f-vector.  Only the tests read
+them.
 """
 
 import copy
@@ -378,6 +380,23 @@ def flow_polynomial(G, O, J):
     return tuple(flow.monomial(G) for flow in plabic.enumerate_flows(G, O, J))
 
 
+def order_pairs(P):
+    """The pairs (x, y) with x <= y in P: the reflexive and transitive
+    closure of its cover relations, searched down from each element."""
+    lower = {}
+    for upper, low in P.covers():
+        lower.setdefault(upper, []).append(low)
+    pairs = set()
+    for y in P.elements:
+        stack = [y]
+        while stack:
+            x = stack.pop()
+            if (x, y) not in pairs:
+                pairs.add((x, y))
+                stack.extend(lower.get(x, ()))
+    return frozenset(pairs)
+
+
 def monomial_key(mono):
     return tuple(sorted(mono.items()))
 
@@ -398,9 +417,10 @@ def dyck_to_antichain(P, steps):
         for (i, j) in P.elements
         if heights[n + j - 2 * i + 2] >= n + 2 - j
     }
+    leq = order_pairs(P)
     return frozenset(
         x for x in covered
-        if not any(y != x and (x, y) in P.leq for y in covered)
+        if not any(y != x and (x, y) in leq for y in covered)
     )
 
 

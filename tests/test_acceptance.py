@@ -13,7 +13,6 @@ from math import prod
 
 from lgrnok import plabic, polytope
 from lgrnok.equivalence import (
-    antichain_from_partition,
     build_valuation_matrix,
     check_blocks,
     image_of_antichains,
@@ -49,7 +48,7 @@ from lgrnok.valuation import (
     valuation_from_flows,
     valuation_maxdiag,
 )
-from oracles import flow_polynomial, partitions_in_box
+from oracles import antichain_from_partition, flow_polynomial, partitions_in_box
 
 TABLE_N3 = {
     (3, 3, 3): (0, 0, 0, 0, 0, 0),
@@ -167,7 +166,7 @@ def test_criterion_3_flow_polynomial_145():
 
 def test_criterion_4_gamma_n3():
     cells = lex_cells(3)
-    trop = {ineq.as_row(cells) for ineq in tropicalize(build_superpotential(3))}
+    trop = set(tropicalize(3, build_superpotential(3)))
     printed = {(tuple(1 if c == cell else 0 for c in cells), 0) for cell in cells} | {
         (tuple(-1 if c in chain else 0 for c in cells), 1)
         for chain in [

@@ -222,6 +222,18 @@ def test_volume_n5_stops_at_its_budget(capsys):
     assert captured.out == "" and "exceeded its time budget" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["valuations", "--n", "10"], ["delta", "--n", "10", "--vrep"],
+                                  ["gamma", "--n", "11", "--vrep"], ["gamma", "--n", "15"]])
+def test_tables_and_point_sets_stop_at_the_budget(capsys, argv):
+    # each runs for seconds; the budget is polled while the table, the
+    # points or the rows are built, before anything is printed
+    start = time.monotonic()
+    assert main([*argv, "--time-budget", "0.2"]) == 3
+    assert time.monotonic() - start < 1.5
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: computation exceeded its time budget\n")
+
+
 def _run_verification_main():
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
     spec = importlib.util.spec_from_file_location("run_verification", path)

@@ -1,6 +1,6 @@
 import pytest
 
-from lgrnok import plabic, valuation
+from lgrnok import partitions, plabic, valuation
 from lgrnok.equivalence import build_valuation_matrix
 from lgrnok.partitions import (
     class_indexsets,
@@ -115,7 +115,6 @@ def test_packing_bound(monkeypatch):
 
     monkeypatch.setattr(plabic, "build_corect_graph", no_graph)
     monkeypatch.setattr(valuation, "class_indexsets", no_classes)
-    monkeypatch.setattr(valuation, "transpose_classes", no_classes)
     tables = valuation._packed_table.cache_info().currsize
     n = MAX_PACKED_N + 1
     for evaluate in (lambda: valuation_maxdiag(n, ()),
@@ -182,9 +181,29 @@ def test_delta_vertices():
     assert set(delta_vertices(3)) == set(TABLE_N3.values())
 
 
-def test_cross_check_flag():
-    # default replays flows for n <= 4; explicit False must give same values
-    assert all_plucker_valuations(2) == all_plucker_valuations(2, cross_check=False)
+def test_cross_check_flag(monkeypatch):
+    # the flow replay agrees with the closed form, and is off by default
+    checked = all_plucker_valuations(2, cross_check=True)
+
+    def no_flows(n, lam):
+        raise AssertionError("the flow model was replayed")
+
+    monkeypatch.setattr(valuation, "valuation_from_flows", no_flows)
+    assert all_plucker_valuations(2) == checked
+
+
+def test_all_plucker_valuations_reads_the_classes_once(monkeypatch):
+    calls = []
+    real = partitions.class_indexsets
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(partitions, "class_indexsets", counted)
+    monkeypatch.setattr(valuation, "class_indexsets", counted)
+    assert all_plucker_valuations(3) == TABLE_N3
+    assert calls == [3]
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -88,8 +88,8 @@ def test_recoloured_vertex_fails_the_orientation_check(monkeypatch, capsys):
 def test_table_lgr36_names_the_rows_that_differ(monkeypatch):
     real = valuation.all_plucker_valuations
 
-    def planted(n, cross_check):
-        table = dict(real(n, cross_check=cross_check))
+    def planted(n, **options):
+        table = dict(real(n, **options))
         table[()] = (0,) * 6
         return table
 
