@@ -11,15 +11,16 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import equivalence, plabic, polytope, quiverfold, superpotential, valuation
 from .partitions import (
     format_partition,
     partition_to_indexset,
     staircase_syt_count,
-    transpose,
+    transpose_indexset,
 )
-from .polytope import Deadline, TimeBudgetExceeded, UnboundedError, VPolytope
+from .polytope import POLL_EVERY, Deadline, TimeBudgetExceeded, UnboundedError, VPolytope
 from .verify import run_checks
 
 
@@ -28,9 +29,13 @@ def fmt_fraction(x) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _indexset_str(lam, n) -> str:
+def _indexset_str(indexset, n) -> str:
     sep = "" if n <= 4 else ","  # single digits up to n=4
-    return sep.join(str(i) for i in partition_to_indexset(lam, n))
+    return sep.join(map(str, indexset))
+
+
+def _coordinate_names(n) -> list[str]:
+    return [_indexset_str(partition_to_indexset(c, n), n) for c in valuation.coordinate_system(n)]
 
 
 def _hrep_json(H: polytope.HPolytope, coords) -> dict:
@@ -141,31 +146,29 @@ def cmd_flows(args, out, deadline) -> int:
 
 
 def cmd_valuations(args, out, deadline) -> int:
+    # The rows are formatted as the classes stream in, between the
+    # stream's polls of the deadline, and printed only once all are ready.
     n = args.n
-    table = valuation.all_plucker_valuations(n, deadline=deadline)
+    rows = valuation.class_valuations(n, deadline=deadline)
     if args.format == "json":
-        json.dump(
-            [
-                {
-                    "partition": format_partition(lam),
-                    "indexset": list(partition_to_indexset(lam, n)),
-                    "valuation": list(vec),
-                }
-                for lam, vec in table.items()
-            ],
-            out,
-            indent=2,
-        )
+        doc = [{"partition": format_partition(lam), "indexset": list(indexset),
+                "valuation": list(vec)} for indexset, lam, vec in rows]
+        # json.dump's own encoding, polled: at n=10 it outlasts the table
+        chunks, text = json.JSONEncoder(indent=2).iterencode(doc), []
+        while batch := list(islice(chunks, POLL_EVERY)):
+            deadline.check()
+            text.append("".join(batch))
+        out.writelines(text)
         out.write("\n")
-    else:
-        coords = ", ".join(_indexset_str(c, n) for c in valuation.coordinate_system(n))
-        out.write(f"valuations in coordinates ({coords}):\n")
-        for lam, vec in table.items():
-            name = _indexset_str(lam, n)
-            other = transpose(lam)
-            if other != lam:
-                name += "=" + _indexset_str(other, n)
-            out.write(f"  {name:<12} {vec}\n")
+        return 0
+    lines = [f"valuations in coordinates ({', '.join(_coordinate_names(n))}):\n"]
+    for indexset, _, vec in rows:
+        name = _indexset_str(indexset, n)
+        other = transpose_indexset(indexset, n)
+        if other != indexset:
+            name += "=" + _indexset_str(other, n)
+        lines.append(f"  {name:<12} {vec}\n")
+    out.writelines(lines)
     return 0
 
 
@@ -212,7 +215,7 @@ def cmd_gamma(args, out, deadline) -> int:
 def cmd_delta(args, out, deadline) -> int:
     n = args.n
     points = valuation.delta_vertices(n, deadline)
-    names = [_indexset_str(c, n) for c in valuation.coordinate_system(n)]
+    names = _coordinate_names(n)
     if args.vrep:
         if args.format == "json":
             json.dump({"coords": names} | _vrep_json(points), out, indent=2)

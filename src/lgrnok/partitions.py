@@ -172,20 +172,25 @@ def orbit_representative(lam: Partition) -> Partition:
     return lam if excess > 0 else t if excess < 0 else max(lam, t)
 
 
+def transpose_indexset(I: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Index set of the transpose: T = {2n+1-h : h not in I}, ascending."""
+    steps = set(I)
+    return tuple([2 * n + 1 - h for h in range(2 * n, 0, -1) if h not in steps])
+
+
 def class_indexsets(n: int) -> Iterator[tuple[int, ...]]:
     """Index set of the representative (`orbit_representative`) of each
     transpose class in n x n, in order of first appearance along the index
     sets in lexicographic order, streamed: nothing is kept.
 
     The transpose of the path with index set I has index set
-    T = {2n+1-h : h not in I}, so a class first appears at I exactly when
-    I <= T.  The lexicographically smaller index set carries the larger
-    partition, so on a tie of the diagonal excess the representative is
-    I; otherwise it is whichever of I and T has the excess >= 0."""
-    everything = range(1, 2 * n + 1)
-    for I in combinations(everything, n):
-        steps = set(I)
-        T = tuple(2 * n + 1 - h for h in reversed(everything) if h not in steps)
+    T = {2n+1-h : h not in I} (`transpose_indexset`), so a class first
+    appears at I exactly when I <= T.  The lexicographically smaller index
+    set carries the larger partition, so on a tie of the diagonal excess
+    the representative is I; otherwise it is whichever of I and T has the
+    excess >= 0."""
+    for I in combinations(range(1, 2 * n + 1), n):
+        T = transpose_indexset(I, n)
         if I <= T:
             yield I if diagonal_excess(_path_partition(I, n)) >= 0 else T
 

@@ -24,9 +24,13 @@ the orientation found is the only one.
 A flow to an index set J is a family of vertex-disjoint directed paths, one
 from each boundary source outside J to its own boundary target in J.  The
 whole network has few source-to-boundary paths (251 at n=5, 923 at n=6),
-so they are listed once per network, each with a bitmask of its internal
-vertices and its left faces, and a flow is chosen path by path from that
-table: a path fits when its end is free and its mask misses the others.
+so they are listed once per network, grouped by source and by end, each
+with a bitmask of its internal vertices and its left faces.  One placement
+routine, `flow_systems`, chooses a flow path by path from that table: a
+path fits when its end is free and its mask misses the others.  It returns
+the path systems unsorted, which is all the valuation needs;
+`enumerate_flows` sorts them into `Flow` objects for the callers that show
+them.
 """
 
 from __future__ import annotations
@@ -126,10 +130,12 @@ class PlabicGraph:
 
         seen = {frozenset(d) for d in self.left_face}
         self._edges = tuple(sorted(seen, key=lambda e: tuple(sorted(e))))
-        self._face_edges: dict[FaceId, list[frozenset]] = {f: [] for f in self.faces}
+        neighbours: dict[FaceId, list] = {f: [] for f in self.faces}
         for e in self._edges:
-            for side in self.face_sides(e):
-                self._face_edges[side].append(e)
+            left, right = self.face_sides(e)
+            neighbours[left].append((e, right))
+            neighbours[right].append((e, left))
+        self._face_neighbours = {f: tuple(pairs) for f, pairs in neighbours.items()}
 
     # -- derived structure ---------------------------------------------
 
@@ -148,8 +154,9 @@ class PlabicGraph:
         u, v = sorted(edge)
         return self.left_face[(u, v)], self.left_face[(v, u)]
 
-    def face_edges(self, face: FaceId) -> tuple[frozenset, ...]:
-        return tuple(self._face_edges[face])
+    def face_neighbours(self, face: FaceId) -> tuple[tuple[frozenset, FaceId], ...]:
+        """(edge, face across it) for each edge of the face, in edge order."""
+        return self._face_neighbours[face]
 
     def face_boundary(self, face: FaceId) -> tuple[Vertex, ...]:
         """Boundary walk of a face: a cycle for interior faces, a path whose
@@ -299,74 +306,62 @@ def path_left_faces(G: PlabicGraph, path: tuple[Vertex, ...]) -> frozenset:
     region = {G.left_face[d] for d in darts}
     frontier = list(region)
     while frontier:
-        face = frontier.pop()
-        for edge in G.face_edges(face):
-            if edge in blocked:
-                continue
-            sides = G.face_sides(edge)
-            other = sides[1] if sides[0] == face else sides[0]
-            if other not in region:
+        for edge, other in G.face_neighbours(frontier.pop()):
+            if other not in region and edge not in blocked:
                 region.add(other)
                 frontier.append(other)
     return frozenset(region)
 
 
 @cache
-def _path_table(G: PlabicGraph, O: PerfectOrientation) -> dict[int, tuple[tuple, ...]]:
+def _path_table(G: PlabicGraph, O: PerfectOrientation) -> dict[int, dict[int, tuple]]:
     """Every directed path from each boundary source of O to the boundary,
-    in lexicographic order: (vertices, mask, end, left faces) per path,
-    keyed by the source's label.
+    keyed by the source's label and then by the label of the path's end,
+    the first boundary vertex it reaches; each group in lexicographic
+    order, as (mask, (vertices, left faces)) per path.
 
     The mask has the bits of the path's internal vertices, one bit per
-    vertex of `sorted(G.colors)`; `end` is the label of the boundary vertex
-    the path stops at, the first one it reaches.  No path repeats a vertex,
-    whether or not the network is acyclic.  Built on first use, once per
-    network.
+    vertex of `sorted(G.colors)`.  No path repeats a vertex, whether or
+    not the network is acyclic.  Built on first use, once per network.
     """
     adj = O.out_neighbors()
     bit = {v: 1 << k for k, v in enumerate(sorted(G.colors))}
     table = {}
     for s in O.source_set:
-        paths = []
+        by_end: dict[int, list] = {}
 
         def walk(path: tuple[Vertex, ...], mask: int):
             for w in adj.get(path[-1], ()):
                 longer = path + (w,)
                 if w not in bit:
-                    paths.append((longer, mask, w[1], path_left_faces(G, longer)))
+                    by_end.setdefault(w[1], []).append((mask, (longer, path_left_faces(G, longer))))
                 elif not mask & bit[w]:
                     walk(longer, mask | bit[w])
 
         walk((_b(s),), 0)
-        table[s] = tuple(paths)
+        table[s] = {end: tuple(paths) for end, paths in by_end.items()}
     return table
 
 
-def enumerate_flows(G: PlabicGraph, O: PerfectOrientation, J) -> tuple[Flow, ...]:
-    """All flows from the orientation's source set to J, in lexicographic
-    order of their path vertex sequences.
+def flow_systems(G: PlabicGraph, O: PerfectOrientation, J) -> list[tuple[tuple, ...]]:
+    """The path systems of all flows from the orientation's source set to
+    J, in no particular order: per flow, one (vertices, left faces) pair
+    per path, by ascending source.
 
     A flow joins each source outside J to its own target of J outside the
     source set, by vertex-disjoint paths; every matching of sources to
-    targets is tried.  The paths come whole from `_path_table`, grouped per
-    source by their end: the sources are placed in ascending order, each
-    taking a path to a free target whose mask misses the union of the
-    masks taken so far.  A boundary vertex has one edge, so the masks alone
-    keep the ends apart; tracking the free targets skips whole groups.
+    targets is tried.  The paths come whole from `_path_table`: the
+    sources are placed in ascending order, each taking a path to a free
+    target whose mask misses the union of the masks taken so far.  A
+    boundary vertex has one edge, so the masks alone keep the ends apart;
+    tracking the free targets skips whole groups.
     """
     J = tuple(sorted(J))
     n = G.n
     if len(J) != n or len(set(J)) != n or any(j < 1 or j > 2 * n for j in J):
         raise ValueError(f"{J} is not an n-subset of [2n] for n={n}")
     table = _path_table(G, O)
-    targets = frozenset(J) - set(O.source_set)
-    by_end: list[dict[int, list]] = []
-    for s in sorted(set(O.source_set) - set(J)):
-        ends: dict[int, list] = {}
-        for path, mask, end, left in table[s]:
-            if end in targets:
-                ends.setdefault(end, []).append((mask, (path, left)))
-        by_end.append(ends)
+    by_end = [table[s] for s in sorted(set(O.source_set) - set(J))]
     systems = []
 
     def place(i: int, used: int, free: frozenset, acc: tuple):
@@ -379,10 +374,16 @@ def enumerate_flows(G: PlabicGraph, O: PerfectOrientation, J) -> tuple[Flow, ...
                 if not mask & used:
                     place(i + 1, used | mask, rest, acc + (entry,))
 
-    place(0, 0, targets, ())
-    systems.sort(key=lambda acc: [path for path, _ in acc])
-    return tuple(Flow(paths=tuple(path for path, _ in acc), left_faces=tuple(left for _, left in acc))
-                 for acc in systems)
+    place(0, 0, frozenset(J) - set(O.source_set), ())
+    return systems
+
+
+def enumerate_flows(G: PlabicGraph, O: PerfectOrientation, J) -> tuple[Flow, ...]:
+    """All flows from the orientation's source set to J (`flow_systems`),
+    in lexicographic order of their path vertex sequences."""
+    systems = sorted(flow_systems(G, O, J), key=lambda acc: [path for path, _ in acc])
+    return tuple(Flow(paths=tuple(path for path, _ in acc),
+                      left_faces=tuple(left for _, left in acc)) for acc in systems)
 
 
 # -- exports --------------------------------------------------------------

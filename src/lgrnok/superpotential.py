@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
-from itertools import count
+from itertools import compress, count
 
 from .partitions import catalan
 from .polytope import POLL_EVERY, Deadline, HPolytope
@@ -75,28 +75,36 @@ def _clash_masks(P: PosetPn) -> list[int]:
     return [sum(1 << t for t, y in enumerate(elems) if P.comparable(x, y)) for x in elems]
 
 
+def _antichain_masks(P: PosetPn, deadline: Deadline) -> list[int]:
+    """Every antichain including the empty one, in a fixed order, as an int
+    with one byte per element of P in sorted order: 1 for a member, 0 for
+    the rest.  The deadline is polled every POLL_EVERY antichains."""
+    clash = _clash_masks(P)
+    out: list[int] = []
+
+    def grow(start: int, chosen: int, blocked: int):
+        if not len(out) % POLL_EVERY:
+            deadline.check()
+        out.append(chosen)
+        for t in range(start, len(clash)):
+            if not blocked >> t & 1:
+                grow(t + 1, chosen | 1 << 8 * t, blocked | clash[t])
+
+    grow(0, 0, 0)
+    return out
+
+
 def enumerate_antichains(P: PosetPn, deadline: Deadline = Deadline()) -> tuple[frozenset[Element], ...]:
     """Every antichain including the empty one, in a fixed order; the
     deadline is polled every POLL_EVERY antichains."""
     elems = sorted(P.elements)
-    clash = _clash_masks(P)
-    out: list[frozenset[Element]] = []
-
-    def grow(start: int, chosen: tuple[Element, ...], blocked: int):
-        if not len(out) % POLL_EVERY:
-            deadline.check()
-        out.append(frozenset(chosen))
-        for t in range(start, len(elems)):
-            if not blocked >> t & 1:
-                grow(t + 1, chosen + (elems[t],), blocked | clash[t])
-
-    grow(0, (), 0)
-    return tuple(out)
+    return tuple(frozenset(compress(elems, mask.to_bytes(len(elems), "little")))
+                 for mask in _antichain_masks(P, deadline))
 
 
 def antichain_count(P: PosetPn, deadline: Deadline = Deadline()) -> int:
     """The number of antichains, the empty one included: the recursion of
-    `enumerate_antichains`, with nothing built.  The deadline is polled
+    `_antichain_masks`, with nothing built.  The deadline is polled
     every POLL_EVERY antichains."""
     clash = _clash_masks(P)
     counted = count()
@@ -273,20 +281,14 @@ def gamma_hrep(n: int, deadline: Deadline = Deadline()) -> HPolytope:
     return HPolytope(dim=n * (n + 1) // 2, rows=tuple(trop_rows))
 
 
-def antichain_indicator(n: int, antichain) -> tuple[int, ...]:
-    return tuple(1 if c in antichain else 0 for c in lex_cells(n))
-
-
 def gamma_vertex_set(n: int, deadline: Deadline = Deadline()) -> tuple[tuple[int, ...], ...]:
-    """Indicator vectors of the antichains of P_n, sorted.  The deadline is
-    polled every POLL_EVERY antichains, as they are enumerated and as their
-    indicators are built."""
-    points = []
-    for a in enumerate_antichains(build_poset(n), deadline):
-        if not len(points) % POLL_EVERY:
-            deadline.check()
-        points.append(antichain_indicator(n, a))
-    return tuple(sorted(points))
+    """Indicator vectors of the antichains of P_n, sorted: the bytes of
+    each antichain's mask (`_antichain_masks`), whose elements come in the
+    order of `lex_cells(n)`.  The deadline is polled every POLL_EVERY
+    antichains, as they are enumerated."""
+    size = n * (n + 1) // 2
+    return tuple(sorted(tuple(mask.to_bytes(size, "little"))
+                        for mask in _antichain_masks(build_poset(n), deadline)))
 
 
 def antichain_count_formula(n: int) -> int:

@@ -35,13 +35,16 @@ max-plus in the tests stay as its oracles.
 
 A flow's exponent vector is the sum over its paths of the coordinate counts
 of the path's left faces.  Many flows share a path, so the counts are
-cached per left-face set, and the flows cost little more than enumerating
-them.
+cached per left-face set as one packed int, one byte per orbit like the
+valuations of `_packed_table`; a flow's vector is the int sum over the
+path system that `plabic.flow_systems` places, and the minimum over the
+flows is taken bytewise, with no `Flow` object built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from functools import cache
 from operator import mul
 from types import MappingProxyType
@@ -97,43 +100,46 @@ def orbit_vector(n: int, monomial: Counter) -> tuple[int, ...]:
     return tuple(totals)
 
 
+# A flow has at most n paths and an orbit at most two faces, each on the
+# left of a path at most once, so a coordinate of a flow's vector is at
+# most 2n: below the guard bit 2**7 of a FIELD_BITS byte for n <= MAX_PACKED_N.
 @cache
-def _left_faces_vector(n: int, faces: frozenset) -> tuple[int, ...]:
-    """Coordinate counts of one path's left faces."""
+def _left_faces_packed(n: int, faces: frozenset) -> int:
+    """Coordinate counts of one path's left faces, one byte per orbit."""
     coords = face_coordinates(n)
-    totals = [0] * len(coordinate_system(n))
-    for face in faces:
-        if coords[face] is not None:
-            totals[coords[face]] += 1
-    return tuple(totals)
+    return sum(1 << FIELD_BITS * coords[face] for face in faces if coords[face] is not None)
 
 
-def flow_vector(n: int, flow: plabic.Flow) -> tuple[int, ...]:
-    """Exponent vector of a flow's monomial: the sum over its paths of the
-    cached coordinate counts of their left faces."""
-    zero = (0,) * len(coordinate_system(n))
-    return tuple(map(sum, zip(zero, *(_left_faces_vector(n, f) for f in flow.left_faces))))
+def _flow_sums(n: int, J) -> list[int]:
+    """The exponent vector of every flow to J, packed one byte per orbit:
+    the sum over each path system of its paths' cached left-face counts."""
+    G, O = plabic.corect_network(n)
+    return [sum(_left_faces_packed(n, left) for _, left in system)
+            for system in plabic.flow_systems(G, O, J)]
 
 
 def valuation_from_flows(n: int, lam: Partition) -> tuple[int, ...]:
     """Coordinatewise minimum over the flow vectors for p_lam, which must
-    be attained by exactly one flow.  Each flow's vector is summed from
-    `face_coordinates` over its paths' left-face sets, one count per
-    distinct set (`flow_vector`)."""
+    be attained by exactly one flow.  The minimum is merged bytewise over
+    the packed sums of `_flow_sums`: a field's guard bit survives
+    low + 2**7 - x exactly when x <= low."""
     lam = check_in_box(lam, n)
-    G, O = plabic.corect_network(n)
-    J = partition_to_indexset(lam, n)
-    vectors = [flow_vector(n, flow) for flow in plabic.enumerate_flows(G, O, J)]
-    if not vectors:
+    sums = _flow_sums(n, partition_to_indexset(lam, n))
+    if not sums:
         raise ValueError(f"no flow realizes the Pluecker coordinate of {lam}")
-    low = tuple(min(col) for col in zip(*vectors))
-    hits = vectors.count(low)
+    N = len(coordinate_system(n))
+    guards = int.from_bytes(bytes([1 << FIELD_BITS - 1]) * N, "little")
+    low = sums[0]
+    for x in sums:
+        kept = ((low | guards) - x) & guards
+        low ^= (low ^ x) & (kept - (kept >> FIELD_BITS - 1))
+    hits = sums.count(low)
     if hits != 1:
         raise ValueError(
             f"coordinatewise minimum for {lam} attained by {hits} monomials; "
             "a unique minimal flow was expected"
         )
-    return low
+    return tuple(low.to_bytes(N, "little"))
 
 
 def _corners(lengths: tuple[int, ...]) -> tuple[int, ...]:
@@ -247,18 +253,18 @@ def valuation_maxdiag(n: int, lam: Partition) -> tuple[int, ...]:
     return _maxplus(n, diagonal_lengths(partition_to_indexset(lam, n), n))
 
 
-def all_plucker_valuations(n: int, cross_check: bool = False,
-                           deadline: Deadline = Deadline()) -> dict[Partition, tuple[int, ...]]:
-    """Valuation of one representative per transpose class, keyed by the
-    representative, in ascending index-set order: one pass over the
-    stream of `class_indexsets`, each value read off the index set.  The
-    deadline is polled every POLL_EVERY classes.
+def class_valuations(n: int, cross_check: bool = False, deadline: Deadline = Deadline(),
+                     ) -> Iterator[tuple[tuple[int, ...], Partition, tuple[int, ...]]]:
+    """(index set, representative, valuation) of each transpose class, in
+    ascending index-set order, streamed: one pass over `class_indexsets`,
+    each value read off the index set.  The deadline is polled every
+    POLL_EVERY classes, so a caller's work on the rows between two polls
+    is polled too.
 
     With cross_check, the flow model is replayed against the closed form
     at every class; a mismatch raises.
     """
     _packed_table(n)  # past MAX_PACKED_N, raise before enumerating the classes
-    table: dict[Partition, tuple[int, ...]] = {}
     for count, indexset in enumerate(class_indexsets(n)):
         if not count % POLL_EVERY:
             deadline.check()
@@ -271,8 +277,14 @@ def all_plucker_valuations(n: int, cross_check: bool = False,
                     f"valuation oracle mismatch at {rep}: flows {flows}, "
                     f"maxdiag {value}"
                 )
-        table[rep] = value
-    return table
+        yield indexset, rep, value
+
+
+def all_plucker_valuations(n: int, cross_check: bool = False,
+                           deadline: Deadline = Deadline()) -> dict[Partition, tuple[int, ...]]:
+    """Valuation of one representative per transpose class, keyed by the
+    representative, in ascending index-set order (`class_valuations`)."""
+    return {rep: value for _, rep, value in class_valuations(n, cross_check, deadline)}
 
 
 def delta_vertices(n: int, deadline: Deadline = Deadline()) -> tuple[tuple[int, ...], ...]:

@@ -154,7 +154,7 @@ CHECKS = (
     Check("partition-bijection-roundtrip", "vertex", roundtrip),
     Check("perfect-orientation-unique", "vertex", orientation_unique),
     Check("valuation-oracle-equivalence", "vertex", oracle,
-          n_max=5, skip="flow model gated to n <= 5"),
+          n_max=6, skip="flow model gated to n <= 6"),
     Check("valuation-table-lgr36", "vertex", table_lgr36,
           n_min=3, n_max=3, skip="reference table is for n=3"),
     Check("flow-polynomial-145", "vertex", flow_polynomial_145,

@@ -13,7 +13,11 @@ walks the network vertex by vertex for every target.  lgrnok forces the
 perfect orientation from the boundary; the reference searches every
 orientation by backtracking and stops at the second.
 And lgrnok evaluates a valuation's max-plus product on one packed integer
-per class; the reference takes one short max-plus row per vector.
+per class; the reference takes one short max-plus row per vector.  Its
+flow valuation sums packed left-face counts over each path system as it is
+placed; the reference counts the faces of each sorted `Flow`.  And its
+antichain indicators are the bytes of a mask built during enumeration; the
+reference tests every cell for membership.
 
 The last few helpers have no caller in lgrnok: M_n applied to a vector,
 flow polynomials and their monomials, the order of P_n as the closure of
@@ -39,8 +43,8 @@ from lgrnok.partitions import (
 )
 from lgrnok.plabic import Flow, path_left_faces
 from lgrnok.polytope import _facets_full_dim, _lattice
-from lgrnok.superpotential import build_poset, is_antichain
-from lgrnok.valuation import _corners, coordinate_system
+from lgrnok.superpotential import build_poset, is_antichain, lex_cells
+from lgrnok.valuation import _corners, coordinate_system, face_coordinates
 
 
 def parse_partition(text):
@@ -244,6 +248,24 @@ def enumerate_flows_by_dfs(G, O, J):
     place(0, {("b", t) for t in J if t in O.source_set}, [])
     return tuple(Flow(paths=paths, left_faces=tuple(path_left_faces(G, p) for p in paths))
                  for paths in sorted(systems))
+
+
+def flow_vector(n, flow):
+    """Exponent vector of a flow's monomial: the coordinate counts of every
+    path's left faces, added up over the flow."""
+    coords = face_coordinates(n)
+    totals = [0] * len(coordinate_system(n))
+    for faces in flow.left_faces:
+        for face in faces:
+            if coords[face] is not None:
+                totals[coords[face]] += 1
+    return tuple(totals)
+
+
+def antichain_indicator(n, antichain):
+    """0/1 vector of the antichain over the cells of P_n in lexicographic
+    order, cell by cell."""
+    return tuple(1 if c in antichain else 0 for c in lex_cells(n))
 
 
 def perfect_orientations_by_search(G, sources):

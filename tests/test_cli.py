@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from lgrnok import cli, valuation
 from lgrnok.cli import fmt_fraction, main
+from lgrnok.polytope import Deadline, TimeBudgetExceeded
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +232,41 @@ def test_tables_and_point_sets_stop_at_the_budget(capsys, argv):
     start = time.monotonic()
     assert main([*argv, "--time-budget", "0.2"]) == 3
     assert time.monotonic() - start < 1.5
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: computation exceeded its time budget\n")
+
+
+def test_valuations_budget_covers_the_output(monkeypatch, capsys):
+    # with the classes polled one by one and each row's index set slowed
+    # down, the budget runs out while the rows are formatted
+    real = cli._indexset_str
+
+    def slow(indexset, n):
+        time.sleep(0.002)
+        return real(indexset, n)
+
+    monkeypatch.setattr(valuation, "POLL_EVERY", 1)
+    monkeypatch.setattr(cli, "_indexset_str", slow)
+    start = time.monotonic()
+    assert main(["valuations", "--n", "6", "--time-budget", "0.3"]) == 3
+    assert time.monotonic() - start < 0.8
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: computation exceeded its time budget\n")
+
+
+def test_valuations_json_encoding_polls_the_budget(monkeypatch, capsys):
+    # at n=6 the 494 classes take one poll of the deadline; a deadline that
+    # expires at its second poll is caught while the JSON is encoded
+    class ExpiresAtSecondPoll(Deadline):
+        polls = 0
+
+        def check(self):
+            self.polls += 1
+            if self.polls > 1:
+                raise TimeBudgetExceeded("computation exceeded its time budget")
+
+    monkeypatch.setattr(cli, "Deadline", ExpiresAtSecondPoll)
+    assert main(["valuations", "--n", "6", "--format", "json"]) == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: computation exceeded its time budget\n")
 

@@ -22,6 +22,7 @@ from lgrnok.partitions import (
     syt_count,
     transpose,
     transpose_classes,
+    transpose_indexset,
 )
 import oracles
 from oracles import (
@@ -65,6 +66,7 @@ def test_indexset_rejects_malformed():
 def test_indexset_roundtrip_exhaustive(n):
     for I in combinations(range(1, 2 * n + 1), n):
         assert partition_to_indexset(indexset_to_partition(I, n), n) == I
+        assert transpose_indexset(I, n) == partition_to_indexset(transpose(indexset_to_partition(I, n)), n)
 
 
 def test_transpose_examples():

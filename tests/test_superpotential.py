@@ -11,7 +11,6 @@ from lgrnok.superpotential import (
     POLL_EVERY,
     antichain_count,
     antichain_count_formula,
-    antichain_indicator,
     antichain_to_dyck,
     build_poset,
     build_superpotential,
@@ -223,11 +222,14 @@ def test_gamma_n1_is_unit_segment():
 
 
 def test_gamma_vertices_are_indicators():
-    P = build_poset(3)
     vertices = gamma_vertex_set(3)
     assert len(vertices) == 14
     assert all(set(v) <= {0, 1} for v in vertices)
-    assert antichain_indicator(3, frozenset()) in vertices
+    assert oracles.antichain_indicator(3, frozenset()) in vertices
+    for n in range(1, 7):
+        expected = sorted(oracles.antichain_indicator(n, a)
+                          for a in enumerate_antichains(build_poset(n)))
+        assert gamma_vertex_set(n) == tuple(expected)
 
 
 @given(st.integers(min_value=1, max_value=5))

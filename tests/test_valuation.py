@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from lgrnok import partitions, plabic, valuation
@@ -20,12 +22,11 @@ from lgrnok.valuation import (
     coordinate_system,
     delta_vertices,
     face_coordinates,
-    flow_vector,
     orbit_vector,
     valuation_from_flows,
     valuation_maxdiag,
 )
-from oracles import maxplus_by_vector, partitions_in_box
+from oracles import flow_vector, maxplus_by_vector, partitions_in_box
 
 # the full LGr(3,6) table, keyed by class representative
 TABLE_N3 = {
@@ -213,13 +214,20 @@ def test_minimum_monomial_unique(n):
         valuation_from_flows(n, lam)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_flow_vector_matches_monomial_route(n):
-    # the cached left-face route against collapsing each flow's monomial
+    # the packed sums over the placed path systems against the sorted flows,
+    # each counted face by face and collapsed from its monomial: every
+    # target up to n=4, every class at n=5
     G, O = plabic.corect_network(n)
-    for lam in transpose_classes(n):
-        for flow in plabic.enumerate_flows(G, O, partition_to_indexset(lam, n)):
-            assert flow_vector(n, flow) == orbit_vector(n, flow.monomial(G)), (lam, flow)
+    N = len(coordinate_system(n))
+    targets = combinations(range(1, 2 * n + 1), n) if n <= 4 else class_indexsets(n)
+    for J in targets:
+        flows = plabic.enumerate_flows(G, O, J)
+        for flow in flows:
+            assert flow_vector(n, flow) == orbit_vector(n, flow.monomial(G)), (J, flow)
+        packed = sorted(tuple(x.to_bytes(N, "little")) for x in valuation._flow_sums(n, J))
+        assert packed == sorted(orbit_vector(n, flow.monomial(G)) for flow in flows), J
 
 
 def test_orbit_vector_rejects_unknown_label():
@@ -233,13 +241,14 @@ def test_shared_minimum_raises(monkeypatch):
     low = valuation_from_flows(n, lam)
     (minimal,) = [f for f in plabic.enumerate_flows(G, O, partition_to_indexset(lam, n))
                   if flow_vector(n, f) == low]
-    monkeypatch.setattr(plabic, "enumerate_flows", lambda G, O, J: (minimal, minimal))
+    system = tuple(zip(minimal.paths, minimal.left_faces))
+    monkeypatch.setattr(plabic, "flow_systems", lambda G, O, J: [system, system])
     with pytest.raises(ValueError, match="attained by 2 monomials"):
         valuation_from_flows(n, lam)
 
 
 def test_no_flow_raises(monkeypatch):
-    monkeypatch.setattr(plabic, "enumerate_flows", lambda G, O, J: ())
+    monkeypatch.setattr(plabic, "flow_systems", lambda G, O, J: [])
     with pytest.raises(ValueError, match="no flow realizes"):
         valuation_from_flows(3, (3, 2, 1))
 

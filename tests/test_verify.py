@@ -4,6 +4,7 @@ import hashlib
 import re
 import time
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -122,6 +123,26 @@ def test_flow_oracle_runs_at_n5(capsys):
     assert "  [PASS] valuation-oracle-equivalence\n" in capsys.readouterr().out
 
 
+def test_swapped_face_coordinates_fail_the_flow_oracle_at_n6(monkeypatch, capsys):
+    # two faces of different orbits trade coordinates; only the flow model
+    # reads the face table, and it now runs at n=6
+    assert main(["verify", "--n", "6", "--level", "vertex"]) == 0
+    assert "  [PASS] valuation-oracle-equivalence\n" in capsys.readouterr().out
+    real = valuation.face_coordinates(6)
+    a, b = [face for face, i in real.items() if i is not None][:2]
+    assert real[a] != real[b]
+    planted = MappingProxyType(dict(real) | {a: real[b], b: real[a]})
+    monkeypatch.setattr(valuation, "face_coordinates", lambda n: planted)
+    valuation._left_faces_packed.cache_clear()
+    try:
+        assert main(["verify", "--n", "6", "--level", "vertex"]) == 1
+    finally:
+        valuation._left_faces_packed.cache_clear()
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  [FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith(
+        "  [FAIL] valuation-oracle-equivalence  (AssertionError: valuation oracle mismatch at ")
+
+
 def test_gamma_vertex_enumeration_runs_to_n6(capsys):
     assert main(["verify", "--n", "6", "--level", "hull"]) == 0
     assert "  [PASS] gamma-vertex-enumeration\n" in capsys.readouterr().out
@@ -159,10 +180,12 @@ def test_vertex_level_loop_polls_the_deadline():
 
 # sha256 of stdout: n=8 and the valuations recorded from the cell-by-cell
 # implementation that the lattice-path code replaced, n=9 from the vertex
-# level that compared a class table with a dict of antichain images.
+# level that compared a class table with a dict of antichain images; the
+# two verify runs re-pinned when the flow oracle's skip line moved from
+# n <= 5 to n <= 6, their only change.
 PINNED_STDOUT = {
-    "verify --n 9 --level vertex": "fe3c75f8524fca1c15af2abeb2728a0be847b5430c4c1855bfae97e6b758c1d1",
-    "verify --n 8 --level vertex": "4cdc74bc1dff8f5d547c0c08f9385086c2c96bafb04c91623a00a3737c2227fb",
+    "verify --n 9 --level vertex": "6daef7f8526823f8d30f82d691604e8513327724f57cea56f24a7da3bdeb443f",
+    "verify --n 8 --level vertex": "06d0f0bfe2124b197c0dcbc69d9587825abd83239364192647f8ec88eb4c4fda",
     "valuations --n 6": "765d9af3cea661711ee719f0a53c6d82fc62074267363b5567e4b3f7948f3ce9",
 }
 
