@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from itertools import islice
 
 from . import equivalence, plabic, polytope, quiverfold, superpotential, valuation
@@ -22,11 +21,6 @@ from .partitions import (
 )
 from .polytope import POLL_EVERY, Deadline, TimeBudgetExceeded, UnboundedError, VPolytope
 from .verify import run_checks
-
-
-def fmt_fraction(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _indexset_str(indexset, n) -> str:
@@ -46,7 +40,7 @@ def _hrep_json(H: polytope.HPolytope, coords) -> dict:
 
 
 def _vrep_json(points) -> dict:
-    return {"points": [[fmt_fraction(x) for x in p] for p in points]}
+    return {"points": [[str(x) for x in p] for p in points]}
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -301,8 +295,8 @@ def cmd_volume(args, out, deadline) -> int:
         json.dump(
             {
                 "n": n,
-                "gamma": fmt_fraction(vol_gamma),
-                "delta": fmt_fraction(vol_delta),
+                "gamma": str(vol_gamma),
+                "delta": str(vol_delta),
                 "degree": expected,
             },
             out,
@@ -310,8 +304,8 @@ def cmd_volume(args, out, deadline) -> int:
         )
         out.write("\n")
     else:
-        out.write(f"normalized volume of the superpotential polytope: {fmt_fraction(vol_gamma)}\n")
-        out.write(f"normalized volume of the Newton-Okounkov body:    {fmt_fraction(vol_delta)}\n")
+        out.write(f"normalized volume of the superpotential polytope: {vol_gamma}\n")
+        out.write(f"normalized volume of the Newton-Okounkov body:    {vol_delta}\n")
         out.write(f"degree of LGr({n},{2*n}) (staircase SYT count):       {expected}\n")
     return 0 if vol_gamma == vol_delta == expected else 1
 

@@ -458,9 +458,12 @@ def verify_hull_level(n: int, deadline: polytope.Deadline = polytope.Deadline())
     through M_n, and that both polytopes have the normalized volume
     staircase_syt_count(n), the degree of LGr(n, 2n).  Returns (ok, witness).
 
-    The vertex level runs first, and its failure is returned as it is: the
-    hull is compared only once the walk has shown that Delta's points,
-    `valuation.delta_vertices`, are the images of the antichain indicators.
+    The vertex level runs first, and its failure is returned as it is.  The
+    walk shows that each class it meets has as its valuation the image
+    under M_n of its hooks, and that its sections match the antichains one
+    to one.  It does not read `valuation.delta_vertices`, from which Delta's
+    points are taken here; the check `valuation-oracle-equivalence` pins
+    the number of classes and of distinct values of the stream behind it.
     The volume of Delta reuses the facet run of the comparison.
     """
     ok, witness = verify_main_theorem(n, deadline)
@@ -484,6 +487,4 @@ def gamma_vertices_match_hrep(n: int, deadline: polytope.Deadline = polytope.Dea
     """Vertex enumeration of the superpotential H-rep returns exactly the
     antichain indicator vectors."""
     enumerated = polytope.vertices(gamma_hrep(n, deadline), deadline)
-    indicators = superpotential.gamma_vertex_set(n, deadline)
-    expected = tuple(sorted(polytope.as_point(v) for v in indicators))
-    return enumerated.points == expected
+    return enumerated.points == superpotential.gamma_vertex_set(n, deadline)

@@ -1,13 +1,13 @@
 """Exact linear algebra over the integers.
 
-Elimination is fraction-free: rows stay integer and are divided by their
-gcd.  Only `primitive` accepts rationals, to clear their denominators;
-nothing ever touches floating point.
+Every entry is an int.  Elimination is fraction-free: rows stay integer
+and are divided by their gcd, and `primitive` divides a vector by the gcd
+of its entries.  Nothing ever touches a rational or a float.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -56,7 +56,7 @@ def bareiss_det(matrix) -> int:
 
 
 def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int, int]:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
+    """Gauss-Jordan elimination of an integer matrix, fraction-free and in place.
 
     Each pivot is cleared from every other row by cross-multiplication,
     and every row that changes is divided by the gcd of its entries, so the
@@ -150,8 +150,7 @@ def affine_pivot_columns(points) -> list[int]:
 
 
 def primitive(vector) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector, preserving direction."""
-    denom = lcm(*(x.denominator for x in vector))
-    ints = [x.numerator * (denom // x.denominator) for x in vector]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+    """An integer vector divided by the gcd of its entries, preserving
+    direction; the zero vector stays zero."""
+    g = gcd(*vector)
+    return tuple(x // g for x in vector) if g > 1 else tuple(vector)

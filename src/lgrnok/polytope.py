@@ -6,13 +6,14 @@ double description method on a pointed cone with the combinatorial
 adjacency test, updating the zero sets of the rays as rows are inserted;
 no floating point anywhere.
 
-A point set must be full-dimensional: `facets`, `f_vector` and
-`normalized_volume` raise ValueError otherwise (Delta and Gamma are
-full-dimensional at every n).  Points are rational at the interface
-(`as_point`, the points `vertices` returns, the volume `normalized_volume`
-returns) and integer inside: a point set is scaled once by the lcm L of its
-denominators, the work runs in integers, and facet rows are rescaled by L
-and volumes divided by L^dim.
+Points are lattice points, tuples of ints, everywhere: Delta is the hull
+of integer valuation vectors and Gamma has 0/1 vertices, and M_n is
+unimodular, so no point, vertex, facet or volume the program builds is
+ever non-integral.  `VPolytope.from_points` refuses a non-integer
+coordinate, `vertices` refuses a vertex off the lattice, and
+`normalized_volume` is an int.  A point set must be full-dimensional:
+`facets`, `f_vector` and `normalized_volume` raise ValueError otherwise
+(Delta and Gamma are full-dimensional at every n).
 
 One facet run gives the whole face lattice.  A face is the set of points on
 it, held as a bitmask, and its facets are its maximal proper nonempty
@@ -31,25 +32,18 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-from operator import mul
+from operator import index, mul
 
 # The engine's callers import the time budget's names from here too.
 from .budget import POLL_EVERY, Deadline, TimeBudgetExceeded
 from .linalg import affine_pivot_columns, bareiss_det, dot, invert, primitive, rref
 
-Point = tuple[Fraction, ...]
-IntPoint = tuple[int, ...]
+Point = tuple[int, ...]
 Row = tuple[tuple[int, ...], int]  # (coefficients, constant): c.x + d >= 0
 
 
 class UnboundedError(ValueError):
     pass
-
-
-def as_point(values) -> Point:
-    return tuple(Fraction(v) for v in values)
 
 
 def normalize_row(coeffs, const) -> Row:
@@ -64,7 +58,9 @@ class VPolytope:
 
     @staticmethod
     def from_points(points) -> "VPolytope":
-        pts = tuple(sorted({as_point(p) for p in points}))
+        """The sorted distinct points; raises TypeError on a coordinate that
+        is not an int, such as 0.5 or a rational one half."""
+        pts = tuple(sorted({tuple(map(index, p)) for p in points}))
         if not pts:
             raise ValueError("a polytope needs at least one point")
         if len({len(p) for p in pts}) != 1:
@@ -146,7 +142,9 @@ def _extreme_rays(rows: list[tuple[int, ...]], deadline: Deadline) -> list[tuple
 
 
 def vertices(H: HPolytope, deadline: Deadline = Deadline()) -> VPolytope:
-    """Exact vertex enumeration; raises UnboundedError for unbounded input."""
+    """Exact vertex enumeration; raises UnboundedError for unbounded input
+    and ValueError for a vertex off the lattice.  The rays are primitive,
+    so the vertex x has the ray (1, x) exactly when x is integral."""
     cone_rows: list[tuple[int, ...]] = [(1,) + (0,) * H.dim]
     for c, d in H.rows:
         cone_rows.append((d,) + tuple(c))
@@ -157,28 +155,22 @@ def vertices(H: HPolytope, deadline: Deadline = Deadline()) -> VPolytope:
             if any(ray[1:]):
                 raise UnboundedError(f"recession ray {ray[1:]}")
             continue
-        points.append(tuple(Fraction(x, ray[0]) for x in ray[1:]))
+        if ray[0] != 1:
+            raise ValueError(f"vertex {ray[1:]}/{ray[0]} is not a lattice point")
+        points.append(ray[1:])
     if not points:
         raise ValueError("empty polytope")
     return VPolytope.from_points(points)
 
 
-def _lattice(points: tuple[Point, ...]) -> tuple[tuple[IntPoint, ...], int]:
-    """(L * points, L) for L the lcm of the coordinates' denominators."""
-    scale = lcm(*(x.denominator for p in points for x in p))
-    return tuple(tuple(x.numerator * (scale // x.denominator) for x in p) for p in points), scale
-
-
-def _full_dim_lattice(V: VPolytope) -> tuple[tuple[IntPoint, ...], int]:
-    """`_lattice` of V's points; raises ValueError unless they affinely span
-    R^dim."""
-    points, scale = _lattice(V.points)
-    if len(affine_pivot_columns(points)) < V.dim:
+def _full_dim(V: VPolytope) -> tuple[Point, ...]:
+    """V's points; raises ValueError unless they affinely span R^dim."""
+    if len(affine_pivot_columns(V.points)) < V.dim:
         raise ValueError("the polytope engine needs a full-dimensional point set")
-    return points, scale
+    return V.points
 
 
-def _facets_full_dim(points: tuple[IntPoint, ...], deadline: Deadline) -> tuple[Row, ...]:
+def _facets_full_dim(points: tuple[Point, ...], deadline: Deadline) -> tuple[Row, ...]:
     """Irredundant facets of a full-dimensional hull via the polar dual."""
     m = len(points)
     sums = [sum(col) for col in zip(*points)]
@@ -202,17 +194,13 @@ def _facets_full_dim(points: tuple[IntPoint, ...], deadline: Deadline) -> tuple[
 def facets(V: VPolytope, deadline: Deadline = Deadline()) -> HPolytope:
     """Irredundant H-representation of conv(points), which must be
     full-dimensional."""
-    points, scale = _full_dim_lattice(V)
-    # c.(L x) + d >= 0 is (L c).x + d >= 0
-    return HPolytope(dim=V.dim, rows=tuple(
-        normalize_row([scale * x for x in c], d) for c, d in _facets_full_dim(points, deadline)
-    ))
+    return HPolytope(dim=V.dim, rows=_facets_full_dim(_full_dim(V), deadline))
 
 
 # -- face lattice: f-vector and volume ----------------------------------------
 
 
-def _facet_masks(points: tuple[IntPoint, ...], rows: tuple[Row, ...]) -> list[int]:
+def _facet_masks(points: tuple[Point, ...], rows: tuple[Row, ...]) -> list[int]:
     """Bit i of a facet's mask: points[i] lies on the facet."""
     return [sum(1 << i for i, p in enumerate(points) if dot(coeffs, p) + const == 0)
             for coeffs, const in rows]
@@ -232,7 +220,7 @@ def f_vector(V: VPolytope, deadline: Deadline = Deadline()) -> tuple[int, ...]:
     dimension at a time, the k-faces are the facets of the (k+1)-faces.
     The deadline is polled once per face.
     """
-    points, _ = _full_dim_lattice(V)
+    points = _full_dim(V)
     masks = _facet_masks(points, _facets_full_dim(points, deadline))
     faces = set(masks)
     counts = [len(faces)]
@@ -246,8 +234,8 @@ def f_vector(V: VPolytope, deadline: Deadline = Deadline()) -> tuple[int, ...]:
     return tuple(reversed(counts))
 
 
-def _triangulate(points: tuple[IntPoint, ...], deadline: Deadline,
-                 rows: tuple[Row, ...] | None = None) -> Iterable[tuple[IntPoint, ...]]:
+def _triangulate(points: tuple[Point, ...], deadline: Deadline,
+                 rows: tuple[Row, ...] | None = None) -> Iterable[tuple[Point, ...]]:
     """Simplices (as point tuples in the order of `points`) triangulating
     conv(points), for sorted points spanning their space; sorted, so the
     least point on a face is a vertex of it.  `rows`, the facets if known,
@@ -286,19 +274,16 @@ def _triangulate(points: tuple[IntPoint, ...], deadline: Deadline,
 
 
 def normalized_volume(V: VPolytope, deadline: Deadline = Deadline(),
-                      H: HPolytope | None = None) -> Fraction:
+                      H: HPolytope | None = None) -> int:
     """dim! times the Euclidean volume, by exact triangulation of the
     full-dimensional conv(points).  H, the facets of V when the caller
     already has them, saves the facet run.  The deadline is polled every
     POLL_EVERY simplices, from the first."""
-    points, scale = _full_dim_lattice(V)
-    # c.x + d >= 0 is c.(L x) + L d >= 0
-    rows = None if H is None else tuple((c, scale * d) for c, d in H.rows)
+    rows = None if H is None else H.rows
     total = 0
-    for count, simplex in enumerate(_triangulate(points, deadline, rows)):
+    for count, simplex in enumerate(_triangulate(_full_dim(V), deadline, rows)):
         if not count % POLL_EVERY:
             deadline.check()
         base = simplex[0]
         total += abs(bareiss_det([[x - b for x, b in zip(p, base)] for p in simplex[1:]]))
-    # scaling by L multiplies the volume by L^dim
-    return Fraction(total, scale ** V.dim)
+    return total

@@ -259,26 +259,16 @@ def chain_polytope_rows(P: PosetPn) -> Iterator[tuple[tuple[int, ...], int]]:
 
 def gamma_hrep(n: int, deadline: Deadline = Deadline()) -> HPolytope:
     """H-representation of the superpotential polytope in coordinates A_ij
-    ordered lexicographically.  The tropicalization route and the chain
-    polytope of P_n must produce the same normalized rows.  The deadline
-    is polled every POLL_EVERY rows of each route."""
-
-    def polled(route) -> list:
-        rows = []
-        for row in route:
-            if not len(rows) % POLL_EVERY:
-                deadline.check()
-            rows.append(row)
-        return rows
-
-    trop_rows = polled(tropicalize(n, build_superpotential(n)))
-    chain_rows = polled(chain_polytope_rows(build_poset(n)))
-    if set(trop_rows) != set(chain_rows):
-        raise AssertionError(
-            "tropicalized superpotential and chain polytope disagree: "
-            f"{sorted(set(trop_rows) ^ set(chain_rows))}"
-        )
-    return HPolytope(dim=n * (n + 1) // 2, rows=tuple(trop_rows))
+    ordered lexicographically: the tropicalized rows, one per term of the
+    superpotential.  The check gamma-tropicalization-vs-chain-polytope
+    compares them with `chain_polytope_rows`.  The deadline is polled every
+    POLL_EVERY rows."""
+    rows = []
+    for row in tropicalize(n, build_superpotential(n)):
+        if not len(rows) % POLL_EVERY:
+            deadline.check()
+        rows.append(row)
+    return HPolytope(dim=n * (n + 1) // 2, rows=tuple(rows))
 
 
 def gamma_vertex_set(n: int, deadline: Deadline = Deadline()) -> tuple[tuple[int, ...], ...]:

@@ -31,8 +31,15 @@ def orientation_unique(n, deadline):
 
 
 def oracle(n, deadline):
-    valuation.all_plucker_valuations(n, cross_check=True, deadline=deadline)
-    return True, ""
+    """The flow model replayed against the closed form at every class, and
+    the class stream counted: (C(2n, n) + 2^n) / 2 transpose classes (2^n
+    of the C(2n, n) index sets are their own transpose) taking Catalan(n+1)
+    distinct values."""
+    table = valuation.all_plucker_valuations(n, cross_check=True, deadline=deadline)
+    classes = (math.comb(2 * n, n) + 2 ** n) // 2
+    values, expected = len(set(table.values())), partitions.catalan(n + 1)
+    return (len(table) == classes and values == expected,
+            f"{len(table)} classes against {classes}, {values} values against {expected}")
 
 
 def table_lgr36(n, deadline):
@@ -62,8 +69,13 @@ def term_count(n, deadline):
 
 
 def gamma_routes(n, deadline):
-    superpotential.gamma_hrep(n, deadline)  # raises on disagreement
-    return True, ""
+    trop = set(superpotential.gamma_hrep(n, deadline).rows)
+    chain = set()
+    for count, row in enumerate(superpotential.chain_polytope_rows(superpotential.build_poset(n))):
+        if not count % POLL_EVERY:
+            deadline.check()
+        chain.add(row)
+    return trop == chain, f"missing {sorted(chain - trop)}, extra {sorted(trop - chain)}"
 
 
 def catalan(n, deadline):

@@ -42,7 +42,7 @@ from lgrnok.partitions import (
     transpose,
 )
 from lgrnok.plabic import Flow, path_left_faces
-from lgrnok.polytope import _facets_full_dim, _lattice
+from lgrnok.polytope import _facets_full_dim
 from lgrnok.superpotential import build_poset, is_antichain, lex_cells
 from lgrnok.valuation import _corners, coordinate_system, face_coordinates
 
@@ -184,7 +184,7 @@ def f_vector_by_face_ranks(V, deadline):
     space.  The vertex sets of the facets are closed under intersection,
     and each face is ranked by the affine rank of its vertices.
     """
-    points, _ = _lattice(V.points)
+    points = V.points
     rows = _facets_full_dim(points, deadline)
     verts = []
     for p in points:

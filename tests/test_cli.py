@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from lgrnok import cli, valuation
-from lgrnok.cli import fmt_fraction, main
+from lgrnok.cli import main
 from lgrnok.polytope import Deadline, TimeBudgetExceeded
 
 
@@ -31,11 +31,12 @@ def test_usage_errors_exit_2(capsys):
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
-def test_fmt_fraction():
-    from fractions import Fraction
-
-    assert fmt_fraction(Fraction(3, 1)) == "3"
-    assert fmt_fraction(Fraction(-4, 6)) == "-2/3"
+def test_cli_import_loads_no_rational_arithmetic():
+    # every point, row and volume is an int, so nothing needs `fractions`
+    # (which also loads `decimal`)
+    code = "import sys, lgrnok.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_matrix_n2_text(capsys):

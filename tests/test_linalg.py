@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -24,7 +25,9 @@ def square_matrix(draw):
 
 
 def reference_rref(rows):
-    """Reduced row echelon form over Fraction: the oracle for `rref`."""
+    """Reduced row echelon form over Fraction, each row then multiplied by
+    the lcm of its denominators: the oracle for `rref`.  With the pivot 1,
+    that integer row is primitive and its pivot positive."""
     m = [[Fraction(x) for x in row] for row in rows]
     pivots, r = [], 0
     for c in range(len(m[0])):
@@ -39,7 +42,11 @@ def reference_rref(rows):
                 m[k] = [x - f * y for x, y in zip(m[k], m[r])]
         pivots.append(c)
         r += 1
-    return m[:r], pivots
+    cleared = []
+    for row in m[:r]:
+        scale = lcm(*(x.denominator for x in row))
+        cleared.append(tuple(int(x * scale) for x in row))
+    return cleared, pivots
 
 
 @settings(max_examples=200, deadline=None)
@@ -49,8 +56,8 @@ def test_rref_matches_fraction_reference(rows):
     ref_rows, ref_pivots = reference_rref(rows)
     assert pivots == ref_pivots
     # each row is the primitive multiple, with positive pivot, of the
-    # reference row (whose pivot is 1)
-    assert [tuple(row) for row in reduced] == [primitive(row) for row in ref_rows]
+    # rational reduced row, which the reference has cleared to exactly that
+    assert [tuple(row) for row in reduced] == ref_rows
     assert all(isinstance(x, int) for row in reduced for x in row)
 
 
@@ -90,5 +97,8 @@ def test_invert_rejects_singular_matrices(data, n):
 
 def test_primitive():
     assert primitive((4, -6, 0)) == (2, -3, 0)
-    assert primitive((Fraction(1, 2), Fraction(-1, 3))) == (3, -2)
+    assert primitive((-3, 9, 6)) == (-1, 3, 2)
     assert primitive((0, 0)) == (0, 0)
+    # integers only: a rational vector is refused, not rescaled
+    with pytest.raises(TypeError):
+        primitive((Fraction(1, 2), Fraction(-1, 3)))

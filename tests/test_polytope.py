@@ -14,7 +14,6 @@ from lgrnok.polytope import (
     TimeBudgetExceeded,
     UnboundedError,
     VPolytope,
-    as_point,
     f_vector,
     facets,
     normalized_volume,
@@ -54,37 +53,53 @@ def test_vertices_drops_non_extreme_points():
     )
     H = facets(sq)
     assert len(H.rows) == 4
-    assert set(vertices(H).points) == {as_point(p) for p in [(0, 0), (2, 0), (0, 2), (2, 2)]}
+    assert set(vertices(H).points) == {(0, 0), (2, 0), (0, 2), (2, 2)}
     # the edge point (1, 0) and the centre are not vertices
     assert f_vector(sq) == oracles.f_vector_by_face_ranks(sq, Deadline()) == (4, 4)
 
 
 def test_rational_coordinates():
-    tri = VPolytope.from_points(
-        [(Fraction(1, 2), 0), (0, Fraction(1, 3)), (Fraction(-1, 5), Fraction(-1, 7))]
-    )
+    # the triangle on (1/2, 0), (0, 1/3) and (-1/5, -1/7), scaled by 210 to
+    # the lattice
+    tri = VPolytope.from_points([(105, 0), (0, 70), (-42, -30)])
     H = facets(tri)
     assert len(H.rows) == 3
     assert vertices(H).points == tri.points
     area2 = normalized_volume(tri)
-    assert area2 > 0 and isinstance(area2, Fraction)
-    # the lines 2x + 3y = 1, 50x - 21y + 7 = 0 and 10x - 49y = 5 through
-    # pairs of the corners, and twice the area |det(b - a, c - a)|
-    assert H.row_set() == {((-2, -3), 1), ((50, -21), 7), ((-10, 49), 5)}
-    assert area2 == Fraction(32, 105)
+    assert isinstance(area2, int)
+    # the lines 2x + 3y = 210, 50x - 21y + 1470 = 0 and 10x - 49y = 1050
+    # through pairs of the corners, and twice the area |det(b - a, c - a)|,
+    # 210^2 times the 32/105 of the unscaled triangle
+    assert H.row_set() == {((-2, -3), 210), ((50, -21), 1470), ((-10, 49), 1050)}
+    assert area2 == 13440
 
 
 def test_scaled_simplex_is_exact():
-    half = VPolytope.from_points(
-        [tuple(Fraction(x, 2) for x in p) for p in simplex(3).points]
-    )
-    assert normalized_volume(half) == Fraction(1, 8)
-    assert facets(half).row_set() == {
-        ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-2, -2, -2), 1)
+    double = VPolytope.from_points([tuple(2 * x for x in p) for p in simplex(3).points])
+    assert normalized_volume(double) == 8
+    assert facets(double).row_set() == {
+        ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), 2)
     }
-    flat = VPolytope.from_points([(Fraction(1, 3), 0), (0, Fraction(1, 3))])
+    flat = VPolytope.from_points([(2, 0), (0, 2)])
     with pytest.raises(ValueError, match="full-dimensional"):
         facets(flat)
+
+
+@pytest.mark.parametrize("coordinate", [Fraction(1, 2), Fraction(2, 1), 0.5, 1.0])
+def test_non_integer_coordinates_are_refused(coordinate):
+    # a coordinate must be an int; nothing is truncated or rounded
+    with pytest.raises(TypeError):
+        VPolytope.from_points([(0, 0), (coordinate, 0), (0, 1)])
+
+
+def test_vertex_off_the_lattice_is_refused():
+    # x, y >= 0 and 2x + 2y <= 1: the corners (1/2, 0) and (0, 1/2)
+    H = HPolytope(dim=2, rows=(((1, 0), 0), ((0, 1), 0), ((-2, -2), 1)))
+    with pytest.raises(ValueError, match="not a lattice point"):
+        vertices(H)
+    # twice as large, every corner is a lattice point
+    doubled = HPolytope(dim=2, rows=(((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)))
+    assert vertices(doubled).points == ((0, 0), (0, 1), (1, 0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,13 +160,12 @@ def test_facet_run_polls_inside_an_insertion():
 def assert_matches_face_hull_oracle(body):
     """The triangulation from one facet run has the simplices of the
     reference that hulls every face again, and their volume."""
-    lattice, scale = polytope._lattice(body.points)
     deadline = polytope.Deadline()
-    simplices = sorted(polytope._triangulate(lattice, deadline))
-    assert simplices == sorted(oracles.triangulate_by_face_hulls(lattice, {}, deadline))
+    simplices = sorted(polytope._triangulate(body.points, deadline))
+    assert simplices == sorted(oracles.triangulate_by_face_hulls(body.points, {}, deadline))
     total = sum(abs(bareiss_det([[x - b for x, b in zip(p, s[0])] for p in s[1:]]))
                 for s in simplices)
-    assert normalized_volume(body) == Fraction(total, scale ** body.dim)
+    assert normalized_volume(body) == total
 
 
 @pytest.mark.parametrize("points", [
@@ -169,12 +183,13 @@ def test_triangulation_with_boundary_points_matches_oracle(points):
 @given(st.data(), st.integers(min_value=1, max_value=5))
 def test_triangulation_matches_oracle(data, dim):
     # few distinct coordinates, so faces are often not simplices
-    coords = st.sampled_from([-1, Fraction(-1, 2), 0, Fraction(1, 3), 1])
+    # the shapes of [-1, -1/2, 0, 1/3, 1], scaled by 6 to the lattice
+    coords = st.sampled_from([-6, -3, 0, 2, 6])
     points = data.draw(
         st.lists(st.tuples(*[coords] * dim), min_size=dim + 2, max_size=dim + 8)
     )
     body = VPolytope.from_points(points)
-    assume(len(affine_pivot_columns(polytope._lattice(body.points)[0])) == dim)
+    assume(len(affine_pivot_columns(body.points)) == dim)
     assert_matches_face_hull_oracle(body)
 
 
@@ -312,12 +327,13 @@ def test_volume_polls_the_budget_after_triangulating(monkeypatch):
 @given(st.data(), st.integers(min_value=1, max_value=5))
 def test_f_vector_matches_face_rank_oracle(data, dim):
     # few distinct coordinates, so many points lie inside faces
-    coords = st.sampled_from([-1, Fraction(-1, 2), 0, Fraction(1, 3), 1])
+    # the shapes of [-1, -1/2, 0, 1/3, 1], scaled by 6 to the lattice
+    coords = st.sampled_from([-6, -3, 0, 2, 6])
     points = data.draw(
         st.lists(st.tuples(*[coords] * dim), min_size=dim + 1, max_size=dim + 8)
     )
     body = VPolytope.from_points(points)
-    assume(len(affine_pivot_columns(polytope._lattice(body.points)[0])) == dim)
+    assume(len(affine_pivot_columns(body.points)) == dim)
     assert f_vector(body) == oracles.f_vector_by_face_ranks(body, Deadline())
 
 

@@ -8,7 +8,7 @@ from types import MappingProxyType
 
 import pytest
 
-from lgrnok import equivalence, plabic, valuation, verify
+from lgrnok import equivalence, plabic, superpotential, valuation, verify
 from lgrnok.cli import main
 from lgrnok.polytope import Deadline, TimeBudgetExceeded
 from oracles import recoloured
@@ -105,6 +105,47 @@ def test_delta_printed_names_the_rows_that_differ(monkeypatch):
     monkeypatch.setattr(verify, "PRINTED_DELTA3", verify.PRINTED_DELTA3 - {real_row} | {wrong_row})
     assert verify.delta_printed(3, Deadline()) == (
         False, f"missing {[wrong_row]}, extra {[real_row]}")
+
+
+def failures(n, level):
+    return {r["name"]: r["witness"] for r in verify.run_checks(n, level, Deadline())
+            if r["status"] == "fail"}
+
+
+def test_a_dropped_chain_row_fails_only_the_gamma_routes_check(monkeypatch):
+    # gamma_hrep builds the tropicalized rows only, so the chain polytope
+    # is read by this one check, and the vertex enumeration and the hull
+    # level see the right Gamma
+    real = superpotential.chain_polytope_rows
+    dropped = list(real(superpotential.build_poset(3)))[-1]
+    monkeypatch.setattr(superpotential, "chain_polytope_rows",
+                        lambda P: [row for row in real(P) if row != dropped])
+    assert failures(3, "all") == {
+        "gamma-tropicalization-vs-chain-polytope": f"missing [], extra {[dropped]}"}
+
+
+def test_an_extra_quantum_term_fails_the_gamma_routes_check(monkeypatch):
+    real = superpotential.build_superpotential
+    extra = superpotential.SuperpotentialTerm("quantum", ((1, 1), (1, 2)))
+    monkeypatch.setattr(superpotential, "build_superpotential", lambda n: real(n) + (extra,))
+    row = ((-1, -1, 0, 0, 0, 0), 1)
+    assert verify.gamma_routes(3, Deadline()) == (False, f"missing [], extra {[row]}")
+
+
+@pytest.mark.parametrize("n, witness", [
+    (5, "141 classes against 142, 131 values against 132"),
+    (6, "493 classes against 494, 428 values against 429"),
+])
+def test_a_dropped_class_fails_the_vertex_level(monkeypatch, n, witness):
+    # The walk counts its own lattice paths, so only the flow oracle reads
+    # the class stream that the valuation table and Delta's points come from.
+    real = valuation.class_indexsets
+
+    def one_class_fewer(n):
+        return (I for k, I in enumerate(real(n)) if k != 7)
+
+    monkeypatch.setattr(valuation, "class_indexsets", one_class_fewer)
+    assert failures(n, "vertex") == {"valuation-oracle-equivalence": witness}
 
 
 @pytest.mark.parametrize("workload, level", [("vertex-n7", "vertex"), ("hull-n4", "hull")])
