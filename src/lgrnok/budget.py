@@ -1,13 +1,14 @@
 """The time budget: a Deadline armed once per run and polled by every long
 loop, which raises TimeBudgetExceeded once it has expired.
 
-It sits apart from the polytope engine so that the valuation table can
+It sits apart from the polytope engine so that the lattice-path walk can
 poll it without importing the engine.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Iterator
 
 
 class TimeBudgetExceeded(RuntimeError):
@@ -29,3 +30,12 @@ class Deadline:
     def check(self):
         if self.expires is not None and time.monotonic() > self.expires:
             raise TimeBudgetExceeded("computation exceeded its time budget")
+
+
+def polled(items: Iterable, deadline: Deadline) -> Iterator:
+    """The items, with the deadline polled before the first and then every
+    POLL_EVERY items."""
+    for count, item in enumerate(items):
+        if not count % POLL_EVERY:
+            deadline.check()
+        yield item

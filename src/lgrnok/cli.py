@@ -13,13 +13,14 @@ import sys
 from itertools import islice
 
 from . import equivalence, plabic, polytope, quiverfold, superpotential, valuation
+from .budget import POLL_EVERY, Deadline, TimeBudgetExceeded, polled
 from .partitions import (
     format_partition,
     partition_to_indexset,
     staircase_syt_count,
     transpose_indexset,
 )
-from .polytope import POLL_EVERY, Deadline, TimeBudgetExceeded, UnboundedError, VPolytope
+from .polytope import UnboundedError, VPolytope
 from .verify import run_checks
 
 
@@ -39,8 +40,26 @@ def _hrep_json(H: polytope.HPolytope, coords) -> dict:
     }
 
 
-def _vrep_json(points) -> dict:
-    return {"points": [[str(x) for x in p] for p in points]}
+def _write_json(doc, out, deadline) -> None:
+    """json.dump(doc, out, indent=2) and a newline, with the deadline polled
+    while the text is encoded and nothing written before it is all ready."""
+    chunks, text = json.JSONEncoder(indent=2).iterencode(doc), []
+    while batch := list(islice(chunks, POLL_EVERY)):
+        deadline.check()
+        text.append("".join(batch))
+    out.writelines(text)
+    out.write("\n")
+
+
+def _write_vrep(title, names, points, fmt, out, deadline) -> None:
+    """A point set as JSON, or as the title line and one line per point,
+    formatted between polls of the deadline and written once all are."""
+    if fmt == "json":
+        _write_json({"coords": names,
+                     "points": [[str(x) for x in p] for p in polled(points, deadline)]},
+                    out, deadline)
+        return
+    out.writelines([f"{title} ({len(points)}):\n", *(f"  {p}\n" for p in polled(points, deadline))])
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -141,19 +160,13 @@ def cmd_flows(args, out, deadline) -> int:
 
 def cmd_valuations(args, out, deadline) -> int:
     # The rows are formatted as the classes stream in, between the
-    # stream's polls of the deadline, and printed only once all are ready.
+    # walk's polls of the deadline, and printed only once all are ready.
     n = args.n
     rows = valuation.class_valuations(n, deadline=deadline)
     if args.format == "json":
-        doc = [{"partition": format_partition(lam), "indexset": list(indexset),
-                "valuation": list(vec)} for indexset, lam, vec in rows]
-        # json.dump's own encoding, polled: at n=10 it outlasts the table
-        chunks, text = json.JSONEncoder(indent=2).iterencode(doc), []
-        while batch := list(islice(chunks, POLL_EVERY)):
-            deadline.check()
-            text.append("".join(batch))
-        out.writelines(text)
-        out.write("\n")
+        # the encoding is polled too: at n=10 it outlasts the table
+        _write_json([{"partition": format_partition(lam), "indexset": list(indexset),
+                      "valuation": list(vec)} for indexset, lam, vec in rows], out, deadline)
         return 0
     lines = [f"valuations in coordinates ({', '.join(_coordinate_names(n))}):\n"]
     for indexset, _, vec in rows:
@@ -184,18 +197,12 @@ def _render_inequality(coeffs, const, names) -> str:
 
 def cmd_gamma(args, out, deadline) -> int:
     n = args.n
-    H = superpotential.gamma_hrep(n, deadline)
     names = _gamma_coords(n)
     if args.vrep:
-        points = superpotential.gamma_vertex_set(n, deadline)
-        if args.format == "json":
-            json.dump({"coords": names} | _vrep_json(points), out, indent=2)
-            out.write("\n")
-        else:
-            out.write(f"superpotential polytope vertices ({len(points)}):\n")
-            for p in points:
-                out.write(f"  {p}\n")
+        _write_vrep("superpotential polytope vertices", names,
+                    superpotential.gamma_vertex_set(n, deadline), args.format, out, deadline)
         return 0
+    H = superpotential.gamma_hrep(n, deadline)
     if args.format == "json":
         json.dump(_hrep_json(H, names), out, indent=2)
         out.write("\n")
@@ -211,13 +218,7 @@ def cmd_delta(args, out, deadline) -> int:
     points = valuation.delta_vertices(n, deadline)
     names = _coordinate_names(n)
     if args.vrep:
-        if args.format == "json":
-            json.dump({"coords": names} | _vrep_json(points), out, indent=2)
-            out.write("\n")
-        else:
-            out.write(f"Newton-Okounkov body generators ({len(points)}):\n")
-            for p in points:
-                out.write(f"  {p}\n")
+        _write_vrep("Newton-Okounkov body generators", names, points, args.format, out, deadline)
         return 0
     V = VPolytope.from_points(points)
     if args.fvector:

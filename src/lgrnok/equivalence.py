@@ -9,22 +9,15 @@ of the superpotential polytope onto the Pluecker valuation set; the block
 structure, the constructive column reduction, and that vertex match are
 each checkable in exact arithmetic.
 
-The vertex level is one depth-first walk over the 2n steps of the lattice
-paths in the n x n square, with no table of classes or antichains.  Each
-step updates the packed max-plus operand of `valuation` (exact for
-n <= valuation.MAX_PACKED_N) and the diagonal excess; each vertical step of
-the second half closes a horizontal step of the first, and that pair is a
+The vertex level reads the one walk over the lattice paths that also gives
+the valuation table and Delta's points (`partitions.transpose_classes`),
+with no table of classes or antichains.  Each vertical step of the second
+half of a path closes a horizontal step of the first, and that pair is a
 hook of the complement, whose poset element, clash mask and packed column
-are read off one table.  At the end of a path the walk keeps the class's
-representative only, and checks that its hooks form an antichain whose
-image under M_n is its valuation.
-
-Several classes share one antichain, so the bijection with the antichains
-is proved on a section of the classes: those whose antichain decodes back
-to their own index set, each element (i, j) to the hook (n+1-i, j-i).  The
-decode is a left inverse of the hook map there, so the map is injective on
-the sections, and there must be as many sections as antichains, Catalan(n+1)
-(`verify_main_theorem`).
+the walk reads off one table (`_walk_table`).  Each class's hooks must form
+an antichain whose image under M_n is its valuation, and the classes whose
+antichain decodes back to their own steps, a section of the classes, must
+match the Catalan(n+1) antichains one to one (`verify_main_theorem`).
 
 The main theorem is checked at two levels, by two functions with the
 shape of the verification registry, (n, deadline) -> (ok, witness).  The
@@ -38,19 +31,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import comb
 
 from . import polytope, superpotential, valuation
 from .linalg import bareiss_det, identity, invert, mat_mul, mat_vec
 from .partitions import (
     Partition,
-    _path_partition,
-    class_indexsets,
     complement,
     complement_hooks,
     hook_partition,
     indexset_to_partition,
     normalize,
     staircase_syt_count,
+    transpose_classes,
 )
 from .polytope import normalize_row
 from .superpotential import (
@@ -265,8 +258,7 @@ def verify_maxdiag_additivity(n: int) -> bool:
 
     G = plabic.build_corect_graph(n)
     labels = sorted(set(G.faces.values()))
-    for I in class_indexsets(n):
-        lam = _path_partition(I, n)
+    for I, lam, _ in valuation.class_valuations(n):
         pieces = [complement(hook_partition(a, b), n) for (a, b) in complement_hooks(I, n)]
         for mu in labels:
             whole = maxdiag(skew_cells(mu, lam))
@@ -278,12 +270,11 @@ def verify_maxdiag_additivity(n: int) -> bool:
 
 def verify_valuation_additivity(n: int) -> bool:
     """val(p_lam) is the coordinatewise sum over the complement's hooks."""
-    for I in class_indexsets(n):
-        pieces = [complement(hook_partition(a, b), n) for (a, b) in complement_hooks(I, n)]
-        total = [0] * (n * (n + 1) // 2)
-        for piece in pieces:
-            total = [a + b for a, b in zip(total, valuation_maxdiag(n, piece))]
-        if tuple(total) != valuation_maxdiag(n, _path_partition(I, n)):
+    zero = (0,) * (n * (n + 1) // 2)
+    for I, _, value in valuation.class_valuations(n):
+        pieces = [valuation_maxdiag(n, complement(hook_partition(a, b), n))
+                  for a, b in complement_hooks(I, n)]
+        if tuple(map(sum, zip(zero, *pieces))) != value:
             return False
     return True
 
@@ -315,34 +306,18 @@ def pulled_back_gamma_rows(n: int) -> frozenset:
     )
 
 
-def _walk_table(n: int) -> tuple:
-    """What one step of a lattice path adds on the vertex walk.
+def _walk_table(n: int) -> list[list[tuple[int, int, int, int]]]:
+    """The hook table of the lattice-path walk (`partitions.transpose_classes`):
+    hooks[j][h] for the vertical step j > n that closes the horizontal step
+    h <= n, whose pair is the complement's hook (j-n, n-h), holds the bit
+    of its poset element, that element's clash mask, M_n's column of it
+    packed one byte per entry, and the two steps the element decodes to.
 
-      vertical    per vertical step k <= n: the packed diagonals 0..n-k of
-                  `valuation._packed_table`, each of which the step
-                  lengthens by one cell, and the n - k cells it adds right
-                  of the main diagonal;
-      horizontal  per horizontal step k >= n+2: the packed diagonals
-                  n+1-k..-1, and minus the k-n-1 cells it adds below the
-                  main diagonal;
-      hooks       hooks[j][h] for the vertical step j > n that closes the
-                  horizontal step h <= n, whose pair is the complement's
-                  hook (j-n, n-h): the bit of its poset element, that
-                  element's clash mask, M_n's column of it packed one byte
-                  per entry, and the two steps the element decodes to.
-
-    Steps that add nothing hold (0, 0).  Raises ValueError unless every
-    entry of M_n is >= 0 and n times the largest is below 2**8: a hook
-    set has at most n elements, so then no byte of a sum of its columns
-    carries into the next and a wrong image cannot alias the right one.
+    Raises ValueError unless every entry of M_n is >= 0 and n times the
+    largest is below 2**8: a hook set has at most n elements, so then no
+    byte of a sum of its columns carries into the next and a wrong image
+    cannot alias the right one.
     """
-    masks = valuation._packed_table(n)[1]  # diagonal d at masks[d + n - 1]
-    vertical = [(0, 0)] * (2 * n + 1)
-    horizontal = [(0, 0)] * (2 * n + 1)
-    for k in range(1, n + 1):
-        vertical[k] = (sum(masks[n - 1:2 * n - k]), n - k)
-    for k in range(n + 2, 2 * n + 1):
-        horizontal[k] = (sum(masks[2 * n - k:n - 1]), n + 1 - k)
     M = build_valuation_matrix(n)
     if min(map(min, M.entries)) < 0 or n * max(map(max, M.entries)) >= 1 << FIELD_BITS:
         raise ValueError(f"M_{n} has entries outside 0..{((1 << FIELD_BITS) - 1) // n}, "
@@ -350,7 +325,7 @@ def _walk_table(n: int) -> tuple:
     columns = [int.from_bytes(bytes(col), "little") for col in zip(*M.entries)]
     clash = superpotential._clash_masks(build_poset(n))
     index = {x: t for t, x in enumerate(lex_cells(n))}
-    hooks = [[None] * (n + 1) for _ in range(2 * n + 1)]
+    hooks = [[(0, 0, 0, 0)] * (n + 1) for _ in range(2 * n + 1)]
     for j in range(n + 1, 2 * n + 1):
         for h in range(1, n + 1):
             i, top = element = _hook_element(n, j - n, n - h)
@@ -358,70 +333,7 @@ def _walk_table(n: int) -> tuple:
             # (i, top) decodes to the hook (n+1-i, top-i): steps 2n+1-i and n-top+i.
             decode = (1 << 2 * n + 1 - i) | (1 << n - top + i)
             hooks[j][h] = (1 << t, clash[t], columns[t], decode)
-    return vertical, horizontal, hooks
-
-
-class _Unmatched(Exception):
-    """A class whose hooks form no antichain, or whose hook image is not
-    its valuation; the message names it."""
-
-
-def _vertex_walk(n: int, deadline: polytope.Deadline) -> int:
-    """Walks every lattice path of the n x n square, depth first, and
-    returns the number of section classes; raises _Unmatched at the first
-    class that fails.  The deadline is polled once per first half of a
-    path.
-
-    Along the path the walk keeps, step by step (`_walk_table`): the packed
-    max-plus operand x = base - sum_d l(d) masks[d], the diagonal excess,
-    the index sets of the path (I) and of its transpose (T) as bitmasks,
-    the open horizontal steps of the first half and, as each is closed,
-    the summed packed columns, the clash masks and the decoded steps of
-    the hooks' poset elements.
-    """
-    table = valuation._packed_table(n)
-    vertical, horizontal, hooks = _walk_table(n)
-    last = 2 * n
-    first_half = (1 << n + 1) - 2  # the steps 1..n
-    sections = 0
-
-    def partition(I: int) -> Partition:
-        return indexset_to_partition([k for k in range(1, last + 1) if I >> k & 1], n)
-
-    def second(k, opened, r, x, excess, I, T, image, blocked, decoded):
-        nonlocal sections
-        if k > last:
-            diff = I ^ T  # I <= T exactly when its lowest bit is I's
-            if excess < 0 or not excess and diff & -diff & T:
-                return  # T's class, counted at T
-            if image != valuation._packed_maxplus(table, x):
-                raise _Unmatched(f"hook bijection fails at {partition(I)}")
-            if decoded == I ^ first_half:
-                sections += 1
-            return
-        if r:  # a vertical step closes the latest open horizontal step
-            bit, clash, column, decode = hooks[k][opened[r - 1]]
-            if blocked & bit:
-                raise _Unmatched(f"the hooks of {partition(I | ((1 << r) - 1) << k)} "
-                                 "do not form an antichain")
-            second(k + 1, opened, r - 1, x, excess, I | 1 << k, T,
-                   image + column, blocked | clash, decoded | decode)
-        if r <= last - k:
-            cells, below = horizontal[k]
-            second(k + 1, opened, r, x - cells, excess + below, I, T | 1 << last + 1 - k,
-                   image, blocked, decoded)
-
-    def first(k, opened, x, excess, I, T):
-        if k > n:
-            deadline.check()
-            second(k, opened, len(opened), x, excess, I, T, 0, 0, 0)
-            return
-        cells, right = vertical[k]
-        first(k + 1, opened, x - cells, excess + right, I | 1 << k, T)
-        first(k + 1, opened + (k,), x, excess, I, T | 1 << last + 1 - k)
-
-    first(1, (), table[0], 0, 0, 0)
-    return sections
+    return hooks
 
 
 def verify_main_theorem(n: int, deadline: polytope.Deadline = polytope.Deadline()) -> tuple[bool, str]:
@@ -429,28 +341,48 @@ def verify_main_theorem(n: int, deadline: polytope.Deadline = polytope.Deadline(
     superpotential polytope onto those of the Newton-Okounkov body: the
     valuation set is M_n(antichain indicators).  Returns (ok, witness).
 
-    One walk over the lattice paths (`_vertex_walk`) visits each transpose
-    class once, at its representative I (more boxes right of the diagonal
-    than below, or as many and I <= T), and checks that
+    The lattice-path walk (`partitions.transpose_classes`), given the hook
+    table of `_walk_table`, yields one record per transpose class, and there
+    must be (C(2n, n) + 2^n) / 2 of them: 2^n of the C(2n, n) index sets are
+    their own transpose.  Each record is checked:
       - the poset elements of the complement's hooks form an antichain
         (the clash masks of `enumerate_antichains`), and
-      - M_n's columns summed over them equal the valuation of I.
+      - M_n's columns summed over them equal the class's valuation.
+    The walk reads both at the class's lex-first member I.  They hold there
+    exactly when they hold at its representative, the member that the
+    valuation table prints: the closed-form valuation is invariant under
+    transposition, and `_hook_element` gives I and its transpose the same
+    set of poset elements.
+
     Several classes share one antichain, so the bijection is proved on a
-    section of the classes: those whose antichain decodes back to I, each
-    element (i, j) to the hook (n+1-i, j-i).  The decode is a left inverse
-    of the hook map on the sections, so the map is injective there; there
-    must be as many sections as antichain_count_formula(n), so the
-    sections' antichains are all the antichains.  Then every valuation is
-    an image, and every image is a section's valuation.  That the images
-    are distinct follows from `matrix-unimodular`; no set of values is
-    kept.  The deadline is polled once per first half of a path.
+    section of the classes: those whose antichain decodes back to the
+    representative's own steps, each element (i, j) to the hook
+    (n+1-i, j-i).  The decode is a left inverse of the hook map on the
+    sections, so the map is injective there; there must be as many
+    sections as antichain_count_formula(n), so the sections' antichains are
+    all the antichains.  Then every valuation is an image, and every image
+    is a section's valuation.  That the images are distinct follows from
+    `matrix-unimodular`.  Sections are decided at the representative, so a
+    class named by its other member shows in their count.  The deadline is
+    polled once per first half of a path.
     """
-    try:
-        sections = _vertex_walk(n, deadline)
-    except _Unmatched as exc:
-        return False, str(exc)
-    antichains = antichain_count_formula(n)
-    return sections == antichains, f"{sections} section classes against {antichains} antichains"
+    table, maxplus = valuation._packed_table(n), valuation._packed_maxplus
+    # rep ^ first_half: the vertical steps > n and the horizontal steps <= n,
+    # the steps that pair into the complement's hooks.
+    first_half = (1 << n + 1) - 2
+    records = sections = 0
+    for batch in transpose_classes(n, deadline, table[0], table[1], _walk_table(n)):
+        for rep, x, image, clash, decoded in batch:
+            if clash or image != maxplus(table, x):
+                lam = indexset_to_partition(valuation._indexset(rep, n), n)
+                return False, (f"the hooks of {lam} do not form an antichain" if clash
+                               else f"hook bijection fails at {lam}")
+            sections += decoded == rep ^ first_half
+        records += len(batch)
+    classes, antichains = (comb(2 * n, n) + 2 ** n) // 2, antichain_count_formula(n)
+    return (records == classes and sections == antichains,
+            f"{records} classes against {classes}, "
+            f"{sections} section classes against {antichains} antichains")
 
 
 def verify_hull_level(n: int, deadline: polytope.Deadline = polytope.Deadline()) -> tuple[bool, str]:
@@ -458,12 +390,11 @@ def verify_hull_level(n: int, deadline: polytope.Deadline = polytope.Deadline())
     through M_n, and that both polytopes have the normalized volume
     staircase_syt_count(n), the degree of LGr(n, 2n).  Returns (ok, witness).
 
-    The vertex level runs first, and its failure is returned as it is.  The
-    walk shows that each class it meets has as its valuation the image
-    under M_n of its hooks, and that its sections match the antichains one
-    to one.  It does not read `valuation.delta_vertices`, from which Delta's
-    points are taken here; the check `valuation-oracle-equivalence` pins
-    the number of classes and of distinct values of the stream behind it.
+    The vertex level runs first, and its failure is returned as it is.  It
+    shows that each class of the walk has as its valuation the image under
+    M_n of its hooks, that the walk meets every class once, and that its
+    sections match the antichains one to one.  Delta's points,
+    `valuation.delta_vertices`, are the distinct values of the same walk.
     The volume of Delta reuses the facet run of the comparison.
     """
     ok, witness = verify_main_theorem(n, deadline)

@@ -6,24 +6,24 @@ n-subset of {1,...,2n} labelling the vertical steps of the lattice path
 from the upper-right to the lower-left corner of the square; the partition
 lies above that path, with lam_r = n + r + 1 - I_r for 0-based rows r.
 
-The transpose classes are decided once, on index sets: `class_indexsets`
-streams the representative's index set of each class, and the valuation
-table and the additivity checks read that stream; the main theorem's
-vertex level in `equivalence` walks the same paths and reads the same
-quantities off each one step by step.  The path gives each index set in
-O(n) its diagonal-length vector (`diagonal_lengths`) and the principal
-hooks of its complement (`complement_hooks`); the diagonal balance of a
-partition (`diagonal_excess`) takes one pass over the rows.  The
+The transpose classes are enumerated by one walk over the lattice paths,
+`transpose_classes`, which the valuation table, Delta's points, the
+additivity checks and the main theorem all read.  The path gives each
+index set in O(n) its diagonal-length vector (`diagonal_lengths`) and the
+principal hooks of its complement (`complement_hooks`); the diagonal
+balance of a partition (`diagonal_excess`) takes one pass over the rows.  The
 cell-based helpers (`cells`, `skew_cells`, `maxdiag`) stay as the
 definitions the closed forms are checked against.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from itertools import accumulate, combinations
+from collections.abc import Iterator, Sequence
+from itertools import accumulate
 from math import factorial
 from operator import lt
+
+from .budget import Deadline
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]  # (row, column), 1-based
@@ -178,27 +178,72 @@ def transpose_indexset(I: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple([2 * n + 1 - h for h in range(2 * n, 0, -1) if h not in steps])
 
 
-def class_indexsets(n: int) -> Iterator[tuple[int, ...]]:
-    """Index set of the representative (`orbit_representative`) of each
-    transpose class in n x n, in order of first appearance along the index
-    sets in lexicographic order, streamed: nothing is kept.
+def transpose_classes(n: int, deadline: Deadline = Deadline(), base: int = 0,
+                      weights: Sequence[int] = (), hooks=None) -> Iterator[list[tuple[int, ...]]]:
+    """The one enumerator of the transpose classes: every lattice path of
+    the n x n square walked depth first, one record per class at its
+    lex-first member I (I <= T = `transpose_indexset` of I), so in order of
+    first appearance along the index sets in lexicographic order.
 
-    The transpose of the path with index set I has index set
-    T = {2n+1-h : h not in I} (`transpose_indexset`), so a class first
-    appears at I exactly when I <= T.  The lexicographically smaller index
-    set carries the larger partition, so on a tie of the diagonal excess
-    the representative is I; otherwise it is whichever of I and T has the
-    excess >= 0."""
-    for I in combinations(range(1, 2 * n + 1), n):
-        T = transpose_indexset(I, n)
-        if I <= T:
-            yield I if diagonal_excess(_path_partition(I, n)) >= 0 else T
+    A record (rep, x, image, clash, decoded) holds, as bitmasks with bit k
+    for step k, the representative: I when I's diagonal excess is >= 0,
+    else T (the smaller index set carries the larger partition, so a tie
+    goes to I, as in `orbit_representative`); x = base - sum_d l(d)
+    weights[d + n - 1] over I's diagonal lengths (`diagonal_lengths`); and
+    over the principal hooks of I's complement (`complement_hooks`) the sum
+    of their columns, whether a hook's bit meets the clash masks of those
+    before it (nonzero), and the union of their decode masks, taken from
+    hooks[j][h] = (bit, clash, column, decode) for the hook (j-n, n-h) that
+    the vertical step j > n closes with the horizontal step h <= n.  With
+    no weights x is base, and with no hooks the last three are 0.
 
+    A vertical step k <= n lengthens the diagonals 0..n-k, and a horizontal
+    step k >= n+2 the diagonals n+1-k..-1; x, the excess, I, T and the hook
+    sums move forward one step at a time.  The records come in lists, one
+    per first half of a path (the steps 1..n), and the deadline is polled
+    once per list.
+    """
+    last = 2 * n
+    weights = weights or (0,) * (2 * n - 1)
+    hooks = hooks or [[(0, 0, 0, 0)] * (n + 1)] * (last + 1)
+    vertical = [(sum(weights[n - 1:last - k]), n - k) for k in range(n + 1)]
+    horizontal = [(sum(weights[last - k:n - 1]), n + 1 - k) for k in range(last + 1)]
+    # tail[k]: the horizontal steps k..2n taken together, with T's bits of them
+    tail = [(0, 0, 0)] * (last + 2)
+    for k in range(last, n, -1):
+        cells, below, bits = tail[k + 1]
+        tail[k] = (cells + horizontal[k][0], below + horizontal[k][1], bits | 1 << last + 1 - k)
 
-def transpose_classes(n: int) -> tuple[Partition, ...]:
-    """One representative per transpose class, in the order of
-    `class_indexsets`."""
-    return tuple(_path_partition(I, n) for I in class_indexsets(n))
+    def first(k, opened, x, excess, I, T):
+        if k > n:
+            yield opened, x, excess, I, T
+            return
+        cells, right = vertical[k]
+        yield from first(k + 1, opened, x - cells, excess + right, I | 1 << k, T)
+        yield from first(k + 1, opened + (k,), x, excess, I, T | 1 << last + 1 - k)
+
+    def second(k, opened, r, x, excess, I, T, image, blocked, clash, decoded):
+        if not r:  # every step left is horizontal
+            cells, below, bits = tail[k]
+            T |= bits
+            diff = I ^ T  # I <= T exactly when their lowest differing step is I's
+            if not diff & -diff & T:
+                batch.append((I if excess + below >= 0 else T, x - cells, image, clash, decoded))
+            return
+        # a vertical step closes the latest open horizontal step
+        bit, mask, column, decode = hooks[k][opened[r - 1]]
+        second(k + 1, opened, r - 1, x, excess, I | 1 << k, T, image + column,
+               blocked | mask, clash | blocked & bit, decoded | decode)
+        if r <= last - k:
+            cells, below = horizontal[k]
+            second(k + 1, opened, r, x - cells, excess + below, I, T | 1 << last + 1 - k,
+                   image, blocked, clash, decoded)
+
+    for opened, x, excess, I, T in first(1, (), base, 0, 0, 0):
+        deadline.check()
+        batch = []
+        second(n + 1, opened, len(opened), x, excess, I, T, 0, 0, 0, 0)
+        yield batch
 
 
 def syt_count(shape: Partition) -> int:

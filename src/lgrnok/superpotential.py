@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import compress, count
 
+from .budget import POLL_EVERY, Deadline, polled
 from .partitions import catalan
-from .polytope import POLL_EVERY, Deadline, HPolytope
+from .polytope import HPolytope
 
 Element = tuple[int, int]
 
@@ -174,12 +175,12 @@ def linear_extension_count(P: PosetPn, deadline: Deadline = Deadline()) -> int:
     down = [sum(bit[y] for y in P.elements if y != x and P.below(y, x))
             for x in P.elements]
 
-    polled = count()
+    polls = count()
     ways = {(1 << len(down)) - 1: 1}
     for _ in down:
         fewer: dict[int, int] = {}
         for rest, w in ways.items():
-            if not next(polled) % POLL_EVERY:
+            if not next(polls) % POLL_EVERY:
                 deadline.check()
             for k, below in enumerate(down):
                 if rest >> k & 1 and not below & rest:  # minimal elements can come first
@@ -229,9 +230,11 @@ def lex_cells(n: int) -> tuple[Element, ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i, n + 1))
 
 
-def build_superpotential(n: int) -> tuple[SuperpotentialTerm, ...]:
+def build_superpotential(n: int, deadline: Deadline = Deadline()) -> tuple[SuperpotentialTerm, ...]:
+    """The linear terms, then one quantum term per strict partition; the
+    deadline is polled every POLL_EVERY quantum terms."""
     terms = [SuperpotentialTerm("linear", (c,)) for c in lex_cells(n)]
-    for lam in strict_staircase_partitions(n):
+    for lam in polled(strict_staircase_partitions(n), deadline):
         terms.append(SuperpotentialTerm("quantum", quantum_denominator(n, lam)))
     return tuple(terms)
 
@@ -262,23 +265,20 @@ def gamma_hrep(n: int, deadline: Deadline = Deadline()) -> HPolytope:
     ordered lexicographically: the tropicalized rows, one per term of the
     superpotential.  The check gamma-tropicalization-vs-chain-polytope
     compares them with `chain_polytope_rows`.  The deadline is polled every
-    POLL_EVERY rows."""
-    rows = []
-    for row in tropicalize(n, build_superpotential(n)):
-        if not len(rows) % POLL_EVERY:
-            deadline.check()
-        rows.append(row)
-    return HPolytope(dim=n * (n + 1) // 2, rows=tuple(rows))
+    POLL_EVERY terms and every POLL_EVERY rows."""
+    rows = tuple(polled(tropicalize(n, build_superpotential(n, deadline)), deadline))
+    return HPolytope(dim=n * (n + 1) // 2, rows=rows)
 
 
 def gamma_vertex_set(n: int, deadline: Deadline = Deadline()) -> tuple[tuple[int, ...], ...]:
     """Indicator vectors of the antichains of P_n, sorted: the bytes of
     each antichain's mask (`_antichain_masks`), whose elements come in the
-    order of `lex_cells(n)`.  The deadline is polled every POLL_EVERY
-    antichains, as they are enumerated."""
-    size = n * (n + 1) // 2
-    return tuple(sorted(tuple(mask.to_bytes(size, "little"))
-                        for mask in _antichain_masks(build_poset(n), deadline)))
+    order of `lex_cells(n)`; sorted as bytes, they come in the order of
+    their tuples.  The deadline is polled every POLL_EVERY antichains, as
+    they are enumerated, decoded and turned into tuples."""
+    masks, size = _antichain_masks(build_poset(n), deadline), n * (n + 1) // 2
+    indicators = sorted(mask.to_bytes(size, "little") for mask in polled(masks, deadline))
+    return tuple(map(tuple, polled(indicators, deadline)))
 
 
 def antichain_count_formula(n: int) -> int:

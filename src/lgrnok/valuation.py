@@ -27,11 +27,13 @@ whatever the number of vectors: a multiply-subtract per diagonal, a
 guard-bit fieldwise maximum against the bias per peak, one add of the
 mu^T half onto the mu half (`_maxplus`).  The bytes are exact for
 n <= MAX_PACKED_N; past it the table refuses to be built.
-`valuation_maxdiag`, `all_plucker_valuations` and the valuation matrix all
-evaluate this way, and the vertex level of `equivalence` subtracts the
-diagonals one lattice-path step at a time before the same slot merge
-(`_packed_maxplus`); `partitions.maxdiag` on skew cells and a vector-by-vector
-max-plus in the tests stay as its oracles.
+`valuation_maxdiag` and the valuation matrix evaluate this way.  The
+valuation table and Delta's points read the lattice-path walk
+(`partitions.transpose_classes`) instead, which subtracts the diagonals one
+step at a time and leaves each class's operand for the same slot merge
+(`_packed_maxplus`); the main theorem in `equivalence` reads the same walk.
+`partitions.maxdiag` on skew cells and a vector-by-vector max-plus in the
+tests stay as its oracles.
 
 A flow's exponent vector is the sum over its paths of the coordinate counts
 of the path's left faces.  Many flows share a path, so the counts are
@@ -50,15 +52,15 @@ from operator import mul
 from types import MappingProxyType
 
 from . import plabic
-from .budget import POLL_EVERY, Deadline
+from .budget import Deadline
 from .partitions import (
     Partition,
     _path_partition,
     check_in_box,
-    class_indexsets,
     diagonal_lengths,
     orbit_representative,
     partition_to_indexset,
+    transpose_classes,
 )
 
 
@@ -253,31 +255,39 @@ def valuation_maxdiag(n: int, lam: Partition) -> tuple[int, ...]:
     return _maxplus(n, diagonal_lengths(partition_to_indexset(lam, n), n))
 
 
+def _indexset(bits: int, n: int) -> tuple[int, ...]:
+    """The index set of a bitmask over the steps 1..2n."""
+    return tuple([k for k in range(1, 2 * n + 1) if bits >> k & 1])
+
+
 def class_valuations(n: int, cross_check: bool = False, deadline: Deadline = Deadline(),
                      ) -> Iterator[tuple[tuple[int, ...], Partition, tuple[int, ...]]]:
     """(index set, representative, valuation) of each transpose class, in
-    ascending index-set order, streamed: one pass over `class_indexsets`,
-    each value read off the index set.  The deadline is polled every
-    POLL_EVERY classes, so a caller's work on the rows between two polls
-    is polled too.
+    ascending index-set order, streamed from the lattice-path walk
+    (`partitions.transpose_classes`): the slot merge of the walk's operand
+    at the lex-first member, which the closed form, invariant under
+    transposition, gives the representative too.  The deadline is polled
+    once per first half of a path, so a caller's work on the rows between
+    two polls is polled too.
 
     With cross_check, the flow model is replayed against the closed form
     at every class; a mismatch raises.
     """
-    _packed_table(n)  # past MAX_PACKED_N, raise before enumerating the classes
-    for count, indexset in enumerate(class_indexsets(n)):
-        if not count % POLL_EVERY:
-            deadline.check()
-        rep = _path_partition(indexset, n)
-        value = _maxplus(n, diagonal_lengths(indexset, n))
-        if cross_check:
-            flows = valuation_from_flows(n, rep)
-            if flows != value:
-                raise AssertionError(
-                    f"valuation oracle mismatch at {rep}: flows {flows}, "
-                    f"maxdiag {value}"
-                )
-        yield indexset, rep, value
+    table = _packed_table(n)  # past MAX_PACKED_N, raise before the walk
+    base, masks, *_, N = table
+    for batch in transpose_classes(n, deadline, base, masks):
+        for rep, x, *_ in batch:
+            indexset = _indexset(rep, n)
+            lam = _path_partition(indexset, n)
+            value = tuple(_packed_maxplus(table, x).to_bytes(N, "little"))
+            if cross_check:
+                flows = valuation_from_flows(n, lam)
+                if flows != value:
+                    raise AssertionError(
+                        f"valuation oracle mismatch at {lam}: flows {flows}, "
+                        f"maxdiag {value}"
+                    )
+            yield indexset, lam, value
 
 
 def all_plucker_valuations(n: int, cross_check: bool = False,
@@ -289,6 +299,12 @@ def all_plucker_valuations(n: int, cross_check: bool = False,
 
 def delta_vertices(n: int, deadline: Deadline = Deadline()) -> tuple[tuple[int, ...], ...]:
     """Value set of the Pluecker valuations: the generators whose convex
-    hull is the Newton-Okounkov body.  The deadline is polled every
-    POLL_EVERY classes."""
-    return tuple(sorted(set(all_plucker_valuations(n, deadline=deadline).values())))
+    hull is the Newton-Okounkov body.  Only the distinct packed values of
+    the walk's operands are kept and decoded; sorted as bytes, they come
+    in the order of their tuples.  The deadline is polled once per first
+    half of a path."""
+    table = _packed_table(n)
+    base, masks, *_, N = table
+    values = {_packed_maxplus(table, x)
+              for batch in transpose_classes(n, deadline, base, masks) for _, x, *_ in batch}
+    return tuple(map(tuple, sorted(value.to_bytes(N, "little") for value in values)))

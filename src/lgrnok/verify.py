@@ -13,13 +13,12 @@ from itertools import combinations
 from typing import Callable
 
 from . import equivalence, partitions, plabic, polytope, quiverfold, superpotential, valuation
-from .polytope import POLL_EVERY, Deadline, TimeBudgetExceeded, VPolytope
+from .budget import Deadline, TimeBudgetExceeded, polled
+from .polytope import VPolytope
 
 
 def roundtrip(n, deadline):
-    for count, I in enumerate(combinations(range(1, 2 * n + 1), n)):
-        if not count % POLL_EVERY:
-            deadline.check()
+    for I in polled(combinations(range(1, 2 * n + 1), n), deadline):
         if partitions.partition_to_indexset(partitions._path_partition(I, n), n) != I:
             return False, f"round trip fails at {I}"
     return True, ""
@@ -64,17 +63,13 @@ def flow_polynomial_145(n, deadline):
 
 
 def term_count(n, deadline):
-    terms = superpotential.build_superpotential(n)
+    terms = superpotential.build_superpotential(n, deadline)
     return len(terms) == n * (n + 1) // 2 + 2 ** (n - 1), f"{len(terms)} terms"
 
 
 def gamma_routes(n, deadline):
     trop = set(superpotential.gamma_hrep(n, deadline).rows)
-    chain = set()
-    for count, row in enumerate(superpotential.chain_polytope_rows(superpotential.build_poset(n))):
-        if not count % POLL_EVERY:
-            deadline.check()
-        chain.add(row)
+    chain = set(polled(superpotential.chain_polytope_rows(superpotential.build_poset(n)), deadline))
     return trop == chain, f"missing {sorted(chain - trop)}, extra {sorted(trop - chain)}"
 
 

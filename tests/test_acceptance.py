@@ -27,7 +27,6 @@ from lgrnok.partitions import (
     partition_to_indexset,
     staircase_syt_count,
     transpose,
-    transpose_classes,
 )
 from lgrnok.superpotential import (
     build_poset,
@@ -47,7 +46,7 @@ from lgrnok.valuation import (
     valuation_from_flows,
     valuation_maxdiag,
 )
-from oracles import antichain_from_partition, flow_polynomial, partitions_in_box
+from oracles import antichain_from_partition, flow_polynomial, partitions_in_box, transpose_classes
 
 TABLE_N3 = {
     (3, 3, 3): (0, 0, 0, 0, 0, 0),

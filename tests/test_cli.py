@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lgrnok import cli, valuation
+from lgrnok import cli, superpotential, valuation
 from lgrnok.cli import main
 from lgrnok.polytope import Deadline, TimeBudgetExceeded
 
@@ -237,16 +237,38 @@ def test_tables_and_point_sets_stop_at_the_budget(capsys, argv):
     assert (captured.out, captured.err) == ("", "error: computation exceeded its time budget\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command, module, name", [
+    ("gamma", superpotential, "_antichain_masks"),
+    ("gamma", superpotential, "gamma_vertex_set"),
+    ("delta", valuation, "delta_vertices"),
+])
+def test_point_sets_poll_the_budget_after_the_enumeration(monkeypatch, capsys, command, module,
+                                                          name, fmt):
+    # the deadline expires as the points are enumerated: the decoding and
+    # the output that follow poll it, and nothing is printed
+    real = getattr(module, name)
+
+    def expiring(*args):
+        result = real(*args)
+        args[-1].expires = time.monotonic() - 1
+        return result
+
+    monkeypatch.setattr(module, name, expiring)
+    assert main([command, "--n", "5", "--vrep", "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: computation exceeded its time budget\n")
+
+
 def test_valuations_budget_covers_the_output(monkeypatch, capsys):
-    # with the classes polled one by one and each row's index set slowed
-    # down, the budget runs out while the rows are formatted
+    # with each row's index set slowed down, the budget runs out while the
+    # rows are formatted, between the walk's polls, one per first half
     real = cli._indexset_str
 
     def slow(indexset, n):
         time.sleep(0.002)
         return real(indexset, n)
 
-    monkeypatch.setattr(valuation, "POLL_EVERY", 1)
     monkeypatch.setattr(cli, "_indexset_str", slow)
     start = time.monotonic()
     assert main(["valuations", "--n", "6", "--time-budget", "0.3"]) == 3

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import combinations
 from operator import mul
 from pathlib import Path
 
@@ -31,10 +32,11 @@ from lgrnok.equivalence import (
 from lgrnok.linalg import mat_mul
 from lgrnok.partitions import (
     catalan,
-    class_indexsets,
     complement_hooks,
     diagonal_lengths,
+    indexset_to_partition,
     partition_to_indexset,
+    transpose_indexset,
 )
 from lgrnok.superpotential import (
     POLL_EVERY,
@@ -42,7 +44,7 @@ from lgrnok.superpotential import (
     gamma_hrep,
     lex_cells,
 )
-from lgrnok.valuation import FIELD_BITS, delta_vertices
+from lgrnok.valuation import FIELD_BITS, delta_vertices, valuation_maxdiag
 from test_superpotential import CountingDeadline
 import oracles
 
@@ -303,18 +305,21 @@ def vertex_level_fails(capsys) -> str:
 
 
 def test_vertex_level_fails_on_a_transposed_representative(monkeypatch, capsys):
-    # Every step's share of the diagonal excess negated: the walk keeps the
-    # member of each class with more boxes below the diagonal.  Its hook
-    # antichain and its valuation are its transpose's, so only the section
-    # count can see it: such a member never decodes back to itself.
-    real = equivalence._walk_table
+    # Every class named by its other member: the member with more boxes
+    # below the diagonal.  Its hook antichain and its valuation are its
+    # transpose's, so only the section count can see it: such a member
+    # never decodes back to itself.
+    real = equivalence.transpose_classes
 
-    def transposed(n):
-        vertical, horizontal, hooks = real(n)
-        return ([(cells, -excess) for cells, excess in vertical],
-                [(cells, -excess) for cells, excess in horizontal], hooks)
+    def transposed(n, *args):
+        for batch in real(n, *args):
+            yield [(other(rep, n), *rest) for rep, *rest in batch]
 
-    monkeypatch.setattr(equivalence, "_walk_table", transposed)
+    def other(rep, n):
+        T = transpose_indexset([k for k in range(1, 2 * n + 1) if rep >> k & 1], n)
+        return sum(1 << k for k in T)
+
+    monkeypatch.setattr(equivalence, "transpose_classes", transposed)
     assert "section classes against 132 antichains" in vertex_level_fails(capsys)
 
 
@@ -353,13 +358,11 @@ def plant_elements(monkeypatch, wrong, right):
     real = equivalence._walk_table
 
     def planted(n):
-        vertical, horizontal, hooks = real(n)
         cells = lex_cells(n)
-        bit, clash, _, decode = next(entry for row in hooks for entry in row
-                                     if entry and entry[0] == 1 << cells.index(right))
-        hooks = [[(bit, clash, entry[2], decode) if entry and entry[0] == 1 << cells.index(wrong)
-                  else entry for entry in row] for row in hooks]
-        return vertical, horizontal, hooks
+        bit, clash, _, decode = next(entry for row in real(n) for entry in row
+                                     if entry[0] == 1 << cells.index(right))
+        return [[(bit, clash, entry[2], decode) if entry[0] == 1 << cells.index(wrong)
+                 else entry for entry in row] for row in real(n)]
 
     monkeypatch.setattr(equivalence, "_walk_table", planted)
 
@@ -409,8 +412,8 @@ def test_vertex_level_fails_on_a_wrong_clash_table(monkeypatch, capsys):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_vertex_walk_keeps_one_representative_per_class(monkeypatch, n):
-    # The walk evaluates exactly the classes of `class_indexsets`, each at
-    # its representative: the same packed operands, base - sum l(d) masks[d].
+    # The walk evaluates exactly the reference classes, each once, at its
+    # lex-first member: the same packed operands, base - sum l(d) masks[d].
     base, masks, *_ = valuation._packed_table(n)
     build_valuation_matrix(n)  # evaluated before the count starts
     operands = []
@@ -418,8 +421,23 @@ def test_vertex_walk_keeps_one_representative_per_class(monkeypatch, n):
     monkeypatch.setattr(valuation, "_packed_maxplus",
                         lambda table, x: operands.append(x) or real(table, x))
     assert verify_main_theorem(n)[0]
-    expected = [base - sum(map(mul, diagonal_lengths(I, n), masks)) for I in class_indexsets(n)]
-    assert sorted(operands) == sorted(expected)
+    members = [partition_to_indexset(lam, n) for lam in oracles.transpose_classes(n)]
+    members = [min(I, transpose_indexset(I, n)) for I in members]
+    expected = [base - sum(map(mul, diagonal_lengths(I, n), masks)) for I in members]
+    assert operands == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_both_members_of_a_class_agree(n):
+    # The main theorem checks each class at its lex-first member: the
+    # valuation and the poset elements of the complement's hooks are the
+    # same at the other member, on every path.
+    for I in combinations(range(1, 2 * n + 1), n):
+        T = transpose_indexset(I, n)
+        assert valuation_maxdiag(n, indexset_to_partition(I, n)) == \
+            valuation_maxdiag(n, indexset_to_partition(T, n)), I
+        assert {equivalence._hook_element(n, *hook) for hook in complement_hooks(I, n)} == \
+            {equivalence._hook_element(n, *hook) for hook in complement_hooks(T, n)}, I
 
 
 @pytest.mark.parametrize("entry, guarded", [(51, False), (52, True), (-1, True)])

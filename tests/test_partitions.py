@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from lgrnok.budget import Deadline
 from lgrnok.partitions import (
     catalan,
     cells,
@@ -128,7 +129,7 @@ def test_hooks_reassemble(nl):
 def test_hooks_of_balanced_reps_are_arm_heavy(n):
     # arm >= leg for every hook of every representative's complement; strict
     # inequality fails in general, e.g. the (1,1) hook of (4,2,2) at n=4
-    for lam in transpose_classes(n):
+    for lam in oracles.transpose_classes(n):
         for a, b in hook_decomposition(complement(lam, n)):
             assert a >= b
 
@@ -151,9 +152,15 @@ def test_diagonal_balance_swaps_under_transpose(nl):
     assert diagonal_excess(transpose(lam)) == -diagonal_excess(lam)
 
 
+def walked_classes(n, *args):
+    """The walk's records, in order, with each representative's partition."""
+    return [(indexset_to_partition([k for k in range(1, 2 * n + 1) if rep >> k & 1], n), rest)
+            for batch in transpose_classes(n, *args) for rep, *rest in batch]
+
+
 def test_class_counts():
     # (C(2n,n) + 2^n) / 2 representatives; only n <= 3 agrees with C_{n+1}
-    assert [len(transpose_classes(n)) for n in (1, 2, 3, 4, 5)] == [2, 5, 14, 43, 142]
+    assert [len(walked_classes(n)) for n in (1, 2, 3, 4, 5)] == [2, 5, 14, 43, 142]
     assert [catalan(n + 1) for n in (1, 2, 3, 4, 5)] == [2, 5, 14, 42, 132]
 
 
@@ -161,9 +168,32 @@ def test_class_counts():
 def test_transpose_classes_in_first_appearance_order(n):
     # the oracle keeps the first appearance of the cell-based representative
     seen = oracles.transpose_classes(n)
-    assert transpose_classes(n) == seen
+    assert [lam for lam, _ in walked_classes(n)] == list(seen)
     # 2^n self-conjugate partitions fit in the box
     assert len(seen) == (comb(2 * n, n) + 2 ** n) // 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_walk_sums_the_lex_first_member(n):
+    # Weights that keep each diagonal in its own byte make x read back I's
+    # diagonal lengths, and a column that is one bit per hook makes the
+    # image read back the complement's hooks: both at the lex-first member
+    # I of each class, not at its representative.  Every hook clashes with
+    # every other, and each decodes to its own two steps.
+    bit = {(j, h): 1 << (2 * n + 1) * j + h for j in range(n + 1, 2 * n + 1) for h in range(1, n + 1)}
+    hooks = [[(1, 1, bit.get((j, h), 0), 1 << j | 1 << h) for h in range(n + 1)]
+             for j in range(2 * n + 1)]
+    weights = [-(1 << 8 * d) for d in range(2 * n - 1)]
+    records = walked_classes(n, Deadline(), 0, weights, hooks)
+    assert [lam for lam, _ in records] == list(oracles.transpose_classes(n))
+    for lam, (x, image, clash, decoded) in records:
+        I = partition_to_indexset(lam, n)
+        I = min(I, transpose_indexset(I, n))
+        assert x == sum(length << 8 * d for d, length in enumerate(diagonal_lengths(I, n)))
+        pairs = {(n + arm, n - leg) for arm, leg in complement_hooks(I, n)}
+        assert image == sum(map(bit.get, pairs))
+        assert bool(clash) == (len(pairs) > 1)
+        assert decoded == sum(1 << j | 1 << h for j, h in pairs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])

@@ -5,20 +5,19 @@ import pytest
 from lgrnok import partitions, plabic, valuation
 from lgrnok.equivalence import build_valuation_matrix
 from lgrnok.partitions import (
-    class_indexsets,
     diagonal_lengths,
     maxdiag,
     orbit_representative,
     partition_to_indexset,
     skew_cells,
     transpose,
-    transpose_classes,
 )
 from lgrnok.valuation import (
     BIAS,
     FIELD_BITS,
     MAX_PACKED_N,
     all_plucker_valuations,
+    class_valuations,
     coordinate_system,
     delta_vertices,
     face_coordinates,
@@ -26,7 +25,12 @@ from lgrnok.valuation import (
     valuation_from_flows,
     valuation_maxdiag,
 )
-from oracles import flow_vector, maxplus_by_vector, partitions_in_box
+from oracles import flow_vector, maxplus_by_vector, partitions_in_box, transpose_classes
+
+
+def class_indexsets(n):
+    """The index sets of the reference representatives, in their order."""
+    return [partition_to_indexset(lam, n) for lam in transpose_classes(n)]
 
 # the full LGr(3,6) table, keyed by class representative
 TABLE_N3 = {
@@ -115,7 +119,7 @@ def test_packing_bound(monkeypatch):
         raise AssertionError("the classes were enumerated")
 
     monkeypatch.setattr(plabic, "build_corect_graph", no_graph)
-    monkeypatch.setattr(valuation, "class_indexsets", no_classes)
+    monkeypatch.setattr(valuation, "transpose_classes", no_classes)
     tables = valuation._packed_table.cache_info().currsize
     n = MAX_PACKED_N + 1
     for evaluate in (lambda: valuation_maxdiag(n, ()),
@@ -195,16 +199,27 @@ def test_cross_check_flag(monkeypatch):
 
 def test_all_plucker_valuations_reads_the_classes_once(monkeypatch):
     calls = []
-    real = partitions.class_indexsets
+    real = partitions.transpose_classes
 
-    def counted(n):
+    def counted(n, *args):
         calls.append(n)
-        return real(n)
+        return real(n, *args)
 
-    monkeypatch.setattr(partitions, "class_indexsets", counted)
-    monkeypatch.setattr(valuation, "class_indexsets", counted)
+    monkeypatch.setattr(partitions, "transpose_classes", counted)
+    monkeypatch.setattr(valuation, "transpose_classes", counted)
     assert all_plucker_valuations(3) == TABLE_N3
     assert calls == [3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_class_valuations_follow_the_reference_classes(n):
+    # the walk's rows: the reference representatives in their order, each
+    # with its index set and its closed-form valuation
+    rows = list(class_valuations(n))
+    assert [lam for _, lam, _ in rows] == list(transpose_classes(n))
+    for indexset, lam, value in rows:
+        assert indexset == partition_to_indexset(lam, n)
+        assert value == valuation_maxdiag(n, lam), lam
 
 
 @pytest.mark.parametrize("n", [2, 3])
