@@ -8,6 +8,7 @@ of its entries.  Nothing ever touches a rational or a float.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -26,7 +27,7 @@ def mat_vec(a, v) -> tuple:
 
 
 def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def bareiss_det(matrix) -> int:

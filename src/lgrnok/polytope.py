@@ -20,23 +20,25 @@ it, held as a bitmask, and its facets are its maximal proper nonempty
 intersections with the polytope's facets (`_facets_of`), so no face is
 hulled again.  The f-vector counts the faces one dimension at a time, down
 from the facets.  Volumes are normalized (dim! times Euclidean) and come
-from a recursive boundary triangulation: cone each face from its least
-point over the triangulations of its facets avoiding it.
+from a recursion of lattice pyramids, memoized per face: each face is the
+union of the pyramids from its least point over its facets avoiding it, and
+a pyramid's volume is its apex's lattice height times its base's volume.
+No simplex and no determinant is formed.
 
 No dimension is refused.  The one bound is the Deadline, polled in every
 long loop: per inserted row and per plus ray of the double description,
-per face, and every POLL_EVERY simplices of a volume.
+and per face of the f-vector and of a volume.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import index, mul
 
 # The engine's callers import the time budget's names from here too.
-from .budget import POLL_EVERY, Deadline, TimeBudgetExceeded
-from .linalg import affine_pivot_columns, bareiss_det, dot, invert, primitive, rref
+from .budget import Deadline, TimeBudgetExceeded
+from .linalg import affine_pivot_columns, dot, identity, invert, primitive, rref
 
 Point = tuple[int, ...]
 Row = tuple[tuple[int, ...], int]  # (coefficients, constant): c.x + d >= 0
@@ -206,11 +208,22 @@ def _facet_masks(points: tuple[Point, ...], rows: tuple[Row, ...]) -> list[int]:
             for coeffs, const in rows]
 
 
-def _facets_of(face: int, facet_masks: list[int]) -> list[int]:
+def _facets_of(face: int, facet_masks: list[int]) -> dict[int, int]:
     """The facets of a face: its maximal proper nonempty intersections with
-    the polytope's facets, all masks of points."""
-    cuts = {face & g for g in facet_masks} - {0, face}
-    return [cut for cut in cuts if not any(cut != other and cut & other == cut for other in cuts)]
+    the polytope's facets, all masks of points, each mapped to the index of
+    one facet whose mask cuts it."""
+    cuts: dict[int, int] = {}
+    for i, mask in enumerate(facet_masks):
+        cuts.setdefault(face & mask, i)
+    cuts.pop(0, None)
+    cuts.pop(face, None)
+    # Largest first: a cut inside another lies inside a maximal one, kept
+    # before it.
+    maximal: dict[int, int] = {}
+    for cut in sorted(cuts, key=int.bit_count, reverse=True):
+        if not any(cut & other == cut for other in maximal):
+            maximal[cut] = cuts[cut]
+    return maximal
 
 
 def f_vector(V: VPolytope, deadline: Deadline = Deadline()) -> tuple[int, ...]:
@@ -234,56 +247,68 @@ def f_vector(V: VPolytope, deadline: Deadline = Deadline()) -> tuple[int, ...]:
     return tuple(reversed(counts))
 
 
-def _triangulate(points: tuple[Point, ...], deadline: Deadline,
-                 rows: tuple[Row, ...] | None = None) -> Iterable[tuple[Point, ...]]:
-    """Simplices (as point tuples in the order of `points`) triangulating
-    conv(points), for sorted points spanning their space; sorted, so the
-    least point on a face is a vertex of it.  `rows`, the facets if known,
-    saves the facet run.
+def _split_lattice(basis: Sequence[Sequence[int]],
+                   coeffs: Sequence[int]) -> tuple[int, list[Sequence[int]]]:
+    """(g, kernel) for a lattice basis and a functional c not zero on it: g
+    generates the values of c on the lattice, and kernel is a basis of the
+    sublattice on which c vanishes.
 
-    Each face is coned from its least point over the triangulations of its
-    facets (`_facets_of`) that avoid it, memoized on the mask; a k-face is
-    a simplex when it holds k + 1 points.
+    One extended-Euclid pass: each basis vector is reduced against the
+    vector kept so far by unimodular integer steps until its value is 0.
     """
-    dim = len(points[0])
-    if len(points) == dim + 1:
-        return [points]
-    facet_masks = _facet_masks(points, rows or _facets_full_dim(points, deadline))
-    memo: dict[int, list[int]] = {}
-
-    def cone(face: int, k: int) -> list[int]:
-        if face in memo:
-            return memo[face]
-        if face.bit_count() == k + 1:
-            memo[face] = [face]
-            return memo[face]
-        apex = face & -face
-        simplices = []
-        for cut in _facets_of(face, facet_masks):
-            if cut & apex:
-                continue
-            deadline.check()
-            simplices.extend(apex | s for s in cone(cut, k - 1))
-        memo[face] = simplices
-        return simplices
-
-    masks = cone((1 << len(points)) - 1, dim)
-    # lazily, so that the caller's polled loop over the simplices pays for
-    # the conversion (seconds for the 292,864 simplices at n=5)
-    return (tuple(p for i, p in enumerate(points) if s >> i & 1) for s in masks)
+    pivot, g, kernel = None, 0, []
+    for b in basis:
+        v = dot(coeffs, b)
+        if v and not g:
+            pivot, g = b, v
+            continue
+        while v:
+            q = g // v
+            pivot, g, b, v = b, v, [x - q * y for x, y in zip(pivot, b)], g - q * v
+        kernel.append(b)
+    return abs(g), kernel
 
 
 def normalized_volume(V: VPolytope, deadline: Deadline = Deadline(),
                       H: HPolytope | None = None) -> int:
-    """dim! times the Euclidean volume, by exact triangulation of the
-    full-dimensional conv(points).  H, the facets of V when the caller
-    already has them, saves the facet run.  The deadline is polled every
-    POLL_EVERY simplices, from the first."""
-    rows = None if H is None else H.rows
-    total = 0
-    for count, simplex in enumerate(_triangulate(_full_dim(V), deadline, rows)):
-        if not count % POLL_EVERY:
-            deadline.check()
-        base = simplex[0]
-        total += abs(bareiss_det([[x - b for x, b in zip(p, base)] for p in simplex[1:]]))
-    return total
+    """dim! times the Euclidean volume of the full-dimensional conv(points).
+    H, the facets of V when the caller already has them, saves the facet
+    run.
+
+    Lattice pyramids over the faces of that one run: a face F, with least
+    point a (a vertex, the points being sorted) and a basis of its lattice
+    aff(F) ∩ Z^dim, has Vol(F) = sum of h_G(a) Vol(G) over the facets G of
+    F that avoid a, where Vol is normalized in each face's own lattice and
+    h_G(a) = (c.a + d) / g is the lattice height of a above G: (c, d) is a
+    facet row cutting F in G, and g generates c's values on F's lattice.
+    A point has volume 1.  Memoized on the face; the deadline is polled
+    once per face.
+    """
+    points = _full_dim(V)
+    rows = H.rows if H is not None else _facets_full_dim(points, deadline)
+    masks = _facet_masks(points, rows)
+    memo: dict[int, int] = {}
+
+    def volume(face: int, basis: Sequence[Sequence[int]]) -> int:
+        if not face & (face - 1):
+            return 1
+        if face in memo:
+            return memo[face]
+        deadline.check()
+        apex_bit = face & -face
+        apex = points[apex_bit.bit_length() - 1]
+        total = 0
+        for cut, i in _facets_of(face, masks).items():
+            if cut & apex_bit:
+                continue
+            coeffs, const = rows[i]
+            g, kernel = _split_lattice(basis, coeffs)
+            lift = dot(coeffs, apex) + const
+            height, rest = divmod(lift, g)
+            if rest:
+                raise ArithmeticError(f"height {lift} is not a multiple of {g}")
+            total += height * volume(cut, kernel)
+        memo[face] = total
+        return total
+
+    return volume((1 << len(points)) - 1, identity(V.dim))

@@ -190,7 +190,7 @@ CHECKS = (
           n_min=3, n_max=3, skip="reference f-vector is for n=3"),
     Check("main-theorem-hull-level", "hull",
           lambda n, deadline: equivalence.verify_hull_level(n, deadline),
-          n_max=4, skip="hull level gated to n <= 4"),
+          n_max=5, skip="hull level gated to n <= 5"),
 )
 
 

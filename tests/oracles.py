@@ -1,17 +1,19 @@
-"""Reference definitions that the lattice-path code, the triangulation and
-the f-vector in lgrnok are tested against.
+"""Reference definitions that the lattice-path code, the volume and the
+f-vector in lgrnok are tested against.
 
 lgrnok reads diagonal balances, transpose classes, diagonal lengths and the
 hooks of a complement off the index set of a partition in O(n).  The
 definitions here work cell by cell and hook by hook instead: slow, and
 checkable by eye.  Likewise lgrnok finds every face of a polytope from one
-facet run; the reference triangulation hulls each face again from its own
-points, and the reference f-vector closes the vertex sets of the facets
-under intersection and ranks each face by its vertices.  And lgrnok
-enumerates flows from one table of whole paths per network; the reference
-walks the network vertex by vertex for every target.  lgrnok forces the
-perfect orientation from the boundary; the reference searches every
-orientation by backtracking and stops at the second.
+facet run and takes a volume by lattice heights, with no simplex; the
+reference triangulation hulls each face again from its own points, its
+simplices summed by determinant, and the reference f-vector closes the
+vertex sets of the facets under intersection and ranks each face by its
+vertices.  And lgrnok enumerates flows from one table of whole paths per
+network; the reference walks the network vertex by vertex for every
+target.  lgrnok forces the perfect orientation from the boundary; the
+reference searches every orientation by backtracking and stops at the
+second.
 And lgrnok evaluates a valuation's max-plus product on one packed integer
 per class; the reference takes one short max-plus row per vector.  Its
 flow valuation sums packed left-face counts over each path system as it is

@@ -216,10 +216,16 @@ def test_budget_exceeded_exit_code():
     assert main(["counts", "--n", "8", "--time-budget", "1e-9"]) == 3
 
 
-def test_volume_n5_stops_at_its_budget(capsys):
-    # the triangulation of Gamma at n=5 alone takes several seconds
+def test_volume_n5(capsys):
+    code, out = run_cli(capsys, "volume", "--n", "5")
+    assert code == 0
+    assert out.count(" 292864\n") == 3
+
+
+def test_volume_n6_stops_at_its_budget(capsys):
+    # the volume of Delta at n=6 alone takes about a minute
     start = time.monotonic()
-    assert main(["volume", "--n", "5", "--time-budget", "1"]) == 3
+    assert main(["volume", "--n", "6", "--time-budget", "1"]) == 3
     assert time.monotonic() - start < 2.0
     captured = capsys.readouterr()
     assert captured.out == "" and "exceeded its time budget" in captured.err

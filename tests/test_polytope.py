@@ -158,11 +158,9 @@ def test_facet_run_polls_inside_an_insertion():
 
 
 def assert_matches_face_hull_oracle(body):
-    """The triangulation from one facet run has the simplices of the
-    reference that hulls every face again, and their volume."""
-    deadline = polytope.Deadline()
-    simplices = sorted(polytope._triangulate(body.points, deadline))
-    assert simplices == sorted(oracles.triangulate_by_face_hulls(body.points, {}, deadline))
+    """The volume from one facet run is the volume of the reference
+    triangulation that hulls every face again."""
+    simplices = oracles.triangulate_by_face_hulls(body.points, {}, polytope.Deadline())
     total = sum(abs(bareiss_det([[x - b for x, b in zip(p, s[0])] for p in s[1:]]))
                 for s in simplices)
     assert normalized_volume(body) == total
@@ -305,22 +303,28 @@ def test_cube_volume_invariant(data):
     assert normalized_volume(image) == 6
 
 
-def test_volume_polls_the_budget_after_triangulating(monkeypatch):
-    """The deadline is the only bound, so the determinant loop polls it
-    too: a budget that runs out once the triangulation is done stops the
-    volume at its first simplex."""
-    real = polytope._triangulate
-
-    def then_sleep(points, deadline, rows=None):
-        simplices = real(points, deadline, rows)
-        time.sleep(0.1)
-        return simplices
-
-    monkeypatch.setattr(polytope, "_triangulate", then_sleep)
+def test_volume_polls_the_budget_per_face():
+    """The deadline is the only bound, so the face recursion polls it, once
+    per face: a budget that runs out at the hundredth face stops the volume
+    there, inside the recursion."""
     delta4 = VPolytope.from_points(valuation.delta_vertices(4))
+    H = facets(delta4)
+    counted = CountingDeadline()
+    assert normalized_volume(delta4, counted, H) == 768
+    assert 100 < counted.polls <= sum(F_VECTOR_4)
+
+    class ExpiresAtPoll100(CountingDeadline):
+        def check(self):
+            if self.polls == 99:
+                self.expires = time.monotonic() - 1.0
+            super().check()
+
+    expiring = ExpiresAtPoll100()
     with pytest.raises(TimeBudgetExceeded) as raised:
-        normalized_volume(delta4, Deadline(0.05))
-    assert raised.traceback[-2].name == "normalized_volume"
+        normalized_volume(delta4, expiring, H)
+    assert expiring.polls == 100
+    names = [entry.name for entry in raised.traceback]
+    assert "normalized_volume" in names and names[names.index("check") - 1] == "volume"
 
 
 @settings(max_examples=40, deadline=None)
