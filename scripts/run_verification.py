@@ -15,7 +15,7 @@ import argparse
 import sys
 import time
 
-from lgrnok.polytope import Deadline, TimeBudgetExceeded
+from lgrnok.budget import Deadline, TimeBudgetExceeded
 from lgrnok.verify import run_checks
 
 

@@ -8,7 +8,6 @@ Output is deterministic: identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import islice
 
@@ -43,6 +42,8 @@ def _hrep_json(H: polytope.HPolytope, coords) -> dict:
 def _write_json(doc, out, deadline) -> None:
     """json.dump(doc, out, indent=2) and a newline, with the deadline polled
     while the text is encoded and nothing written before it is all ready."""
+    import json  # here, not at the top: only JSON output pays for the import
+
     chunks, text = json.JSONEncoder(indent=2).iterencode(doc), []
     while batch := list(islice(chunks, POLL_EVERY)):
         deadline.check()
@@ -70,8 +71,7 @@ def cmd_graph(args, out, deadline) -> int:
     if args.format == "dot":
         out.write(plabic.graph_to_dot(G))
     elif args.format == "json":
-        json.dump({"n": args.n, "faces": plabic.faces_json(G)}, out, indent=2)
-        out.write("\n")
+        _write_json({"n": args.n, "faces": plabic.faces_json(G)}, out, deadline)
     else:
         out.write(f"co-rectangles plabic graph, n={args.n}: "
                   f"{len(G.faces)} faces, {len(G.colors)} internal vertices\n")
@@ -85,7 +85,7 @@ def cmd_orientation(args, out, deadline) -> int:
     if args.format == "dot":
         out.write(plabic.graph_to_dot(G, O))
     elif args.format == "json":
-        json.dump(
+        _write_json(
             {
                 "n": args.n,
                 "sources": list(O.source_set),
@@ -95,9 +95,8 @@ def cmd_orientation(args, out, deadline) -> int:
                 ],
             },
             out,
-            indent=2,
+            deadline,
         )
-        out.write("\n")
     else:
         out.write(f"perfect orientation with sources {list(O.source_set)}\n")
         for t, h in sorted(O.direction):
@@ -122,7 +121,7 @@ def cmd_flows(args, out, deadline) -> int:
     G, O = plabic.corect_network(args.n)
     flows = plabic.enumerate_flows(G, O, target)
     if args.format == "json":
-        json.dump(
+        _write_json(
             {
                 "n": args.n,
                 "target": sorted(target),
@@ -139,9 +138,8 @@ def cmd_flows(args, out, deadline) -> int:
                 ],
             },
             out,
-            indent=2,
+            deadline,
         )
-        out.write("\n")
     else:
         out.write(f"{len(flows)} flow(s) from {list(O.source_set)} to {sorted(target)}\n")
         for i, f in enumerate(flows):
@@ -204,8 +202,7 @@ def cmd_gamma(args, out, deadline) -> int:
         return 0
     H = superpotential.gamma_hrep(n, deadline)
     if args.format == "json":
-        json.dump(_hrep_json(H, names), out, indent=2)
-        out.write("\n")
+        _write_json(_hrep_json(H, names), out, deadline)
     else:
         out.write(f"superpotential polytope in coordinates ({', '.join(names)}):\n")
         for c, d in H.rows:
@@ -224,15 +221,13 @@ def cmd_delta(args, out, deadline) -> int:
     if args.fvector:
         fv = polytope.f_vector(V, deadline)
         if args.format == "json":
-            json.dump({"f_vector": list(fv)}, out, indent=2)
-            out.write("\n")
+            _write_json({"f_vector": list(fv)}, out, deadline)
         else:
             out.write(f"f-vector: {fv}\n")
         return 0
     H = polytope.facets(V, deadline)
     if args.format == "json":
-        json.dump(_hrep_json(H, names), out, indent=2)
-        out.write("\n")
+        _write_json(_hrep_json(H, names), out, deadline)
     else:
         out.write(f"Newton-Okounkov body facets, coordinates ({', '.join(names)}), "
                   "rows (const, coefficients):\n")
@@ -244,7 +239,7 @@ def cmd_delta(args, out, deadline) -> int:
 def cmd_matrix(args, out, deadline) -> int:
     M = equivalence.build_valuation_matrix(args.n)
     if args.format == "json":
-        json.dump(
+        _write_json(
             {
                 "n": args.n,
                 "rows": [list(r) for r in M.entries],
@@ -252,9 +247,8 @@ def cmd_matrix(args, out, deadline) -> int:
                 "column_pairs": [list(p) for p in M.col_pairs],
             },
             out,
-            indent=2,
+            deadline,
         )
-        out.write("\n")
     else:
         for row in M.entries:
             out.write(" ".join(str(x) for x in row) + "\n")
@@ -268,7 +262,7 @@ def cmd_fold(args, out, deadline) -> int:
         return 0
     F = quiverfold.folded_matrix(args.n)
     if args.format == "json":
-        json.dump(
+        _write_json(
             {
                 "n": args.n,
                 "row_orbits": [[format_partition(p) for p in o] for o in F.row_orbits],
@@ -276,9 +270,8 @@ def cmd_fold(args, out, deadline) -> int:
                 "entries": [list(r) for r in F.entries],
             },
             out,
-            indent=2,
+            deadline,
         )
-        out.write("\n")
     else:
         for row in F.entries:
             out.write(" ".join(f"{x:>3}" for x in row) + "\n")
@@ -293,7 +286,7 @@ def cmd_volume(args, out, deadline) -> int:
     vol_gamma = polytope.normalized_volume(gamma, deadline)
     vol_delta = polytope.normalized_volume(delta, deadline)
     if args.format == "json":
-        json.dump(
+        _write_json(
             {
                 "n": n,
                 "gamma": str(vol_gamma),
@@ -301,9 +294,8 @@ def cmd_volume(args, out, deadline) -> int:
                 "degree": expected,
             },
             out,
-            indent=2,
+            deadline,
         )
-        out.write("\n")
     else:
         out.write(f"normalized volume of the superpotential polytope: {vol_gamma}\n")
         out.write(f"normalized volume of the Newton-Okounkov body:    {vol_delta}\n")
@@ -318,7 +310,7 @@ def cmd_counts(args, out, deadline) -> int:
     syt = staircase_syt_count(n)
     extensions = superpotential.linear_extension_count(P, deadline)
     if args.format == "json":
-        json.dump(
+        _write_json(
             {
                 "n": n,
                 "antichains": antichains,
@@ -327,9 +319,8 @@ def cmd_counts(args, out, deadline) -> int:
                 "staircase_syt": syt,
             },
             out,
-            indent=2,
+            deadline,
         )
-        out.write("\n")
     else:
         out.write(f"antichains of the staircase poset: {antichains}\n")
         out.write(f"Catalan number C_{n+1}:            {superpotential.antichain_count_formula(n)}\n")
@@ -342,8 +333,7 @@ def cmd_verify(args, out, deadline) -> int:
     results = run_checks(args.n, args.level, deadline)
     all_ok = all(r["status"] != "fail" for r in results)
     if args.format == "json":
-        json.dump({"n": args.n, "level": args.level, "ok": all_ok, "checks": results}, out, indent=2)
-        out.write("\n")
+        _write_json({"n": args.n, "level": args.level, "ok": all_ok, "checks": results}, out, deadline)
     else:
         for r in results:
             mark = {"pass": "PASS", "fail": "FAIL", "skip": "skip"}[r["status"]]

@@ -29,9 +29,9 @@ normalized volumes with the staircase SYT count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb
+from typing import NamedTuple
 
 from . import polytope, superpotential, valuation
 from .linalg import bareiss_det, identity, invert, mat_mul, mat_vec
@@ -71,8 +71,7 @@ def column_partition(n: int, i: int, j: int) -> Partition:
     return normalize((n,) * j + (n - 1,) * (n - 1 - j) + (i,))
 
 
-@dataclass(frozen=True)
-class ValuationMatrix:
+class ValuationMatrix(NamedTuple):
     n: int
     entries: tuple[tuple[int, ...], ...]
     row_labels: tuple[Partition, ...]

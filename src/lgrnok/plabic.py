@@ -36,8 +36,8 @@ them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .partitions import Partition, normalize
 
@@ -201,8 +201,7 @@ def build_corect_graph(n: int) -> PlabicGraph:
 # -- perfect orientations ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerfectOrientation:
+class PerfectOrientation(NamedTuple):
     direction: tuple[Dart, ...]  # one (tail, head) per edge
     source_set: tuple[int, ...]
 
@@ -277,8 +276,7 @@ def corect_network(n: int) -> tuple[PlabicGraph, PerfectOrientation]:
 # -- flows ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(NamedTuple):
     """Vertex-disjoint directed paths; left_faces[i] collects every face on
     the left of paths[i], not just the faces it borders."""
 

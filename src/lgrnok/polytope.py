@@ -33,8 +33,9 @@ and per face of the f-vector and of a volume.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from math import gcd
 from operator import index, mul
+from typing import NamedTuple
 
 # The engine's callers import the time budget's names from here too.
 from .budget import Deadline, TimeBudgetExceeded
@@ -53,8 +54,7 @@ def normalize_row(coeffs, const) -> Row:
     return ints[:-1], ints[-1]
 
 
-@dataclass(frozen=True)
-class VPolytope:
+class VPolytope(NamedTuple):
     dim: int
     points: tuple[Point, ...]
 
@@ -70,8 +70,7 @@ class VPolytope:
         return VPolytope(dim=len(pts[0]), points=pts)
 
 
-@dataclass(frozen=True)
-class HPolytope:
+class HPolytope(NamedTuple):
     dim: int
     rows: tuple[Row, ...]
 
@@ -302,7 +301,11 @@ def normalized_volume(V: VPolytope, deadline: Deadline = Deadline(),
             if cut & apex_bit:
                 continue
             coeffs, const = rows[i]
-            g, kernel = _split_lattice(basis, coeffs)
+            if cut in memo or not cut & (cut - 1):
+                # The cut's volume is known, so only g is needed: no kernel.
+                g, kernel = gcd(*[dot(coeffs, b) for b in basis]), ()
+            else:
+                g, kernel = _split_lattice(basis, coeffs)
             lift = dot(coeffs, apex) + const
             height, rest = divmod(lift, g)
             if rest:

@@ -12,15 +12,14 @@ column orbit member is used.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from . import plabic
 from .partitions import Partition, format_partition, transpose
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(NamedTuple):
     n: int
     vertices: tuple[Partition, ...]
     frozen: frozenset[Partition]
@@ -83,8 +82,7 @@ def frozen_orbit_order(n: int) -> tuple[tuple[Partition, ...], ...]:
     return tuple(orbits)
 
 
-@dataclass(frozen=True)
-class FoldedMatrix:
+class FoldedMatrix(NamedTuple):
     n: int
     row_orbits: tuple[tuple[Partition, ...], ...]
     col_orbits: tuple[tuple[Partition, ...], ...]

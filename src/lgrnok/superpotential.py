@@ -13,9 +13,9 @@ chain polytope of P_n.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cache
 from itertools import compress, count
+from typing import NamedTuple
 
 from .budget import POLL_EVERY, Deadline, polled
 from .partitions import catalan
@@ -24,8 +24,7 @@ from .polytope import HPolytope
 Element = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class PosetPn:
+class PosetPn(NamedTuple):
     n: int
     elements: tuple[Element, ...]
 
@@ -193,8 +192,7 @@ def linear_extension_count(P: PosetPn, deadline: Deadline = Deadline()) -> int:
 # -- the superpotential ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuperpotentialTerm:
+class SuperpotentialTerm(NamedTuple):
     """A linear term a_ij, or a quantum term q / prod a_{cell} with one
     denominator cell per column."""
 

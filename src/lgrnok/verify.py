@@ -8,9 +8,9 @@ with the entry's reason as its witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from itertools import combinations
-from typing import Callable
+from typing import NamedTuple
 
 from . import equivalence, partitions, plabic, polytope, quiverfold, superpotential, valuation
 from .budget import Deadline, TimeBudgetExceeded, polled
@@ -147,8 +147,7 @@ def f_vector(n, deadline):
     return fv_delta == fv_gamma == (14, 51, 86, 78, 39, 10), f"{fv_delta} / {fv_gamma}"
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     level: str  # "vertex" or "hull"
     run: Callable[[int, Deadline], tuple[bool, str]]

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 import time
@@ -31,12 +32,28 @@ def test_usage_errors_exit_2(capsys):
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
-def test_cli_import_loads_no_rational_arithmetic():
-    # every point, row and volume is an int, so nothing needs `fractions`
-    # (which also loads `decimal`)
-    code = "import sys, lgrnok.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+@pytest.mark.parametrize("entry", ["lgrnok.cli", "lgrnok.valuation"])
+def test_entry_import_loads_no_heavy_stdlib(entry):
+    # Startup is most of a short run.  Every point, row and volume is an
+    # int, so nothing needs `fractions` (which loads `decimal`); the records
+    # are NamedTuples, not dataclasses (which load `inspect`); and only the
+    # JSON writer imports `json`, when it is called.
+    heavy = "{'dataclasses', 'inspect', 'json', 'fractions', 'decimal'}"
+    code = f"import sys, {entry}; print(sorted({heavy} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph"], ["orientation"], ["flows", "--target", "1,4,5"], ["valuations"],
+    ["gamma"], ["gamma", "--vrep"], ["delta"], ["delta", "--vrep"], ["delta", "--fvector"],
+    ["matrix"], ["fold"], ["volume"], ["counts"], ["verify"],
+], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
+def test_every_json_output_parses(capsys, argv):
+    code, out = run_cli(capsys, *argv, "--n", "3", "--format", "json")
+    assert code == 0
+    json.loads(out)
 
 
 def test_matrix_n2_text(capsys):

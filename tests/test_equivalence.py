@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from itertools import combinations
 from operator import mul
 from pathlib import Path
@@ -445,7 +444,7 @@ def test_walk_refuses_columns_too_wide_to_pack(monkeypatch, entry, guarded):
     # Five columns of entries up to 51 sum to at most 255, one byte; past
     # that, or below 0, a carry could alias a wrong image onto the value.
     M = build_valuation_matrix(5)
-    wide = replace(M, entries=((entry, *M.entries[0][1:]), *M.entries[1:]))
+    wide = M._replace(entries=((entry, *M.entries[0][1:]), *M.entries[1:]))
     monkeypatch.setattr(equivalence, "build_valuation_matrix", lambda n: wide)
     if guarded:
         with pytest.raises(ValueError, match="too wide"):

@@ -4,7 +4,6 @@ import hashlib
 import math
 import re
 import time
-from dataclasses import replace
 from pathlib import Path
 from types import MappingProxyType
 
@@ -138,7 +137,7 @@ def test_a_wrong_entry_of_m5_fails_the_hull_level(monkeypatch, capsys):
     # the hull level runs at n=5, so a planted entry of M_5 fails it there
     real = equivalence.build_valuation_matrix
     M = real(5)
-    wrong = replace(M, entries=((M.entries[0][0] + 1,) + M.entries[0][1:],) + M.entries[1:])
+    wrong = M._replace(entries=((M.entries[0][0] + 1,) + M.entries[0][1:],) + M.entries[1:])
     monkeypatch.setattr(equivalence, "build_valuation_matrix", lambda n: wrong if n == 5 else real(n))
     assert main(["verify", "--n", "5", "--level", "hull"]) == 1
     assert "  [FAIL] main-theorem-hull-level  (" in capsys.readouterr().out
