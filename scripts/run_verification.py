@@ -2,8 +2,8 @@
 """Run the whole verification suite across a range of sizes.
 
 Every check runs at every n, except where its own n-range skips it (the
-main theorem's hull level stops at n=5, the vertex enumeration of Gamma at
-n=6).  One time budget covers the whole run.
+main theorem's hull level and the vertex enumeration of Gamma stop at
+n=6, the lattice-point count at n=8).  One time budget covers the whole run.
 Exits 1 if anything fails, and stops with exit 3 when the time budget runs
 out, as the CLI does; a --max-n below 1 or a budget that is not positive
 exits 2.

@@ -265,5 +265,23 @@ def staircase_syt_count(n: int) -> int:
     return syt_count(tuple(range(n, 0, -1)))
 
 
+def symplectic_dimension(k: int, rho: tuple[int, ...]) -> int:
+    """dim V(k omega_n) of Sp(2n), by the Weyl dimension formula of type C
+    at rho = (n, ..., 1): prod_i (k + rho_i) / rho_i times
+    prod_{i<j} (2k + rho_i + rho_j) / (rho_i + rho_j), the factors over
+    rho_i - rho_j being 1 at a multiple of omega_n = (1, ..., 1).  One
+    numerator and one denominator; raises ArithmeticError unless the
+    denominator divides."""
+    num = den = 1
+    for i, r in enumerate(rho):
+        num, den = num * (k + r), den * r
+        for s in rho[i + 1:]:
+            num, den = num * (2 * k + r + s), den * (r + s)
+    dim, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError(f"{den} does not divide {num}")
+    return dim
+
+
 def catalan(m: int) -> int:
     return factorial(2 * m) // (factorial(m) * factorial(m + 1))

@@ -347,32 +347,37 @@ def flow_systems(G: PlabicGraph, O: PerfectOrientation, J) -> list[tuple[tuple, 
     per path, by ascending source.
 
     A flow joins each source outside J to its own target of J outside the
-    source set, by vertex-disjoint paths; every matching of sources to
-    targets is tried.  The paths come whole from `_path_table`: the
-    sources are placed in ascending order, each taking a path to a free
-    target whose mask misses the union of the masks taken so far.  A
-    boundary vertex has one edge, so the masks alone keep the ends apart;
-    tracking the free targets skips whole groups.
+    source set, by vertex-disjoint paths.  The matching is forced: the
+    sources are 1..n and the targets lie in n+1..2n, and disjoint paths in
+    the disk cannot cross, so the i-th smallest source goes to the i-th
+    largest target.  Raises ValueError if the source set is not 1..n.
+    The paths come whole from `_path_table`: each source in ascending order
+    takes a path to its target whose mask misses the union of the masks
+    taken so far.  A boundary vertex has one edge, so the masks alone keep
+    the ends apart.
     """
     J = tuple(sorted(J))
     n = G.n
     if len(J) != n or len(set(J)) != n or any(j < 1 or j > 2 * n for j in J):
         raise ValueError(f"{J} is not an n-subset of [2n] for n={n}")
+    if sorted(O.source_set) != list(range(1, n + 1)):
+        raise ValueError(f"source set {sorted(O.source_set)} is not 1..{n}: "
+                         "the source-to-target matching is not forced")
     table = _path_table(G, O)
-    by_end = [table[s] for s in sorted(set(O.source_set) - set(J))]
+    sources = [s for s in range(1, n + 1) if s not in J]
+    targets = [t for t in reversed(J) if t > n]
+    groups = [table[s].get(t, ()) for s, t in zip(sources, targets)]
     systems = []
 
-    def place(i: int, used: int, free: frozenset, acc: tuple):
-        if i == len(by_end):
+    def place(i: int, used: int, acc: tuple):
+        if i == len(groups):
             systems.append(acc)
             return
-        for end in free:
-            rest = free - {end}
-            for mask, entry in by_end[i].get(end, ()):
-                if not mask & used:
-                    place(i + 1, used | mask, rest, acc + (entry,))
+        for mask, entry in groups[i]:
+            if not mask & used:
+                place(i + 1, used | mask, acc + (entry,))
 
-    place(0, 0, frozenset(J) - set(O.source_set), ())
+    place(0, 0, ())
     return systems
 
 

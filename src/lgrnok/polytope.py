@@ -220,7 +220,10 @@ def _facets_of(face: int, facet_masks: list[int]) -> dict[int, int]:
     # before it.
     maximal: dict[int, int] = {}
     for cut in sorted(cuts, key=int.bit_count, reverse=True):
-        if not any(cut & other == cut for other in maximal):
+        for other in maximal:
+            if cut & other == cut:
+                break
+        else:
             maximal[cut] = cuts[cut]
     return maximal
 
@@ -271,8 +274,9 @@ def _split_lattice(basis: Sequence[Sequence[int]],
 def normalized_volume(V: VPolytope, deadline: Deadline = Deadline(),
                       H: HPolytope | None = None) -> int:
     """dim! times the Euclidean volume of the full-dimensional conv(points).
-    H, the facets of V when the caller already has them, saves the facet
-    run.
+    H, rows valid on V that include all of its facets, saves the facet
+    run: a redundant row cuts each face in a face that is not maximal or
+    that a facet row cuts too, and a row tight at no point cuts nothing.
 
     Lattice pyramids over the faces of that one run: a face F, with least
     point a (a vertex, the points being sorted) and a basis of its lattice

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import cache
-from itertools import compress, count
+from itertools import compress, count, product
 from typing import NamedTuple
 
 from .budget import POLL_EVERY, Deadline, polled
@@ -187,6 +187,52 @@ def linear_extension_count(P: PosetPn, deadline: Deadline = Deadline()) -> int:
                     fewer[key] = fewer.get(key, 0) + w
         ways = fewer
     return ways[0]
+
+
+# -- lattice points -------------------------------------------------------
+
+
+def chain_polytope_points(P: PosetPn, k: int, deadline: Deadline = Deadline()) -> int:
+    """The lattice points of k times the chain polytope of P: the integer
+    x >= 0 with every chain sum at most k, counted level by level down the
+    covers of P, level j holding the elements (i, j); each cover goes down
+    one level, as in P_n.
+
+    A point is one to one with its chain maxima, m_y the largest sum of x
+    along a chain from a top element down to y: any m over 0..k that does
+    not drop down a cover, x_y being m_y less the largest m of y's upper
+    covers.  With f_j(m) the number of points on levels 1..j with maxima m
+    on level j, f_{j+1}(m') is the sum of f_j(m) over the m with each m_p
+    at most the least m'_q over the lower covers q of p (k if it has
+    none): f_j summed in one prefix sweep per coordinate, then read there.
+    Level j has (k+1)^j states; the deadline is polled once per sweep and
+    every POLL_EVERY states.
+    """
+    lower: dict[Element, list[Element]] = {}
+    for upper, low in P.covers():
+        lower.setdefault(upper, []).append(low)
+    base = k + 1
+    level: tuple[Element, ...] = ()
+    counts = [1]  # one state, the empty one, above the top level
+    for j in range(1, P.n + 1):
+        stride = 1
+        for _ in level:
+            deadline.check()
+            for state in range(stride, len(counts)):
+                if state // stride % base:
+                    counts[state] += counts[state - stride]
+            stride *= base
+        below = tuple(x for x in P.elements if x[1] == j)
+        position = {x: t for t, x in enumerate(below)}
+        bounds = [[position[q] for q in lower.get(p, ())] for p in level]
+        reach = []
+        for m in polled(product(range(base), repeat=len(below)), deadline):
+            state = 0
+            for qs in bounds:
+                state = state * base + (min(map(m.__getitem__, qs)) if qs else k)
+            reach.append(counts[state])
+        level, counts = below, reach
+    return sum(counts)
 
 
 # -- the superpotential ----------------------------------------------------

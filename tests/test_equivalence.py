@@ -212,14 +212,19 @@ def test_main_theorem_hull_n3_matches_printed_rows():
     assert polytope.facets(image).row_set() == DELTA3_ROWS
 
 
-def test_hull_level_runs_one_double_description_per_point_set(monkeypatch):
-    # the volume of Delta reuses the facets the hull comparison needs
-    runs = []
-    real = polytope._facets_full_dim
+def test_hull_level_runs_one_double_description_for_delta(monkeypatch):
+    # Delta's facets are the one double-description run; Gamma's volume
+    # reads the rows of gamma_hrep, and Delta's volume is not computed
+    runs, volumes = [], []
+    real_facets, real_volume = polytope._facets_full_dim, polytope.normalized_volume
     monkeypatch.setattr(polytope, "_facets_full_dim",
-                        lambda points, deadline: runs.append(points) or real(points, deadline))
+                        lambda points, deadline: runs.append(points) or real_facets(points, deadline))
+    monkeypatch.setattr(polytope, "normalized_volume",
+                        lambda V, deadline, H=None: volumes.append((V, H)) or real_volume(V, deadline, H))
     assert verify_hull_level(3)[0]
-    assert len(runs) == len(set(runs)) == 2
+    assert runs == [delta_vertices(3)]
+    assert volumes == [(polytope.VPolytope.from_points(superpotential.gamma_vertex_set(3)),
+                        gamma_hrep(3))]
 
 
 def test_pulled_back_gamma_rows_are_the_printed_facets():
@@ -237,10 +242,14 @@ def test_hull_check_fails_on_a_wrong_gamma_row_system(monkeypatch, tamper):
         coeffs, const = rows[0]
         rows[0] = (coeffs, const + 1)
     wrong = polytope.HPolytope(dim=H.dim, rows=tuple(rows))
-    monkeypatch.setattr(equivalence, "gamma_hrep", lambda n: wrong)
-    # the vertex level and the volumes still pass: only the facets fail
-    assert verify_hull_level(3) == (
-        False, "facets of Delta differ from the rows of Gamma pulled back through M_n")
+    monkeypatch.setattr(equivalence, "gamma_hrep", lambda n, *args: wrong)
+    # the vertex level passes; Gamma's volume reads the same rows, so
+    # without a facet it is wrong too
+    facets = "facets of Delta differ from the rows of Gamma pulled back through M_n"
+    assert verify_hull_level(3) == (False, {
+        "drop-chain-row": f"volume of Gamma 0, expected 16; {facets}",
+        "perturb-row": facets,
+    }[tamper])
 
 
 def test_hull_level_reports_a_walk_fault_and_stops(monkeypatch):

@@ -20,6 +20,7 @@ from lgrnok.partitions import (
     partition_to_indexset,
     skew_cells,
     staircase_syt_count,
+    symplectic_dimension,
     syt_count,
     transpose,
     transpose_classes,
@@ -215,6 +216,21 @@ def test_staircase_syt_counts():
     assert staircase_syt_count(1) == 1
     assert staircase_syt_count(3) == 16
     assert staircase_syt_count(4) == 768
+
+
+def test_symplectic_dimension():
+    # V(omega_n) is the primitive part of the n-th exterior power of C^2n,
+    # and at n=2 V(k omega_2) is the harmonic polynomials of degree k in 5
+    # variables
+    for n in range(2, 11):
+        rho = tuple(range(n, 0, -1))
+        assert symplectic_dimension(1, rho) == comb(2 * n, n) - comb(2 * n, n - 2)
+        assert symplectic_dimension(0, rho) == 1
+    for k in range(8):
+        assert symplectic_dimension(k, (1,)) == k + 1
+        assert symplectic_dimension(k, (2, 1)) == comb(k + 4, 4) - comb(k + 2, 4)
+    with pytest.raises(ArithmeticError, match="2 does not divide 3"):
+        symplectic_dimension(1, (2,))
 
 
 def test_syt_count_small_shapes_brute_force():

@@ -193,6 +193,15 @@ def test_enumerate_flows_rejects_a_bad_target(J):
         plabic.enumerate_flows(G, O, J)
 
 
+def test_flow_systems_refuse_sources_that_do_not_force_the_matching():
+    # the i-th smallest source goes to the i-th largest target only when
+    # the sources are 1..n and so every target lies in n+1..2n
+    G, O = plabic.corect_network(3)
+    assert sorted(O.source_set) == [1, 2, 3]
+    with pytest.raises(ValueError, match="is not 1..3"):
+        plabic.flow_systems(G, O._replace(source_set=(1, 2, 4)), (1, 5, 6))
+
+
 def _lgv_flow_count(n, J):
     """Independent oracle: path-count determinant for the nested pairing."""
     G, O = plabic.corect_network(n)

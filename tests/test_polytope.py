@@ -303,6 +303,27 @@ def test_cube_volume_invariant(data):
     assert normalized_volume(image) == 6
 
 
+@pytest.mark.parametrize("body, volume", [
+    (cube(3), 6),
+    (VPolytope.from_points(superpotential.gamma_vertex_set(3)), 16),
+])
+def test_volume_reads_any_valid_rows_that_include_the_facets(body, volume):
+    # A facet row doubled, a redundant row tight on a smaller face, and
+    # rows tight at no point change nothing, placed before the facets or
+    # after them.
+    d = body.dim
+    extra = (
+        ((2,) + (0,) * (d - 1), 0),
+        ((1, 1) + (0,) * (d - 2), 0),
+        ((-1,) * d, d),
+        ((1,) + (0,) * (d - 1), 1),
+        ((0,) * d, 1),
+    )
+    rows = facets(body).rows
+    for H in (HPolytope(d, extra + rows), HPolytope(d, rows + extra)):
+        assert normalized_volume(body, Deadline(), H) == volume
+
+
 def test_volume_polls_the_budget_per_face():
     """The deadline is the only bound, so the face recursion polls it, once
     per face: a budget that runs out at the hundredth face stops the volume

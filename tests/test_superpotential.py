@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from lgrnok.superpotential import (
     antichain_to_dyck,
     build_poset,
     build_superpotential,
+    chain_polytope_points,
     chain_polytope_rows,
     enumerate_antichains,
     gamma_hrep,
@@ -238,3 +240,32 @@ def test_ideal_of_antichain_is_downward_closed(n):
     for a in enumerate_antichains(P)[:40]:
         ideal = P.down_set(a)
         assert all(y in ideal for x in ideal for y in P.elements if P.below(y, x))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chain_polytope_points_match_a_count_over_the_rows(n):
+    # every integer point of the box [0, k]^d on which the rows of Gamma,
+    # dilated by k, hold
+    P, H = build_poset(n), gamma_hrep(n)
+    for k in range(4):
+        box = product(range(k + 1), repeat=H.dim)
+        counted = sum(all(sum(map(math.prod, zip(c, x))) + d * k >= 0 for c, d in H.rows)
+                      for x in box)
+        assert chain_polytope_points(P, k) == counted
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chain_polytope_points_at_k1_are_the_antichains(n):
+    P = build_poset(n)
+    assert chain_polytope_points(P, 0) == 1
+    assert chain_polytope_points(P, 1) == antichain_count_formula(n)
+
+
+def test_chain_polytope_points_poll_the_deadline():
+    deadline = CountingDeadline()
+    assert chain_polytope_points(build_poset(6), 2, deadline) == 40898
+    # one poll per prefix sweep, 0 + 1 + ... + 5 of them, and one per
+    # POLL_EVERY of the 3^j states of each level j
+    assert deadline.polls == 15 + sum(-(-3 ** j // POLL_EVERY) for j in range(1, 7)) == 21
+    with pytest.raises(TimeBudgetExceeded):
+        chain_polytope_points(build_poset(6), 2, Deadline(-1))

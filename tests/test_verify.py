@@ -34,6 +34,7 @@ EXPECTED_N1 = (
     "  [PASS] main-theorem-vertex-level\n"
     "  [PASS] folded-exchange-matrix\n"
     "  [PASS] gamma-vertex-enumeration\n"
+    "  [PASS] lattice-points-vs-weyl-dimension\n"
     "  [skip] delta-facets-match-printed  (printed system is for n=3)\n"
     "  [skip] f-vector  (reference f-vector is for n=3)\n"
     "  [PASS] main-theorem-hull-level\n"
@@ -143,6 +144,56 @@ def test_a_wrong_entry_of_m5_fails_the_hull_level(monkeypatch, capsys):
     assert "  [FAIL] main-theorem-hull-level  (" in capsys.readouterr().out
 
 
+def hull_level(n):
+    """The registry's main-theorem-hull-level run alone at n, inside its gate."""
+    check = next(check for check in verify.CHECKS if check.name == "main-theorem-hull-level")
+    assert check.n_min <= n <= check.n_max
+    return check.run(n, Deadline())
+
+
+def test_a_wrong_entry_of_m6_fails_the_hull_level(monkeypatch):
+    real = equivalence.build_valuation_matrix
+    M = real(6)
+    wrong = M._replace(entries=((M.entries[0][0] + 1,) + M.entries[0][1:],) + M.entries[1:])
+    monkeypatch.setattr(equivalence, "build_valuation_matrix", lambda n: wrong if n == 6 else real(n))
+    ok, witness = hull_level(6)
+    assert not ok and witness.startswith("hook bijection fails at "), witness
+
+
+def test_a_dropped_chain_row_fails_the_hull_level_at_n6(monkeypatch):
+    # a chain in the middle of the rows: every element keeps a bound, so
+    # Gamma stays bounded, but its volume and Delta's facets are wrong
+    real = superpotential.gamma_hrep(6)
+    chains = [row for row in real.rows if row[1] == 1]
+    wrong = real._replace(rows=tuple(row for row in real.rows if row != chains[len(chains) // 2]))
+    monkeypatch.setattr(equivalence, "gamma_hrep", lambda n, *args: wrong)
+    assert hull_level(6) == (False, "volume of Gamma 891551744, expected 1100742656; "
+                             "facets of Delta differ from the rows of Gamma pulled back through M_n")
+
+
+@pytest.mark.parametrize("n, witness", [
+    (3, "ArithmeticError: 5040 does not divide 118800"),
+    (4, "ArithmeticError: 12700800 does not divide 179625600"),
+])
+def test_the_lattice_count_fails_with_rho_shifted_by_one(monkeypatch, n, witness):
+    # (n+1, ..., 2) is no rho: its formula does not even give integers
+    real = partitions.symplectic_dimension
+    monkeypatch.setattr(partitions, "symplectic_dimension",
+                        lambda k, rho: real(k, tuple(r + 1 for r in rho)))
+    assert failures(n, "hull") == {"lattice-points-vs-weyl-dimension": witness}
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_a_dropped_cover_fails_only_the_lattice_count(monkeypatch, n):
+    # the count reads the order of P_n off its covers alone
+    real = superpotential.PosetPn.covers
+    monkeypatch.setattr(superpotential.PosetPn, "covers", lambda P: real(P)[1:])
+    assert verify.lattice_points(n, Deadline())[0] is False
+    if n == 3:
+        assert failures(3, "all") == {"lattice-points-vs-weyl-dimension":
+                                      "[16, 104, 430] points against dimensions [14, 84, 330]"}
+
+
 @pytest.mark.parametrize("n, witness", [
     (5, "141 classes against 142, 131 values against 132"),
     (6, "493 classes against 494, 428 values against 429"),
@@ -204,10 +255,13 @@ def test_swapped_face_coordinates_fail_the_flow_oracle_at_n6(monkeypatch, capsys
 
 def test_gamma_vertex_enumeration_runs_to_n6(capsys):
     assert main(["verify", "--n", "6", "--level", "hull"]) == 0
-    assert "  [PASS] gamma-vertex-enumeration\n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "  [PASS] gamma-vertex-enumeration\n" in out
+    assert "  [PASS] main-theorem-hull-level\n" in out
     assert main(["verify", "--n", "7", "--level", "hull"]) == 0
-    assert ("  [skip] gamma-vertex-enumeration  (vertex enumeration gated to n <= 6)\n"
-            in capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert "  [skip] gamma-vertex-enumeration  (vertex enumeration gated to n <= 6)\n" in out
+    assert "  [skip] main-theorem-hull-level  (hull level gated to n <= 6)\n" in out
 
 
 def test_vertex_level_budget_holds_at_n9(capsys):
