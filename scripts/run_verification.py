@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Run the whole verification suite across a range of sizes.
 
-Every check runs at every n, except where its own n-range skips it (the
-main theorem's hull level and the vertex enumeration of Gamma stop at
-n=6, the lattice-point count at n=8).  One time budget covers the whole run.
+Every check of `lgrnok.verify.CHECKS` runs at every n, except where its
+own n-range in that table skips it.  One time budget covers the whole run.
 Exits 1 if anything fails, and stops with exit 3 when the time budget runs
 out, as the CLI does; a --max-n below 1 or a budget that is not positive
 exits 2.

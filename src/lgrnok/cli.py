@@ -306,7 +306,7 @@ def cmd_volume(args, out, deadline) -> int:
 def cmd_counts(args, out, deadline) -> int:
     n = args.n
     P = superpotential.build_poset(n)
-    antichains = superpotential.antichain_count(P, deadline)
+    antichains = superpotential.chain_polytope_points(P, 1, deadline)
     syt = staircase_syt_count(n)
     extensions = superpotential.linear_extension_count(P, deadline)
     if args.format == "json":

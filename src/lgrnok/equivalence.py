@@ -34,6 +34,7 @@ from math import comb
 from typing import NamedTuple
 
 from . import polytope, superpotential, valuation
+from .budget import Deadline
 from .linalg import bareiss_det, identity, invert, mat_mul, mat_vec
 from .partitions import (
     Partition,
@@ -236,49 +237,56 @@ def singleton_column_pair(i: int, j: int, n: int) -> Pair:
     return (i - 1, n - 1 - (j - i))
 
 
-def verify_singleton_images(n: int) -> bool:
+def verify_singleton_images(n: int) -> tuple[bool, str]:
     """Each unit vector lands on the valuation of the complement of the
-    matching hook, and the pair bijection is position-preserving."""
+    matching hook, and the pair bijection is position-preserving.  Returns
+    (ok, witness), the witness naming the first failing column."""
     M = build_valuation_matrix(n)
     for t, (i, j) in enumerate(lex_cells(n)):
-        if M.col_pairs[t] != singleton_column_pair(i, j, n):
-            return False
+        pair = singleton_column_pair(i, j, n)
+        if M.col_pairs[t] != pair:
+            return False, f"column {t} has the pair {M.col_pairs[t]}, expected {pair} for {(i, j)}"
         hook = hook_partition(n + 1 - i, j - i)
         expected = valuation_maxdiag(n, complement(hook, n))
         if M.column(t) != expected:
-            return False
-    return True
+            return False, f"column {t} of {(i, j)} is {M.column(t)}, expected {expected}"
+    return True, ""
 
 
-def verify_maxdiag_additivity(n: int) -> bool:
-    """maxdiag(mu \\ lam) splits as the sum over the complement's hooks."""
+def verify_maxdiag_additivity(n: int, deadline: Deadline) -> tuple[bool, str]:
+    """maxdiag(mu \\ lam) splits as the sum over the complement's hooks.
+    Returns (ok, witness), the witness naming the first failing class; the
+    deadline is polled by the walk over the classes."""
     from . import plabic
     from .partitions import maxdiag, skew_cells
 
     G = plabic.build_corect_graph(n)
     labels = sorted(set(G.faces.values()))
-    for I, lam, _ in valuation.class_valuations(n):
+    for I, lam, _ in valuation.class_valuations(n, deadline=deadline):
         pieces = [complement(hook_partition(a, b), n) for (a, b) in complement_hooks(I, n)]
         for mu in labels:
             whole = maxdiag(skew_cells(mu, lam))
             split = sum(maxdiag(skew_cells(mu, piece)) for piece in pieces)
             if whole != split:
-                return False
-    return True
+                return False, f"maxdiag over {mu} at {lam} is {whole}, its hooks sum to {split}"
+    return True, ""
 
 
-def verify_valuation_additivity(n: int) -> bool:
-    """val(p_lam) is the coordinatewise sum over the complement's hooks."""
+def verify_valuation_additivity(n: int, deadline: Deadline) -> tuple[bool, str]:
+    """val(p_lam) is the coordinatewise sum over the complement's hooks.
+    Returns (ok, witness), the witness naming the first failing class; the
+    deadline is polled by the walk over the classes."""
     zero = (0,) * (n * (n + 1) // 2)
-    for I, _, value in valuation.class_valuations(n):
+    for I, lam, value in valuation.class_valuations(n, deadline=deadline):
         pieces = [valuation_maxdiag(n, complement(hook_partition(a, b), n))
                   for a, b in complement_hooks(I, n)]
-        if tuple(map(sum, zip(zero, *pieces))) != value:
-            return False
-    return True
+        split = tuple(map(sum, zip(zero, *pieces)))
+        if split != value:
+            return False, f"the valuation of {lam} is {value}, its hooks sum to {split}"
+    return True, ""
 
 
-def image_of_antichains(n: int, deadline: polytope.Deadline = polytope.Deadline()) -> dict[frozenset, tuple[int, ...]]:
+def image_of_antichains(n: int, deadline: Deadline = Deadline()) -> dict[frozenset, tuple[int, ...]]:
     """M_n applied to each antichain indicator: the sum of the columns the
     antichain picks (the zero vector for the empty antichain).  The
     deadline is polled as the antichains are enumerated.  The main
@@ -335,7 +343,7 @@ def _walk_table(n: int) -> list[list[tuple[int, int, int, int]]]:
     return hooks
 
 
-def verify_main_theorem(n: int, deadline: polytope.Deadline = polytope.Deadline()) -> tuple[bool, str]:
+def verify_main_theorem(n: int, deadline: Deadline = Deadline()) -> tuple[bool, str]:
     """Check that the valuation matrix carries the vertices of the
     superpotential polytope onto those of the Newton-Okounkov body: the
     valuation set is M_n(antichain indicators).  Returns (ok, witness).
@@ -384,7 +392,7 @@ def verify_main_theorem(n: int, deadline: polytope.Deadline = polytope.Deadline(
             f"{sections} section classes against {antichains} antichains")
 
 
-def verify_hull_level(n: int, deadline: polytope.Deadline = polytope.Deadline()) -> tuple[bool, str]:
+def verify_hull_level(n: int, deadline: Deadline = Deadline()) -> tuple[bool, str]:
     """Check that the facets of Delta are the rows of Gamma pulled back
     through M_n, and that Gamma has the normalized volume
     staircase_syt_count(n), the degree of LGr(n, 2n).  Returns (ok, witness).
@@ -417,8 +425,11 @@ def verify_hull_level(n: int, deadline: polytope.Deadline = polytope.Deadline())
     return not detail, "; ".join(detail)
 
 
-def gamma_vertices_match_hrep(n: int, deadline: polytope.Deadline = polytope.Deadline()) -> bool:
+def gamma_vertices_match_hrep(n: int, deadline: Deadline = Deadline()) -> tuple[bool, str]:
     """Vertex enumeration of the superpotential H-rep returns exactly the
-    antichain indicator vectors."""
-    enumerated = polytope.vertices(gamma_hrep(n, deadline), deadline)
-    return enumerated.points == superpotential.gamma_vertex_set(n, deadline)
+    antichain indicator vectors.  Returns (ok, witness), the witness
+    naming the first indicator missing and the first vertex extra."""
+    enumerated = polytope.vertices(gamma_hrep(n, deadline), deadline).points
+    expected = superpotential.gamma_vertex_set(n, deadline)
+    missing, extra = set(expected) - set(enumerated), set(enumerated) - set(expected)
+    return enumerated == expected, f"missing {min(missing, default=None)}, extra {min(extra, default=None)}"

@@ -37,8 +37,7 @@ from math import gcd
 from operator import index, mul
 from typing import NamedTuple
 
-# The engine's callers import the time budget's names from here too.
-from .budget import Deadline, TimeBudgetExceeded
+from .budget import Deadline
 from .linalg import affine_pivot_columns, dot, identity, invert, primitive, rref
 
 Point = tuple[int, ...]

@@ -28,9 +28,6 @@ class Quiver(NamedTuple):
     def arrow_counter(self) -> Counter:
         return Counter(self.arrows)
 
-    def mutable(self) -> tuple[Partition, ...]:
-        return tuple(v for v in self.vertices if v not in self.frozen)
-
 
 def dual_quiver(G: plabic.PlabicGraph) -> Quiver:
     frozen = frozenset(G.faces[f] for f in G.boundary_adjacent_faces())

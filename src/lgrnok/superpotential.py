@@ -1,7 +1,7 @@
 """The staircase poset, its chain polytope, and the superpotential route to it.
 
 P_n has elements b_ij for 1 <= i <= j <= n with b_ij covering b_{i+1,j+1}
-and b_{i,j+1}.  The superpotential on the mirror torus is
+and b_{i,j+1} (`PosetPn.below`).  The superpotential on the mirror torus is
 
     W_q = sum a_ij  +  sum over Lambda of q / prod_j a_{lam_j, j}
 
@@ -26,29 +26,25 @@ Element = tuple[int, int]
 
 class PosetPn(NamedTuple):
     n: int
-    elements: tuple[Element, ...]
-
-    def covers(self) -> tuple[tuple[Element, Element], ...]:
-        """Pairs (upper, lower) with upper covering lower."""
-        out = []
-        for (i, j) in self.elements:
-            for low in ((i + 1, j + 1), (i, j + 1)):
-                if low in set(self.elements):
-                    out.append(((i, j), low))
-        return tuple(sorted(out))
+    elements: tuple[Element, ...]  # in lexicographic order, the coordinate order of Gamma
 
     def below(self, x: Element, y: Element) -> bool:
         """x <= y: x = (k, l) is reached from y = (i, j) by l - j steps
-        (i, j) -> (i, j+1) or (i+1, j+1), of which k - i are diagonal."""
+        (i, j) -> (i, j+1) or (i+1, j+1), of which k - i are diagonal.  The
+        one statement of the order of P_n; its covers and chains are read
+        off it."""
         (k, l), (i, j) = x, y
         return l >= j and i <= k <= i + l - j
 
     def comparable(self, x: Element, y: Element) -> bool:
         return self.below(x, y) or self.below(y, x)
 
-    def down_set(self, elements) -> frozenset[Element]:
-        return frozenset(x for x in self.elements
-                         if any(self.below(x, a) for a in elements))
+    def covers(self) -> tuple[tuple[Element, Element], ...]:
+        """Pairs (upper, lower) with upper covering lower, sorted: the
+        comparable pairs one level apart, level j holding the elements
+        (i, j)."""
+        return tuple((x, y) for x in self.elements for y in self.elements
+                     if y[1] == x[1] + 1 and self.below(y, x))
 
 
 @cache
@@ -59,26 +55,25 @@ def build_poset(n: int) -> PosetPn:
     return PosetPn(n=n, elements=elements)
 
 
-def is_antichain(P: PosetPn, members) -> bool:
-    members = list(members)
-    return all(
-        not P.comparable(members[a], members[b])
-        for a in range(len(members))
-        for b in range(a + 1, len(members))
-    )
+def _lower_covers(P: PosetPn) -> dict[Element, list[Element]]:
+    """The elements each element covers, in sorted order."""
+    lower: dict[Element, list[Element]] = {}
+    for upper, low in P.covers():
+        lower.setdefault(upper, []).append(low)
+    return lower
 
 
 def _clash_masks(P: PosetPn) -> list[int]:
-    """Bit t of the k-th mask: the t-th element of P in sorted order is
-    comparable to the k-th (each element to itself too)."""
-    elems = sorted(P.elements)
-    return [sum(1 << t for t, y in enumerate(elems) if P.comparable(x, y)) for x in elems]
+    """Bit t of the k-th mask: the t-th element of P is comparable to the
+    k-th (each element to itself too)."""
+    return [sum(1 << t for t, y in enumerate(P.elements) if P.comparable(x, y))
+            for x in P.elements]
 
 
 def _antichain_masks(P: PosetPn, deadline: Deadline) -> list[int]:
     """Every antichain including the empty one, in a fixed order, as an int
-    with one byte per element of P in sorted order: 1 for a member, 0 for
-    the rest.  The deadline is polled every POLL_EVERY antichains."""
+    with one byte per element of P: 1 for a member, 0 for the rest.  The
+    deadline is polled every POLL_EVERY antichains."""
     clash = _clash_masks(P)
     out: list[int] = []
 
@@ -97,68 +92,24 @@ def _antichain_masks(P: PosetPn, deadline: Deadline) -> list[int]:
 def enumerate_antichains(P: PosetPn, deadline: Deadline = Deadline()) -> tuple[frozenset[Element], ...]:
     """Every antichain including the empty one, in a fixed order; the
     deadline is polled every POLL_EVERY antichains."""
-    elems = sorted(P.elements)
-    return tuple(frozenset(compress(elems, mask.to_bytes(len(elems), "little")))
+    return tuple(frozenset(compress(P.elements, mask.to_bytes(len(P.elements), "little")))
                  for mask in _antichain_masks(P, deadline))
 
 
-def antichain_count(P: PosetPn, deadline: Deadline = Deadline()) -> int:
-    """The number of antichains, the empty one included: the recursion of
-    `_antichain_masks`, with nothing built.  The deadline is polled
-    every POLL_EVERY antichains."""
-    clash = _clash_masks(P)
-    counted = count()
-
-    def grow(start: int, blocked: int) -> int:
-        if not next(counted) % POLL_EVERY:
-            deadline.check()
-        total = 1
-        for t in range(start, len(clash)):
-            if not blocked >> t & 1:
-                total += grow(t + 1, blocked | clash[t])
-        return total
-
-    return grow(0, 0)
-
-
 def maximal_chains(P: PosetPn) -> tuple[tuple[Element, ...], ...]:
-    """Maximal chains listed top-down from b_11; all have length n."""
-    chains: list[tuple[Element, ...]] = []
+    """Maximal chains, listed top-down from b_11, the top of P_n, along
+    the covers; all have length n."""
+    lower, chains = _lower_covers(P), []
 
     def walk(chain: tuple[Element, ...]):
-        i, j = chain[-1]
-        if j == P.n:
+        steps = lower.get(chain[-1], ())
+        if not steps:
             chains.append(chain)
-            return
-        for nxt in ((i, j + 1), (i + 1, j + 1)):
+        for nxt in steps:
             walk(chain + (nxt,))
 
-    walk(((1, 1),))
+    walk((P.elements[0],))
     return tuple(sorted(chains))
-
-
-# -- Dyck paths -----------------------------------------------------------
-
-
-def antichain_to_dyck(P: PosetPn, antichain) -> tuple[int, ...]:
-    """Dyck path of length 2n+2 passing over exactly the down-set of the
-    antichain, drawn over the tilted staircase of boxes b_ij.
-
-    Box b_ij sits at abscissa n+j-2i+2 and is passed over when the path
-    height there is at least n+2-j.
-    """
-    n = P.n
-    if not is_antichain(P, antichain):
-        raise ValueError(f"{sorted(antichain)} is not an antichain")
-    ideal = P.down_set(antichain)
-    heights = [0] * (2 * n + 3)
-    for c in range(1, 2 * n + 2):
-        covered = [j for (i, j) in ideal if n + j - 2 * i + 2 == c]
-        heights[c] = (n + 2 - min(covered)) if covered else c % 2
-    steps = tuple(heights[c + 1] - heights[c] for c in range(2 * n + 2))
-    if any(s not in (-1, 1) for s in steps) or any(h < 0 for h in heights):
-        raise AssertionError(f"ideal {sorted(ideal)} produced a broken path")
-    return steps
 
 
 # -- linear extensions ----------------------------------------------------
@@ -208,9 +159,7 @@ def chain_polytope_points(P: PosetPn, k: int, deadline: Deadline = Deadline()) -
     Level j has (k+1)^j states; the deadline is polled once per sweep and
     every POLL_EVERY states.
     """
-    lower: dict[Element, list[Element]] = {}
-    for upper, low in P.covers():
-        lower.setdefault(upper, []).append(low)
+    lower = _lower_covers(P)
     base = k + 1
     level: tuple[Element, ...] = ()
     counts = [1]  # one state, the empty one, above the top level
@@ -271,7 +220,8 @@ def quantum_denominator(n: int, lam: tuple[int, ...]) -> tuple[Element, ...]:
 
 
 def lex_cells(n: int) -> tuple[Element, ...]:
-    return tuple((i, j) for i in range(1, n + 1) for j in range(i, n + 1))
+    """The coordinates A_ij of Gamma: the elements of P_n, in their order."""
+    return build_poset(n).elements
 
 
 def build_superpotential(n: int, deadline: Deadline = Deadline()) -> tuple[SuperpotentialTerm, ...]:

@@ -23,10 +23,10 @@ reference tests every cell for membership.
 
 The last few helpers have no caller in lgrnok: M_n applied to a vector,
 flow polynomials and their monomials, the order of P_n as the closure of
-its covers (lgrnok reads it off a closed form), a vertex's neighbours, the
-inverse of the Dyck path of an antichain, a graph with one vertex
-recoloured and the Euler relation of an f-vector.  Only the tests read
-them.
+its covers (lgrnok reads the covers off a closed form of the order), a
+vertex's neighbours, antichains, down-sets and the Dyck path of an
+antichain and its inverse, a graph with one vertex recoloured and the
+Euler relation of an f-vector.  Only the tests read them.
 """
 
 import copy
@@ -45,7 +45,7 @@ from lgrnok.partitions import (
 )
 from lgrnok.plabic import Flow, path_left_faces
 from lgrnok.polytope import _facets_full_dim
-from lgrnok.superpotential import build_poset, is_antichain, lex_cells
+from lgrnok.superpotential import build_poset, lex_cells
 from lgrnok.valuation import _corners, coordinate_system, face_coordinates
 
 
@@ -428,6 +428,41 @@ def monomial_key(mono):
 def neighbors(G, v):
     """The vertices joined to v by an edge, sorted."""
     return tuple(sorted(w for (u, w) in G.left_face if u == v))
+
+
+def is_antichain(P, members):
+    members = list(members)
+    return all(
+        not P.comparable(members[a], members[b])
+        for a in range(len(members))
+        for b in range(a + 1, len(members))
+    )
+
+
+def down_set(P, elements):
+    """The elements of P below some element of `elements`."""
+    return frozenset(x for x in P.elements if any(P.below(x, a) for a in elements))
+
+
+def antichain_to_dyck(P, antichain):
+    """Dyck path of length 2n+2 passing over exactly the down-set of the
+    antichain, drawn over the tilted staircase of boxes b_ij.
+
+    Box b_ij sits at abscissa n+j-2i+2 and is passed over when the path
+    height there is at least n+2-j.
+    """
+    n = P.n
+    if not is_antichain(P, antichain):
+        raise ValueError(f"{sorted(antichain)} is not an antichain")
+    ideal = down_set(P, antichain)
+    heights = [0] * (2 * n + 3)
+    for c in range(1, 2 * n + 2):
+        covered = [j for (i, j) in ideal if n + j - 2 * i + 2 == c]
+        heights[c] = (n + 2 - min(covered)) if covered else c % 2
+    steps = tuple(heights[c + 1] - heights[c] for c in range(2 * n + 2))
+    if any(s not in (-1, 1) for s in steps) or any(h < 0 for h in heights):
+        raise AssertionError(f"ideal {sorted(ideal)} produced a broken path")
+    return steps
 
 
 def dyck_to_antichain(P, steps):

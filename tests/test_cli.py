@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from lgrnok import cli, superpotential, valuation
+from lgrnok.budget import Deadline, TimeBudgetExceeded
 from lgrnok.cli import main
-from lgrnok.polytope import Deadline, TimeBudgetExceeded
 
 
 def run_cli(capsys, *argv):

@@ -1,0 +1,45 @@
+"""Every public function, class and method of lgrnok has a reader in the
+program: a name or attribute in `src/` or `scripts/` outside its own
+definition.  The one exception is a function that a per-layer metric of
+BENCHMARK.json names, which the traced benchmark run reads.  Code that only
+the tests read belongs in tests/oracles.py.
+
+The scan matches names, not bindings, so a definition that shares its name
+with a name used elsewhere counts as read.
+"""
+
+import ast
+import json
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def public_definitions(tree):
+    """The public functions and classes of a module and the public methods
+    of its classes, as AST nodes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def names_read(node) -> Counter:
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_definition_is_read_by_the_program():
+    program = sorted((ROOT / "src" / "lgrnok").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in program}
+    read = sum((names_read(tree) for tree in trees.values()), Counter())
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    pinned = {m["name"].split(".")[1] for m in metrics if m["name"].count(".") == 2}
+    unread = [f"{path.name}: {node.name}"
+              for path, tree in trees.items() if path.parent.name == "lgrnok"
+              for node in public_definitions(tree)
+              if node.name not in pinned and read[node.name] == names_read(node)[node.name]]
+    assert not unread

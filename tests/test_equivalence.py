@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from lgrnok import equivalence, polytope, superpotential, valuation
+from lgrnok.budget import Deadline
 from lgrnok.cli import main
 from lgrnok.equivalence import (
     build_valuation_matrix,
@@ -155,17 +156,20 @@ def test_singleton_column_pair():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_singleton_images(n):
     # also pins the order-preserving pair bijection onto the column order
-    assert verify_singleton_images(n)
+    ok, witness = verify_singleton_images(n)
+    assert ok, witness
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_maxdiag_additivity(n):
-    assert verify_maxdiag_additivity(n)
+    ok, witness = verify_maxdiag_additivity(n, Deadline())
+    assert ok, witness
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_valuation_additivity(n):
-    assert verify_valuation_additivity(n)
+    ok, witness = verify_valuation_additivity(n, Deadline())
+    assert ok, witness
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -266,7 +270,8 @@ def test_hull_level_reports_a_walk_fault_and_stops(monkeypatch):
 
 def test_gamma_vertex_enumeration():
     for n in (1, 2, 3):
-        assert gamma_vertices_match_hrep(n)
+        ok, witness = gamma_vertices_match_hrep(n)
+        assert ok, witness
 
 
 def test_hull_round_trip_on_both_polytopes():

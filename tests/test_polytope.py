@@ -7,11 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from lgrnok import polytope, superpotential, valuation
+from lgrnok.budget import Deadline, TimeBudgetExceeded
 from lgrnok.linalg import affine_pivot_columns, bareiss_det, dot
 from lgrnok.polytope import (
-    Deadline,
     HPolytope,
-    TimeBudgetExceeded,
     UnboundedError,
     VPolytope,
     f_vector,
@@ -135,11 +134,11 @@ def test_f_vector_bounds_the_facet_run(monkeypatch):
         return real(rows, deadline)
 
     monkeypatch.setattr(polytope, "_extreme_rays", recording)
-    assert f_vector(cube(4), polytope.Deadline(5.0)) == (16, 32, 24, 8)
+    assert f_vector(cube(4), Deadline(5.0)) == (16, 32, 24, 8)
     assert armed and all(armed)
 
 
-class CountingDeadline(polytope.Deadline):
+class CountingDeadline(Deadline):
     def __init__(self):
         super().__init__()
         self.polls = 0
@@ -160,7 +159,7 @@ def test_facet_run_polls_inside_an_insertion():
 def assert_matches_face_hull_oracle(body):
     """The volume from one facet run is the volume of the reference
     triangulation that hulls every face again."""
-    simplices = oracles.triangulate_by_face_hulls(body.points, {}, polytope.Deadline())
+    simplices = oracles.triangulate_by_face_hulls(body.points, {}, Deadline())
     total = sum(abs(bareiss_det([[x - b for x, b in zip(p, s[0])] for p in s[1:]]))
                 for s in simplices)
     assert normalized_volume(body) == total

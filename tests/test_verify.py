@@ -10,8 +10,8 @@ from types import MappingProxyType
 import pytest
 
 from lgrnok import equivalence, partitions, plabic, superpotential, valuation, verify
+from lgrnok.budget import Deadline, TimeBudgetExceeded
 from lgrnok.cli import main
-from lgrnok.polytope import Deadline, TimeBudgetExceeded
 from oracles import recoloured
 
 BASELINE = Path(__file__).resolve().parents[1] / "benchmark" / "baseline"
@@ -50,9 +50,9 @@ def test_verify_n1_skip_witnesses(capsys):
 def test_one_time_budget_per_run(monkeypatch, capsys):
     real = equivalence.verify_valuation_additivity
 
-    def slow(n):
+    def slow(n, deadline):
         time.sleep(0.5)
-        return real(n)
+        return real(n, deadline)
 
     monkeypatch.setattr(equivalence, "verify_valuation_additivity", slow)
     start = time.monotonic()
@@ -171,6 +171,25 @@ def test_a_dropped_chain_row_fails_the_hull_level_at_n6(monkeypatch):
                              "facets of Delta differ from the rows of Gamma pulled back through M_n")
 
 
+def test_a_dropped_hook_names_the_class_that_fails_additivity(monkeypatch):
+    real = equivalence.complement_hooks
+    monkeypatch.setattr(equivalence, "complement_hooks", lambda I, n: real(I, n)[:-1])
+    assert failures(3, "vertex") == {
+        "maxdiag-additivity": "maxdiag over (3, 3, 3) at (3, 3, 2) is 1, its hooks sum to 0",
+        "valuation-additivity":
+            "the valuation of (3, 3, 2) is (0, 0, 0, 0, 0, 1), its hooks sum to (0, 0, 0, 0, 0, 0)",
+    }
+
+
+def test_a_wrong_entry_of_m3_names_the_column_that_fails_the_singletons(monkeypatch):
+    real = equivalence.build_valuation_matrix
+    M = real(3)
+    wrong = M._replace(entries=((M.entries[0][0] + 1,) + M.entries[0][1:],) + M.entries[1:])
+    monkeypatch.setattr(equivalence, "build_valuation_matrix", lambda n: wrong if n == 3 else real(n))
+    assert verify.singletons(3, Deadline()) == (
+        False, "column 0 of (1, 1) is (2, 1, 1, 2, 1, 1), expected (1, 1, 1, 2, 1, 1)")
+
+
 @pytest.mark.parametrize("n, witness", [
     (3, "ArithmeticError: 5040 does not divide 118800"),
     (4, "ArithmeticError: 12700800 does not divide 179625600"),
@@ -184,14 +203,42 @@ def test_the_lattice_count_fails_with_rho_shifted_by_one(monkeypatch, n, witness
 
 
 @pytest.mark.parametrize("n", [3, 6])
-def test_a_dropped_cover_fails_only_the_lattice_count(monkeypatch, n):
-    # the count reads the order of P_n off its covers alone
+def test_a_dropped_cover_fails_the_lattice_counts_and_the_chains(monkeypatch, n):
+    # b_11 no longer covers b_12: both lattice counts walk the covers, and
+    # the chain polytope's rows are the chains down the covers from b_11,
+    # which lose the two through b_12
     real = superpotential.PosetPn.covers
     monkeypatch.setattr(superpotential.PosetPn, "covers", lambda P: real(P)[1:])
-    assert verify.lattice_points(n, Deadline())[0] is False
     if n == 3:
-        assert failures(3, "all") == {"lattice-points-vs-weyl-dimension":
-                                      "[16, 104, 430] points against dimensions [14, 84, 330]"}
+        assert failures(3, "all") == {
+            "gamma-tropicalization-vs-chain-polytope":
+                "missing [], extra [((-1, -1, -1, 0, 0, 0), 1), ((-1, -1, 0, 0, -1, 0), 1)]",
+            "antichain-count-catalan": "16",
+            "lattice-points-vs-weyl-dimension": "[16, 104, 430] points against dimensions [14, 84, 330]",
+        }
+    for check in (verify.gamma_routes, verify.catalan, verify.lattice_points):
+        assert check(n, Deadline())[0] is False
+
+
+@pytest.mark.parametrize("n, level, failing", [
+    (3, "all", {"gamma-tropicalization-vs-chain-polytope", "antichain-count-catalan",
+                "linear-extensions-equal-syt", "gamma-vertex-enumeration",
+                "lattice-points-vs-weyl-dimension", "f-vector", "main-theorem-hull-level"}),
+    (7, "vertex", {"gamma-tropicalization-vs-chain-polytope", "antichain-count-catalan",
+                   "linear-extensions-equal-syt"}),
+])
+def test_a_pair_dropped_from_below_fails_the_chains_and_the_catalan_count(monkeypatch, n, level, failing):
+    # b_23 no longer below b_22: the covers, the chains and both lattice
+    # counts read the order of P_n off `below`
+    real = superpotential.PosetPn.below
+    monkeypatch.setattr(superpotential.PosetPn, "below",
+                        lambda P, x, y: (x, y) != ((2, 3), (2, 2)) and real(P, x, y))
+    got = failures(n, level)
+    assert set(got) == failing
+    if n == 3:
+        # {b_22, b_23} is now read as an antichain, and its indicator is no
+        # vertex of the Gamma that the superpotential cuts out
+        assert got["gamma-vertex-enumeration"] == "missing (0, 0, 0, 1, 1, 0), extra None"
 
 
 @pytest.mark.parametrize("n, witness", [
