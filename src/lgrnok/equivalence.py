@@ -19,6 +19,14 @@ an antichain whose image under M_n is its valuation, and the classes whose
 antichain decodes back to their own steps, a section of the classes, must
 match the Catalan(n+1) antichains one to one (`verify_main_theorem`).
 
+Read at the classes whose complement is a single hook, the vertex level
+shows that each column of M_n is the valuation of that hook's complement;
+read at every other class, that a valuation is the sum of those columns
+over the complement's principal hooks.  The additivity of the valuation
+over the hooks is therefore part of it, read through the walk's one hook
+map.  The tests keep the additivity lemmas, of the valuation and of
+maxdiag face by face, against a cell-by-cell hook decomposition.
+
 The main theorem is checked at two levels, by two functions with the
 shape of the verification registry, (n, deadline) -> (ok, witness).  The
 vertex level, `verify_main_theorem`, is the walk above.  The hull level,
@@ -39,7 +47,6 @@ from .linalg import bareiss_det, identity, invert, mat_mul, mat_vec
 from .partitions import (
     Partition,
     complement,
-    complement_hooks,
     hook_partition,
     indexset_to_partition,
     normalize,
@@ -178,9 +185,10 @@ def corner_transform(n: int) -> tuple[tuple[int, ...], ...]:
 
 @cache
 def reduction_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    """Unimodular column operations R with M_n R lower triangular, unit
-    diagonal.  Built blockwise: the corner transform upstairs, the (n-1)
-    reduction downstairs, then column clean-up of the upper right block."""
+    """Unimodular column operations R meant to make M_n R lower triangular
+    with unit diagonal, which `is_unimodular` checks.  Built blockwise: the
+    corner transform upstairs, the (n-1) reduction downstairs, then column
+    clean-up of the upper right block."""
     if n == 1:
         return identity(1)
     M = build_valuation_matrix(n).entries
@@ -194,27 +202,23 @@ def reduction_matrix(n: int) -> tuple[tuple[int, ...], ...]:
                 for row_p, row_r in zip(prod, R):
                     row_p[c] -= coef * row_p[r]
                     row_r[c] -= coef * row_r[r]
-    reduced = tuple(tuple(row) for row in prod)
-    if not is_lower_triangular_unit(reduced):
-        raise AssertionError(f"constructive reduction failed for n={n}")
     return tuple(tuple(row) for row in R)
 
 
-def is_lower_triangular_unit(matrix) -> bool:
-    return all(
-        (matrix[i][j] == 0 if j > i else (j < i or matrix[i][i] == 1))
-        for i in range(len(matrix))
-        for j in range(len(matrix))
-    )
-
-
-def is_unimodular(M: ValuationMatrix) -> tuple[bool, int]:
-    """(|det| == 1, det), with the constructive reduction replayed as a
-    second witness."""
+def is_unimodular(M: ValuationMatrix) -> tuple[bool, str]:
+    """|det M_n| == 1, with the constructive reduction replayed as a second
+    witness: M_n R is lower triangular with unit diagonal.  Returns (ok,
+    witness), the witness the determinant when |det| != 1, else the first
+    entry of M_n R on or above the diagonal that is off."""
     det = bareiss_det(M.entries)
+    if det not in (1, -1):
+        return False, f"det {det}"
     reduced = mat_mul(M.entries, reduction_matrix(M.n))
-    constructive_ok = is_lower_triangular_unit(reduced)
-    return det in (1, -1) and constructive_ok, det
+    for i, row in enumerate(reduced):
+        for j in range(i, len(row)):
+            if row[j] != (j == i):
+                return False, f"M_{M.n} R has {row[j]} at ({i}, {j}), expected {int(j == i)}"
+    return True, ""
 
 
 # -- hooks, antichains, and the main theorem ----------------------------------
@@ -250,39 +254,6 @@ def verify_singleton_images(n: int) -> tuple[bool, str]:
         expected = valuation_maxdiag(n, complement(hook, n))
         if M.column(t) != expected:
             return False, f"column {t} of {(i, j)} is {M.column(t)}, expected {expected}"
-    return True, ""
-
-
-def verify_maxdiag_additivity(n: int, deadline: Deadline) -> tuple[bool, str]:
-    """maxdiag(mu \\ lam) splits as the sum over the complement's hooks.
-    Returns (ok, witness), the witness naming the first failing class; the
-    deadline is polled by the walk over the classes."""
-    from . import plabic
-    from .partitions import maxdiag, skew_cells
-
-    G = plabic.build_corect_graph(n)
-    labels = sorted(set(G.faces.values()))
-    for I, lam, _ in valuation.class_valuations(n, deadline=deadline):
-        pieces = [complement(hook_partition(a, b), n) for (a, b) in complement_hooks(I, n)]
-        for mu in labels:
-            whole = maxdiag(skew_cells(mu, lam))
-            split = sum(maxdiag(skew_cells(mu, piece)) for piece in pieces)
-            if whole != split:
-                return False, f"maxdiag over {mu} at {lam} is {whole}, its hooks sum to {split}"
-    return True, ""
-
-
-def verify_valuation_additivity(n: int, deadline: Deadline) -> tuple[bool, str]:
-    """val(p_lam) is the coordinatewise sum over the complement's hooks.
-    Returns (ok, witness), the witness naming the first failing class; the
-    deadline is polled by the walk over the classes."""
-    zero = (0,) * (n * (n + 1) // 2)
-    for I, lam, value in valuation.class_valuations(n, deadline=deadline):
-        pieces = [valuation_maxdiag(n, complement(hook_partition(a, b), n))
-                  for a, b in complement_hooks(I, n)]
-        split = tuple(map(sum, zip(zero, *pieces)))
-        if split != value:
-            return False, f"the valuation of {lam} is {value}, its hooks sum to {split}"
     return True, ""
 
 

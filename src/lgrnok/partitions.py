@@ -7,13 +7,16 @@ from the upper-right to the lower-left corner of the square; the partition
 lies above that path, with lam_r = n + r + 1 - I_r for 0-based rows r.
 
 The transpose classes are enumerated by one walk over the lattice paths,
-`transpose_classes`, which the valuation table, Delta's points, the
-additivity checks and the main theorem all read.  The path gives each
-index set in O(n) its diagonal-length vector (`diagonal_lengths`) and the
-principal hooks of its complement (`complement_hooks`); the diagonal
-balance of a partition (`diagonal_excess`) takes one pass over the rows.  The
-cell-based helpers (`cells`, `skew_cells`, `maxdiag`) stay as the
-definitions the closed forms are checked against.
+`transpose_classes`, which the valuation table, Delta's points and the
+main theorem all read.  The path gives each index set in O(n) its
+diagonal-length vector (`diagonal_lengths`), and the diagonal balance of a
+partition (`diagonal_excess`) takes one pass over the rows.  The walk pairs
+each vertical step of a path's second half with the horizontal step of its
+first half that the step closes; those pairs are the principal hooks of the
+complement, and the walk is the one place that reads them off.  The
+cell-based helpers `skew_cells` and `maxdiag` are the definitions the
+closed form is checked against in the tests; no program code calls them,
+and they stay because the benchmark's per-layer metrics count their calls.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .budget import Deadline
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]  # (row, column), 1-based
-Hook = tuple[int, int]  # (arm, leg); arm counts the corner box
 
 
 def normalize(parts) -> Partition:
@@ -138,17 +140,6 @@ def diagonal_lengths(indexset: tuple[int, ...], n: int) -> tuple[int, ...]:
     return (*below, *reversed(above))
 
 
-def complement_hooks(indexset: tuple[int, ...], n: int) -> tuple[Hook, ...]:
-    """Principal hooks (arm, leg) of the complement, outermost first, read
-    off the path: the complement's path is the reversed one, so its arms
-    are j - n over the vertical steps j > n (descending) and its legs n - h
-    over the horizontal steps h <= n (ascending)."""
-    steps = set(indexset)
-    arms = [j - n for j in range(2 * n, n, -1) if j in steps]
-    legs = [n - h for h in range(1, n + 1) if h not in steps]
-    return tuple(zip(arms, legs))
-
-
 def diagonal_excess(lam: Partition) -> int:
     """Boxes strictly right of the main diagonal minus boxes strictly below
     it, sum_{d>0} l(d) - sum_{d<0} l(d), row by row: a row r of width
@@ -190,12 +181,18 @@ def transpose_classes(n: int, deadline: Deadline = Deadline(), base: int = 0,
     else T (the smaller index set carries the larger partition, so a tie
     goes to I, as in `orbit_representative`); x = base - sum_d l(d)
     weights[d + n - 1] over I's diagonal lengths (`diagonal_lengths`); and
-    over the principal hooks of I's complement (`complement_hooks`) the sum
-    of their columns, whether a hook's bit meets the clash masks of those
-    before it (nonzero), and the union of their decode masks, taken from
+    over the principal hooks of I's complement the sum of their columns,
+    whether a hook's bit meets the clash masks of those before it
+    (nonzero), and the union of their decode masks, taken from
     hooks[j][h] = (bit, clash, column, decode) for the hook (j-n, n-h) that
     the vertical step j > n closes with the horizontal step h <= n.  With
     no weights x is base, and with no hooks the last three are 0.
+
+    Each vertical step j > n closes the latest horizontal step h <= n still
+    open.  The complement's path is I's reversed, so its arms are j - n over
+    those vertical steps and its legs n - h over those horizontal ones,
+    paired outermost first: the pairs are the complement's principal hooks,
+    and this pairing is the program's one map from an index set to them.
 
     A vertical step k <= n lengthens the diagonals 0..n-k, and a horizontal
     step k >= n+2 the diagonals n+1-k..-1; x, the excess, I, T and the hook

@@ -32,8 +32,10 @@ valuation table and Delta's points read the lattice-path walk
 (`partitions.transpose_classes`) instead, which subtracts the diagonals one
 step at a time and leaves each class's operand for the same slot merge
 (`_packed_maxplus`); the main theorem in `equivalence` reads the same walk.
-`partitions.maxdiag` on skew cells and a vector-by-vector max-plus in the
-tests stay as its oracles.
+In the program, the flow model below is the closed form's one independent
+oracle (`valuation-oracle-equivalence`, to n = 6).  `partitions.maxdiag` on
+skew cells and a vector-by-vector max-plus are its oracles in the tests
+only; no check of the program reads them.
 
 A flow's exponent vector is the sum over its paths of the coordinate counts
 of the path's left faces.  Many flows share a path, so the counts are

@@ -21,6 +21,11 @@ placed; the reference counts the faces of each sorted `Flow`.  And its
 antichain indicators are the bytes of a mask built during enumeration; the
 reference tests every cell for membership.
 
+The additivity lemmas, of the valuation and of maxdiag face by face,
+split a class over the hooks of its complement read cell by cell; lgrnok
+checks the valuation's additivity only as part of the main theorem's
+vertex level, through the walk's own hook map.
+
 The last few helpers have no caller in lgrnok: M_n applied to a vector,
 flow polynomials and their monomials, the order of P_n as the closure of
 its covers (lgrnok reads the covers off a closed form of the order), a
@@ -39,14 +44,23 @@ from lgrnok.partitions import (
     cells,
     complement,
     diagonal_lengths,
+    hook_partition,
+    maxdiag,
     normalize,
     partition_to_indexset,
+    skew_cells,
     transpose,
 )
 from lgrnok.plabic import Flow, path_left_faces
 from lgrnok.polytope import _facets_full_dim
 from lgrnok.superpotential import build_poset, lex_cells
-from lgrnok.valuation import _corners, coordinate_system, face_coordinates
+from lgrnok.valuation import (
+    _corners,
+    all_plucker_valuations,
+    coordinate_system,
+    face_coordinates,
+    valuation_maxdiag,
+)
 
 
 def parse_partition(text):
@@ -111,6 +125,40 @@ def hook_decomposition(lam):
         hooks.append((lam[k - 1] - k + 1, t[k - 1] - k))
         k += 1
     return tuple(hooks)
+
+
+def hook_complements(n, lam):
+    """The complements in the n x n square of the principal hooks of lam's
+    complement, the hooks read cell by cell."""
+    return [complement(hook_partition(*hook), n) for hook in hook_decomposition(complement(lam, n))]
+
+
+def maxdiag_additivity(n):
+    """maxdiag(mu \\ lam) is the sum of maxdiag(mu \\ piece) over the hook
+    complements of lam, at every class lam and every face label mu.
+    Returns (ok, witness), the witness naming the first failing class."""
+    labels = sorted(set(plabic.build_corect_graph(n).faces.values()))
+    for lam in all_plucker_valuations(n):
+        pieces = hook_complements(n, lam)
+        for mu in labels:
+            whole = maxdiag(skew_cells(mu, lam))
+            split = sum(maxdiag(skew_cells(mu, piece)) for piece in pieces)
+            if whole != split:
+                return False, f"maxdiag over {mu} at {lam} is {whole}, its hooks sum to {split}"
+    return True, ""
+
+
+def valuation_additivity(n):
+    """The valuation of p_lam is the coordinatewise sum of the valuations
+    of lam's hook complements, at every class.  Returns (ok, witness), the
+    witness naming the first failing class."""
+    zero = (0,) * (n * (n + 1) // 2)
+    for lam, value in all_plucker_valuations(n).items():
+        pieces = [valuation_maxdiag(n, piece) for piece in hook_complements(n, lam)]
+        split = tuple(map(sum, zip(zero, *pieces)))
+        if split != value:
+            return False, f"the valuation of {lam} is {value}, its hooks sum to {split}"
+    return True, ""
 
 
 def assemble_hooks(hooks):

@@ -9,7 +9,6 @@ from lgrnok.partitions import (
     catalan,
     cells,
     complement,
-    complement_hooks,
     diagonal_excess,
     diagonal_lengths,
     format_partition,
@@ -178,8 +177,10 @@ def test_transpose_classes_in_first_appearance_order(n):
 def test_walk_sums_the_lex_first_member(n):
     # Weights that keep each diagonal in its own byte make x read back I's
     # diagonal lengths, and a column that is one bit per hook makes the
-    # image read back the complement's hooks: both at the lex-first member
-    # I of each class, not at its representative.  Every hook clashes with
+    # image read back the complement's hooks, which the oracle reads cell
+    # by cell: both at the lex-first member I of each class, not at its
+    # representative.  The walk's step pairing is lgrnok's one map from an
+    # index set to its complement's hooks.  Every hook clashes with
     # every other, and each decodes to its own two steps.
     bit = {(j, h): 1 << (2 * n + 1) * j + h for j in range(n + 1, 2 * n + 1) for h in range(1, n + 1)}
     hooks = [[(1, 1, bit.get((j, h), 0), 1 << j | 1 << h) for h in range(n + 1)]
@@ -191,7 +192,8 @@ def test_walk_sums_the_lex_first_member(n):
         I = partition_to_indexset(lam, n)
         I = min(I, transpose_indexset(I, n))
         assert x == sum(length << 8 * d for d, length in enumerate(diagonal_lengths(I, n)))
-        pairs = {(n + arm, n - leg) for arm, leg in complement_hooks(I, n)}
+        hooks_of_complement = hook_decomposition(complement(indexset_to_partition(I, n), n))
+        pairs = {(n + arm, n - leg) for arm, leg in hooks_of_complement}
         assert image == sum(map(bit.get, pairs))
         assert bool(clash) == (len(pairs) > 1)
         assert decoded == sum(1 << j | 1 << h for j, h in pairs)
@@ -200,7 +202,7 @@ def test_walk_sums_the_lex_first_member(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_path_readings_match_cell_oracles(n):
     # every partition in the box: what lgrnok reads off the index set equals
-    # the cell-by-cell and hook-by-hook definitions
+    # the cell-by-cell definitions
     for I in combinations(range(1, 2 * n + 1), n):
         lam = partition_above_path(I, n)
         assert indexset_to_partition(I, n) == lam
@@ -209,7 +211,6 @@ def test_path_readings_match_cell_oracles(n):
         assert diagonal_excess(lam) == above - below
         assert orbit_representative(lam) == oracles.orbit_representative(lam)
         assert diagonal_lengths(I, n) == cell_diagonal_lengths(lam, n)
-        assert complement_hooks(I, n) == hook_decomposition(complement(lam, n))
 
 
 def test_staircase_syt_counts():

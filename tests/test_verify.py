@@ -12,6 +12,7 @@ import pytest
 from lgrnok import equivalence, partitions, plabic, superpotential, valuation, verify
 from lgrnok.budget import Deadline, TimeBudgetExceeded
 from lgrnok.cli import main
+from lgrnok.linalg import bareiss_det
 from oracles import recoloured
 
 BASELINE = Path(__file__).resolve().parents[1] / "benchmark" / "baseline"
@@ -29,8 +30,6 @@ EXPECTED_N1 = (
     "  [skip] matrix-block-lemmas  (blocks need n >= 2)\n"
     "  [PASS] matrix-unimodular\n"
     "  [PASS] singleton-antichain-images\n"
-    "  [PASS] maxdiag-additivity\n"
-    "  [PASS] valuation-additivity\n"
     "  [PASS] main-theorem-vertex-level\n"
     "  [PASS] folded-exchange-matrix\n"
     "  [PASS] gamma-vertex-enumeration\n"
@@ -48,19 +47,19 @@ def test_verify_n1_skip_witnesses(capsys):
 
 
 def test_one_time_budget_per_run(monkeypatch, capsys):
-    real = equivalence.verify_valuation_additivity
+    real = equivalence.verify_singleton_images
 
-    def slow(n, deadline):
+    def slow(n):
         time.sleep(0.5)
-        return real(n, deadline)
+        return real(n)
 
-    monkeypatch.setattr(equivalence, "verify_valuation_additivity", slow)
+    monkeypatch.setattr(equivalence, "verify_singleton_images", slow)
     start = time.monotonic()
     code = main(["verify", "--n", "3", "--level", "all", "--time-budget", "0.2"])
     assert code == 3
     assert time.monotonic() - start < 1.5
     # stderr names the check that used up the budget
-    assert "valuation-additivity" in capsys.readouterr().err
+    assert "singleton-antichain-images" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dropped", [0, 1, 2])
@@ -171,14 +170,24 @@ def test_a_dropped_chain_row_fails_the_hull_level_at_n6(monkeypatch):
                              "facets of Delta differ from the rows of Gamma pulled back through M_n")
 
 
-def test_a_dropped_hook_names_the_class_that_fails_additivity(monkeypatch):
-    real = equivalence.complement_hooks
-    monkeypatch.setattr(equivalence, "complement_hooks", lambda I, n: real(I, n)[:-1])
-    assert failures(3, "vertex") == {
-        "maxdiag-additivity": "maxdiag over (3, 3, 3) at (3, 3, 2) is 1, its hooks sum to 0",
-        "valuation-additivity":
-            "the valuation of (3, 3, 2) is (0, 0, 0, 0, 0, 1), its hooks sum to (0, 0, 0, 0, 0, 0)",
-    }
+@pytest.mark.parametrize("n", [3, 5])
+def test_a_dropped_walk_hook_fails_only_the_main_theorem(monkeypatch, n):
+    # The walk's step pairing is the one map from an index set to its
+    # complement's hooks.  The hook (n, n-1), closed by the last step with
+    # the first, drops out of every class that has it; the first to fail
+    # is (n-1)^(n-1), whose complement is that hook alone.  The hull level
+    # fails too because it runs the vertex level first.
+    real = equivalence._walk_table
+
+    def dropped(n):
+        hooks = real(n)
+        hooks[2 * n][1] = (0, 0, 0, 0)
+        return hooks
+
+    monkeypatch.setattr(equivalence, "_walk_table", dropped)
+    witness = f"hook bijection fails at {(n - 1,) * (n - 1)}"
+    assert failures(n, "all") == {"main-theorem-vertex-level": witness,
+                                  "main-theorem-hull-level": witness}
 
 
 def test_a_wrong_entry_of_m3_names_the_column_that_fails_the_singletons(monkeypatch):
@@ -188,6 +197,35 @@ def test_a_wrong_entry_of_m3_names_the_column_that_fails_the_singletons(monkeypa
     monkeypatch.setattr(equivalence, "build_valuation_matrix", lambda n: wrong if n == 3 else real(n))
     assert verify.singletons(3, Deadline()) == (
         False, "column 0 of (1, 1) is (2, 1, 1, 2, 1, 1), expected (1, 1, 1, 2, 1, 1)")
+
+
+@pytest.mark.parametrize("cache", ["warm", "cold"])
+@pytest.mark.parametrize("n, witness", [
+    (3, "M_3 R has -1 at (0, 1), expected 0"),
+    (5, "M_5 R has -1 at (0, 3), expected 0"),
+])
+def test_a_wrong_entry_of_m_names_the_reduction_from_either_cache(monkeypatch, cache, n, witness):
+    # det M_n stays 1, so the witness is the first entry of M_n R off the
+    # unit lower triangle, whether R was built before the plant (warm) or
+    # from the planted matrix (cold)
+    real = equivalence.build_valuation_matrix
+    M = real(n)
+    wrong = M._replace(entries=((M.entries[0][0] + 1,) + M.entries[0][1:],) + M.entries[1:])
+    assert bareiss_det(wrong.entries) == 1
+    equivalence.reduction_matrix.cache_clear()
+    if cache == "warm":
+        equivalence.reduction_matrix(n)
+    monkeypatch.setattr(equivalence, "build_valuation_matrix", lambda k: wrong if k == n else real(k))
+    try:
+        assert verify.unimodular(n, Deadline()) == (False, witness)
+    finally:
+        equivalence.reduction_matrix.cache_clear()
+
+
+def test_a_doubled_row_of_m4_names_the_determinant():
+    M = equivalence.build_valuation_matrix(4)
+    wrong = M._replace(entries=(tuple(2 * x for x in M.entries[0]),) + M.entries[1:])
+    assert equivalence.is_unimodular(wrong) == (False, f"det {2 * bareiss_det(M.entries)}")
 
 
 @pytest.mark.parametrize("n, witness", [
@@ -264,15 +302,30 @@ def test_a_dropped_class_fails_the_vertex_level(monkeypatch, n, witness):
     assert got == ({"valuation-oracle-equivalence": witness} if witness else {})
 
 
+# Checks taken out of the registry that a benchmark baseline still lists,
+# by workload.  The two additivity checks were implied by the vertex level;
+# `vertex-n7` lists them as skip lines, which the gate does not read.
+RETIRED = {
+    "vertex-n7": {"maxdiag-additivity", "valuation-additivity"},
+    "hull-n4": set(),
+}
+
+
 @pytest.mark.parametrize("workload, level", [("vertex-n7", "vertex"), ("hull-n4", "hull")])
 def test_benchmark_check_names_are_registered(workload, level):
-    # The benchmark gate matches check names in `lgrnok verify` output; a
-    # renamed check would drop out of it silently.
+    # The benchmark gate matches PASS lines by check name in `lgrnok verify`
+    # output; a renamed check would drop out of it silently.  Every name the
+    # baseline lists is registered at its level, except the retired ones,
+    # and each of those is a skip line there.
     text = (BASELINE / f"{workload}.out").read_text()
-    names = re.findall(r"^  \[(?:PASS|FAIL|skip)\] (\S+)", text, re.MULTILINE)
+    statuses = {name: status for status, name in
+                re.findall(r"^  \[(PASS|FAIL|skip)\] (\S+)", text, re.MULTILINE)}
     levels = {check.name: check.level for check in verify.CHECKS}
-    assert names
-    assert {name: levels.get(name) for name in names} == {name: level for name in names}
+    assert statuses
+    registered = [name for name in statuses if name in levels]
+    assert {name: levels[name] for name in registered} == {name: level for name in registered}
+    assert set(statuses) - set(registered) == RETIRED[workload]
+    assert all(statuses[name] == "skip" for name in RETIRED[workload])
 
 
 def test_flow_oracle_runs_at_n5(capsys):
@@ -342,10 +395,12 @@ def test_vertex_level_loop_polls_the_deadline():
 # implementation that the lattice-path code replaced, n=9 from the vertex
 # level that compared a class table with a dict of antichain images; the
 # two verify runs re-pinned when the flow oracle's skip line moved from
-# n <= 5 to n <= 6, their only change.
+# n <= 5 to n <= 6, their only change, and again when the two additivity
+# checks left the registry: a diff against the run before showed their two
+# skip lines as the only change.
 PINNED_STDOUT = {
-    "verify --n 9 --level vertex": "6daef7f8526823f8d30f82d691604e8513327724f57cea56f24a7da3bdeb443f",
-    "verify --n 8 --level vertex": "06d0f0bfe2124b197c0dcbc69d9587825abd83239364192647f8ec88eb4c4fda",
+    "verify --n 9 --level vertex": "17047d8c98b5194dd312964eff7383b9d8074fe77f2d6ea8c756dd8b799304bb",
+    "verify --n 8 --level vertex": "901b481f9070d8ad9e5b7b96c76b0567892c356695bf6888580191c222cb2b45",
     "valuations --n 6": "765d9af3cea661711ee719f0a53c6d82fc62074267363b5567e4b3f7948f3ce9",
 }
 
