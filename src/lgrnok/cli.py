@@ -114,45 +114,46 @@ def _monomial_str(n, mono) -> str:
 
 
 def cmd_flows(args, out, deadline) -> int:
+    # Each flow's monomial is taken once, and the lines are formatted
+    # between polls of the deadline and written once all are ready.
     try:
         target = tuple(int(x) for x in args.target.split(","))
     except ValueError:
         raise ValueError(f"malformed target {args.target!r}") from None
-    G, O = plabic.corect_network(args.n)
-    flows = plabic.enumerate_flows(G, O, target)
+    n = args.n
+    G, O = plabic.corect_network(n)
+    flows = []  # (paths, monomial, orbit vector) per flow
+    for f in polled(plabic.enumerate_flows(G, O, target, deadline), deadline):
+        monomial = f.monomial(G)
+        flows.append((f.paths, monomial, valuation.orbit_vector(n, monomial)))
     if args.format == "json":
         _write_json(
             {
-                "n": args.n,
+                "n": n,
                 "target": sorted(target),
                 "flows": [
                     {
-                        "paths": [[plabic.vertex_name(v) for v in p] for p in f.paths],
-                        "monomial": {
-                            format_partition(lab): e
-                            for lab, e in sorted(f.monomial(G).items())
-                        },
-                        "orbit_vector": list(valuation.orbit_vector(args.n, f.monomial(G))),
+                        "paths": [[plabic.vertex_name(v) for v in p] for p in paths],
+                        "monomial": {format_partition(lab): e for lab, e in sorted(monomial.items())},
+                        "orbit_vector": list(vector),
                     }
-                    for f in flows
+                    for paths, monomial, vector in polled(flows, deadline)
                 ],
             },
             out,
             deadline,
         )
-    else:
-        out.write(f"{len(flows)} flow(s) from {list(O.source_set)} to {sorted(target)}\n")
-        for i, f in enumerate(flows):
-            out.write(f"flow {i}:\n")
-            for p in f.paths:
-                out.write("  path: " + " -> ".join(plabic.vertex_name(v) for v in p) + "\n")
-            out.write("  weight: " + _monomial_str(args.n, f.monomial(G)) + "\n")
-        poly = [valuation.orbit_vector(args.n, f.monomial(G)) for f in flows]
-        out.write("flow polynomial exponents (orbit coordinates "
-                  + ", ".join(format_partition(c) for c in valuation.coordinate_system(args.n))
-                  + "):\n")
-        for vec in sorted(poly):
-            out.write(f"  {vec}\n")
+        return 0
+    lines = [f"{len(flows)} flow(s) from {list(O.source_set)} to {sorted(target)}\n"]
+    for i, (paths, monomial, _) in enumerate(polled(flows, deadline)):
+        lines.append(f"flow {i}:\n")
+        lines.extend("  path: " + " -> ".join(map(plabic.vertex_name, p)) + "\n" for p in paths)
+        lines.append("  weight: " + _monomial_str(n, monomial) + "\n")
+    lines.append("flow polynomial exponents (orbit coordinates "
+                 + ", ".join(format_partition(c) for c in valuation.coordinate_system(n))
+                 + "):\n")
+    lines.extend(f"  {vector}\n" for vector in polled(sorted(v for *_, v in flows), deadline))
+    out.writelines(lines)
     return 0
 
 
@@ -204,9 +205,9 @@ def cmd_gamma(args, out, deadline) -> int:
     if args.format == "json":
         _write_json(_hrep_json(H, names), out, deadline)
     else:
-        out.write(f"superpotential polytope in coordinates ({', '.join(names)}):\n")
-        for c, d in H.rows:
-            out.write("  " + _render_inequality(c, d, names) + "\n")
+        out.writelines([f"superpotential polytope in coordinates ({', '.join(names)}):\n",
+                        *("  " + _render_inequality(c, d, names) + "\n"
+                          for c, d in polled(H.rows, deadline))])
     return 0
 
 

@@ -17,11 +17,6 @@ def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(a, b) -> tuple[tuple, ...]:
-    bt = list(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
-
-
 def mat_vec(a, v) -> tuple:
     return tuple(sum(map(mul, row, v)) for row in a)
 

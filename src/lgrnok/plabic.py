@@ -27,18 +27,20 @@ whole network has few source-to-boundary paths (251 at n=5, 923 at n=6),
 so they are listed once per network, grouped by source and by end, each
 with a bitmask of its internal vertices and its left faces.  One placement
 routine, `flow_systems`, chooses a flow path by path from that table: a
-path fits when its end is free and its mask misses the others.  It returns
-the path systems unsorted, which is all the valuation needs;
-`enumerate_flows` sorts them into `Flow` objects for the callers that show
-them.
+path fits when its end is free and its mask misses the others.  Each group
+of the table is in lexicographic order, so the path systems come out in
+lexicographic order too; `enumerate_flows` wraps them in `Flow` objects for
+the callers that show them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache
+from itertools import count
 from typing import NamedTuple
 
+from .budget import POLL_EVERY, Deadline, polled
 from .partitions import Partition, normalize
 
 Vertex = tuple
@@ -161,7 +163,7 @@ class PlabicGraph:
     def face_boundary(self, face: FaceId) -> tuple[Vertex, ...]:
         """Boundary walk of a face: a cycle for interior faces, a path whose
         endpoints are boundary vertices for disk-adjacent faces."""
-        edges = [e for e in self.edges if face in self.face_sides(e)]
+        edges = [e for e, _ in self.face_neighbours(face)]
         adj: dict[Vertex, list[Vertex]] = {}
         for e in edges:
             u, v = sorted(e)
@@ -311,8 +313,12 @@ def path_left_faces(G: PlabicGraph, path: tuple[Vertex, ...]) -> frozenset:
     return frozenset(region)
 
 
-@cache
-def _path_table(G: PlabicGraph, O: PerfectOrientation) -> dict[int, dict[int, tuple]]:
+# One path table per network, built on first use by `_path_table`.
+_PATH_TABLES: dict[tuple, dict[int, dict[int, tuple]]] = {}
+
+
+def _path_table(G: PlabicGraph, O: PerfectOrientation,
+                deadline: Deadline = Deadline()) -> dict[int, dict[int, tuple]]:
     """Every directed path from each boundary source of O to the boundary,
     keyed by the source's label and then by the label of the path's end,
     the first boundary vertex it reaches; each group in lexicographic
@@ -320,15 +326,21 @@ def _path_table(G: PlabicGraph, O: PerfectOrientation) -> dict[int, dict[int, tu
 
     The mask has the bits of the path's internal vertices, one bit per
     vertex of `sorted(G.colors)`.  No path repeats a vertex, whether or
-    not the network is acyclic.  Built on first use, once per network.
+    not the network is acyclic.  Built on first use, once per network;
+    the deadline is polled every POLL_EVERY steps of the walk.
     """
+    if (G, O) in _PATH_TABLES:
+        return _PATH_TABLES[G, O]
     adj = O.out_neighbors()
     bit = {v: 1 << k for k, v in enumerate(sorted(G.colors))}
+    steps = count()
     table = {}
     for s in O.source_set:
         by_end: dict[int, list] = {}
 
         def walk(path: tuple[Vertex, ...], mask: int):
+            if not next(steps) % POLL_EVERY:
+                deadline.check()
             for w in adj.get(path[-1], ()):
                 longer = path + (w,)
                 if w not in bit:
@@ -338,13 +350,15 @@ def _path_table(G: PlabicGraph, O: PerfectOrientation) -> dict[int, dict[int, tu
 
         walk((_b(s),), 0)
         table[s] = {end: tuple(paths) for end, paths in by_end.items()}
+    _PATH_TABLES[G, O] = table
     return table
 
 
-def flow_systems(G: PlabicGraph, O: PerfectOrientation, J) -> list[tuple[tuple, ...]]:
+def flow_systems(G: PlabicGraph, O: PerfectOrientation, J,
+                 deadline: Deadline = Deadline()) -> list[tuple[tuple, ...]]:
     """The path systems of all flows from the orientation's source set to
-    J, in no particular order: per flow, one (vertices, left faces) pair
-    per path, by ascending source.
+    J, in lexicographic order of their path vertex sequences: per flow,
+    one (vertices, left faces) pair per path, by ascending source.
 
     A flow joins each source outside J to its own target of J outside the
     source set, by vertex-disjoint paths.  The matching is forced: the
@@ -353,8 +367,9 @@ def flow_systems(G: PlabicGraph, O: PerfectOrientation, J) -> list[tuple[tuple, 
     largest target.  Raises ValueError if the source set is not 1..n.
     The paths come whole from `_path_table`: each source in ascending order
     takes a path to its target whose mask misses the union of the masks
-    taken so far.  A boundary vertex has one edge, so the masks alone keep
-    the ends apart.
+    taken so far, in the group's lexicographic order.  A boundary vertex
+    has one edge, so the masks alone keep the ends apart.  The deadline is
+    polled while the table is built and every POLL_EVERY systems.
     """
     J = tuple(sorted(J))
     n = G.n
@@ -363,7 +378,7 @@ def flow_systems(G: PlabicGraph, O: PerfectOrientation, J) -> list[tuple[tuple, 
     if sorted(O.source_set) != list(range(1, n + 1)):
         raise ValueError(f"source set {sorted(O.source_set)} is not 1..{n}: "
                          "the source-to-target matching is not forced")
-    table = _path_table(G, O)
+    table = _path_table(G, O, deadline)
     sources = [s for s in range(1, n + 1) if s not in J]
     targets = [t for t in reversed(J) if t > n]
     groups = [table[s].get(t, ()) for s, t in zip(sources, targets)]
@@ -371,6 +386,8 @@ def flow_systems(G: PlabicGraph, O: PerfectOrientation, J) -> list[tuple[tuple, 
 
     def place(i: int, used: int, acc: tuple):
         if i == len(groups):
+            if not len(systems) % POLL_EVERY:
+                deadline.check()
             systems.append(acc)
             return
         for mask, entry in groups[i]:
@@ -381,12 +398,14 @@ def flow_systems(G: PlabicGraph, O: PerfectOrientation, J) -> list[tuple[tuple, 
     return systems
 
 
-def enumerate_flows(G: PlabicGraph, O: PerfectOrientation, J) -> tuple[Flow, ...]:
+def enumerate_flows(G: PlabicGraph, O: PerfectOrientation, J,
+                    deadline: Deadline = Deadline()) -> tuple[Flow, ...]:
     """All flows from the orientation's source set to J (`flow_systems`),
-    in lexicographic order of their path vertex sequences."""
-    systems = sorted(flow_systems(G, O, J), key=lambda acc: [path for path, _ in acc])
+    in lexicographic order of their path vertex sequences; the deadline is
+    polled by `flow_systems` and every POLL_EVERY flows."""
     return tuple(Flow(paths=tuple(path for path, _ in acc),
-                      left_faces=tuple(left for _, left in acc)) for acc in systems)
+                      left_faces=tuple(left for _, left in acc))
+                 for acc in polled(flow_systems(G, O, J, deadline), deadline))
 
 
 # -- exports --------------------------------------------------------------

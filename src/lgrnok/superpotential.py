@@ -195,18 +195,19 @@ class SuperpotentialTerm(NamedTuple):
     cells: tuple[Element, ...]
 
 
-def strict_staircase_partitions(n: int) -> tuple[tuple[int, ...], ...]:
+def strict_staircase_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Strict partitions with first part n inside the staircase (n,...,1),
-    in ascending lexicographic order; there are 2^(n-1) of them."""
-    out = []
+    in ascending lexicographic order; there are 2^(n-1) of them.  A
+    depth-first walk that tries the next part in ascending order yields
+    each partition before its extensions and these in order, so nothing is
+    listed or sorted."""
 
-    def grow(prefix: tuple[int, ...]):
-        out.append(prefix)
-        for nxt in range(prefix[-1] - 1, 0, -1):
-            grow(prefix + (nxt,))
+    def grow(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        yield prefix
+        for nxt in range(1, prefix[-1]):
+            yield from grow(prefix + (nxt,))
 
-    grow((n,))
-    return tuple(sorted(out))
+    return grow((n,))
 
 
 def quantum_denominator(n: int, lam: tuple[int, ...]) -> tuple[Element, ...]:

@@ -20,6 +20,9 @@ flow valuation sums packed left-face counts over each path system as it is
 placed; the reference counts the faces of each sorted `Flow`.  And its
 antichain indicators are the bytes of a mask built during enumeration; the
 reference tests every cell for membership.
+And lgrnok proves M_n unimodular by its determinant alone; the paper's
+column operations, which take M_n to a unit lower triangular matrix, are
+replayed here as a lemma, with the integer matrix product they need.
 
 The additivity lemmas, of the valuation and of maxdiag face by face,
 split a class over the hooks of its complement read cell by cell; lgrnok
@@ -37,8 +40,9 @@ Euler relation of an f-vector.  Only the tests read them.
 import copy
 from functools import cache
 from itertools import combinations
+from operator import mul
 
-from lgrnok import plabic
+from lgrnok import equivalence, plabic
 from lgrnok.linalg import affine_pivot_columns, dot, mat_vec, rref
 from lgrnok.partitions import (
     cells,
@@ -439,6 +443,54 @@ def maxplus_by_vector(n, low):
     for lengths, corners, k in orbit_table(n):
         out[k] += max(0, *(ell - low[d] for ell, d in zip(lengths, corners)))
     return tuple(out)
+
+
+def mat_mul(a, b):
+    bt = list(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+
+
+def block_diag(a, b):
+    na, nb = len(a), len(b)
+    return tuple(tuple(a[i][j] if i < na and j < na else
+                       b[i - na][j - na] if i >= na and j >= na else 0
+                       for j in range(na + nb)) for i in range(na + nb))
+
+
+def corner_transform(n):
+    """Column operations sending the upper left block of M_n to the
+    identity: subtract each column from its right neighbour, subtract all
+    later columns from the first, then reverse the column order."""
+    a = tuple(
+        tuple(1 if i == j else (-1 if j == i + 1 else 0) for j in range(n))
+        for i in range(n)
+    )
+    b = tuple(
+        tuple(1 if i == j else (-1 if j == 0 and i > 0 else 0) for j in range(n))
+        for i in range(n)
+    )
+    c = tuple(tuple(1 if i + j == n - 1 else 0 for j in range(n)) for i in range(n))
+    return mat_mul(mat_mul(a, b), c)
+
+
+def reduction_matrix(n):
+    """The paper's unimodular column operations R, meant to make M_n R
+    lower triangular with unit diagonal.  Built blockwise: the corner
+    transform upstairs, the (n-1) reduction downstairs, then column
+    clean-up of the upper right block."""
+    if n == 1:
+        return ((1,),)
+    M = equivalence.build_valuation_matrix(n).entries
+    R = [list(row) for row in block_diag(corner_transform(n), reduction_matrix(n - 1))]
+    prod = [list(row) for row in mat_mul(M, R)]
+    for r in range(n - 1):
+        for c in range(n, len(M)):
+            coef = prod[r][c]
+            if coef:
+                for row_p, row_r in zip(prod, R):
+                    row_p[c] -= coef * row_p[r]
+                    row_r[c] -= coef * row_r[r]
+    return tuple(tuple(row) for row in R)
 
 
 def apply(M, vector):

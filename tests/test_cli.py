@@ -249,10 +249,12 @@ def test_volume_n6_stops_at_its_budget(capsys):
 
 
 @pytest.mark.parametrize("argv", [["valuations", "--n", "10"], ["delta", "--n", "10", "--vrep"],
-                                  ["gamma", "--n", "11", "--vrep"], ["gamma", "--n", "15"]])
+                                  ["gamma", "--n", "11", "--vrep"], ["gamma", "--n", "15"],
+                                  ["flows", "--n", "7", "--target", "1,2,4,6,9,11,13"],
+                                  ["gamma", "--n", "20", "--hrep"]])
 def test_tables_and_point_sets_stop_at_the_budget(capsys, argv):
     # each runs for seconds; the budget is polled while the table, the
-    # points or the rows are built, before anything is printed
+    # points, the flows or the rows are built, before anything is printed
     start = time.monotonic()
     assert main([*argv, "--time-budget", "0.2"]) == 3
     assert time.monotonic() - start < 1.5

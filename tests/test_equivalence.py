@@ -15,19 +15,17 @@ from lgrnok.equivalence import (
     check_blocks,
     column_pairs,
     column_partition,
-    corner_transform,
     gamma_vertices_match_hrep,
     image_of_antichains,
     is_unimodular,
     pulled_back_gamma_rows,
-    reduction_matrix,
     singleton_column_pair,
     upper_left_closed_form,
     verify_hull_level,
     verify_main_theorem,
     verify_singleton_images,
 )
-from lgrnok.linalg import mat_mul
+from lgrnok.linalg import bareiss_det
 from lgrnok.partitions import (
     catalan,
     complement,
@@ -100,10 +98,9 @@ def test_unimodular(n):
 
 
 def test_constructive_reduction_worked_example():
-    from lgrnok.equivalence import _block_diag
-
-    assert reduction_matrix(2) == ((-1, 2, 0), (1, -1, 0), (0, 0, 1))
-    inter = mat_mul(M3, _block_diag(corner_transform(3), reduction_matrix(2)))
+    assert oracles.reduction_matrix(2) == ((-1, 2, 0), (1, -1, 0), (0, 0, 1))
+    inter = oracles.mat_mul(
+        M3, oracles.block_diag(oracles.corner_transform(3), oracles.reduction_matrix(2)))
     assert inter == (
         (1, 0, 0, 0, 0, 0),
         (0, 1, 0, 1, 0, 0),
@@ -116,7 +113,17 @@ def test_constructive_reduction_worked_example():
 
 def test_corner_transform_n3():
     # the three elementary factors compose to the worked 3x3 product
-    assert corner_transform(3) == ((0, -1, 2), (-1, 1, 0), (1, 0, -1))
+    assert oracles.corner_transform(3) == ((0, -1, 2), (-1, 1, 0), (1, 0, -1))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_column_operations_reduce_m_to_unit_lower_triangular(n):
+    # The paper's proof of unimodularity: M_n R is unit lower triangular,
+    # and R is a product of unimodular column operations.
+    R = oracles.reduction_matrix(n)
+    reduced = oracles.mat_mul(build_valuation_matrix(n).entries, R)
+    assert all(reduced[i][j] == (i == j) for i in range(len(R)) for j in range(i, len(R)))
+    assert abs(bareiss_det(R)) == 1
 
 
 def hook_elements(n, lam):
@@ -340,11 +347,9 @@ def test_vertex_level_fails_on_a_transposed_representative(monkeypatch, capsys):
 @pytest.fixture
 def fresh_matrices():
     """Valuation matrices built inside the test are dropped after it."""
-    for cached in (equivalence.build_valuation_matrix, equivalence.reduction_matrix):
-        cached.cache_clear()
+    equivalence.build_valuation_matrix.cache_clear()
     yield
-    for cached in (equivalence.build_valuation_matrix, equivalence.reduction_matrix):
-        cached.cache_clear()
+    equivalence.build_valuation_matrix.cache_clear()
 
 
 @pytest.mark.parametrize("orbit", [0, 7, 14])

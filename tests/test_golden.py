@@ -1,6 +1,9 @@
-"""The rows of `lgrnok valuations` and `lgrnok delta --vrep` at n = 1..7,
-pinned by the sha256 digest of each command's stdout, text and JSON: a
-changed row, value or order fails here.
+"""The stdout of several commands pinned by its sha256 digest: a changed
+row, value or order fails here.  The rows of `lgrnok valuations` and
+`lgrnok delta --vrep` at n = 1..7, text and JSON; `lgrnok flows` at n = 3
+(target 1,4,5) and n = 5 (target 1,2,4,6,8), text and JSON; `lgrnok
+graph` at n = 1..6, text, JSON and dot; and `lgrnok gamma --hrep` at
+n = 1..8, text and JSON.
 """
 
 import hashlib
@@ -38,12 +41,54 @@ DIGESTS = {
     ("valuations", 7, "json"): "2f86aaf641dda4b4dfe98b115acf20bc46fa15e5f85e952ec32a7bc256b3dc2b",
     ("delta", 7, "text"): "144f4f8e1a85ae07c74e8d98d58e675ada2bcf85b08da4660e9c26ed6efc866a",
     ("delta", 7, "json"): "d0440815e5876eb656df750196f969459b1c16ef05ebd624328fe4eb6c3c4238",
+    ("flows", 3, "text"): "c6881ae726e5c158ac95eb4e63dfa0b3a5800a901faac324ab64e3f54cbc10ef",
+    ("flows", 3, "json"): "53660737d75d26bab5b30b2f9a792a4d875cf7ec013cb6d37df2d95789c88aaa",
+    ("flows", 5, "text"): "601dc82f50602e162cfd813a9128fae58c5174084ca53eae93a086a3570583d1",
+    ("flows", 5, "json"): "ca52ed9bec43e94c6980348de07894ed6c06df0dace79953050d6c21f5e7b1ea",
+    ("graph", 1, "text"): "32981a05dc20e9ca511eff9c4ef6be3ed2df4df72c57e23e7e90515bcb609e73",
+    ("graph", 1, "json"): "7f01d6dd14dc605c7cbb7ba01d335890b02aa31d6971fdd9b2ad663dd8c5e7c5",
+    ("graph", 1, "dot"): "a79e573fbc9041140b6c5cb5f84eabef3421cc9754c75c0d2602b8f88c90ad64",
+    ("graph", 2, "text"): "70383f5518edc229a9f2e4dc6d444a581f6f27a3cc86cd5ba5a6b9b5dafac4fc",
+    ("graph", 2, "json"): "30630fb6fe408ce4ee93098c207d8abf98ae928cc1f263024f97e3b2b4d0f04f",
+    ("graph", 2, "dot"): "3bfb21e3722358aa853f2054cfa8d0d275dfe075e1d8bb2dda4ecde2cefc4193",
+    ("graph", 3, "text"): "0cddd370a70834f8b052a8a9f595c78155b703ce228cb41fc038301ccf0071de",
+    ("graph", 3, "json"): "0fdededdbba206735269e769dc38f7198dfd2601ebc091eee6d025b270831437",
+    ("graph", 3, "dot"): "0fbaba4f2f6c12dea3418c20c892930e2dd06bfc2c2fbf036c6bee32235468f0",
+    ("graph", 4, "text"): "e3042350f8cf848351104cf793ce83dd01b67386e27fa95c2c60f894b234f0ab",
+    ("graph", 4, "json"): "15c9efc53a869a8b6914850c37e837aadf5ae93e11bddf8362f0b52a62109897",
+    ("graph", 4, "dot"): "90b6531c2375ad5412e11ad9b70cde94f790415cb8355de1d44a1ec1a7c8f307",
+    ("graph", 5, "text"): "7248c18aabcca3d5ed0a47a680e8c2f7f1b79efe3a8a068e21e121a8796a5676",
+    ("graph", 5, "json"): "c9988f3948070b7109e4ce795bbe1a0f2d843be6ce7bd5dfd01bba43d9e59bb6",
+    ("graph", 5, "dot"): "51a1ce9e949ca74c8c3624fc45aba78c9414ad873a942f785fc1cdb6e1aca8e2",
+    ("graph", 6, "text"): "400d57f1a87390ce60de33b1a62bb169566310bc203325e7657d77a0161f7070",
+    ("graph", 6, "json"): "bff33cf1c551e7a61afe54500dac05339ba2e1976a66c26bdbfc26bb7c4dfd0c",
+    ("graph", 6, "dot"): "2a7c4e15bdfa5925649a13f6bce4fa0c1d5e178f21ba9556feb0d2b353e25f91",
+    ("gamma", 1, "text"): "90c36b487bc3edb4bcd1104428f8523208c4e9a49851234eb55c13a5d3f78eac",
+    ("gamma", 1, "json"): "1b211f01fef4c5bf8bfd7fa29f6b89662d7bc8fa7c16c94b85c80139bb0f2145",
+    ("gamma", 2, "text"): "680536abad627ec29a59f974d28c876274a1eea7b1775f123f41c5be8b5945de",
+    ("gamma", 2, "json"): "906cb5c5017dcd9d704c7cc9f4cc76b62a70840c9a6268b20fafc63aa940f07b",
+    ("gamma", 3, "text"): "0ce61b0f28d3d4387f8fbcb6405bc4861db6de2579a056359dec32bd2be150b5",
+    ("gamma", 3, "json"): "afe4fac30be5c8b4ab454b25ea89d03f215606d0f2eaf295777a00697b7a47bc",
+    ("gamma", 4, "text"): "9f4f7283b0d2abcc3d5d042cadd3e335839e26fa6f2d06fc40be4630d4576d5c",
+    ("gamma", 4, "json"): "1da6b62db2a2797cc104719ac0626f8a1dde0a6c8764c33a578b2d4f685154c3",
+    ("gamma", 5, "text"): "7407d52b2a68645c5edc91a3c1afa3cd6848d57e04dfecc5dd151cc150a7d988",
+    ("gamma", 5, "json"): "cab7516f38c75b2a7a564a000f00379f0537fab2ae322cf7440227e10a2a1e3b",
+    ("gamma", 6, "text"): "941152f8f74fa5f58ba77c257742673d6ab7d96e2c65433406a5c2b4e11810a1",
+    ("gamma", 6, "json"): "05f7af459bfceaee91dfb5d093fde81235b7f0d7edba6cf1f6818ea1abf4e13a",
+    ("gamma", 7, "text"): "ec7c190708e893c3faff6f23d9cf1575a1587b67805c5ce8922c98189e1fa176",
+    ("gamma", 7, "json"): "3d3a227f06d03edf925f8effe57aac65a73b123c8b0fbc39f814fe4fef723994",
+    ("gamma", 8, "text"): "4e41b467842e2d08d494a574956daabd0722250860ff53618e6eeb43182d3586",
+    ("gamma", 8, "json"): "bbf9c28064d1bf11824164a6ff15ffda22130e4eba29f95363f81f8f42d81371",
 }
+
+FLOW_TARGETS = {3: "1,4,5", 5: "1,2,4,6,8"}
 
 
 @pytest.mark.parametrize("command, n, fmt", list(DIGESTS))
 def test_output_is_pinned(capsys, command, n, fmt):
-    vrep = ["--vrep"] if command == "delta" else []
-    assert main([command, "--n", str(n), "--format", fmt, *vrep]) == 0
+    extra = {"delta": ["--vrep"], "gamma": ["--hrep"]}.get(command, [])
+    if command == "flows":
+        extra = ["--target", FLOW_TARGETS[n]]
+    assert main([command, "--n", str(n), "--format", fmt, *extra]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command, n, fmt]

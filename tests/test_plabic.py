@@ -1,3 +1,4 @@
+import math
 import random
 from functools import lru_cache
 from itertools import combinations, product
@@ -5,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from lgrnok import plabic
+from lgrnok.budget import POLL_EVERY, Deadline, TimeBudgetExceeded
 from lgrnok.partitions import partition_to_indexset, transpose
 from lgrnok.valuation import orbit_vector
 from oracles import (
@@ -16,6 +18,7 @@ from oracles import (
     perfect_orientations_by_search,
     recoloured,
 )
+from test_superpotential import CountingDeadline
 
 
 def test_face_labels_n3():
@@ -200,6 +203,33 @@ def test_flow_systems_refuse_sources_that_do_not_force_the_matching():
     assert sorted(O.source_set) == [1, 2, 3]
     with pytest.raises(ValueError, match="is not 1..3"):
         plabic.flow_systems(G, O._replace(source_set=(1, 2, 4)), (1, 5, 6))
+
+
+def test_flows_poll_the_deadline_in_the_path_table_and_the_placement():
+    # a network of its own, so that its path table is built here
+    G = plabic.PlabicGraph(6)
+    O = plabic.find_perfect_orientation(G, range(1, 7))
+    J = (1, 2, 4, 7, 9, 11)
+    with pytest.raises(TimeBudgetExceeded):
+        plabic.flow_systems(G, O, J, Deadline(-1))
+    assert (G, O) not in plabic._PATH_TABLES
+    cold = CountingDeadline()
+    systems = plabic.flow_systems(G, O, J, cold)
+    assert len(systems) > POLL_EVERY
+    warm = CountingDeadline()
+    assert plabic.flow_systems(G, O, J, warm) == systems
+    assert warm.polls == math.ceil(len(systems) / POLL_EVERY) < cold.polls
+    flows = CountingDeadline()
+    assert len(plabic.enumerate_flows(G, O, J, flows)) == len(systems)
+    assert flows.polls == 2 * warm.polls
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20])
+def test_no_edge_has_one_face_on_both_sides(n):
+    # so each face's own edges, read from face_neighbours, are the edges
+    # that a scan of the whole graph would find
+    G = plabic.build_corect_graph(n)
+    assert all(len(set(G.face_sides(e))) == 2 for e in G.edges)
 
 
 def _lgv_flow_count(n, J):

@@ -1,5 +1,6 @@
 import math
-from itertools import product
+import time
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -183,7 +184,27 @@ def test_superpotential_n3():
 def test_superpotential_sizes():
     assert len(build_superpotential(1)) == 2
     assert len(build_superpotential(4)) == 18
-    assert len(strict_staircase_partitions(5)) == 2 ** 4
+    assert len(list(strict_staircase_partitions(5))) == 2 ** 4
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_strict_partitions_come_in_lexicographic_order(n):
+    # n followed by each subset of 1..n-1 in descending order, sorted
+    expected = sorted((n, *sorted(rest, reverse=True))
+                      for k in range(n) for rest in combinations(range(1, n), k))
+    assert list(strict_staircase_partitions(n)) == expected
+
+
+def test_the_quantum_terms_poll_before_the_partitions_are_listed():
+    deadline = CountingDeadline()
+    assert len(build_superpotential(12, deadline)) == 78 + 2 ** 11
+    assert deadline.polls == 2 ** 11 // POLL_EVERY
+    # the first partition is polled before the next is made: listing all
+    # 2^19 of them first takes most of a second
+    start = time.monotonic()
+    with pytest.raises(TimeBudgetExceeded):
+        build_superpotential(20, Deadline(-1))
+    assert time.monotonic() - start < 0.2
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -199,27 +199,89 @@ def test_a_wrong_entry_of_m3_names_the_column_that_fails_the_singletons(monkeypa
         False, "column 0 of (1, 1) is (2, 1, 1, 2, 1, 1), expected (1, 1, 1, 2, 1, 1)")
 
 
-@pytest.mark.parametrize("cache", ["warm", "cold"])
-@pytest.mark.parametrize("n, witness", [
-    (3, "M_3 R has -1 at (0, 1), expected 0"),
-    (5, "M_5 R has -1 at (0, 3), expected 0"),
-])
-def test_a_wrong_entry_of_m_names_the_reduction_from_either_cache(monkeypatch, cache, n, witness):
-    # det M_n stays 1, so the witness is the first entry of M_n R off the
-    # unit lower triangle, whether R was built before the plant (warm) or
-    # from the planted matrix (cold)
+def planted_matrix(M, plant):
+    """M_n with one planted fault."""
+    e = [list(row) for row in M.entries]
+    if plant == "entry-0-0-plus-1":
+        e[0][0] += 1
+    elif plant == "columns-0-1-swapped":
+        for row in e:
+            row[0], row[1] = row[1], row[0]
+    elif plant == "row-0-doubled":
+        e[0] = [2 * x for x in e[0]]
+    else:  # the (0, 1) column built from the (1, 1) partition
+        t = M.col_pairs.index((0, 1))
+        for row, x in zip(e, valuation.valuation_maxdiag(M.n, equivalence.column_partition(M.n, 1, 1))):
+            row[t] = x
+    return M._replace(entries=tuple(map(tuple, e)))
+
+
+SINGLETON_3 = "column 0 of (1, 1) is {}, expected (1, 1, 1, 2, 1, 1)"
+SINGLETON_5 = "column 0 of (1, 1) is {}, expected (1, 1, 1, 1, 1, 2, 2, 2, 1, 2, 2, 1, 2, 1, 1)"
+
+# Each plant of M_n against the checks that catch it, with their witnesses.
+# The first two plants keep M_n unimodular (det 1 and det -1), so
+# matrix-unimodular is an expected non-catcher there; every column of M_n
+# is pinned by the vertex level through the classes whose complement is a
+# single hook, and by the block lemmas and the singleton images.
+PLANTS = {
+    ("entry-0-0-plus-1", 3): {
+        "matrix-block-lemmas": "upper left (0, 0, 2, 1)",
+        "singleton-antichain-images": SINGLETON_3.format((2, 1, 1, 2, 1, 1)),
+        "main-theorem-vertex-level": "hook bijection fails at (3, 3)",
+    },
+    ("entry-0-0-plus-1", 5): {
+        "matrix-block-lemmas": "upper left (0, 0, 2, 1)",
+        "singleton-antichain-images": SINGLETON_5.format((2, 1, 1, 1, 1, 2, 2, 2, 1, 2, 2, 1, 2, 1, 1)),
+        "main-theorem-vertex-level": "hook bijection fails at (5, 5, 5, 5)",
+    },
+    ("columns-0-1-swapped", 3): {
+        "matrix-block-lemmas": "upper left (1, 0, 2, 1)",
+        "singleton-antichain-images": SINGLETON_3.format((1, 2, 1, 2, 1, 1)),
+        "main-theorem-vertex-level": "hook bijection fails at (3, 3)",
+    },
+    ("columns-0-1-swapped", 5): {
+        "matrix-block-lemmas": "upper left (3, 0, 2, 1)",
+        "singleton-antichain-images": SINGLETON_5.format((1, 1, 1, 2, 1, 2, 2, 2, 1, 2, 2, 1, 2, 1, 1)),
+        "main-theorem-vertex-level": "hook bijection fails at (5, 5, 5, 5)",
+    },
+    ("row-0-doubled", 3): {
+        "matrix-block-lemmas": "upper left (0, 0, 2, 1)",
+        "matrix-unimodular": "det 2",
+        "singleton-antichain-images": SINGLETON_3.format((2, 1, 1, 2, 1, 1)),
+        "main-theorem-vertex-level": "hook bijection fails at (3, 3)",
+    },
+    ("row-0-doubled", 5): {
+        "matrix-block-lemmas": "upper left (0, 0, 2, 1)",
+        "matrix-unimodular": "det 2",
+        "singleton-antichain-images": SINGLETON_5.format((2, 1, 1, 1, 1, 2, 2, 2, 1, 2, 2, 1, 2, 1, 1)),
+        "main-theorem-vertex-level": "hook bijection fails at (5, 5, 5, 5)",
+    },
+    ("column-0-1-from-partition-1-1", 3): {
+        "matrix-block-lemmas": "upper left (0, 1, 0, 1)",
+        "matrix-unimodular": "det 0",
+        "singleton-antichain-images": "column 1 of (1, 2) is (0, 2, 0, 2, 1, 1), expected (1, 2, 1, 2, 1, 1)",
+        "main-theorem-vertex-level": "hook bijection fails at (3, 2)",
+    },
+    ("column-0-1-from-partition-1-1", 5): {
+        "matrix-block-lemmas": "upper left (0, 3, 0, 1)",
+        "matrix-unimodular": "det 0",
+        "singleton-antichain-images": "column 3 of (1, 4) is (0, 2, 2, 2, 0, 2, 2, 2, 1, 2, 2, 1, 2, 1, 1), "
+                                      "expected (1, 2, 2, 2, 1, 2, 2, 2, 1, 2, 2, 1, 2, 1, 1)",
+        "main-theorem-vertex-level": "hook bijection fails at (5, 4, 4, 4)",
+    },
+}
+
+
+@pytest.mark.parametrize("plant, n", list(PLANTS))
+def test_a_planted_fault_of_m_fails_exactly_its_catchers(monkeypatch, plant, n):
+    # The hull level runs the vertex level first and fails with its witness.
     real = equivalence.build_valuation_matrix
-    M = real(n)
-    wrong = M._replace(entries=((M.entries[0][0] + 1,) + M.entries[0][1:],) + M.entries[1:])
-    assert bareiss_det(wrong.entries) == 1
-    equivalence.reduction_matrix.cache_clear()
-    if cache == "warm":
-        equivalence.reduction_matrix(n)
+    wrong = planted_matrix(real(n), plant)
     monkeypatch.setattr(equivalence, "build_valuation_matrix", lambda k: wrong if k == n else real(k))
-    try:
-        assert verify.unimodular(n, Deadline()) == (False, witness)
-    finally:
-        equivalence.reduction_matrix.cache_clear()
+    expected = PLANTS[plant, n]
+    assert failures(n, "all") == {**expected,
+                                  "main-theorem-hull-level": expected["main-theorem-vertex-level"]}
 
 
 def test_a_doubled_row_of_m4_names_the_determinant():
