@@ -2,8 +2,11 @@
 row, value or order fails here.  The rows of `lgrnok valuations` and
 `lgrnok delta --vrep` at n = 1..7, text and JSON; `lgrnok flows` at n = 3
 (target 1,4,5) and n = 5 (target 1,2,4,6,8), text and JSON; `lgrnok
-graph` at n = 1..6, text, JSON and dot; and `lgrnok gamma --hrep` at
-n = 1..8, text and JSON.
+graph` at n = 1..6, text, JSON and dot; `lgrnok gamma --hrep` at
+n = 1..8, text and JSON; and at n = 4 every other command and format:
+`orientation`, `matrix`, `fold`, `volume`, `counts`, `verify --level all`,
+`delta --hrep`, `delta --fvector` and `gamma --vrep`.  A key's command
+names its flags, or takes the default ones below.
 """
 
 import hashlib
@@ -79,6 +82,26 @@ DIGESTS = {
     ("gamma", 7, "json"): "3d3a227f06d03edf925f8effe57aac65a73b123c8b0fbc39f814fe4fef723994",
     ("gamma", 8, "text"): "4e41b467842e2d08d494a574956daabd0722250860ff53618e6eeb43182d3586",
     ("gamma", 8, "json"): "bbf9c28064d1bf11824164a6ff15ffda22130e4eba29f95363f81f8f42d81371",
+    ("orientation", 4, "text"): "20432417e76f5c1efd0bb447ec8a74cf616594505e8c5eff5f4228d076e55fc8",
+    ("orientation", 4, "json"): "aca8beb37f539b3307c243a540f033f7d6004b5b2ad186f3f70842945f9d5ee4",
+    ("orientation", 4, "dot"): "c39fe1591bb3a7b9a60023d8938656cf9385c6f379d5b399d24fec0ddf0bf896",
+    ("matrix", 4, "text"): "9a09d17508d95e6bdcce523cd9907541a55e73c431835e53360b2ec85dfeed4e",
+    ("matrix", 4, "json"): "7cddac4190309767995c17a768451918f03244831d3557b2e58720ffee2537ba",
+    ("fold", 4, "text"): "322a90fb406b99eacc294597ac7a387cea027000d6d42a0f5b74106050f4cd51",
+    ("fold", 4, "json"): "5a760074839bdeab16b69170315dd0ff6d108ab4c0b5e4c966a4e5401ebd5efe",
+    ("fold", 4, "dot"): "c5d216cf2cf878b4bef1de1c9d198070951d287a20aee825024dbc01f114276a",
+    ("volume", 4, "text"): "65ee01dafce03b5a6c51c622c833c6a1fd704b22ba8e30bba8f9356a6ce553be",
+    ("volume", 4, "json"): "745f4c06fd9de2fe7c270fd59d9665e10d3e3c7d87840296df2aaa710c5068cc",
+    ("counts", 4, "text"): "7f0f2f76738c72d673544461221c630b616975060c3d8ee08b411d78c8397075",
+    ("counts", 4, "json"): "bc2506ff634cf5a0ca160069622c0375afbabe404e21c3719b13f05f02aaab55",
+    ("verify --level all", 4, "text"): "712c7860442a4adbc32b566fef2b2c08f4820f91bc4141ea44726fe533ef9bd2",
+    ("verify --level all", 4, "json"): "9ee4e419d528a257eb128f1b1d8d909ada13cbf44355da5f0652e3256595aaa2",
+    ("delta --hrep", 4, "text"): "dbceba69b695989241283890de4d907b872d6a987add58599429eede696f6ac8",
+    ("delta --hrep", 4, "json"): "e51e045a8465b06211a83a657b052edcb85170d9cf02cf11a6a7ae2ace11c63d",
+    ("delta --fvector", 4, "text"): "75097868532c442cffe1472361c0fa6af0ff844e93c47257dd66925815e9d8d6",
+    ("delta --fvector", 4, "json"): "8711f4ac26c83a389a951f2cafa18dc747d7203b403abc65981cbe30103dc40e",
+    ("gamma --vrep", 4, "text"): "6f7d0d86be4cb1aeb89d78a13597baae63c4910adc867ab8847110cd382145a6",
+    ("gamma --vrep", 4, "json"): "19982088974f3d4a4eee6d1f731f543bfa8bbf396a2fc4f5b2d4b95730fbd500",
 }
 
 FLOW_TARGETS = {3: "1,4,5", 5: "1,2,4,6,8"}
@@ -86,9 +109,11 @@ FLOW_TARGETS = {3: "1,4,5", 5: "1,2,4,6,8"}
 
 @pytest.mark.parametrize("command, n, fmt", list(DIGESTS))
 def test_output_is_pinned(capsys, command, n, fmt):
-    extra = {"delta": ["--vrep"], "gamma": ["--hrep"]}.get(command, [])
-    if command == "flows":
+    name, *extra = command.split()
+    if name == "flows":
         extra = ["--target", FLOW_TARGETS[n]]
-    assert main([command, "--n", str(n), "--format", fmt, *extra]) == 0
+    elif not extra:
+        extra = {"delta": ["--vrep"], "gamma": ["--hrep"]}.get(name, [])
+    assert main([name, "--n", str(n), "--format", fmt, *extra]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command, n, fmt]
