@@ -26,10 +26,19 @@ class Deadline:
 
     def __init__(self, seconds: float | None = None):
         self.expires = None if seconds is None else time.monotonic() + seconds
+        self.steps = 0
 
     def check(self):
         if self.expires is not None and time.monotonic() > self.expires:
             raise TimeBudgetExceeded("computation exceeded its time budget")
+
+    def tick(self):
+        """One step of a long loop: the deadline is polled at the first
+        step and then every POLL_EVERY steps, counted over all the loops
+        that tick it."""
+        if not self.steps % POLL_EVERY:
+            self.check()
+        self.steps += 1
 
 
 def polled(items: Iterable, deadline: Deadline) -> Iterator:

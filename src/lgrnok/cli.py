@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from . import equivalence, plabic, polytope, quiverfold, superpotential, valuation
 from .budget import POLL_EVERY, Deadline, TimeBudgetExceeded, polled
 from .partitions import (
+    catalan,
     format_partition,
     partition_to_indexset,
     staircase_syt_count,
@@ -39,72 +40,45 @@ def _hrep_json(H: polytope.HPolytope, coords) -> dict:
     }
 
 
-def _write_json(doc, out, deadline) -> None:
-    """json.dump(doc, out, indent=2) and a newline, with the deadline polled
-    while the text is encoded and nothing written before it is all ready."""
-    import json  # here, not at the top: only JSON output pays for the import
-
-    chunks, text = json.JSONEncoder(indent=2).iterencode(doc), []
-    while batch := list(islice(chunks, POLL_EVERY)):
-        deadline.check()
-        text.append("".join(batch))
-    out.writelines(text)
-    out.write("\n")
-
-
-def _write_vrep(title, names, points, fmt, out, deadline) -> None:
-    """A point set as JSON, or as the title line and one line per point,
-    formatted between polls of the deadline and written once all are."""
+def _vrep(title, names, points, fmt, deadline):
+    """A point set as JSON, or as the title line and one line per point."""
     if fmt == "json":
-        _write_json({"coords": names,
-                     "points": [[str(x) for x in p] for p in polled(points, deadline)]},
-                    out, deadline)
-        return
-    out.writelines([f"{title} ({len(points)}):\n", *(f"  {p}\n" for p in polled(points, deadline))])
+        return {"coords": names, "points": [[str(x) for x in p] for p in polled(points, deadline)]}
+    return chain([f"{title} ({len(points)}):"], (f"  {p}" for p in points))
 
 
 # -- subcommand handlers -------------------------------------------------------
+#
+# Each handler is (args, deadline) -> (exit code, output): a JSON document
+# for --format json, and an iterable of lines for the other formats, which
+# `main` alone formats and writes (`_text`).  Lines may be made lazily, so
+# that their formatting is polled with the rest.
 
 
-def cmd_graph(args, out, deadline) -> int:
+def cmd_graph(args, deadline):
     G = plabic.build_corect_graph(args.n)
     if args.format == "dot":
-        out.write(plabic.graph_to_dot(G))
-    elif args.format == "json":
-        _write_json({"n": args.n, "faces": plabic.faces_json(G)}, out, deadline)
-    else:
-        out.write(f"co-rectangles plabic graph, n={args.n}: "
-                  f"{len(G.faces)} faces, {len(G.colors)} internal vertices\n")
-        for entry in plabic.faces_json(G):
-            out.write(f"  face {entry['label']}: {' '.join(entry['boundary'])}\n")
-    return 0
+        return 0, plabic.graph_to_dot(G).splitlines()
+    faces = plabic.faces_json(G)
+    if args.format == "json":
+        return 0, {"n": args.n, "faces": faces}
+    return 0, chain([f"co-rectangles plabic graph, n={args.n}: "
+                     f"{len(G.faces)} faces, {len(G.colors)} internal vertices"],
+                    (f"  face {entry['label']}: {' '.join(entry['boundary'])}" for entry in faces))
 
 
-def cmd_orientation(args, out, deadline) -> int:
+def cmd_orientation(args, deadline):
     G, O = plabic.corect_network(args.n)
     if args.format == "dot":
-        out.write(plabic.graph_to_dot(G, O))
-    elif args.format == "json":
-        _write_json(
-            {
-                "n": args.n,
-                "sources": list(O.source_set),
-                "darts": [
-                    [plabic.vertex_name(t), plabic.vertex_name(h)]
-                    for t, h in sorted(O.direction)
-                ],
-            },
-            out,
-            deadline,
-        )
-    else:
-        out.write(f"perfect orientation with sources {list(O.source_set)}\n")
-        for t, h in sorted(O.direction):
-            out.write(f"  {plabic.vertex_name(t)} -> {plabic.vertex_name(h)}\n")
-    return 0
+        return 0, plabic.graph_to_dot(G, O).splitlines()
+    darts = [[plabic.vertex_name(t), plabic.vertex_name(h)] for t, h in sorted(O.direction)]
+    if args.format == "json":
+        return 0, {"n": args.n, "sources": list(O.source_set), "darts": darts}
+    return 0, chain([f"perfect orientation with sources {list(O.source_set)}"],
+                    (f"  {t} -> {h}" for t, h in darts))
 
 
-def _monomial_str(n, mono) -> str:
+def _monomial_str(mono) -> str:
     if not mono:
         return "1"
     return "*".join(
@@ -113,69 +87,63 @@ def _monomial_str(n, mono) -> str:
     )
 
 
-def cmd_flows(args, out, deadline) -> int:
-    # Each flow's monomial is taken once, and the lines are formatted
-    # between polls of the deadline and written once all are ready.
+def _flow_json(n, G, flow) -> dict:
+    monomial = flow.monomial(G)
+    return {
+        "paths": [[plabic.vertex_name(v) for v in p] for p in flow.paths],
+        "monomial": {format_partition(lab): e for lab, e in sorted(monomial.items())},
+        "orbit_vector": list(valuation.orbit_vector(n, monomial)),
+    }
+
+
+def cmd_flows(args, deadline):
+    # Each flow's monomial is taken once, as its entry or its lines are made.
     try:
         target = tuple(int(x) for x in args.target.split(","))
     except ValueError:
         raise ValueError(f"malformed target {args.target!r}") from None
     n = args.n
     G, O = plabic.corect_network(n)
-    flows = []  # (paths, monomial, orbit vector) per flow
-    for f in polled(plabic.enumerate_flows(G, O, target, deadline), deadline):
-        monomial = f.monomial(G)
-        flows.append((f.paths, monomial, valuation.orbit_vector(n, monomial)))
+    flows = plabic.enumerate_flows(G, O, target, deadline)
     if args.format == "json":
-        _write_json(
-            {
-                "n": n,
-                "target": sorted(target),
-                "flows": [
-                    {
-                        "paths": [[plabic.vertex_name(v) for v in p] for p in paths],
-                        "monomial": {format_partition(lab): e for lab, e in sorted(monomial.items())},
-                        "orbit_vector": list(vector),
-                    }
-                    for paths, monomial, vector in polled(flows, deadline)
-                ],
-            },
-            out,
-            deadline,
-        )
-        return 0
-    lines = [f"{len(flows)} flow(s) from {list(O.source_set)} to {sorted(target)}\n"]
-    for i, (paths, monomial, _) in enumerate(polled(flows, deadline)):
-        lines.append(f"flow {i}:\n")
-        lines.extend("  path: " + " -> ".join(map(plabic.vertex_name, p)) + "\n" for p in paths)
-        lines.append("  weight: " + _monomial_str(n, monomial) + "\n")
-    lines.append("flow polynomial exponents (orbit coordinates "
-                 + ", ".join(format_partition(c) for c in valuation.coordinate_system(n))
-                 + "):\n")
-    lines.extend(f"  {vector}\n" for vector in polled(sorted(v for *_, v in flows), deadline))
-    out.writelines(lines)
-    return 0
+        # a plain loop, so polled here: at n=7 the entries take seconds
+        return 0, {"n": n, "target": sorted(target),
+                   "flows": [_flow_json(n, G, f) for f in polled(flows, deadline)]}
+
+    def lines():
+        yield f"{len(flows)} flow(s) from {list(O.source_set)} to {sorted(target)}"
+        vectors = []
+        for i, flow in enumerate(flows):
+            monomial = flow.monomial(G)
+            vectors.append(valuation.orbit_vector(n, monomial))
+            yield f"flow {i}:"
+            yield from ("  path: " + " -> ".join(map(plabic.vertex_name, p)) for p in flow.paths)
+            yield "  weight: " + _monomial_str(monomial)
+        yield ("flow polynomial exponents (orbit coordinates "
+               + ", ".join(format_partition(c) for c in valuation.coordinate_system(n)) + "):")
+        yield from (f"  {vector}" for vector in sorted(vectors))
+
+    return 0, lines()
 
 
-def cmd_valuations(args, out, deadline) -> int:
-    # The rows are formatted as the classes stream in, between the
-    # walk's polls of the deadline, and printed only once all are ready.
+def cmd_valuations(args, deadline):
+    # The rows are made as the classes stream in, between the walk's polls
+    # of the deadline.
     n = args.n
     rows = valuation.class_valuations(n, deadline=deadline)
     if args.format == "json":
-        # the encoding is polled too: at n=10 it outlasts the table
-        _write_json([{"partition": format_partition(lam), "indexset": list(indexset),
-                      "valuation": list(vec)} for indexset, lam, vec in rows], out, deadline)
-        return 0
-    lines = [f"valuations in coordinates ({', '.join(_coordinate_names(n))}):\n"]
-    for indexset, _, vec in rows:
+        return 0, [{"partition": format_partition(lam), "indexset": list(indexset),
+                    "valuation": list(vec)} for indexset, lam, vec in rows]
+
+    def line(indexset, vec):
         name = _indexset_str(indexset, n)
         other = transpose_indexset(indexset, n)
         if other != indexset:
             name += "=" + _indexset_str(other, n)
-        lines.append(f"  {name:<12} {vec}\n")
-    out.writelines(lines)
-    return 0
+        return f"  {name:<12} {vec}"
+
+    return 0, chain([f"valuations in coordinates ({', '.join(_coordinate_names(n))}):"],
+                    (line(indexset, vec) for indexset, _, vec in rows))
 
 
 def _gamma_coords(n) -> list[str]:
@@ -194,156 +162,105 @@ def _render_inequality(coeffs, const, names) -> str:
     return (" ".join(parts) if parts else "0") + " >= 0"
 
 
-def cmd_gamma(args, out, deadline) -> int:
+def cmd_gamma(args, deadline):
     n = args.n
     names = _gamma_coords(n)
     if args.vrep:
-        _write_vrep("superpotential polytope vertices", names,
-                    superpotential.gamma_vertex_set(n, deadline), args.format, out, deadline)
-        return 0
+        return 0, _vrep("superpotential polytope vertices", names,
+                        superpotential.gamma_vertex_set(n, deadline), args.format, deadline)
     H = superpotential.gamma_hrep(n, deadline)
     if args.format == "json":
-        _write_json(_hrep_json(H, names), out, deadline)
-    else:
-        out.writelines([f"superpotential polytope in coordinates ({', '.join(names)}):\n",
-                        *("  " + _render_inequality(c, d, names) + "\n"
-                          for c, d in polled(H.rows, deadline))])
-    return 0
+        return 0, _hrep_json(H, names)
+    return 0, chain([f"superpotential polytope in coordinates ({', '.join(names)}):"],
+                    ("  " + _render_inequality(c, d, names) for c, d in H.rows))
 
 
-def cmd_delta(args, out, deadline) -> int:
+def cmd_delta(args, deadline):
     n = args.n
     points = valuation.delta_vertices(n, deadline)
     names = _coordinate_names(n)
     if args.vrep:
-        _write_vrep("Newton-Okounkov body generators", names, points, args.format, out, deadline)
-        return 0
+        return 0, _vrep("Newton-Okounkov body generators", names, points, args.format, deadline)
     V = VPolytope.from_points(points)
     if args.fvector:
         fv = polytope.f_vector(V, deadline)
-        if args.format == "json":
-            _write_json({"f_vector": list(fv)}, out, deadline)
-        else:
-            out.write(f"f-vector: {fv}\n")
-        return 0
+        return 0, {"f_vector": list(fv)} if args.format == "json" else [f"f-vector: {fv}"]
     H = polytope.facets(V, deadline)
     if args.format == "json":
-        _write_json(_hrep_json(H, names), out, deadline)
-    else:
-        out.write(f"Newton-Okounkov body facets, coordinates ({', '.join(names)}), "
-                  "rows (const, coefficients):\n")
-        for c, d in sorted(H.rows):
-            out.write(f"  {d:>3} " + " ".join(f"{x:>3}" for x in c) + "\n")
-    return 0
+        return 0, _hrep_json(H, names)
+    return 0, chain([f"Newton-Okounkov body facets, coordinates ({', '.join(names)}), "
+                     "rows (const, coefficients):"],
+                    (f"  {d:>3} " + " ".join(f"{x:>3}" for x in c) for c, d in sorted(H.rows)))
 
 
-def cmd_matrix(args, out, deadline) -> int:
+def cmd_matrix(args, deadline):
     M = equivalence.build_valuation_matrix(args.n)
     if args.format == "json":
-        _write_json(
-            {
-                "n": args.n,
-                "rows": [list(r) for r in M.entries],
-                "row_labels": [format_partition(p) for p in M.row_labels],
-                "column_pairs": [list(p) for p in M.col_pairs],
-            },
-            out,
-            deadline,
-        )
-    else:
-        for row in M.entries:
-            out.write(" ".join(str(x) for x in row) + "\n")
-    return 0
+        return 0, {
+            "n": args.n,
+            "rows": [list(r) for r in M.entries],
+            "row_labels": [format_partition(p) for p in M.row_labels],
+            "column_pairs": [list(p) for p in M.col_pairs],
+        }
+    return 0, (" ".join(map(str, row)) for row in M.entries)
 
 
-def cmd_fold(args, out, deadline) -> int:
+def cmd_fold(args, deadline):
     if args.format == "dot":
         Q = quiverfold.dual_quiver(plabic.build_corect_graph(args.n))
-        out.write(quiverfold.quiver_to_dot(Q))
-        return 0
-    F = quiverfold.folded_matrix(args.n)
+        return 0, quiverfold.quiver_to_dot(Q).splitlines()
+    F = quiverfold.folded_matrix(args.n, deadline)
     if args.format == "json":
-        _write_json(
-            {
-                "n": args.n,
-                "row_orbits": [[format_partition(p) for p in o] for o in F.row_orbits],
-                "col_orbits": [[format_partition(p) for p in o] for o in F.col_orbits],
-                "entries": [list(r) for r in F.entries],
-            },
-            out,
-            deadline,
-        )
-    else:
-        for row in F.entries:
-            out.write(" ".join(f"{x:>3}" for x in row) + "\n")
-    return 0
+        return 0, {
+            "n": args.n,
+            "row_orbits": [[format_partition(p) for p in o] for o in F.row_orbits],
+            "col_orbits": [[format_partition(p) for p in o] for o in F.col_orbits],
+            "entries": [list(r) for r in F.entries],
+        }
+    return 0, (" ".join(f"{x:>3}" for x in row) for row in F.entries)
 
 
-def cmd_volume(args, out, deadline) -> int:
+def cmd_volume(args, deadline):
     n = args.n
     expected = staircase_syt_count(n)
     gamma = VPolytope.from_points(superpotential.gamma_vertex_set(n, deadline))
     delta = VPolytope.from_points(valuation.delta_vertices(n, deadline))
     vol_gamma = polytope.normalized_volume(gamma, deadline)
     vol_delta = polytope.normalized_volume(delta, deadline)
+    code = 0 if vol_gamma == vol_delta == expected else 1
     if args.format == "json":
-        _write_json(
-            {
-                "n": n,
-                "gamma": str(vol_gamma),
-                "delta": str(vol_delta),
-                "degree": expected,
-            },
-            out,
-            deadline,
-        )
-    else:
-        out.write(f"normalized volume of the superpotential polytope: {vol_gamma}\n")
-        out.write(f"normalized volume of the Newton-Okounkov body:    {vol_delta}\n")
-        out.write(f"degree of LGr({n},{2*n}) (staircase SYT count):       {expected}\n")
-    return 0 if vol_gamma == vol_delta == expected else 1
+        return code, {"n": n, "gamma": str(vol_gamma), "delta": str(vol_delta), "degree": expected}
+    return code, [f"normalized volume of the superpotential polytope: {vol_gamma}",
+                  f"normalized volume of the Newton-Okounkov body:    {vol_delta}",
+                  f"degree of LGr({n},{2*n}) (staircase SYT count):       {expected}"]
 
 
-def cmd_counts(args, out, deadline) -> int:
+def cmd_counts(args, deadline):
     n = args.n
     P = superpotential.build_poset(n)
     antichains = superpotential.chain_polytope_points(P, 1, deadline)
     syt = staircase_syt_count(n)
     extensions = superpotential.linear_extension_count(P, deadline)
     if args.format == "json":
-        _write_json(
-            {
-                "n": n,
-                "antichains": antichains,
-                "catalan": superpotential.antichain_count_formula(n),
-                "linear_extensions": extensions,
-                "staircase_syt": syt,
-            },
-            out,
-            deadline,
-        )
-    else:
-        out.write(f"antichains of the staircase poset: {antichains}\n")
-        out.write(f"Catalan number C_{n+1}:            {superpotential.antichain_count_formula(n)}\n")
-        out.write(f"linear extensions:                 {extensions}\n")
-        out.write(f"staircase SYT count (degree):      {syt}\n")
-    return 0
+        return 0, {"n": n, "antichains": antichains, "catalan": catalan(n + 1),
+                   "linear_extensions": extensions, "staircase_syt": syt}
+    return 0, [f"antichains of the staircase poset: {antichains}",
+               f"Catalan number C_{n+1}:            {catalan(n + 1)}",
+               f"linear extensions:                 {extensions}",
+               f"staircase SYT count (degree):      {syt}"]
 
 
-def cmd_verify(args, out, deadline) -> int:
+def cmd_verify(args, deadline):
     results = run_checks(args.n, args.level, deadline)
     all_ok = all(r["status"] != "fail" for r in results)
+    code = 0 if all_ok else 1
     if args.format == "json":
-        _write_json({"n": args.n, "level": args.level, "ok": all_ok, "checks": results}, out, deadline)
-    else:
-        for r in results:
-            mark = {"pass": "PASS", "fail": "FAIL", "skip": "skip"}[r["status"]]
-            line = f"  [{mark}] {r['name']}"
-            if r["witness"]:
-                line += f"  ({r['witness']})"
-            out.write(line + "\n")
-        out.write(("all checks passed" if all_ok else "FAILURES above") + f" (n={args.n}, level={args.level})\n")
-    return 0 if all_ok else 1
+        return code, {"n": args.n, "level": args.level, "ok": all_ok, "checks": results}
+    marks = {"pass": "PASS", "fail": "FAIL", "skip": "skip"}
+    lines = [f"  [{marks[r['status']]}] {r['name']}" + (f"  ({r['witness']})" if r["witness"] else "")
+             for r in results]
+    lines.append(("all checks passed" if all_ok else "FAILURES above") + f" (n={args.n}, level={args.level})")
+    return code, lines
 
 
 # -- entry ----------------------------------------------------------------------
@@ -386,6 +303,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _text(output, fmt, deadline) -> list[str]:
+    """A handler's output as text: json.dump(output, indent=2) and a
+    newline for JSON, else each line and a newline.  The text is made
+    POLL_EVERY chunks at a time, with the deadline polled between them,
+    and each batch joined: nothing is written before it is all ready."""
+    if fmt == "json":
+        import json  # here, not at the top: only JSON output pays for the import
+
+        chunks = chain(json.JSONEncoder(indent=2).iterencode(output), ["\n"])
+    else:
+        chunks = (f"{line}\n" for line in output)
+    text = []
+    while batch := list(islice(chunks, POLL_EVERY)):
+        deadline.check()
+        text.append("".join(batch))
+    return text
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -393,13 +328,17 @@ def main(argv=None) -> int:
             raise ValueError("n must be >= 1")
         if not args.time_budget > 0:  # also refuses nan
             raise ValueError("time budget must be positive")
-        return args.func(args, sys.stdout, Deadline(args.time_budget))
+        deadline = Deadline(args.time_budget)
+        code, output = args.func(args, deadline)
+        text = _text(output, args.format, deadline)
     except TimeBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, UnboundedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.writelines(text)
+    return code
 
 
 if __name__ == "__main__":

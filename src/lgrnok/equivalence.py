@@ -48,6 +48,7 @@ from .budget import Deadline
 from .linalg import bareiss_det, invert, mat_vec
 from .partitions import (
     Partition,
+    catalan,
     complement,
     hook_partition,
     indexset_to_partition,
@@ -57,7 +58,6 @@ from .partitions import (
 )
 from .polytope import normalize_row
 from .superpotential import (
-    antichain_count_formula,
     build_poset,
     enumerate_antichains,
     gamma_hrep,
@@ -276,7 +276,7 @@ def verify_main_theorem(n: int, deadline: Deadline = Deadline()) -> tuple[bool, 
     representative's own steps, each element (i, j) to the hook
     (n+1-i, j-i).  The decode is a left inverse of the hook map on the
     sections, so the map is injective there; there must be as many
-    sections as antichain_count_formula(n), so the sections' antichains are
+    sections as catalan(n + 1) antichains, so the sections' antichains are
     all the antichains.  Then every valuation is an image, and every image
     is a section's valuation.  That the images are distinct follows from
     `matrix-unimodular`.  Sections are decided at the representative, so a
@@ -296,7 +296,7 @@ def verify_main_theorem(n: int, deadline: Deadline = Deadline()) -> tuple[bool, 
                                else f"hook bijection fails at {lam}")
             sections += decoded == rep ^ first_half
         records += len(batch)
-    classes, antichains = (comb(2 * n, n) + 2 ** n) // 2, antichain_count_formula(n)
+    classes, antichains = (comb(2 * n, n) + 2 ** n) // 2, catalan(n + 1)
     return (records == classes and sections == antichains,
             f"{records} classes against {classes}, "
             f"{sections} section classes against {antichains} antichains")

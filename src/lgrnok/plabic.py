@@ -37,10 +37,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import count
 from typing import NamedTuple
 
-from .budget import POLL_EVERY, Deadline, polled
+from .budget import Deadline, polled
 from .partitions import Partition, normalize
 
 Vertex = tuple
@@ -327,20 +326,18 @@ def _path_table(G: PlabicGraph, O: PerfectOrientation,
     The mask has the bits of the path's internal vertices, one bit per
     vertex of `sorted(G.colors)`.  No path repeats a vertex, whether or
     not the network is acyclic.  Built on first use, once per network;
-    the deadline is polled every POLL_EVERY steps of the walk.
+    the deadline ticks once per step of the walk.
     """
     if (G, O) in _PATH_TABLES:
         return _PATH_TABLES[G, O]
     adj = O.out_neighbors()
     bit = {v: 1 << k for k, v in enumerate(sorted(G.colors))}
-    steps = count()
     table = {}
     for s in O.source_set:
         by_end: dict[int, list] = {}
 
         def walk(path: tuple[Vertex, ...], mask: int):
-            if not next(steps) % POLL_EVERY:
-                deadline.check()
+            deadline.tick()
             for w in adj.get(path[-1], ()):
                 longer = path + (w,)
                 if w not in bit:
@@ -368,8 +365,8 @@ def flow_systems(G: PlabicGraph, O: PerfectOrientation, J,
     The paths come whole from `_path_table`: each source in ascending order
     takes a path to its target whose mask misses the union of the masks
     taken so far, in the group's lexicographic order.  A boundary vertex
-    has one edge, so the masks alone keep the ends apart.  The deadline is
-    polled while the table is built and every POLL_EVERY systems.
+    has one edge, so the masks alone keep the ends apart.  The deadline
+    ticks while the table is built and once per system.
     """
     J = tuple(sorted(J))
     n = G.n
@@ -386,8 +383,7 @@ def flow_systems(G: PlabicGraph, O: PerfectOrientation, J,
 
     def place(i: int, used: int, acc: tuple):
         if i == len(groups):
-            if not len(systems) % POLL_EVERY:
-                deadline.check()
+            deadline.tick()
             systems.append(acc)
             return
         for mask, entry in groups[i]:

@@ -12,10 +12,10 @@ column orbit member is used.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
 from typing import NamedTuple
 
 from . import plabic
+from .budget import Deadline
 from .partitions import Partition, format_partition, transpose
 
 
@@ -86,14 +86,17 @@ class FoldedMatrix(NamedTuple):
     entries: tuple[tuple[int, ...], ...]
 
 
-def fold(Q: Quiver) -> FoldedMatrix:
-    """Orbit-summed exchange matrix, mutable orbits first.
+def fold(Q: Quiver, deadline: Deadline = Deadline()) -> FoldedMatrix:
+    """Orbit-summed exchange matrix, mutable orbits first; the deadline is
+    polled once per arrow, as the symmetry is checked, and once per row
+    orbit.
 
     Raises if the transpose involution is not an arrow-preserving symmetry
     or if a column sum depends on the orbit member chosen.
     """
     counts = Q.arrow_counter()
     for (a, b), c in counts.items():
+        deadline.check()
         if counts.get((transpose(a), transpose(b)), 0) != c:
             raise ValueError(f"transpose involution breaks at arrow {a} -> {b}")
 
@@ -102,6 +105,7 @@ def fold(Q: Quiver) -> FoldedMatrix:
     rows = tuple(list(cols) + list(frozen_orbit_order(n)))
     entries = []
     for row_orbit in rows:
+        deadline.check()
         row = []
         for col_orbit in cols:
             sums = {
@@ -117,9 +121,8 @@ def fold(Q: Quiver) -> FoldedMatrix:
     return FoldedMatrix(n=n, row_orbits=rows, col_orbits=cols, entries=tuple(entries))
 
 
-@cache
-def folded_matrix(n: int) -> FoldedMatrix:
-    return fold(dual_quiver(plabic.build_corect_graph(n)))
+def folded_matrix(n: int, deadline: Deadline = Deadline()) -> FoldedMatrix:
+    return fold(dual_quiver(plabic.build_corect_graph(n)), deadline)
 
 
 def quiver_to_dot(Q: Quiver) -> str:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import cache
-from itertools import compress, count, product
+from itertools import compress, product
 from typing import NamedTuple
 
-from .budget import POLL_EVERY, Deadline, polled
-from .partitions import catalan
+from .budget import Deadline, polled
 from .polytope import HPolytope
 
 Element = tuple[int, int]
@@ -73,13 +72,12 @@ def _clash_masks(P: PosetPn) -> list[int]:
 def _antichain_masks(P: PosetPn, deadline: Deadline) -> list[int]:
     """Every antichain including the empty one, in a fixed order, as an int
     with one byte per element of P: 1 for a member, 0 for the rest.  The
-    deadline is polled every POLL_EVERY antichains."""
+    deadline ticks once per antichain."""
     clash = _clash_masks(P)
     out: list[int] = []
 
     def grow(start: int, chosen: int, blocked: int):
-        if not len(out) % POLL_EVERY:
-            deadline.check()
+        deadline.tick()
         out.append(chosen)
         for t in range(start, len(clash)):
             if not blocked >> t & 1:
@@ -119,19 +117,17 @@ def linear_extension_count(P: PosetPn, deadline: Deadline = Deadline()) -> int:
     """Exact count by dynamic programming over the sets of elements still
     to place, each held as a bitmask over P.elements: a linear extension
     places a minimal element of what is left at each step.  Only one step's
-    sets are kept, each with its number of ways; the deadline is polled
-    every POLL_EVERY sets."""
+    sets are kept, each with its number of ways; the deadline ticks once
+    per set."""
     bit = {x: 1 << k for k, x in enumerate(P.elements)}
     down = [sum(bit[y] for y in P.elements if y != x and P.below(y, x))
             for x in P.elements]
 
-    polls = count()
     ways = {(1 << len(down)) - 1: 1}
     for _ in down:
         fewer: dict[int, int] = {}
         for rest, w in ways.items():
-            if not next(polls) % POLL_EVERY:
-                deadline.check()
+            deadline.tick()
             for k, below in enumerate(down):
                 if rest >> k & 1 and not below & rest:  # minimal elements can come first
                     key = rest & ~(1 << k)
@@ -274,7 +270,3 @@ def gamma_vertex_set(n: int, deadline: Deadline = Deadline()) -> tuple[tuple[int
     masks, size = _antichain_masks(build_poset(n), deadline), n * (n + 1) // 2
     indicators = sorted(mask.to_bytes(size, "little") for mask in polled(masks, deadline))
     return tuple(map(tuple, polled(indicators, deadline)))
-
-
-def antichain_count_formula(n: int) -> int:
-    return catalan(n + 1)

@@ -77,7 +77,7 @@ def catalan(n, deadline):
     """The antichains of P_n are the lattice points of its chain polytope,
     counted down the covers of P_n, none of them listed."""
     count = superpotential.chain_polytope_points(superpotential.build_poset(n), 1, deadline)
-    return count == superpotential.antichain_count_formula(n), f"{count}"
+    return count == partitions.catalan(n + 1), f"{count}"
 
 
 def extensions(n, deadline):
@@ -109,7 +109,7 @@ PRINTED_FOLD = {
 
 
 def fold(n, deadline):
-    F = quiverfold.folded_matrix(n)  # raises if ill-defined
+    F = quiverfold.folded_matrix(n, deadline)  # raises if ill-defined
     return F.entries == PRINTED_FOLD.get(n, F.entries), str(F.entries)
 
 

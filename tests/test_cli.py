@@ -1,3 +1,5 @@
+import argparse
+import ast
 import importlib.util
 import json
 import os
@@ -43,6 +45,62 @@ def test_entry_import_loads_no_heavy_stdlib(entry):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_main_is_the_one_writer():
+    # the handlers return their output; main alone formats and writes it
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    for node in functions:
+        if node.name.startswith("cmd_"):
+            assert "out" not in [a.arg for a in node.args.args], node.name
+
+    def writes(node):
+        return sum(isinstance(sub, ast.Attribute) and sub.attr in ("write", "writelines", "stdout")
+                   or isinstance(sub, ast.Name) and sub.id == "print" for sub in ast.walk(node))
+
+    main_node = next(node for node in functions if node.name == "main")
+    assert [node.name for node in functions if node is not main_node and writes(node)] == []
+    assert writes(main_node) == writes(tree) > 0
+
+
+def _subcommands():
+    """The subparsers of `lgrnok`, by name."""
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# The options a subcommand requires besides --n.
+REQUIRED = {"flows": ["--target", "1,4,5"]}
+
+
+@pytest.mark.parametrize("command, fmt", [
+    (name, fmt) for name, sub in _subcommands().items()
+    for fmt in next(a for a in sub._actions if a.dest == "format").choices
+])
+def test_every_command_polls_the_budget_as_it_writes(monkeypatch, capsys, command, fmt):
+    # the deadline expires as the handler returns: its output is formatted
+    # between polls of the deadline, so nothing is printed
+    handler = _subcommands()[command].get_default("func")
+
+    def expiring(args, deadline):
+        result = handler(args, deadline)
+        deadline.expires = time.monotonic() - 1
+        return result
+
+    monkeypatch.setattr(cli, handler.__name__, expiring)
+    assert main([command, "--n", "3", "--format", fmt, *REQUIRED.get(command, [])]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: computation exceeded its time budget\n")
+
+
+def test_fold_stops_at_its_budget(capsys):
+    # the dense orbit sums of fold take seconds at n=40
+    start = time.monotonic()
+    assert main(["fold", "--n", "40", "--time-budget", "0.5"]) == 3
+    assert time.monotonic() - start < 1.5
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: computation exceeded its time budget\n")
 
 
 @pytest.mark.parametrize("argv", [

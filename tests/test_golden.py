@@ -1,4 +1,4 @@
-"""The stdout of several commands pinned by its sha256 digest: a changed
+"""The stdout of every command pinned by its sha256 digest: a changed
 row, value or order fails here.  The rows of `lgrnok valuations` and
 `lgrnok delta --vrep` at n = 1..7, text and JSON; `lgrnok flows` at n = 3
 (target 1,4,5) and n = 5 (target 1,2,4,6,8), text and JSON; `lgrnok

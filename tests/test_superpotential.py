@@ -7,11 +7,9 @@ from hypothesis import given, strategies as st
 
 import oracles
 from lgrnok import superpotential, verify
-from lgrnok.budget import Deadline, TimeBudgetExceeded
+from lgrnok.budget import POLL_EVERY, Deadline, TimeBudgetExceeded
 from lgrnok.partitions import catalan, staircase_syt_count
 from lgrnok.superpotential import (
-    POLL_EVERY,
-    antichain_count_formula,
     build_poset,
     build_superpotential,
     chain_polytope_points,
@@ -57,7 +55,7 @@ def test_poset_order():
 def test_antichain_counts(n, count):
     P = build_poset(n)
     antichains = enumerate_antichains(P)
-    assert len(antichains) == count == antichain_count_formula(n)
+    assert len(antichains) == count == catalan(n + 1)
     assert frozenset() in antichains
     assert all(oracles.is_antichain(P, a) for a in antichains)
 
@@ -94,7 +92,7 @@ def test_dyck_bijection(n):
         assert len(steps) == 2 * n + 2
         assert oracles.dyck_to_antichain(P, steps) == a
         paths.add(steps)
-    assert len(paths) == antichain_count_formula(n)
+    assert len(paths) == catalan(n + 1)
 
 
 def test_dyck_rejects_non_antichain():
@@ -281,7 +279,7 @@ def test_chain_polytope_points_match_a_count_over_the_rows(n):
 def test_chain_polytope_points_at_k1_are_the_antichains(n):
     P = build_poset(n)
     assert chain_polytope_points(P, 0) == 1
-    assert chain_polytope_points(P, 1) == antichain_count_formula(n)
+    assert chain_polytope_points(P, 1) == catalan(n + 1)
 
 
 def test_chain_polytope_points_poll_the_deadline():
