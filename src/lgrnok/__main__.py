@@ -1,5 +1,10 @@
+import gc
 import sys
 
 from .cli import main
 
-sys.exit(main())
+code = main()
+# The output is written.  Frozen, the heap the run built is left out of the
+# collection at interpreter exit, which would otherwise walk all of it.
+gc.freeze()
+sys.exit(code)

@@ -8,7 +8,8 @@ poll it without importing the engine.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from functools import wraps
 
 
 class TimeBudgetExceeded(RuntimeError):
@@ -48,3 +49,20 @@ def polled(items: Iterable, deadline: Deadline) -> Iterator:
         if not count % POLL_EVERY:
             deadline.check()
         yield item
+
+
+def cached_per_n(build: Callable) -> Callable:
+    """functools.cache for a table build(n, deadline) that polls the
+    deadline: the result is kept per n alone, so every caller shares it
+    whichever deadline built it, and a build that ran out of budget keeps
+    nothing.  `cache_clear` empties it, as for functools.cache."""
+    built: dict = {}
+
+    @wraps(build)
+    def cached(n: int, deadline: Deadline = Deadline()):
+        if n not in built:
+            built[n] = build(n, deadline)
+        return built[n]
+
+    cached.cache_clear = built.clear
+    return cached

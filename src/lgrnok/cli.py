@@ -194,7 +194,7 @@ def cmd_delta(args, deadline):
 
 
 def cmd_matrix(args, deadline):
-    M = equivalence.build_valuation_matrix(args.n)
+    M = equivalence.build_valuation_matrix(args.n, deadline)
     if args.format == "json":
         return 0, {
             "n": args.n,

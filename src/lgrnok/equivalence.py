@@ -39,12 +39,11 @@ Gamma's normalized volume with the staircase SYT count.
 
 from __future__ import annotations
 
-from functools import cache
 from math import comb
 from typing import NamedTuple
 
 from . import polytope, superpotential, valuation
-from .budget import Deadline
+from .budget import Deadline, cached_per_n
 from .linalg import bareiss_det, invert, mat_vec
 from .partitions import (
     Partition,
@@ -95,13 +94,18 @@ class ValuationMatrix(NamedTuple):
         return tuple(row[t] for row in self.entries)
 
 
-@cache
-def build_valuation_matrix(n: int) -> ValuationMatrix:
-    pairs = column_pairs(n)
-    columns = [valuation_maxdiag(n, column_partition(n, i, j)) for (i, j) in pairs]
-    rows = coordinate_system(n)
-    entries = tuple(tuple(col[r] for col in columns) for r in range(len(rows)))
-    return ValuationMatrix(n=n, entries=entries, row_labels=rows, col_pairs=pairs)
+@cached_per_n
+def build_valuation_matrix(n: int, deadline: Deadline = Deadline()) -> ValuationMatrix:
+    """M_n, one shared matrix per n; the deadline is polled as the
+    coordinate system is built and once per column.  Past the packed
+    table's range it raises before the coordinate system is built."""
+    valuation._check_packed_range(n)
+    rows, pairs = coordinate_system(n, deadline), column_pairs(n)
+    columns = []
+    for i, j in pairs:
+        deadline.check()
+        columns.append(valuation_maxdiag(n, column_partition(n, i, j)))
+    return ValuationMatrix(n=n, entries=tuple(zip(*columns)), row_labels=rows, col_pairs=pairs)
 
 
 # -- block structure ---------------------------------------------------------

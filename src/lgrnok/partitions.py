@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from itertools import accumulate
 from math import factorial
-from operator import lt
+from operator import index, lt, sub
 
 from .budget import Deadline
 
@@ -33,12 +33,17 @@ Cell = tuple[int, int]  # (row, column), 1-based
 
 
 def normalize(parts) -> Partition:
-    """Canonical form: weakly decreasing tuple without trailing zeros."""
-    out = tuple([int(p) for p in parts if p != 0])
+    """Canonical form: weakly decreasing tuple without trailing zeros.
+    Raises TypeError on a part that is not an int, and ValueError unless
+    the parts decrease weakly to zero: a zero followed by a positive part
+    is not a partition."""
+    out = tuple(map(index, parts))
     if any(map(lt, out, out[1:])):
         raise ValueError(f"parts not weakly decreasing: {parts}")
-    if out and out[-1] < 0:
-        raise ValueError(f"negative part in {parts}")
+    if out and out[-1] <= 0:
+        if out[-1] < 0:
+            raise ValueError(f"negative part in {parts}")
+        out = out[:out.index(0)]
     return out
 
 
@@ -70,7 +75,7 @@ def size(lam: Partition) -> int:
 
 def _path_partition(I: tuple[int, ...], n: int) -> Partition:
     """lam_r = n + r - I_r over the 1-based rows r, zero rows dropped."""
-    return tuple([n + r - i for r, i in enumerate(I, start=1) if i != n + r])
+    return tuple(filter(None, map(sub, range(n + 1, 2 * n + 1), I)))
 
 
 def indexset_to_partition(indexset, n: int) -> Partition:
@@ -84,14 +89,19 @@ def indexset_to_partition(indexset, n: int) -> Partition:
 def partition_to_indexset(lam: Partition, n: int) -> tuple[int, ...]:
     """Inverse of indexset_to_partition."""
     lam = check_in_box(lam, n)
-    return tuple([n + r - w for r, w in enumerate(lam + (0,) * (n - len(lam)), start=1)])
+    return tuple(map(sub, range(n + 1, 2 * n + 1), lam + (0,) * (n - len(lam))))
 
 
 def transpose(lam: Partition) -> Partition:
+    """Column heights, left to right: the rows of width >= c, counted by
+    walking up from the last row as c grows."""
     lam = normalize(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= c) for c in range(1, lam[0] + 1))
+    heights, rows = [], len(lam)
+    for c in range(1, lam[0] + 1 if lam else 1):
+        while lam[rows - 1] < c:
+            rows -= 1
+        heights.append(rows)
+    return tuple(heights)
 
 
 def complement(lam: Partition, n: int) -> Partition:

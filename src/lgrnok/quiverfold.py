@@ -53,12 +53,6 @@ def dual_quiver(G: plabic.PlabicGraph) -> Quiver:
     return Quiver(n=G.n, vertices=vertices, frozen=frozen, arrows=tuple(sorted(arrows)))
 
 
-def exchange_entry(counts: Counter, mu: Partition, nu: Partition) -> int:
-    """B_{mu,nu} = arrows mu -> nu minus arrows nu -> mu, counted in
-    `Quiver.arrow_counter()`."""
-    return counts.get((mu, nu), 0) - counts.get((nu, mu), 0)
-
-
 def mutable_orbit_order(n: int) -> tuple[tuple[Partition, ...], ...]:
     """Self-paired cells first by descending strip, then the true pairs by
     descending strip then height; matches the printed n=4 convention."""
@@ -87,38 +81,46 @@ class FoldedMatrix(NamedTuple):
 
 
 def fold(Q: Quiver, deadline: Deadline = Deadline()) -> FoldedMatrix:
-    """Orbit-summed exchange matrix, mutable orbits first; the deadline is
-    polled once per arrow, as the symmetry is checked, and once per row
-    orbit.
+    """Orbit-summed exchange matrix, mutable orbits first, in one pass over
+    the arrows: an arrow mu -> nu must have its transpose with the same
+    count, and it adds that count to the sum of mu's row orbit at the
+    column vertex nu and takes it from the sum of nu's row orbit at mu.
+    Each vertex is transposed once.  Only the sums the arrows reach can be
+    nonzero, so only those can make an entry ill-defined.  The deadline is
+    polled once per arrow and once per sum reached.
 
     Raises if the transpose involution is not an arrow-preserving symmetry
     or if a column sum depends on the orbit member chosen.
     """
-    counts = Q.arrow_counter()
-    for (a, b), c in counts.items():
-        deadline.check()
-        if counts.get((transpose(a), transpose(b)), 0) != c:
-            raise ValueError(f"transpose involution breaks at arrow {a} -> {b}")
-
     n = Q.n
     cols = mutable_orbit_order(n)
-    rows = tuple(list(cols) + list(frozen_orbit_order(n)))
-    entries = []
-    for row_orbit in rows:
+    rows = cols + frozen_orbit_order(n)
+    row_of = {v: r for r, orbit in enumerate(rows) for v in orbit}
+    col_of = {v: c for c, orbit in enumerate(cols) for v in orbit}
+    counts = Q.arrow_counter()
+    flip = {v: transpose(v) for v in {v for arrow in counts for v in arrow}}
+    # sums[r, c][nu]: B_{mu, nu} summed over the mu of row orbit r, at the
+    # member nu of column orbit c
+    sums: dict[tuple[int, int], dict[Partition, int]] = {}
+    for (a, b), count in counts.items():
         deadline.check()
-        row = []
-        for col_orbit in cols:
-            sums = {
-                nu: sum(exchange_entry(counts, mu, nu) for mu in row_orbit)
-                for nu in col_orbit
-            }
-            if len(set(sums.values())) != 1:
-                raise ValueError(
-                    f"fold ill-defined at rows {row_orbit} x columns {col_orbit}: {sums}"
-                )
-            row.append(next(iter(sums.values())))
-        entries.append(tuple(row))
-    return FoldedMatrix(n=n, row_orbits=rows, col_orbits=cols, entries=tuple(entries))
+        if counts.get((flip[a], flip[b]), 0) != count:
+            raise ValueError(f"transpose involution breaks at arrow {a} -> {b}")
+        for mu, nu, entry in ((a, b, count), (b, a, -count)):
+            if mu in row_of and nu in col_of:
+                at = sums.setdefault((row_of[mu], col_of[nu]), {})
+                at[nu] = at.get(nu, 0) + entry
+
+    entries = [[0] * len(cols) for _ in rows]
+    for (r, c), at in sorted(sums.items()):
+        deadline.check()
+        by_member = {nu: at.get(nu, 0) for nu in cols[c]}
+        if len(set(by_member.values())) != 1:
+            raise ValueError(
+                f"fold ill-defined at rows {rows[r]} x columns {cols[c]}: {by_member}"
+            )
+        entries[r][c] = by_member[cols[c][0]]
+    return FoldedMatrix(n=n, row_orbits=rows, col_orbits=cols, entries=tuple(map(tuple, entries)))
 
 
 def folded_matrix(n: int, deadline: Deadline = Deadline()) -> FoldedMatrix:

@@ -13,8 +13,9 @@ chain polytope of P_n.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import cache
+from functools import cache, reduce
 from itertools import compress, product
+from operator import or_
 from typing import NamedTuple
 
 from .budget import Deadline, polled
@@ -113,27 +114,60 @@ def maximal_chains(P: PosetPn) -> tuple[tuple[Element, ...], ...]:
 # -- linear extensions ----------------------------------------------------
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first, each as an int of its own."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 def linear_extension_count(P: PosetPn, deadline: Deadline = Deadline()) -> int:
     """Exact count by dynamic programming over the sets of elements still
-    to place, each held as a bitmask over P.elements: a linear extension
-    places a minimal element of what is left at each step.  Only one step's
-    sets are kept, each with its number of ways; the deadline ticks once
-    per set."""
+    to place, each held as a bitmask over P.elements with the mask of its
+    minimal elements: a linear extension places one of them at each step.
+    Placing x leaves x's upper covers minimal once none of their own lower
+    covers is left; the covers are the transitive reduction of the strict
+    down-sets read off `PosetPn.below`.  Only one step's sets are kept,
+    each with one int: its number of ways shifted above the N = |P| bits
+    of its minima, so that adding ways leaves the minima as they are.  The
+    deadline ticks once per set."""
     bit = {x: 1 << k for k, x in enumerate(P.elements)}
     down = [sum(bit[y] for y in P.elements if y != x and P.below(y, x))
             for x in P.elements]
+    # x's lower covers: its strict down-set less what lies below a member of it
+    lower = [d & ~reduce(or_, [down[low.bit_length() - 1] for low in _bits(d)], 0) for d in down]
+    # ups[x]: (bit of u, lower covers of u) for each upper cover u of x
+    ups: dict[int, list[tuple[int, int]]] = {1 << k: [] for k in range(len(down))}
+    for k, covered in enumerate(lower):
+        for low in _bits(covered):
+            ups[low].append((1 << k, covered))
 
-    ways = {(1 << len(down)) - 1: 1}
+    N = len(down)
+    full = (1 << N) - 1
+    ways = {full: 1 << N | sum(1 << k for k, below in enumerate(down) if not below)}
     for _ in down:
         fewer: dict[int, int] = {}
-        for rest, w in ways.items():
+        for rest, state in ways.items():
             deadline.tick()
-            for k, below in enumerate(down):
-                if rest >> k & 1 and not below & rest:  # minimal elements can come first
-                    key = rest & ~(1 << k)
-                    fewer[key] = fewer.get(key, 0) + w
+            minima = state & full
+            lifted = state ^ minima  # the ways, still shifted
+            left = minima  # _bits(minima), inlined: this is the DP's inner loop
+            while left:
+                low = left & -left
+                left ^= low
+                key = rest ^ low
+                known = fewer.get(key)
+                if known is None:
+                    fresh = minima ^ low
+                    for up, covered in ups[low]:
+                        if not covered & key:
+                            fresh |= up
+                    fewer[key] = lifted | fresh
+                else:
+                    fewer[key] = known + lifted
         ways = fewer
-    return ways[0]
+    return ways[0] >> N
 
 
 # -- lattice points -------------------------------------------------------

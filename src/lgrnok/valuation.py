@@ -54,7 +54,7 @@ from operator import mul
 from types import MappingProxyType
 
 from . import plabic
-from .budget import Deadline
+from .budget import Deadline, cached_per_n, polled
 from .partitions import (
     Partition,
     _path_partition,
@@ -66,12 +66,13 @@ from .partitions import (
 )
 
 
-@cache
-def coordinate_system(n: int) -> tuple[Partition, ...]:
+@cached_per_n
+def coordinate_system(n: int, deadline: Deadline = Deadline()) -> tuple[Partition, ...]:
     """Orbit representatives of the nonempty face labels, ordered by
-    descending reverse-lexicographic comparison of their index sets."""
+    descending reverse-lexicographic comparison of their index sets.  The
+    deadline is polled every POLL_EVERY labels."""
     G = plabic.build_corect_graph(n)
-    reps = {orbit_representative(label) for label in G.faces.values() if label}
+    reps = {orbit_representative(label) for label in polled(G.faces.values(), deadline) if label}
 
     def key(rep: Partition):
         return tuple(reversed(partition_to_indexset(rep, n)))
@@ -170,6 +171,11 @@ BIAS = 64
 MAX_PACKED_N = BIAS - 1
 
 
+def _check_packed_range(n: int):
+    if not 1 <= n <= MAX_PACKED_N:
+        raise ValueError(f"n={n} is outside the packed max-plus table's range 1..{MAX_PACKED_N}")
+
+
 @cache
 def _packed_table(n: int) -> tuple:
     """Every l_mu and l_{mu^T} at its corner diagonals, packed; raises
@@ -191,8 +197,7 @@ def _packed_table(n: int) -> tuple:
       floor   BIAS in each field of a slot, (.)_+ in biased form;
       N.
     """
-    if not 1 <= n <= MAX_PACKED_N:
-        raise ValueError(f"n={n} is outside the packed max-plus table's range 1..{MAX_PACKED_N}")
+    _check_packed_range(n)
     lengths = [diagonal_lengths(partition_to_indexset(mu, n), n) for mu in coordinate_system(n)]
     N = len(lengths)
     # The lengths determine the diagram, so they equal their reversal, which

@@ -23,6 +23,9 @@ reference tests every cell for membership.
 And lgrnok proves M_n unimodular by its determinant alone; the paper's
 column operations, which take M_n to a unit lower triangular matrix, are
 replayed here as a lemma, with the integer matrix product they need.
+And lgrnok folds the exchange matrix in one pass over the quiver's
+arrows; the reference sums each exchange entry over each row orbit, for
+every member of every column orbit.
 
 The additivity lemmas, of the valuation and of maxdiag face by face,
 split a class over the hooks of its complement read cell by cell; lgrnok
@@ -42,7 +45,7 @@ from functools import cache
 from itertools import combinations
 from operator import mul
 
-from lgrnok import equivalence, plabic
+from lgrnok import equivalence, plabic, quiverfold
 from lgrnok.linalg import affine_pivot_columns, dot, mat_vec, rref
 from lgrnok.partitions import (
     cells,
@@ -496,6 +499,35 @@ def reduction_matrix(n):
 def apply(M, vector):
     """M_n applied to a vector."""
     return mat_vec(M.entries, tuple(vector))
+
+
+def exchange_entry(counts, mu, nu):
+    """B_{mu,nu} = arrows mu -> nu minus arrows nu -> mu, counted in
+    `Quiver.arrow_counter()`."""
+    return counts.get((mu, nu), 0) - counts.get((nu, mu), 0)
+
+
+def fold_by_orbit_pairs(Q):
+    """The folded exchange matrix summed orbit pair by orbit pair: each
+    row orbit against each member of each column orbit, B re-summed over
+    the row orbit's members.  Raises as `quiverfold.fold` does, with the
+    same witnesses."""
+    counts = Q.arrow_counter()
+    for (a, b), c in counts.items():
+        if counts.get((transpose(a), transpose(b)), 0) != c:
+            raise ValueError(f"transpose involution breaks at arrow {a} -> {b}")
+    cols = quiverfold.mutable_orbit_order(Q.n)
+    rows = cols + quiverfold.frozen_orbit_order(Q.n)
+    entries = []
+    for row_orbit in rows:
+        row = []
+        for col_orbit in cols:
+            sums = {nu: sum(exchange_entry(counts, mu, nu) for mu in row_orbit) for nu in col_orbit}
+            if len(set(sums.values())) != 1:
+                raise ValueError(f"fold ill-defined at rows {row_orbit} x columns {col_orbit}: {sums}")
+            row.append(next(iter(sums.values())))
+        entries.append(tuple(row))
+    return tuple(entries)
 
 
 def flow_polynomial(G, O, J):

@@ -265,14 +265,26 @@ def test_malformed_target(capsys):
     assert main(["matrix", "--n", "0"]) == 2
 
 
-def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "lgrnok", "matrix", "--n", "2"],
-        capture_output=True,
-        text=True,
-    )
+def run_module(*argv):
+    # stdout is a pipe, block-buffered as for any user who pipes the output
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "lgrnok", *argv], capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point(capsys):
+    # `python -m lgrnok` freezes the heap after main returns: its output and
+    # exit codes are main's
+    proc = run_module("matrix", "--n", "2")
     assert proc.returncode == 0
     assert proc.stdout == "1 2 0\n1 1 0\n1 1 1\n"
+    proc = run_module("matrix", "--n", "0")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: n must be >= 1\n")
+    proc = run_module("counts", "--n", "8", "--time-budget", "1e-9")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: computation exceeded its time budget\n"
+    proc = run_module("verify", "--n", "4", "--level", "vertex")
+    assert run_cli(capsys, "verify", "--n", "4", "--level", "vertex") == (proc.returncode, proc.stdout)
+    assert proc.returncode == 0
 
 
 def test_budget_exceeded_exit_code():
@@ -302,12 +314,24 @@ def test_volume_n6_stops_at_its_budget(capsys):
                                   ["flows", "--n", "7", "--target", "1,2,4,6,9,11,13"],
                                   ["gamma", "--n", "20", "--hrep"], ["fold", "--n", "40"]])
 def test_tables_and_point_sets_stop_at_the_budget(capsys, argv):
-    # each runs for seconds; the budget is polled while the table, the
-    # points, the flows, the rows or fold's orbit sums are built, before
-    # anything is printed
+    # each runs for more than a budget; the budget is polled while the
+    # table, the points, the flows, the rows or fold's orbit sums are
+    # built, before anything is printed
     start = time.monotonic()
     assert main([*argv, "--time-budget", "0.2"]) == 3
     assert time.monotonic() - start < 1.5
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: computation exceeded its time budget\n")
+
+
+@pytest.mark.parametrize("budget", [0.2, 0.6])
+def test_the_matrix_stops_within_a_second_of_its_budget(capsys, budget):
+    # M_n at n=60 takes seconds, most of them its 1,830 columns: the budget
+    # is polled as the coordinate system is built (the first 0.3 s or so)
+    # and once per column
+    start = time.monotonic()
+    assert main(["matrix", "--n", "60", "--time-budget", str(budget)]) == 3
+    assert time.monotonic() - start < budget + 1.0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: computation exceeded its time budget\n")
 

@@ -8,6 +8,7 @@ from lgrnok.budget import Deadline
 from lgrnok.partitions import (
     catalan,
     cells,
+    check_in_box,
     complement,
     diagonal_excess,
     diagonal_lengths,
@@ -15,6 +16,7 @@ from lgrnok.partitions import (
     hook_partition,
     indexset_to_partition,
     maxdiag,
+    normalize,
     orbit_representative,
     partition_to_indexset,
     skew_cells,
@@ -74,6 +76,44 @@ def test_transpose_examples():
     assert transpose((3, 1, 1)) == (3, 1, 1)
     assert transpose((3, 3)) == (2, 2, 2)
     assert transpose(()) == ()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_transpose_counts_the_rows_of_each_column(n):
+    for lam in partitions_in_box(n):
+        columns = range(1, lam[0] + 1) if lam else ()
+        assert transpose(lam) == tuple(sum(1 for p in lam if p >= c) for c in columns)
+
+
+def test_normalize_strips_trailing_zeros_only():
+    assert normalize((3, 1, 0, 0)) == (3, 1)
+    assert normalize([2, 2]) == (2, 2)
+    assert normalize((0, 0)) == normalize(()) == ()
+
+
+@pytest.mark.parametrize("parts", [(2.5, 1), (3, 1.0), ("3",)])
+def test_a_part_that_is_not_an_int_is_refused(parts):
+    with pytest.raises(TypeError):
+        normalize(parts)
+    with pytest.raises(TypeError):
+        check_in_box(parts, 3)
+    with pytest.raises(TypeError):
+        partition_to_indexset(parts, 3)
+
+
+@pytest.mark.parametrize("parts", [(3, 0, 1), (0, 2), (2, 0, 0, 1)])
+def test_an_interior_zero_is_refused(parts):
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        normalize(parts)
+    with pytest.raises(ValueError):
+        partition_to_indexset(parts, 4)
+
+
+def test_increasing_and_negative_parts_are_refused():
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        normalize((1, 2))
+    with pytest.raises(ValueError, match="negative part"):
+        normalize((2, -1))
 
 
 def test_complement_examples():

@@ -1,10 +1,10 @@
 import pytest
 
-from lgrnok import plabic
+import oracles
+from lgrnok import plabic, quiverfold
 from lgrnok.partitions import transpose
 from lgrnok.quiverfold import (
     dual_quiver,
-    exchange_entry,
     fold,
     folded_matrix,
     frozen_orbit_order,
@@ -90,7 +90,7 @@ def test_mutable_block_skew_symmetric(n):
     mutable = [v for v in Q.vertices if v not in Q.frozen]
     for a in mutable:
         for b in mutable:
-            assert exchange_entry(counts, a, b) == -exchange_entry(counts, b, a)
+            assert oracles.exchange_entry(counts, a, b) == -oracles.exchange_entry(counts, b, a)
 
 
 def test_exchange_entries_are_signs():
@@ -98,7 +98,7 @@ def test_exchange_entries_are_signs():
     counts = Q.arrow_counter()
     for a in Q.vertices:
         for b in set(Q.vertices) - Q.frozen:
-            assert exchange_entry(counts, a, b) in (-1, 0, 1)
+            assert oracles.exchange_entry(counts, a, b) in (-1, 0, 1)
 
 
 def test_orbit_orders_n4():
@@ -132,6 +132,42 @@ def test_folded_matrix_small_goldens():
 def test_fold_well_defined_even_n():
     for n in (2, 3, 4, 5):
         fold(dual_quiver(plabic.build_corect_graph(n)))  # raises if ill-defined
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_fold_in_one_pass_equals_the_sums_over_orbit_pairs(n):
+    Q = dual_quiver(plabic.build_corect_graph(n))
+    assert fold(Q).entries == oracles.fold_by_orbit_pairs(Q)
+
+
+def raised(build, Q):
+    with pytest.raises(ValueError) as info:
+        build(Q)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_an_arrow_without_its_transpose_names_the_arrow(n):
+    Q = dual_quiver(plabic.build_corect_graph(n))
+    Q = Q._replace(arrows=Q.arrows[1:])
+    message = raised(fold, Q)
+    assert message.startswith("transpose involution breaks at arrow ")
+    assert message == raised(oracles.fold_by_orbit_pairs, Q)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_a_column_orbit_that_is_no_transpose_pair_names_the_ill_defined_sum(monkeypatch, n):
+    # the second members of the first two pair orbits swapped: each column
+    # orbit now holds a face and another face's transpose
+    real = quiverfold.mutable_orbit_order(n)
+    single = sum(len(orbit) == 1 for orbit in real)
+    (a, b), (c, d) = real[single:single + 2]
+    monkeypatch.setattr(quiverfold, "mutable_orbit_order",
+                        lambda n: real[:single] + ((a, d), (c, b)) + real[single + 2:])
+    Q = dual_quiver(plabic.build_corect_graph(n))
+    message = raised(fold, Q)
+    assert message.startswith("fold ill-defined at rows ")
+    assert message == raised(oracles.fold_by_orbit_pairs, Q)
 
 
 def test_dot_export():

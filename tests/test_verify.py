@@ -341,6 +341,63 @@ def test_a_pair_dropped_from_below_fails_the_chains_and_the_catalan_count(monkey
         assert got["gamma-vertex-enumeration"] == "missing (0, 0, 0, 1, 1, 0), extra None"
 
 
+def last_row_plus_one(monkeypatch):
+    # +1 on the last row of each partition the path map returns, where the
+    # row above is longer, so that it stays a partition in the square
+    real = partitions._path_partition
+
+    def planted(I, n):
+        lam = real(I, n)
+        return lam[:-1] + (lam[-1] + 1,) if len(lam) > 1 and lam[-2] > lam[-1] else lam
+
+    monkeypatch.setattr(partitions, "_path_partition", planted)
+
+
+def zero_row_kept(monkeypatch):
+    # one zero row more than the square has is kept: the row n + 1, of
+    # width 0, adds the step 2n + 1, which a map that stops at the shorter
+    # of its rows and steps would drop unseen
+    real = partitions.partition_to_indexset
+    monkeypatch.setattr(partitions, "partition_to_indexset", lambda lam, n: real(lam, n) + (2 * n + 1,))
+
+
+def cover_dropped_from_below(monkeypatch):
+    # b_12 no longer below b_11: the cover that
+    # test_a_dropped_cover_fails_the_lattice_counts_and_the_chains drops
+    # from `covers()`, dropped from the order itself, which the
+    # linear-extension DP reduces to its own covers
+    real = superpotential.PosetPn.below
+    monkeypatch.setattr(superpotential.PosetPn, "below",
+                        lambda P, x, y: (x, y) != ((1, 2), (1, 1)) and real(P, x, y))
+
+
+# A planted fault in each loop that runs over C-level map and filter, and in
+# the order the linear-extension DP reads, against the failing checks of
+# the vertex level, with their witnesses (None: the chain rows, too long to
+# pin).
+LOOP_PLANTS = {
+    (last_row_plus_one, 3): {"partition-bijection-roundtrip": "round trip fails at (1, 2, 4)"},
+    (last_row_plus_one, 7): {"partition-bijection-roundtrip": "round trip fails at (1, 2, 3, 4, 5, 6, 8)"},
+    (zero_row_kept, 3): {"partition-bijection-roundtrip": "round trip fails at (1, 2, 3)"},
+    (zero_row_kept, 7): {"partition-bijection-roundtrip": "round trip fails at (1, 2, 3, 4, 5, 6, 7)"},
+    (cover_dropped_from_below, 3): {"gamma-tropicalization-vs-chain-polytope": None,
+                                    "antichain-count-catalan": "16",
+                                    "linear-extensions-equal-syt": "24"},
+    (cover_dropped_from_below, 7): {"gamma-tropicalization-vs-chain-polytope": None,
+                                    "antichain-count-catalan": "1436",
+                                    "linear-extensions-equal-syt": "72913193533440"},
+}
+
+
+@pytest.mark.parametrize("plant, n", list(LOOP_PLANTS), ids=lambda p: getattr(p, "__name__", p))
+def test_a_planted_fault_in_a_rewritten_loop_fails_exactly_its_catchers(monkeypatch, plant, n):
+    plant(monkeypatch)
+    got = failures(n, "vertex")
+    expected = LOOP_PLANTS[plant, n]
+    assert got.keys() == expected.keys()
+    assert all(witness in (None, got[name]) for name, witness in expected.items())
+
+
 @pytest.mark.parametrize("n, witness", [
     (5, "141 classes against 142, 131 values against 132"),
     (6, "493 classes against 494, 428 values against 429"),
