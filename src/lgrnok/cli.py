@@ -78,20 +78,20 @@ def cmd_orientation(args, deadline):
                     (f"  {t} -> {h}" for t, h in darts))
 
 
-def _monomial_str(mono) -> str:
+def _monomial_str(mono, names) -> str:
     if not mono:
         return "1"
     return "*".join(
-        f"x[{format_partition(lab)}]" + (f"^{e}" if e > 1 else "")
+        f"x[{names[lab]}]" + (f"^{e}" if e > 1 else "")
         for lab, e in sorted(mono.items())
     )
 
 
-def _flow_json(n, G, flow) -> dict:
+def _flow_json(n, G, flow, names) -> dict:
     monomial = flow.monomial(G)
     return {
         "paths": [[plabic.vertex_name(v) for v in p] for p in flow.paths],
-        "monomial": {format_partition(lab): e for lab, e in sorted(monomial.items())},
+        "monomial": {names[lab]: e for lab, e in sorted(monomial.items())},
         "orbit_vector": list(valuation.orbit_vector(n, monomial)),
     }
 
@@ -105,10 +105,11 @@ def cmd_flows(args, deadline):
     n = args.n
     G, O = plabic.corect_network(n)
     flows = plabic.enumerate_flows(G, O, target, deadline)
+    names = {label: format_partition(label) for label in G.faces.values()}
     if args.format == "json":
         # a plain loop, so polled here: at n=7 the entries take seconds
         return 0, {"n": n, "target": sorted(target),
-                   "flows": [_flow_json(n, G, f) for f in polled(flows, deadline)]}
+                   "flows": [_flow_json(n, G, f, names) for f in polled(flows, deadline)]}
 
     def lines():
         yield f"{len(flows)} flow(s) from {list(O.source_set)} to {sorted(target)}"
@@ -118,7 +119,7 @@ def cmd_flows(args, deadline):
             vectors.append(valuation.orbit_vector(n, monomial))
             yield f"flow {i}:"
             yield from ("  path: " + " -> ".join(map(plabic.vertex_name, p)) for p in flow.paths)
-            yield "  weight: " + _monomial_str(monomial)
+            yield "  weight: " + _monomial_str(monomial, names)
         yield ("flow polynomial exponents (orbit coordinates "
                + ", ".join(format_partition(c) for c in valuation.coordinate_system(n)) + "):")
         yield from (f"  {vector}" for vector in sorted(vectors))

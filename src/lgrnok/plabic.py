@@ -23,20 +23,28 @@ the orientation found is the only one.
 
 A flow to an index set J is a family of vertex-disjoint directed paths, one
 from each boundary source outside J to its own boundary target in J.  The
-whole network has few source-to-boundary paths (251 at n=5, 923 at n=6),
-so they are listed once per network, grouped by source and by end, each
-with a bitmask of its internal vertices and its left faces.  One placement
-routine, `flow_systems`, chooses a flow path by path from that table: a
-path fits when its end is free and its mask misses the others.  Each group
-of the table is in lexicographic order, so the path systems come out in
-lexicographic order too; `enumerate_flows` wraps them in `Flow` objects for
-the callers that show them.
+whole network has few source-to-boundary paths (251 at n=5, 923 at n=6;
+C(2n, n) - 1 for every n <= 8 tested), so they are listed once per
+network, grouped by source and by end, each with a bitmask of its internal
+vertices and one of its left faces.  The left faces come from the dual BFS
+tree rooted at the face of the empty label, which lies right of every
+path: it gives each dart a weight (`dual_cuts`), and the walk that lists
+the paths adds one weight per step.  One placement routine, `flow_systems`, chooses a flow path by path
+from that table: a path fits when its end is free and its mask misses the
+others.  It streams, per flow, a start value plus each path's contribution
+as its caller joins it: `enumerate_flows` joins paths as 1-tuples onto ()
+and wraps each system in a `Flow` for the callers that show them; the flow
+oracle in `valuation` joins packed counts onto 0, so no flow is listed.
+Each group of the table is in lexicographic order, so the flows come out
+in lexicographic order too.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Iterator
 from functools import cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .budget import Deadline, polled
@@ -47,6 +55,8 @@ FaceId = tuple  # (k, r) or ("top",)
 Dart = tuple[Vertex, Vertex]
 
 TOP: FaceId = ("top",)
+# The face of the empty label, right of every path from 1..n to n+1..2n.
+BASE: FaceId = (0, 0)
 
 
 def _b(i: int) -> Vertex:
@@ -72,6 +82,7 @@ def face_label(n: int, face: FaceId) -> Partition:
     return normalize((n,) * k + (r,) * (n - k))
 
 
+@cache
 def vertex_name(v: Vertex) -> str:
     kind = v[0]
     if kind == "b":
@@ -285,31 +296,50 @@ class Flow(NamedTuple):
     left_faces: tuple[frozenset, ...]
 
     def monomial(self, G: PlabicGraph) -> Counter:
-        weight: Counter = Counter()
-        for faces in self.left_faces:
-            for f in faces:
-                weight[G.faces[f]] += 1
-        return weight
+        return Counter(G.faces[f] for faces in self.left_faces for f in faces)
 
 
 @cache
-def path_left_faces(G: PlabicGraph, path: tuple[Vertex, ...]) -> frozenset:
-    """All faces on the left of a boundary-to-boundary path.
+def dual_cuts(G: PlabicGraph) -> tuple[tuple[FaceId, ...], MappingProxyType[Dart, int]]:
+    """The face order of the left-face bitmasks, and the weight of each dart,
+    from the dual BFS tree rooted at BASE; read-only, as they are shared.
 
-    The path cuts the disk in two; flood-fill the left side through every
-    edge the path does not use.  Cached, since the flows to different
-    targets share most of their paths.
+    A face lies left of a boundary-to-boundary path exactly when its tree
+    path from BASE, which lies right of every path, crosses the path's
+    edges an odd number of times; the crossings alternate in direction, so
+    their signed count is that side, 0 or 1.  So each dart weighs +2**i for
+    each face i whose tree path crosses it from its right face to its left
+    face and -2**i for each that crosses it the other way: the faces below
+    a tree edge, summed child by child up the tree, and 0 off the tree.  A
+    path's darts then sum to its left-face bitmask.  BASE is the last face,
+    so a path that had it on its left would sum to a negative number.
     """
-    darts = list(zip(path, path[1:]))
-    blocked = {frozenset(d) for d in darts}
-    region = {G.left_face[d] for d in darts}
-    frontier = list(region)
-    while frontier:
-        for edge, other in G.face_neighbours(frontier.pop()):
-            if other not in region and edge not in blocked:
-                region.add(other)
-                frontier.append(other)
-    return frozenset(region)
+    order, parent = [BASE], {BASE: None}
+    for face in order:  # grows in BFS order while it is read
+        for edge, other in G.face_neighbours(face):
+            if other not in parent:
+                parent[other] = edge, face
+                order.append(other)
+    faces = (*order[1:], BASE)
+    below = {face: 1 << i for i, face in enumerate(faces)}
+    weight = dict.fromkeys(G.left_face, 0)
+    for face in reversed(order[1:]):  # each face after every face below it
+        edge, up = parent[face]
+        u, v = edge
+        if G.left_face[u, v] != face:
+            u, v = v, u
+        weight[u, v], weight[v, u] = below[face], -below[face]
+        if up != BASE:
+            below[up] += below[face]
+    return faces, MappingProxyType(weight)
+
+
+@cache
+def path_left_faces(G: PlabicGraph, left: int) -> frozenset:
+    """The faces on the left of a path, decoded from the left-face bitmask
+    its darts' weights sum to: bit i stands for face i of `dual_cuts`."""
+    faces, _ = dual_cuts(G)
+    return frozenset(face for i, face in enumerate(faces) if left >> i & 1)
 
 
 # One path table per network, built on first use by `_path_table`.
@@ -321,52 +351,63 @@ def _path_table(G: PlabicGraph, O: PerfectOrientation,
     """Every directed path from each boundary source of O to the boundary,
     keyed by the source's label and then by the label of the path's end,
     the first boundary vertex it reaches; each group in lexicographic
-    order, as (mask, (vertices, left faces)) per path.
+    order, as (mask, vertices, left) per path.
 
     The mask has the bits of the path's internal vertices, one bit per
     vertex of `sorted(G.colors)`.  No path repeats a vertex, whether or
-    not the network is acyclic.  Built on first use, once per network;
-    the deadline ticks once per step of the walk.
+    not the network is acyclic.  `left` is the path's left-face bitmask,
+    one add of a dart weight per step of the walk; a path whose sum is
+    negative or sets the base face's bit raises ValueError, since the
+    weights assume the base face lies right of every path.  Built on first use,
+    once per network; the deadline ticks once per step of the walk.
     """
     if (G, O) in _PATH_TABLES:
         return _PATH_TABLES[G, O]
     adj = O.out_neighbors()
     bit = {v: 1 << k for k, v in enumerate(sorted(G.colors))}
+    faces, weight = dual_cuts(G)
+    base = len(faces) - 1
     table = {}
     for s in O.source_set:
         by_end: dict[int, list] = {}
 
-        def walk(path: tuple[Vertex, ...], mask: int):
+        def walk(path: tuple[Vertex, ...], mask: int, left: int):
             deadline.tick()
-            for w in adj.get(path[-1], ()):
-                longer = path + (w,)
+            v = path[-1]
+            for w in adj.get(v, ()):
+                longer, on_left = path + (w,), left + weight[v, w]
                 if w not in bit:
-                    by_end.setdefault(w[1], []).append((mask, (longer, path_left_faces(G, longer))))
+                    if on_left >> base:
+                        raise ValueError(f"path {'-'.join(map(vertex_name, longer))} does not "
+                                         "have the base face on its right")
+                    by_end.setdefault(w[1], []).append((mask, longer, on_left))
                 elif not mask & bit[w]:
-                    walk(longer, mask | bit[w])
+                    walk(longer, mask | bit[w], on_left)
 
-        walk((_b(s),), 0)
+        walk((_b(s),), 0, 0)
         table[s] = {end: tuple(paths) for end, paths in by_end.items()}
     _PATH_TABLES[G, O] = table
     return table
 
 
-def flow_systems(G: PlabicGraph, O: PerfectOrientation, J,
-                 deadline: Deadline = Deadline()) -> list[tuple[tuple, ...]]:
-    """The path systems of all flows from the orientation's source set to
-    J, in lexicographic order of their path vertex sequences: per flow,
-    one (vertices, left faces) pair per path, by ascending source.
+def flow_systems(G: PlabicGraph, O: PerfectOrientation, J, join: Callable, start,
+                 deadline: Deadline = Deadline()) -> Iterator:
+    """For each flow from the orientation's source set to J, in
+    lexicographic order of its path vertex sequences, the sum
+    start + join(vertices, left) + ... over its paths by ascending source,
+    streamed; `left` is the path's left-face bitmask.
 
     A flow joins each source outside J to its own target of J outside the
     source set, by vertex-disjoint paths.  The matching is forced: the
     sources are 1..n and the targets lie in n+1..2n, and disjoint paths in
     the disk cannot cross, so the i-th smallest source goes to the i-th
     largest target.  Raises ValueError if the source set is not 1..n.
-    The paths come whole from `_path_table`: each source in ascending order
-    takes a path to its target whose mask misses the union of the masks
-    taken so far, in the group's lexicographic order.  A boundary vertex
-    has one edge, so the masks alone keep the ends apart.  The deadline
-    ticks while the table is built and once per system.
+    The paths come whole from `_path_table`, each joined once per call:
+    each source in ascending order takes a path to its target whose mask
+    misses the union of the masks taken so far, in the group's
+    lexicographic order.  A boundary vertex has one edge, so the masks
+    alone keep the ends apart.  The deadline ticks while the table is
+    built and once per flow.
     """
     J = tuple(sorted(J))
     n = G.n
@@ -378,30 +419,45 @@ def flow_systems(G: PlabicGraph, O: PerfectOrientation, J,
     table = _path_table(G, O, deadline)
     sources = [s for s in range(1, n + 1) if s not in J]
     targets = [t for t in reversed(J) if t > n]
-    groups = [table[s].get(t, ()) for s, t in zip(sources, targets)]
-    systems = []
+    groups = [[(mask, join(path, left)) for mask, path, left in table[s].get(t, ())]
+              for s, t in zip(sources, targets)]
+    *first, last = groups or [()]
 
-    def place(i: int, used: int, acc: tuple):
-        if i == len(groups):
-            deadline.tick()
-            systems.append(acc)
+    def prefixes(i: int, used: int, acc) -> Iterator:
+        if i == len(first):
+            yield used, acc
             return
-        for mask, entry in groups[i]:
+        for mask, part in first[i]:
             if not mask & used:
-                place(i + 1, used | mask, acc + (entry,))
+                yield from prefixes(i + 1, used | mask, acc + part)
 
-    place(0, 0, ())
-    return systems
+    def place() -> Iterator:
+        if not groups:  # J holds every source: the one flow is empty
+            deadline.tick()
+            yield start
+            return
+        tick = deadline.tick
+        for used, acc in prefixes(0, 0, start):
+            for mask, part in last:
+                if not mask & used:
+                    tick()
+                    yield acc + part
+
+    return place()
 
 
 def enumerate_flows(G: PlabicGraph, O: PerfectOrientation, J,
                     deadline: Deadline = Deadline()) -> tuple[Flow, ...]:
-    """All flows from the orientation's source set to J (`flow_systems`),
-    in lexicographic order of their path vertex sequences; the deadline is
-    polled by `flow_systems` and every POLL_EVERY flows."""
+    """All flows from the orientation's source set to J (`flow_systems`,
+    with each path joined as a 1-tuple), in lexicographic order of their
+    path vertex sequences; the deadline is polled by `flow_systems` and
+    every POLL_EVERY flows."""
+    def join(path, left):
+        return ((path, path_left_faces(G, left)),)
+
     return tuple(Flow(paths=tuple(path for path, _ in acc),
                       left_faces=tuple(left for _, left in acc))
-                 for acc in polled(flow_systems(G, O, J, deadline), deadline))
+                 for acc in polled(flow_systems(G, O, J, join, (), deadline), deadline))
 
 
 # -- exports --------------------------------------------------------------

@@ -38,11 +38,14 @@ skew cells and a vector-by-vector max-plus are its oracles in the tests
 only; no check of the program reads them.
 
 A flow's exponent vector is the sum over its paths of the coordinate counts
-of the path's left faces.  Many flows share a path, so the counts are
-cached per left-face set as one packed int, one byte per orbit like the
-valuations of `_packed_table`; a flow's vector is the int sum over the
-path system that `plabic.flow_systems` places, and the minimum over the
-flows is taken bytewise, with no `Flow` object built.
+of the path's left faces.  Each path of the network's table carries its
+left faces as a bitmask, summed from dart weights along the path
+(`plabic.dual_cuts`); the counts are cached per bitmask as one packed int,
+one byte per orbit like the valuations of `_packed_table`.
+`plabic.flow_systems` streams each flow's vector as the int sum of its
+paths' counts, and the minimum over the flows is merged bytewise as they
+come, with the number of flows that attain it: no `Flow` and no list
+of flows is built.
 """
 
 from __future__ import annotations
@@ -92,10 +95,17 @@ def face_coordinates(n: int) -> MappingProxyType[plabic.FaceId, int | None]:
                              for face, label in G.faces.items()})
 
 
+@cache
+def _label_coordinates(n: int) -> MappingProxyType[Partition, int | None]:
+    """Index in `coordinate_system(n)` of each face label's orbit, None for
+    the empty label; read-only, as it is shared."""
+    G = plabic.build_corect_graph(n)
+    return MappingProxyType({G.faces[face]: i for face, i in face_coordinates(n).items()})
+
+
 def orbit_vector(n: int, monomial: Counter) -> tuple[int, ...]:
     """Collapse a face-variable monomial to exponents per coordinate orbit."""
-    G = plabic.build_corect_graph(n)
-    index = {G.faces[face]: i for face, i in face_coordinates(n).items()}
+    index = _label_coordinates(n)
     totals = [0] * len(coordinate_system(n))
     for label, exp in monomial.items():
         if label not in index:
@@ -109,36 +119,44 @@ def orbit_vector(n: int, monomial: Counter) -> tuple[int, ...]:
 # left of a path at most once, so a coordinate of a flow's vector is at
 # most 2n: below the guard bit 2**7 of a FIELD_BITS byte for n <= MAX_PACKED_N.
 @cache
-def _left_faces_packed(n: int, faces: frozenset) -> int:
-    """Coordinate counts of one path's left faces, one byte per orbit."""
+def _left_faces_packed(n: int, left: int) -> int:
+    """Coordinate counts of the faces of one left-face bitmask
+    (`plabic.dual_cuts`), one byte per orbit."""
     coords = face_coordinates(n)
-    return sum(1 << FIELD_BITS * coords[face] for face in faces if coords[face] is not None)
+    faces, _ = plabic.dual_cuts(plabic.build_corect_graph(n))
+    return sum(1 << FIELD_BITS * coords[face] for i, face in enumerate(faces)
+               if left >> i & 1 and coords[face] is not None)
 
 
-def _flow_sums(n: int, J) -> list[int]:
-    """The exponent vector of every flow to J, packed one byte per orbit:
-    the sum over each path system of its paths' cached left-face counts."""
+def _flow_sums(n: int, J) -> Iterator[int]:
+    """The exponent vector of every flow to J, packed one byte per orbit,
+    streamed by `plabic.flow_systems` as the sum of its paths' packed
+    left-face counts."""
     G, O = plabic.corect_network(n)
-    return [sum(_left_faces_packed(n, left) for _, left in system)
-            for system in plabic.flow_systems(G, O, J)]
+    return plabic.flow_systems(G, O, J, lambda path, left: _left_faces_packed(n, left), 0)
 
 
 def valuation_from_flows(n: int, lam: Partition) -> tuple[int, ...]:
     """Coordinatewise minimum over the flow vectors for p_lam, which must
     be attained by exactly one flow.  The minimum is merged bytewise over
-    the packed sums of `_flow_sums`: a field's guard bit survives
-    low + 2**7 - x exactly when x <= low."""
+    the packed sums of `_flow_sums` as they stream in (a field's guard bit
+    survives low + 2**7 - x exactly when x <= low), along with the number
+    of flows so far that equal it."""
     lam = check_in_box(lam, n)
     sums = _flow_sums(n, partition_to_indexset(lam, n))
-    if not sums:
+    low = next(sums, None)
+    if low is None:
         raise ValueError(f"no flow realizes the Pluecker coordinate of {lam}")
     N = len(coordinate_system(n))
     guards = int.from_bytes(bytes([1 << FIELD_BITS - 1]) * N, "little")
-    low = sums[0]
+    hits = 1
     for x in sums:
         kept = ((low | guards) - x) & guards
-        low ^= (low ^ x) & (kept - (kept >> FIELD_BITS - 1))
-    hits = sums.count(low)
+        merged = low ^ (low ^ x) & (kept - (kept >> FIELD_BITS - 1))
+        if merged != low:
+            low, hits = merged, int(merged == x)
+        elif x == low:
+            hits += 1
     if hits != 1:
         raise ValueError(
             f"coordinatewise minimum for {lam} attained by {hits} monomials; "

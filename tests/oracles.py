@@ -11,13 +11,15 @@ simplices summed by determinant, and the reference f-vector closes the
 vertex sets of the facets under intersection and ranks each face by its
 vertices.  And lgrnok enumerates flows from one table of whole paths per
 network; the reference walks the network vertex by vertex for every
-target.  lgrnok forces the perfect orientation from the boundary; the
+target.  lgrnok sums each path's left faces from dart weights along the
+walk; the reference flood-fills the left side of each path face by face.
+lgrnok forces the perfect orientation from the boundary; the
 reference searches every orientation by backtracking and stops at the
 second.
 And lgrnok evaluates a valuation's max-plus product on one packed integer
 per class; the reference takes one short max-plus row per vector.  Its
-flow valuation sums packed left-face counts over each path system as it is
-placed; the reference counts the faces of each sorted `Flow`.  And its
+flow valuation streams packed left-face counts summed over each path
+system as it is placed; the reference counts the faces of each sorted `Flow`.  And its
 antichain indicators are the bytes of a mask built during enumeration; the
 reference tests every cell for membership.
 And lgrnok proves M_n unimodular by its determinant alone; the paper's
@@ -58,7 +60,7 @@ from lgrnok.partitions import (
     skew_cells,
     transpose,
 )
-from lgrnok.plabic import Flow, path_left_faces
+from lgrnok.plabic import Flow
 from lgrnok.polytope import _facets_full_dim
 from lgrnok.superpotential import build_poset, lex_cells
 from lgrnok.valuation import (
@@ -268,6 +270,25 @@ def f_vector_by_face_ranks(V, deadline):
     return tuple(counts)
 
 
+@cache
+def flood_left_faces(G, path):
+    """All faces on the left of a boundary-to-boundary path.
+
+    The path cuts the disk in two; flood-fill the left side through every
+    edge the path does not use.
+    """
+    darts = list(zip(path, path[1:]))
+    blocked = {frozenset(d) for d in darts}
+    region = {G.left_face[d] for d in darts}
+    frontier = list(region)
+    while frontier:
+        for edge, other in G.face_neighbours(frontier.pop()):
+            if other not in region and edge not in blocked:
+                region.add(other)
+                frontier.append(other)
+    return frozenset(region)
+
+
 def enumerate_flows_by_dfs(G, O, J):
     """All flows from the orientation's source set to J, sorted, by a
     depth-first walk from each source in turn, one vertex at a time, to any
@@ -303,7 +324,7 @@ def enumerate_flows_by_dfs(G, O, J):
         extend(s, [s], used | {s}, acc, i)
 
     place(0, {("b", t) for t in J if t in O.source_set}, [])
-    return tuple(Flow(paths=paths, left_faces=tuple(path_left_faces(G, p) for p in paths))
+    return tuple(Flow(paths=paths, left_faces=tuple(flood_left_faces(G, p) for p in paths))
                  for paths in sorted(systems))
 
 

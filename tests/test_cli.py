@@ -311,12 +311,13 @@ def test_volume_n6_stops_at_its_budget(capsys):
 
 @pytest.mark.parametrize("argv", [["valuations", "--n", "10"], ["delta", "--n", "10", "--vrep"],
                                   ["gamma", "--n", "11", "--vrep"], ["gamma", "--n", "15"],
-                                  ["flows", "--n", "7", "--target", "1,2,4,6,9,11,13"],
-                                  ["gamma", "--n", "20", "--hrep"], ["fold", "--n", "40"]])
+                                  ["flows", "--n", "8", "--target", "1,2,3,6,10,12,14,16"],
+                                  ["gamma", "--n", "20", "--hrep"], ["fold", "--n", "70"]])
 def test_tables_and_point_sets_stop_at_the_budget(capsys, argv):
-    # each runs for more than a budget; the budget is polled while the
-    # table, the points, the flows, the rows or fold's orbit sums are
-    # built, before anything is printed
+    # each runs for more than a budget, the flows (21,000 of them) and fold
+    # for over ten; the budget is polled while the table, the points, the
+    # flows, the rows or fold's orbit sums are built, before anything is
+    # printed
     start = time.monotonic()
     assert main([*argv, "--time-budget", "0.2"]) == 3
     assert time.monotonic() - start < 1.5

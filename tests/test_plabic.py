@@ -11,6 +11,7 @@ from lgrnok.partitions import partition_to_indexset, transpose
 from lgrnok.valuation import orbit_vector
 from oracles import (
     enumerate_flows_by_dfs,
+    flood_left_faces,
     flow_polynomial,
     monomial_key,
     neighbors,
@@ -188,6 +189,30 @@ def test_flows_match_dfs_oracle_on_sampled_targets_n6():
         assert plabic.enumerate_flows(G, O, J) == enumerate_flows_by_dfs(G, O, J), J
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dual_cut_sums_match_the_flood_fill_on_every_path(n):
+    # each path's left faces, summed from dart weights one step at a time
+    # by the path table's walk, against the flood fill of its left side
+    G, O = plabic.corect_network(n)
+    rows = [row for ends in plabic._path_table(G, O).values()
+            for group in ends.values() for row in group]
+    assert len(rows) == math.comb(2 * n, n) - 1  # 12,869 at n=8
+    for _, path, left in rows:
+        assert plabic.path_left_faces(G, left) == flood_left_faces(G, path), path
+
+
+def test_a_dual_tree_rooted_off_the_base_face_fails_the_walk(monkeypatch):
+    # rooted at the top face, which lies left of every path, each path's
+    # sum is negative: the walk reads the base face's bit as set and raises
+    monkeypatch.setattr(plabic, "BASE", plabic.TOP)
+    G = plabic.PlabicGraph(3)
+    assert plabic.dual_cuts(G)[0][-1] == plabic.TOP
+    O = plabic.find_perfect_orientation(G, range(1, 4))
+    with pytest.raises(ValueError, match="does not have the base face on its right"):
+        plabic._path_table(G, O)
+    assert (G, O) not in plabic._PATH_TABLES
+
+
 @pytest.mark.parametrize("J", [(1, 1, 2), (4, 5, 5), (0, 1, 2), (1, 2, 7), (1, 2), (1, 2, 3, 4)],
                          ids=["repeated", "repeated-target", "zero", "above-2n", "short", "long"])
 def test_enumerate_flows_rejects_a_bad_target(J):
@@ -196,13 +221,17 @@ def test_enumerate_flows_rejects_a_bad_target(J):
         plabic.enumerate_flows(G, O, J)
 
 
+def _entry(path, left):
+    return ((path, left),)
+
+
 def test_flow_systems_refuse_sources_that_do_not_force_the_matching():
     # the i-th smallest source goes to the i-th largest target only when
     # the sources are 1..n and so every target lies in n+1..2n
     G, O = plabic.corect_network(3)
     assert sorted(O.source_set) == [1, 2, 3]
     with pytest.raises(ValueError, match="is not 1..3"):
-        plabic.flow_systems(G, O._replace(source_set=(1, 2, 4)), (1, 5, 6))
+        plabic.flow_systems(G, O._replace(source_set=(1, 2, 4)), (1, 5, 6), _entry, ())
 
 
 def test_flows_poll_the_deadline_in_the_path_table_and_the_placement():
@@ -211,13 +240,13 @@ def test_flows_poll_the_deadline_in_the_path_table_and_the_placement():
     O = plabic.find_perfect_orientation(G, range(1, 7))
     J = (1, 2, 4, 7, 9, 11)
     with pytest.raises(TimeBudgetExceeded):
-        plabic.flow_systems(G, O, J, Deadline(-1))
+        plabic.flow_systems(G, O, J, _entry, (), Deadline(-1))
     assert (G, O) not in plabic._PATH_TABLES
     cold = CountingDeadline()
-    systems = plabic.flow_systems(G, O, J, cold)
+    systems = list(plabic.flow_systems(G, O, J, _entry, (), cold))
     assert len(systems) > POLL_EVERY
     warm = CountingDeadline()
-    assert plabic.flow_systems(G, O, J, warm) == systems
+    assert list(plabic.flow_systems(G, O, J, _entry, (), warm)) == systems
     assert warm.polls == math.ceil(len(systems) / POLL_EVERY) < cold.polls
     flows = CountingDeadline()
     assert len(plabic.enumerate_flows(G, O, J, flows)) == len(systems)

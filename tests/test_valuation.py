@@ -1,4 +1,5 @@
 from itertools import combinations
+from types import MappingProxyType
 
 import pytest
 
@@ -231,9 +232,9 @@ def test_minimum_monomial_unique(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_flow_vector_matches_monomial_route(n):
-    # the packed sums over the placed path systems against the sorted flows,
-    # each counted face by face and collapsed from its monomial: every
-    # target up to n=4, every class at n=5
+    # the packed sums streamed as the flows are placed against the sorted
+    # flows, each counted face by face and collapsed from its monomial:
+    # every target up to n=4, every class at n=5
     G, O = plabic.corect_network(n)
     N = len(coordinate_system(n))
     targets = combinations(range(1, 2 * n + 1), n) if n <= 4 else class_indexsets(n)
@@ -241,8 +242,8 @@ def test_flow_vector_matches_monomial_route(n):
         flows = plabic.enumerate_flows(G, O, J)
         for flow in flows:
             assert flow_vector(n, flow) == orbit_vector(n, flow.monomial(G)), (J, flow)
-        packed = sorted(tuple(x.to_bytes(N, "little")) for x in valuation._flow_sums(n, J))
-        assert packed == sorted(orbit_vector(n, flow.monomial(G)) for flow in flows), J
+        packed = [tuple(x.to_bytes(N, "little")) for x in valuation._flow_sums(n, J)]
+        assert packed == [orbit_vector(n, flow.monomial(G)) for flow in flows], J
 
 
 def test_orbit_vector_rejects_unknown_label():
@@ -250,20 +251,44 @@ def test_orbit_vector_rejects_unknown_label():
         orbit_vector(3, {(1,): 1})
 
 
-def test_shared_minimum_raises(monkeypatch):
-    n, lam = 3, (3, 2, 1)
+def planted_group(monkeypatch, n, lam, group):
+    """The path table with the group of the minimal flow's first path (its
+    source and end) replaced by group(rows, path) for the test's length."""
     G, O = plabic.corect_network(n)
     low = valuation_from_flows(n, lam)
     (minimal,) = [f for f in plabic.enumerate_flows(G, O, partition_to_indexset(lam, n))
                   if flow_vector(n, f) == low]
-    system = tuple(zip(minimal.paths, minimal.left_faces))
-    monkeypatch.setattr(plabic, "flow_systems", lambda G, O, J: [system, system])
+    path = minimal.paths[0]
+    s, t = path[0][1], path[-1][1]
+    table = plabic._path_table(G, O)
+    planted = {**table, s: {**table[s], t: group(table[s][t], path)}}
+    monkeypatch.setitem(plabic._PATH_TABLES, (G, O), planted)
+
+
+def test_shared_minimum_raises(monkeypatch):
+    # the minimal flow's first path twice in its group: every flow through
+    # it, the minimal one too, is placed twice
+    planted_group(monkeypatch, 3, (3, 2, 1),
+                  lambda rows, path: rows + tuple(row for row in rows if row[1] == path))
     with pytest.raises(ValueError, match="attained by 2 monomials"):
-        valuation_from_flows(n, lam)
+        valuation_from_flows(3, (3, 2, 1))
+
+
+def test_a_minimum_no_flow_attains_raises(monkeypatch):
+    # +1 on the weight of the dart f(2,2) -> h(2,2) at n=3 moves the flows
+    # to (3,3,1) apart, so that no flow attains their bytewise minimum
+    G, _ = plabic.corect_network(3)
+    faces, weight = plabic.dual_cuts(G)
+    dart = (("f", 2, 2), ("h", 2, 2))
+    planted = faces, MappingProxyType(dict(weight) | {dart: weight[dart] + 1})
+    monkeypatch.setattr(plabic, "dual_cuts", lambda graph: planted)
+    monkeypatch.setattr(plabic, "_PATH_TABLES", {})
+    with pytest.raises(ValueError, match="attained by 0 monomials"):
+        valuation_from_flows(3, (3, 3, 1))
 
 
 def test_no_flow_raises(monkeypatch):
-    monkeypatch.setattr(plabic, "flow_systems", lambda G, O, J: [])
+    planted_group(monkeypatch, 3, (3, 2, 1), lambda rows, path: ())
     with pytest.raises(ValueError, match="no flow realizes"):
         valuation_from_flows(3, (3, 2, 1))
 

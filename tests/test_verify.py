@@ -472,6 +472,31 @@ def test_swapped_face_coordinates_fail_the_flow_oracle_at_n6(monkeypatch, capsys
         "  [FAIL] valuation-oracle-equivalence  (AssertionError: valuation oracle mismatch at ")
 
 
+@pytest.mark.parametrize("n, level, expected", [
+    (3, "all", {
+        "valuation-oracle-equivalence": "AssertionError: valuation oracle mismatch at (3, 3): "
+                                        "flows (2, 1, 1, 2, 1, 1), maxdiag (1, 1, 1, 2, 1, 1)",
+        "flow-polynomial-145": "vectors [(1, 2, 0, 2, 1, 2), (1, 2, 1, 2, 1, 2), (1, 2, 1, 2, 2, 2)]",
+    }),
+    (6, "vertex", {
+        "valuation-oracle-equivalence": "AssertionError: valuation oracle mismatch at (6, 6, 6, 6, 6): ",
+    }),
+])
+def test_a_dart_weight_plus_one_fails_the_flow_checks(monkeypatch, n, level, expected):
+    # +1 on the weight of the dart f(1,2) -> h(1,2): every path through it
+    # sums to a wrong left-face bitmask, read by the flows alone
+    G, _ = plabic.corect_network(n)
+    real = plabic.dual_cuts
+    faces, weight = real(G)
+    dart = (("f", 1, 2), ("h", 1, 2))
+    planted = faces, MappingProxyType(dict(weight) | {dart: weight[dart] + 1})
+    monkeypatch.setattr(plabic, "dual_cuts", lambda graph: planted if graph is G else real(graph))
+    monkeypatch.setattr(plabic, "_PATH_TABLES", {})
+    got = failures(n, level)
+    assert got.keys() == expected.keys()
+    assert all(got[name].startswith(witness) for name, witness in expected.items())
+
+
 def test_gamma_vertex_enumeration_runs_to_n6(capsys):
     assert main(["verify", "--n", "6", "--level", "hull"]) == 0
     out = capsys.readouterr().out
