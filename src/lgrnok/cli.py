@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Sequence
 from itertools import chain, islice
 
 from . import equivalence, plabic, polytope, quiverfold, superpotential, valuation
@@ -56,10 +57,10 @@ def _vrep(title, names, points, fmt, deadline):
 
 
 def cmd_graph(args, deadline):
-    G = plabic.build_corect_graph(args.n)
+    G = plabic.build_corect_graph(args.n, deadline)
     if args.format == "dot":
         return 0, plabic.graph_to_dot(G).splitlines()
-    faces = plabic.faces_json(G)
+    faces = plabic.faces_json(G, deadline)
     if args.format == "json":
         return 0, {"n": args.n, "faces": faces}
     return 0, chain([f"co-rectangles plabic graph, n={args.n}: "
@@ -68,7 +69,7 @@ def cmd_graph(args, deadline):
 
 
 def cmd_orientation(args, deadline):
-    G, O = plabic.corect_network(args.n)
+    G, O = plabic.corect_network(args.n, deadline)
     if args.format == "dot":
         return 0, plabic.graph_to_dot(G, O).splitlines()
     darts = [[plabic.vertex_name(t), plabic.vertex_name(h)] for t, h in sorted(O.direction)]
@@ -103,7 +104,7 @@ def cmd_flows(args, deadline):
     except ValueError:
         raise ValueError(f"malformed target {args.target!r}") from None
     n = args.n
-    G, O = plabic.corect_network(n)
+    G, O = plabic.corect_network(n, deadline)
     flows = plabic.enumerate_flows(G, O, target, deadline)
     names = {label: format_partition(label) for label in G.faces.values()}
     if args.format == "json":
@@ -208,7 +209,7 @@ def cmd_matrix(args, deadline):
 
 def cmd_fold(args, deadline):
     if args.format == "dot":
-        Q = quiverfold.dual_quiver(plabic.build_corect_graph(args.n))
+        Q = quiverfold.dual_quiver(plabic.build_corect_graph(args.n, deadline), deadline)
         return 0, quiverfold.quiver_to_dot(Q).splitlines()
     F = quiverfold.folded_matrix(args.n, deadline)
     if args.format == "json":
@@ -267,40 +268,60 @@ def cmd_verify(args, deadline):
 # -- entry ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _switches(*flags):
+    """Adds mutually exclusive on/off options to a subparser."""
+    def add(p):
+        group = p.add_mutually_exclusive_group()
+        for flag in flags:
+            group.add_argument(flag, action="store_true")
+    return add
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of `lgrnok`.  When argv[0] names a command, only that
+    command's subparser is built, the one a parse of argv can enter;
+    otherwise all of them are."""
+    text, dot = ("text", "json"), ("text", "json", "dot")
+    # name: (handler, help, formats, the options beyond --n, --format and
+    # --time-budget); looked up when called, so a handler set on the module
+    # later is the one registered
+    commands = {
+        "graph": (cmd_graph, "plabic graph and faces", dot, None),
+        "orientation": (cmd_orientation, "perfect orientation", dot, None),
+        "flows": (cmd_flows, "flows to a target index set", text,
+                  lambda p: p.add_argument("--target", required=True,
+                                           help="comma-separated n-subset of 1..2n")),
+        "valuations": (cmd_valuations, "Pluecker valuation table", text, None),
+        "gamma": (cmd_gamma, "superpotential polytope", text, _switches("--hrep", "--vrep")),
+        "delta": (cmd_delta, "Newton-Okounkov body", text, _switches("--hrep", "--vrep", "--fvector")),
+        "matrix": (cmd_matrix, "the valuation matrix", text, None),
+        "fold": (cmd_fold, "folded exchange matrix / quiver", dot, None),
+        "volume": (cmd_volume, "normalized volumes of both polytopes", text, None),
+        "counts": (cmd_counts, "antichains, linear extensions, SYT", text, None),
+        "verify": (cmd_verify, "run the verification suite", text,
+                   lambda p: p.add_argument("--level", choices=("vertex", "hull", "all"),
+                                            default="all")),
+    }
     parser = argparse.ArgumentParser(
         prog="lgrnok",
         description="Newton-Okounkov body and superpotential polytope of LGr(n,2n), exactly",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def command(name, func, help, formats=("text", "json")):
+    names = argv[:1] if argv[:1] and argv[0] in commands else commands
+    # with one command registered, the usage that argparse prints for an
+    # argument left over after it still lists them all; in the full parser
+    # a metavar would rename `subcommand` in its errors
+    metavar = "{" + ",".join(commands) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in names:
+        func, help, formats, options = commands[name]
         p = sub.add_parser(name, help=help)
         p.add_argument("--n", type=int, required=True, help="side of the square")
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--time-budget", type=float, default=1800.0,
                        help="seconds allowed for the whole command")
         p.set_defaults(func=func)
-        return p
-
-    command("graph", cmd_graph, "plabic graph and faces", ("text", "json", "dot"))
-    command("orientation", cmd_orientation, "perfect orientation", ("text", "json", "dot"))
-    p = command("flows", cmd_flows, "flows to a target index set")
-    p.add_argument("--target", required=True, help="comma-separated n-subset of 1..2n")
-    command("valuations", cmd_valuations, "Pluecker valuation table")
-    g = command("gamma", cmd_gamma, "superpotential polytope").add_mutually_exclusive_group()
-    g.add_argument("--hrep", action="store_true")
-    g.add_argument("--vrep", action="store_true")
-    g = command("delta", cmd_delta, "Newton-Okounkov body").add_mutually_exclusive_group()
-    g.add_argument("--hrep", action="store_true")
-    g.add_argument("--vrep", action="store_true")
-    g.add_argument("--fvector", action="store_true")
-    command("matrix", cmd_matrix, "the valuation matrix")
-    command("fold", cmd_fold, "folded exchange matrix / quiver", ("text", "json", "dot"))
-    command("volume", cmd_volume, "normalized volumes of both polytopes")
-    command("counts", cmd_counts, "antichains, linear extensions, SYT")
-    p = command("verify", cmd_verify, "run the verification suite")
-    p.add_argument("--level", choices=("vertex", "hull", "all"), default="all")
+        if options:
+            options(p)
     return parser
 
 
@@ -323,7 +344,8 @@ def _text(output, fmt, deadline) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         if args.n < 1:
             raise ValueError("n must be >= 1")

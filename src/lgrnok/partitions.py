@@ -5,6 +5,15 @@ zeros stripped, so `==` is semantic equality).  An "index set" is the
 n-subset of {1,...,2n} labelling the vertical steps of the lattice path
 from the upper-right to the lower-left corner of the square; the partition
 lies above that path, with lam_r = n + r + 1 - I_r for 0-based rows r.
+The unchecked maps `_path_partition` and `_partition_path` take one side
+to the other; the public `indexset_to_partition` and
+`partition_to_indexset` validate their input first.  The round trip check
+(`verify.roundtrip`) calls the two unchecked maps on both sides of the
+dictionary listed in lockstep: the k-th index set in lexicographic order
+goes with the k-th partition in the order in which
+`combinations_with_replacement` lists the weakly decreasing n-tuples over
+n, ..., 0, because I_r - r (1-based r) runs over the weakly increasing
+n-tuples over 0..n in that same order, and lam_r = n - (I_r - r).
 
 The transpose classes are enumerated by one walk over the lattice paths,
 `transpose_classes`, which the valuation table, Delta's points and the
@@ -86,10 +95,15 @@ def indexset_to_partition(indexset, n: int) -> Partition:
     return _path_partition(I, n)
 
 
+def _partition_path(lam: Partition, n: int) -> tuple[int, ...]:
+    """I_r = n + r - lam_r over the 1-based rows r, lam padded with zero
+    rows to n; unchecked, so lam must be a partition in the box."""
+    return tuple(map(sub, range(n + 1, 2 * n + 1), lam + (0,) * (n - len(lam))))
+
+
 def partition_to_indexset(lam: Partition, n: int) -> tuple[int, ...]:
     """Inverse of indexset_to_partition."""
-    lam = check_in_box(lam, n)
-    return tuple(map(sub, range(n + 1, 2 * n + 1), lam + (0,) * (n - len(lam))))
+    return _partition_path(check_in_box(lam, n), n)
 
 
 def transpose(lam: Partition) -> Partition:

@@ -47,7 +47,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .budget import Deadline, polled
+from .budget import Deadline, cached_per_n, polled
 from .partitions import Partition, normalize
 
 Vertex = tuple
@@ -95,14 +95,14 @@ def vertex_name(v: Vertex) -> str:
 class PlabicGraph:
     """Immutable-by-convention plabic graph with per-edge face sides."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, deadline: Deadline = Deadline()):
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n
         self.colors: dict[Vertex, str] = {}
         self.left_face: dict[Dart, FaceId] = {}
         self.faces: dict[FaceId, Partition] = {}
-        self._build()
+        self._build(deadline)
 
     # -- construction -------------------------------------------------
 
@@ -110,7 +110,9 @@ class PlabicGraph:
         self.left_face[(tail, head)] = left
         self.left_face[(head, tail)] = right
 
-    def _build(self):
+    def _build(self, deadline: Deadline):
+        """The graph, with the deadline polled once per row or column of
+        the grid and once per POLL_EVERY edges."""
         n = self.n
         for r in range(1, n):
             for k in range(1, n):
@@ -120,6 +122,7 @@ class PlabicGraph:
         self.colors[L_VERTEX] = "hollow"
 
         for k in range(1, n):
+            deadline.check()
             self._add_edge(_b(k), _f(1, k), (k, 0), (k - 1, 0))
             for r in range(1, n):
                 self._add_edge(_f(r, k), _h(r, k), (k, r), (k - 1, r - 1))
@@ -127,6 +130,7 @@ class PlabicGraph:
                 self._add_edge(_h(r, k), _f(r + 1, k), (k, r), (k - 1, r))
             self._add_edge(_h(n - 1, k), T_VERTEX, (k, n - 1), (k - 1, n - 1))
         for r in range(1, n):
+            deadline.check()
             self._add_edge(L_VERTEX, _f(r, n - 1), (n - 1, r), (n - 1, r - 1))
             for k in range(2, n):
                 self._add_edge(_h(r, k), _f(r, k - 1), (k - 1, r), (k - 1, r - 1))
@@ -136,14 +140,15 @@ class PlabicGraph:
         self._add_edge(L_VERTEX, _b(n), (n - 1, 0), TOP)
 
         for k in range(n):
+            deadline.check()
             for r in range(n):
                 self.faces[(k, r)] = face_label(n, (k, r))
         self.faces[TOP] = face_label(n, TOP)
 
-        seen = {frozenset(d) for d in self.left_face}
+        seen = {frozenset(d) for d in polled(self.left_face, deadline)}
         self._edges = tuple(sorted(seen, key=lambda e: tuple(sorted(e))))
         neighbours: dict[FaceId, list] = {f: [] for f in self.faces}
-        for e in self._edges:
+        for e in polled(self._edges, deadline):
             left, right = self.face_sides(e)
             neighbours[left].append((e, right))
             neighbours[right].append((e, left))
@@ -203,11 +208,11 @@ class PlabicGraph:
         return frozenset(out)
 
 
-@cache
-def build_corect_graph(n: int) -> PlabicGraph:
+@cached_per_n
+def build_corect_graph(n: int, deadline: Deadline = Deadline()) -> PlabicGraph:
     """Co-rectangles graph on 2n boundary vertices; n = 1 is the degenerate
     two-face triangle through L and T."""
-    return PlabicGraph(n)
+    return PlabicGraph(n, deadline)
 
 
 # -- perfect orientations ----------------------------------------------
@@ -224,7 +229,8 @@ class PerfectOrientation(NamedTuple):
         return {v: tuple(sorted(ws)) for v, ws in adj.items()}
 
 
-def find_perfect_orientation(G: PlabicGraph, sources) -> PerfectOrientation:
+def find_perfect_orientation(G: PlabicGraph, sources,
+                             deadline: Deadline = Deadline()) -> PerfectOrientation:
     """The perfect orientation with the given boundary source set, forced
     edge by edge from the boundary.
 
@@ -234,7 +240,8 @@ def find_perfect_orientation(G: PlabicGraph, sources) -> PerfectOrientation:
     vertex with none and one open edge gives it that edge.  Every step is
     forced, so an orientation found this way is the only one.  Raises
     ValueError at an edge forced both ways, at a vertex that cannot meet
-    its rule, or when edges are left open.
+    its rule, or when edges are left open.  The deadline is polled every
+    POLL_EVERY forced edges.
     """
     sources = tuple(sorted(sources))
     edges = G.edges
@@ -258,6 +265,7 @@ def find_perfect_orientation(G: PlabicGraph, sources) -> PerfectOrientation:
         (v,) = edges[i] - {b}
         force(i, (b, v) if b[1] in sources else (v, b))
     while queue:
+        deadline.tick()
         for v in edges[queue.pop()]:
             color = G.colors.get(v)
             if color is None:
@@ -278,11 +286,11 @@ def find_perfect_orientation(G: PlabicGraph, sources) -> PerfectOrientation:
     return PerfectOrientation(direction=tuple(assign), source_set=sources)
 
 
-@cache
-def corect_network(n: int) -> tuple[PlabicGraph, PerfectOrientation]:
+@cached_per_n
+def corect_network(n: int, deadline: Deadline = Deadline()) -> tuple[PlabicGraph, PerfectOrientation]:
     """Graph plus its perfect orientation with sources {1,...,n}."""
-    G = build_corect_graph(n)
-    return G, find_perfect_orientation(G, range(1, n + 1))
+    G = build_corect_graph(n, deadline)
+    return G, find_perfect_orientation(G, range(1, n + 1), deadline)
 
 
 # -- flows ---------------------------------------------------------------
@@ -484,11 +492,11 @@ def graph_to_dot(G: PlabicGraph, O: PerfectOrientation | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def faces_json(G: PlabicGraph) -> list[dict]:
+def faces_json(G: PlabicGraph, deadline: Deadline = Deadline()) -> list[dict]:
     from .partitions import format_partition
 
     out = []
-    for face in sorted(G.faces, key=lambda f: (f == TOP, f)):
+    for face in polled(sorted(G.faces, key=lambda f: (f == TOP, f)), deadline):
         out.append(
             {
                 "label": format_partition(G.faces[face]),

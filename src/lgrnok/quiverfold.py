@@ -15,7 +15,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from . import plabic
-from .budget import Deadline
+from .budget import Deadline, polled
 from .partitions import Partition, format_partition, transpose
 
 
@@ -29,10 +29,12 @@ class Quiver(NamedTuple):
         return Counter(self.arrows)
 
 
-def dual_quiver(G: plabic.PlabicGraph) -> Quiver:
+def dual_quiver(G: plabic.PlabicGraph, deadline: Deadline = Deadline()) -> Quiver:
+    """The quiver, with the deadline polled every POLL_EVERY edges and
+    every POLL_EVERY face pairs."""
     frozen = frozenset(G.faces[f] for f in G.boundary_adjacent_faces())
     raw: Counter = Counter()
-    for edge in G.edges:
+    for edge in polled(G.edges, deadline):
         u, v = sorted(edge)
         if u not in G.colors or v not in G.colors:
             continue
@@ -43,7 +45,7 @@ def dual_quiver(G: plabic.PlabicGraph) -> Quiver:
             continue
         raw[(source, target)] += 1
     arrows: list[tuple[Partition, Partition]] = []
-    for (a, b) in sorted({tuple(sorted(pair)) for pair in raw}):
+    for (a, b) in polled(sorted({tuple(sorted(pair)) for pair in raw}), deadline):
         net = raw.get((a, b), 0) - raw.get((b, a), 0)  # cancel 2-cycles
         if net > 0:
             arrows.extend([(a, b)] * net)
@@ -124,7 +126,7 @@ def fold(Q: Quiver, deadline: Deadline = Deadline()) -> FoldedMatrix:
 
 
 def folded_matrix(n: int, deadline: Deadline = Deadline()) -> FoldedMatrix:
-    return fold(dual_quiver(plabic.build_corect_graph(n)), deadline)
+    return fold(dual_quiver(plabic.build_corect_graph(n, deadline), deadline), deadline)
 
 
 def quiver_to_dot(Q: Quiver) -> str:

@@ -9,17 +9,40 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, islice, repeat
+from operator import ne
 from typing import NamedTuple
 
 from . import equivalence, partitions, plabic, polytope, quiverfold, superpotential, valuation
-from .budget import Deadline, TimeBudgetExceeded, polled
+from .budget import POLL_EVERY, Deadline, TimeBudgetExceeded, polled
 from .polytope import VPolytope
 
 
 def roundtrip(n, deadline):
-    for I in polled(combinations(range(1, 2 * n + 1), n), deadline):
-        if partitions.partition_to_indexset(partitions._path_partition(I, n), n) != I:
+    """The two path maps against both sides of the dictionary, listed in C
+    and walked in lockstep: the n-subsets I of [2n] in lexicographic order,
+    and the partitions in the n x n box as the weakly decreasing n-tuples
+    over n, ..., 0 that `combinations_with_replacement` lists, zeros
+    stripped.  The k-th items pair up: I -> (I_r - r) over the 1-based rows
+    r is a bijection onto the weakly increasing n-tuples over 0..n that
+    keeps the lexicographic order, and combinations_with_replacement lists
+    the box tuples by their positions n - lam_r in the pool, which are
+    those same tuples in that same order; lam_r = n - (I_r - r) is the path
+    map.  So each pair asks that `_path_partition` send I to lam and
+    `_partition_path` send lam back to I, a bijection both ways, not only
+    an inverse of whatever the forward map returns.  The pairs are compared
+    a chunk of POLL_EVERY at a time, the deadline polled once per chunk;
+    the first failing I of a chunk is the witness."""
+    forward, inverse = partitions._path_partition, partitions._partition_path
+    sets = combinations(range(1, 2 * n + 1), n)
+    boxes = map(tuple, map(filter, repeat(None),
+                           combinations_with_replacement(range(n, -1, -1), n)))
+    while chunk := list(islice(sets, POLL_EVERY)):
+        deadline.check()
+        lams = list(islice(boxes, len(chunk)))
+        if (any(map(ne, map(forward, chunk, repeat(n)), lams))
+                or any(map(ne, map(inverse, lams, repeat(n)), chunk))):
+            I = next(I for I, lam in zip(chunk, lams) if forward(I, n) != lam or inverse(lam, n) != I)
             return False, f"round trip fails at {I}"
     return True, ""
 

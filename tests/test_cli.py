@@ -64,10 +64,56 @@ def test_main_is_the_one_writer():
     assert writes(main_node) == writes(tree) > 0
 
 
-def _subcommands():
-    """The subparsers of `lgrnok`, by name."""
-    parser = cli.build_parser()
+def _subcommands(argv=()):
+    """The subparsers of `lgrnok` that `build_parser(argv)` builds, by name."""
+    parser = cli.build_parser(argv)
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _reads(sub) -> tuple:
+    """What a parse reads off a subparser: each option's strings, choices,
+    default, type and whether it is required; the exclusive groups; the
+    handler; and the name its messages carry."""
+    return ([(a.option_strings, a.dest, a.choices, a.default, a.type, a.required, a.help)
+             for a in sub._actions],
+            [[a.dest for a in group._group_actions] for group in sub._mutually_exclusive_groups],
+            sub.get_default("func"), sub.prog)
+
+
+@pytest.mark.parametrize("name", list(_subcommands()))
+def test_a_run_builds_the_full_parsers_subparser_for_its_command(name):
+    one = _subcommands([name, "--n", "3"])
+    assert list(one) == [name]
+    assert _reads(one[name]) == _reads(_subcommands()[name])
+
+
+COMMANDS = "{graph,orientation,flows,valuations,gamma,delta,matrix,fold,volume,counts,verify}"
+
+
+@pytest.mark.parametrize("command, errors", [
+    ("verify --n 3 extra", (COMMANDS, "lgrnok: error: unrecognized arguments: extra")),
+    ("flows --n 3", ("lgrnok flows: error: the following arguments are required: --target",)),
+    ("nosuch", ("lgrnok: error: argument subcommand: invalid choice: 'nosuch'",)),
+    ("", ("lgrnok: error: the following arguments are required: subcommand",)),
+    ("--n 3 verify", ("lgrnok: error: argument subcommand: invalid choice: '3'",)),
+    ("-h", ()), ("verify -h", ()),
+], ids=lambda p: (p or "none") if isinstance(p, str) else "")
+def test_usage_errors_read_as_from_the_full_parser(monkeypatch, capsys, command, errors):
+    # a run that builds its command's subparser alone prints what the full
+    # parser prints; the usage for an argument left over after the command
+    # still lists all eleven
+    def run():
+        try:
+            code = main(command.split())
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    one = run()
+    assert all(error in one[2] for error in errors)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): full())
+    assert run() == one
 
 
 # The options a subcommand requires besides --n.
@@ -312,12 +358,13 @@ def test_volume_n6_stops_at_its_budget(capsys):
 @pytest.mark.parametrize("argv", [["valuations", "--n", "10"], ["delta", "--n", "10", "--vrep"],
                                   ["gamma", "--n", "11", "--vrep"], ["gamma", "--n", "15"],
                                   ["flows", "--n", "8", "--target", "1,2,3,6,10,12,14,16"],
-                                  ["gamma", "--n", "20", "--hrep"], ["fold", "--n", "70"]])
+                                  ["gamma", "--n", "20", "--hrep"], ["fold", "--n", "70"],
+                                  ["graph", "--n", "120"], ["orientation", "--n", "130"]])
 def test_tables_and_point_sets_stop_at_the_budget(capsys, argv):
     # each runs for more than a budget, the flows (21,000 of them) and fold
     # for over ten; the budget is polled while the table, the points, the
-    # flows, the rows or fold's orbit sums are built, before anything is
-    # printed
+    # flows, the rows, the plabic graph, its orientation or dual quiver, or
+    # fold's orbit sums are built, before anything is printed
     start = time.monotonic()
     assert main([*argv, "--time-budget", "0.2"]) == 3
     assert time.monotonic() - start < 1.5

@@ -2,6 +2,7 @@ import pytest
 
 import oracles
 from lgrnok import plabic, quiverfold
+from lgrnok.budget import POLL_EVERY
 from lgrnok.partitions import transpose
 from lgrnok.quiverfold import (
     dual_quiver,
@@ -11,6 +12,7 @@ from lgrnok.quiverfold import (
     mutable_orbit_order,
     quiver_to_dot,
 )
+from test_superpotential import CountingDeadline
 
 # arrows of the dual quiver for n=4, one per internal edge
 ARROWS_N4 = {
@@ -174,3 +176,24 @@ def test_dot_export():
     Q = dual_quiver(plabic.build_corect_graph(3))
     dot = quiver_to_dot(Q)
     assert "shape=box" in dot and "->" in dot
+
+
+def test_the_graph_quiver_and_orientation_poll_the_budget(monkeypatch):
+    # fold, graph and orientation build these before their own first poll:
+    # at n=70 the graph takes about 0.2 s and the quiver 0.25 s
+    n = 40
+    graph, quiver, orientation = CountingDeadline(), CountingDeadline(), CountingDeadline()
+    G = plabic.PlabicGraph(n, graph)
+    dual_quiver(G, quiver)
+    plabic.find_perfect_orientation(G, range(1, n + 1), orientation)
+    assert graph.polls >= 3 * n - 2  # each row and column of the grid, each strip of faces
+    assert quiver.polls > len(G.edges) // POLL_EVERY
+    assert orientation.polls == -(-len(G.edges) // POLL_EVERY)  # every edge is forced once
+    # folded_matrix hands its deadline to both builds, the graph uncached here
+    before_fold = []
+    real = quiverfold.fold
+    monkeypatch.setattr(plabic, "build_corect_graph", plabic.build_corect_graph.__wrapped__)
+    monkeypatch.setattr(quiverfold, "fold",
+                        lambda Q, deadline: before_fold.append(deadline.polls) or real(Q, deadline))
+    folded_matrix(n, CountingDeadline())
+    assert before_fold == [graph.polls + quiver.polls]

@@ -80,7 +80,7 @@ def test_flow_polynomial_145_fails_without_one_flow(monkeypatch, capsys, dropped
 
 def test_recoloured_vertex_fails_the_orientation_check(monkeypatch, capsys):
     planted = recoloured(plabic.build_corect_graph(3), ("f", 1, 2))
-    monkeypatch.setattr(plabic, "build_corect_graph", lambda n: planted)
+    monkeypatch.setattr(plabic, "build_corect_graph", lambda n, deadline=None: planted)
     monkeypatch.setattr(plabic, "corect_network", plabic.corect_network.__wrapped__)
     assert main(["verify", "--n", "3", "--level", "vertex"]) == 1
     assert ("  [FAIL] perfect-orientation-unique  (ValueError: hollow vertex f(1,2) cannot "
@@ -356,9 +356,19 @@ def last_row_plus_one(monkeypatch):
 def zero_row_kept(monkeypatch):
     # one zero row more than the square has is kept: the row n + 1, of
     # width 0, adds the step 2n + 1, which a map that stops at the shorter
-    # of its rows and steps would drop unseen
-    real = partitions.partition_to_indexset
-    monkeypatch.setattr(partitions, "partition_to_indexset", lambda lam, n: real(lam, n) + (2 * n + 1,))
+    # of its rows and steps would drop unseen; planted in the unchecked
+    # inverse, which the public partition_to_indexset calls
+    real = partitions._partition_path
+    monkeypatch.setattr(partitions, "_partition_path", lambda lam, n: real(lam, n) + (2 * n + 1,))
+
+
+def both_maps_transposed(monkeypatch):
+    # the path map returns lam's transpose and its inverse transposes
+    # first: each is still a bijection and undoes the other, so only a
+    # check of the forward map against the box sees it
+    forward, inverse = partitions._path_partition, partitions._partition_path
+    monkeypatch.setattr(partitions, "_path_partition", lambda I, n: partitions.transpose(forward(I, n)))
+    monkeypatch.setattr(partitions, "_partition_path", lambda lam, n: inverse(partitions.transpose(lam), n))
 
 
 def cover_dropped_from_below(monkeypatch):
@@ -374,12 +384,21 @@ def cover_dropped_from_below(monkeypatch):
 # A planted fault in each loop that runs over C-level map and filter, and in
 # the order the linear-extension DP reads, against the failing checks of
 # the vertex level, with their witnesses (None: the chain rows, too long to
-# pin).
+# pin).  The transposed maps are each other's inverse, so a round trip that
+# only asked inverse(forward(I)) == I passed them.
+OUT_OF_RANGE = "IndexError: list assignment index out of range"
 LOOP_PLANTS = {
     (last_row_plus_one, 3): {"partition-bijection-roundtrip": "round trip fails at (1, 2, 4)"},
     (last_row_plus_one, 7): {"partition-bijection-roundtrip": "round trip fails at (1, 2, 3, 4, 5, 6, 8)"},
-    (zero_row_kept, 3): {"partition-bijection-roundtrip": "round trip fails at (1, 2, 3)"},
-    (zero_row_kept, 7): {"partition-bijection-roundtrip": "round trip fails at (1, 2, 3, 4, 5, 6, 7)"},
+    (zero_row_kept, 3): {"partition-bijection-roundtrip": "round trip fails at (1, 2, 3)",
+                         "valuation-oracle-equivalence": "ValueError: (1, 2, 3, 7) is not an n-subset "
+                                                         "of [2n] for n=3",
+                         "flow-polynomial-145": OUT_OF_RANGE,
+                         "singleton-antichain-images": OUT_OF_RANGE},
+    (zero_row_kept, 7): {"partition-bijection-roundtrip": "round trip fails at (1, 2, 3, 4, 5, 6, 7)",
+                         "singleton-antichain-images": OUT_OF_RANGE},
+    (both_maps_transposed, 3): {"partition-bijection-roundtrip": "round trip fails at (1, 2, 5)"},
+    (both_maps_transposed, 7): {"partition-bijection-roundtrip": "round trip fails at (1, 2, 3, 4, 5, 6, 9)"},
     (cover_dropped_from_below, 3): {"gamma-tropicalization-vs-chain-polytope": None,
                                     "antichain-count-catalan": "16",
                                     "linear-extensions-equal-syt": "24"},
@@ -391,6 +410,9 @@ LOOP_PLANTS = {
 
 @pytest.mark.parametrize("plant, n", list(LOOP_PLANTS), ids=lambda p: getattr(p, "__name__", p))
 def test_a_planted_fault_in_a_rewritten_loop_fails_exactly_its_catchers(monkeypatch, plant, n):
+    # an unplanted run passes and fills every cache the level reads, so the
+    # plant is seen by the code that runs on every call, whatever ran before
+    assert failures(n, "vertex") == {}
     plant(monkeypatch)
     got = failures(n, "vertex")
     expected = LOOP_PLANTS[plant, n]
