@@ -32,9 +32,13 @@ maxdiag face by face, against a cell-by-cell hook decomposition.
 The main theorem is checked at two levels, by two functions with the
 shape of the verification registry, (n, deadline) -> (ok, witness).  The
 vertex level, `verify_main_theorem`, is the walk above.  The hull level,
-`verify_hull_level`, runs the vertex level first and then compares the
-facets of Delta with the rows of Gamma pulled back through M_n, and
-Gamma's normalized volume with the staircase SYT count.
+`verify_hull_level`, runs the vertex level first, then asks |det M_n| = 1,
+and then reads the masks of Gamma's rows on the antichain indicators in
+one pass: every row is a facet of Gamma, and Gamma's normalized volume is
+the staircase SYT count.  It runs no double description.  That the rows
+include every facet of Gamma is `gamma-vertex-enumeration`, whose n-range
+holds the hull level's; so with the vertex level and the determinant, the
+facets of Delta are the rows of Gamma pulled back through M_n.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from typing import NamedTuple
 
 from . import polytope, superpotential, valuation
 from .budget import Deadline, cached_per_n
-from .linalg import bareiss_det, invert, mat_vec
+from .linalg import bareiss_det
 from .partitions import (
     Partition,
     catalan,
@@ -55,7 +59,6 @@ from .partitions import (
     staircase_syt_count,
     transpose_classes,
 )
-from .polytope import normalize_row
 from .superpotential import (
     build_poset,
     enumerate_antichains,
@@ -212,21 +215,6 @@ def image_of_antichains(n: int, deadline: Deadline = Deadline()) -> dict[frozens
             for a in enumerate_antichains(build_poset(n), deadline)}
 
 
-def pulled_back_gamma_rows(n: int) -> frozenset:
-    """Rows of Gamma carried to the coordinates of Delta = M_n(Gamma).
-
-    With M.adj = det.I, the row c.x + d >= 0 on Gamma becomes
-    sign(det).(c.adj).y + d.|det| >= 0 on y = M.x.
-    """
-    adj, det = invert(build_valuation_matrix(n).entries)
-    sign = 1 if det > 0 else -1
-    adj_t = tuple(zip(*adj))
-    return frozenset(
-        normalize_row(tuple(sign * x for x in mat_vec(adj_t, c)), d * abs(det))
-        for c, d in gamma_hrep(n).rows
-    )
-
-
 def _walk_table(n: int) -> list[list[tuple[int, int, int, int]]]:
     """The hook table of the lattice-path walk (`partitions.transpose_classes`):
     hooks[j][h] for the vertical step j > n that closes the horizontal step
@@ -307,35 +295,47 @@ def verify_main_theorem(n: int, deadline: Deadline = Deadline()) -> tuple[bool, 
 
 
 def verify_hull_level(n: int, deadline: Deadline = Deadline()) -> tuple[bool, str]:
-    """Check that the facets of Delta are the rows of Gamma pulled back
-    through M_n, and that Gamma has the normalized volume
-    staircase_syt_count(n), the degree of LGr(n, 2n).  Returns (ok, witness).
+    """Check that the rows of `gamma_hrep` are the facets of Gamma, and so,
+    pulled back through M_n, the facets of Delta, and that Gamma has the
+    normalized volume staircase_syt_count(n), the degree of LGr(n, 2n).
+    Returns (ok, witness).
 
     The vertex level runs first, and its failure is returned as it is.  It
-    shows that each class of the walk has as its valuation the image under
-    M_n of its hooks, that the walk meets every class once, and that its
-    sections match the antichains one to one.  Delta's points,
-    `valuation.delta_vertices`, are the distinct values of the same walk.
+    shows that the valuations, Delta's points, are M_n applied to the
+    antichain indicators, one to one.  Then |det M_n| = 1 is read off the
+    cached M_n: with it, M_n is an automorphism of the lattice, so Delta =
+    M_n(Gamma), with the same face lattice and the same normalized volume.
 
-    Delta's facet run is the one double-description run.  Gamma's volume
-    reads the rows of `gamma_hrep`, which include all of Gamma's facets:
-    `gamma-vertex-enumeration`, run earlier at every n this check runs,
-    shows that they cut out the hull of the antichain indicators.
-    Delta's volume is not computed: equal facets give Delta = M_n(Gamma),
-    and `matrix-unimodular` gives |det M_n| = 1, so the two volumes agree.
+    One pass of the rows' masks on the indicators gives Gamma's volume and
+    the facet certificate (`polytope.volume_and_cuts`): each row is >= 0
+    at every indicator, or the pass raises, and the maximal cuts of the
+    indicators are as many as the distinct rows.  The rows include all of
+    Gamma's facets: `gamma-vertex-enumeration`, whose n-range holds this
+    check's, shows that they cut out the hull of the indicators.  So the
+    maximal cuts are exactly the facets, and equal counts leave no row
+    that is not one.
+
+    The certificate runs on Gamma's 0/1 points, not on Delta's: M_n carries
+    each indicator to its valuation and each row to its pull-back with the
+    same mask, so the two certificates are one, and on Gamma's side the
+    masks are the ones the volume reads anyway, the rows need no inverse of
+    M_n and their values are small sums of 0/1 coordinates.
     """
     ok, witness = verify_main_theorem(n, deadline)
     if not ok:
         return ok, witness
-    delta = polytope.VPolytope.from_points(valuation.delta_vertices(n, deadline))
+    ok, witness = is_unimodular(build_valuation_matrix(n))
+    if not ok:
+        return ok, f"M_n has {witness}"
     gamma = polytope.VPolytope.from_points(superpotential.gamma_vertex_set(n, deadline))
-    vol_gamma = polytope.normalized_volume(gamma, deadline, gamma_hrep(n, deadline))
-    expected = staircase_syt_count(n)
+    H = gamma_hrep(n, deadline)
+    volume, cuts = polytope.volume_and_cuts(gamma, H, deadline)
+    rows, expected = len(H.row_set()), staircase_syt_count(n)
     detail = []
-    if vol_gamma != expected:
-        detail.append(f"volume of Gamma {vol_gamma}, expected {expected}")
-    if polytope.facets(delta, deadline).row_set() != pulled_back_gamma_rows(n):
-        detail.append("facets of Delta differ from the rows of Gamma pulled back through M_n")
+    if cuts != rows:
+        detail.append(f"{rows} distinct rows of Gamma against {cuts} facets")
+    if volume != expected:
+        detail.append(f"volume of Gamma {volume}, expected {expected}")
     return not detail, "; ".join(detail)
 
 

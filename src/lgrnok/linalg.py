@@ -17,10 +17,6 @@ def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_vec(a, v) -> tuple:
-    return tuple(sum(map(mul, row, v)) for row in a)
-
-
 def dot(u, v):
     return sum(map(mul, u, v))
 

@@ -41,6 +41,7 @@ in lexicographic order too.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from collections.abc import Callable, Iterator
 from functools import cache
@@ -459,13 +460,24 @@ def enumerate_flows(G: PlabicGraph, O: PerfectOrientation, J,
     """All flows from the orientation's source set to J (`flow_systems`,
     with each path joined as a 1-tuple), in lexicographic order of their
     path vertex sequences; the deadline is polled by `flow_systems` and
-    every POLL_EVERY flows."""
+    every POLL_EVERY flows.
+
+    The cyclic garbage collector is paused while the flows are built, and
+    restored after: they hold no cycle, and at n=8 (990,648 flows to
+    1,2,4,6,9,11,13,15) its full collections of the growing tuple took
+    about half the time."""
     def join(path, left):
         return ((path, path_left_faces(G, left)),)
 
-    return tuple(Flow(paths=tuple(path for path, _ in acc),
-                      left_faces=tuple(left for _, left in acc))
-                 for acc in polled(flow_systems(G, O, J, join, (), deadline), deadline))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return tuple(Flow(paths=tuple(path for path, _ in acc),
+                          left_faces=tuple(left for _, left in acc))
+                     for acc in polled(flow_systems(G, O, J, join, (), deadline), deadline))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- exports --------------------------------------------------------------

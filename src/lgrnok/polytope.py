@@ -201,9 +201,16 @@ def facets(V: VPolytope, deadline: Deadline = Deadline()) -> HPolytope:
 
 
 def _facet_masks(points: tuple[Point, ...], rows: tuple[Row, ...]) -> list[int]:
-    """Bit i of a facet's mask: points[i] lies on the facet."""
-    return [sum(1 << i for i, p in enumerate(points) if dot(coeffs, p) + const == 0)
-            for coeffs, const in rows]
+    """Bit i of a row's mask: points[i] lies on the row's hyperplane.
+    Raises ValueError at the first point where a row is negative."""
+    masks = []
+    for coeffs, const in rows:
+        values = [dot(coeffs, p) + const for p in points]
+        low = min(values)
+        if low < 0:
+            raise ValueError(f"the row {(coeffs, const)} is {low} at {points[values.index(low)]}")
+        masks.append(sum(1 << i for i, v in enumerate(values) if not v))
+    return masks
 
 
 def _facets_of(face: int, facet_masks: list[int]) -> dict[int, int]:
@@ -276,18 +283,28 @@ def normalized_volume(V: VPolytope, deadline: Deadline = Deadline(),
     H, rows valid on V that include all of its facets, saves the facet
     run: a redundant row cuts each face in a face that is not maximal or
     that a facet row cuts too, and a row tight at no point cuts nothing.
+    A row negative at a point raises ValueError.  See `volume_and_cuts`."""
+    return volume_and_cuts(V, facets(V, deadline) if H is None else H, deadline)[0]
 
-    Lattice pyramids over the faces of that one run: a face F, with least
-    point a (a vertex, the points being sorted) and a basis of its lattice
-    aff(F) ∩ Z^dim, has Vol(F) = sum of h_G(a) Vol(G) over the facets G of
-    F that avoid a, where Vol is normalized in each face's own lattice and
-    h_G(a) = (c.a + d) / g is the lattice height of a above G: (c, d) is a
-    facet row cutting F in G, and g generates c's values on F's lattice.
-    A point has volume 1.  Memoized on the face; the deadline is polled
-    once per face.
+
+def volume_and_cuts(V: VPolytope, H: HPolytope, deadline: Deadline = Deadline()) -> tuple[int, int]:
+    """normalized_volume(V, deadline, H), and the number of maximal cuts
+    of V's points by H's rows (`_facets_of`), both read off one pass of
+    H's masks.  When the rows include all of V's facets, the maximal cuts
+    are the facets, one mask each, so the cuts are as many as the distinct
+    rows exactly when every row is a facet: a row that is not one cuts in
+    a face that is not maximal, in a facet row's mask, or in nothing.
+
+    The volume is a sum of lattice pyramids over the faces: a face F, with
+    least point a (a vertex, the points being sorted) and a basis of its
+    lattice aff(F) ∩ Z^dim, has Vol(F) = sum of h_G(a) Vol(G) over the
+    facets G of F that avoid a, where Vol is normalized in each face's own
+    lattice and h_G(a) = (c.a + d) / g is the lattice height of a above G:
+    (c, d) is a facet row cutting F in G, and g generates c's values on F's
+    lattice.  A point has volume 1.  Memoized on the face; the deadline is
+    polled once per face.
     """
-    points = _full_dim(V)
-    rows = H.rows if H is not None else _facets_full_dim(points, deadline)
+    points, rows = _full_dim(V), H.rows
     masks = _facet_masks(points, rows)
     memo: dict[int, int] = {}
 
@@ -317,4 +334,5 @@ def normalized_volume(V: VPolytope, deadline: Deadline = Deadline(),
         memo[face] = total
         return total
 
-    return volume((1 << len(points)) - 1, identity(V.dim))
+    whole = (1 << len(points)) - 1
+    return volume(whole, identity(V.dim)), len(_facets_of(whole, masks))

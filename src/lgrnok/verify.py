@@ -207,8 +207,10 @@ CHECKS = (
     Check("main-theorem-vertex-level", "vertex",
           lambda n, deadline: equivalence.verify_main_theorem(n, deadline)),
     Check("folded-exchange-matrix", "vertex", fold),
+    # In-process: 0.3 s at n=6, 13 s at n=7.  The facet certificate of
+    # main-theorem-hull-level rests on it, so its n-range holds that one's.
     Check("gamma-vertex-enumeration", "hull", gamma_vertices,
-          n_max=6, skip="vertex enumeration gated to n <= 6"),
+          n_max=7, skip="vertex enumeration gated to n <= 7"),
     # (k+1)^n states on the last level: 0.6 s at n=8, 2.8 s at n=9.
     Check("lattice-points-vs-weyl-dimension", "hull", lattice_points,
           n_max=8, skip="lattice count gated to n <= 8"),
@@ -216,9 +218,11 @@ CHECKS = (
           n_min=3, n_max=3, skip="printed system is for n=3"),
     Check("f-vector", "hull", f_vector,
           n_min=3, n_max=3, skip="reference f-vector is for n=3"),
+    # In-process, most of it Gamma's volume: 1.4 s at n=6, 52 s at n=7
+    # (78 MB peak).
     Check("main-theorem-hull-level", "hull",
           lambda n, deadline: equivalence.verify_hull_level(n, deadline),
-          n_max=6, skip="hull level gated to n <= 6"),
+          n_max=7, skip="hull level gated to n <= 7"),
 )
 
 

@@ -34,8 +34,11 @@ split a class over the hooks of its complement read cell by cell; lgrnok
 checks the valuation's additivity only as part of the main theorem's
 vertex level, through the walk's own hook map.
 
-The last few helpers have no caller in lgrnok: M_n applied to a vector,
-flow polynomials and their monomials, the order of P_n as the closure of
+The last few helpers have no caller in lgrnok: a matrix times a vector,
+M_n applied to a vector, the rows of Gamma pulled back through M_n (the
+hull level certifies Gamma's rows on Gamma's own points; the tests
+compare these with the facets that `lgrnok delta` prints), flow
+polynomials and their monomials, the order of P_n as the closure of
 its covers (lgrnok reads the covers off a closed form of the order), a
 vertex's neighbours, antichains, down-sets and the Dyck path of an
 antichain and its inverse, a graph with one vertex recoloured and the
@@ -48,7 +51,7 @@ from itertools import combinations
 from operator import mul
 
 from lgrnok import equivalence, plabic, quiverfold
-from lgrnok.linalg import affine_pivot_columns, dot, mat_vec, rref
+from lgrnok.linalg import affine_pivot_columns, dot, invert, rref
 from lgrnok.partitions import (
     cells,
     complement,
@@ -61,8 +64,8 @@ from lgrnok.partitions import (
     transpose,
 )
 from lgrnok.plabic import Flow
-from lgrnok.polytope import _facets_full_dim
-from lgrnok.superpotential import build_poset, lex_cells
+from lgrnok.polytope import _facets_full_dim, normalize_row
+from lgrnok.superpotential import build_poset, gamma_hrep, lex_cells
 from lgrnok.valuation import (
     _corners,
     all_plucker_valuations,
@@ -517,9 +520,28 @@ def reduction_matrix(n):
     return tuple(tuple(row) for row in R)
 
 
+def mat_vec(a, v):
+    return tuple(sum(map(mul, row, v)) for row in a)
+
+
 def apply(M, vector):
     """M_n applied to a vector."""
     return mat_vec(M.entries, tuple(vector))
+
+
+def pulled_back_gamma_rows(n):
+    """Rows of Gamma carried to the coordinates of Delta = M_n(Gamma).
+
+    With M.adj = det.I, the row c.x + d >= 0 on Gamma becomes
+    sign(det).(c.adj).y + d.|det| >= 0 on y = M.x.
+    """
+    adj, det = invert(equivalence.build_valuation_matrix(n).entries)
+    sign = 1 if det > 0 else -1
+    adj_t = tuple(zip(*adj))
+    return frozenset(
+        normalize_row(tuple(sign * x for x in mat_vec(adj_t, c)), d * abs(det))
+        for c, d in gamma_hrep(n).rows
+    )
 
 
 def exchange_entry(counts, mu, nu):

@@ -13,6 +13,7 @@ import pytest
 from lgrnok import cli, superpotential, valuation
 from lgrnok.budget import Deadline, TimeBudgetExceeded
 from lgrnok.cli import main
+from oracles import pulled_back_gamma_rows
 
 
 def run_cli(capsys, *argv):
@@ -229,8 +230,6 @@ def test_delta_fvector_n4(capsys):
 
 
 def test_delta_n5_prints_the_pulled_back_rows(capsys):
-    from lgrnok.equivalence import pulled_back_gamma_rows
-
     code, out = run_cli(capsys, "delta", "--n", "5")
     assert code == 0
     rows = [tuple(map(int, line.split())) for line in out.splitlines()[1:]]

@@ -18,7 +18,6 @@ from lgrnok.equivalence import (
     gamma_vertices_match_hrep,
     image_of_antichains,
     is_unimodular,
-    pulled_back_gamma_rows,
     singleton_column_pair,
     upper_left_closed_form,
     verify_hull_level,
@@ -223,54 +222,32 @@ def test_main_theorem_hull_n3_matches_printed_rows():
     assert polytope.facets(image).row_set() == DELTA3_ROWS
 
 
-def test_hull_level_runs_one_double_description_for_delta(monkeypatch):
-    # Delta's facets are the one double-description run; Gamma's volume
-    # reads the rows of gamma_hrep, and Delta's volume is not computed
-    runs, volumes = [], []
-    real_facets, real_volume = polytope._facets_full_dim, polytope.normalized_volume
-    monkeypatch.setattr(polytope, "_facets_full_dim",
-                        lambda points, deadline: runs.append(points) or real_facets(points, deadline))
-    monkeypatch.setattr(polytope, "normalized_volume",
-                        lambda V, deadline, H=None: volumes.append((V, H)) or real_volume(V, deadline, H))
-    assert verify_hull_level(3)[0]
-    assert runs == [delta_vertices(3)]
-    assert volumes == [(polytope.VPolytope.from_points(superpotential.gamma_vertex_set(3)),
-                        gamma_hrep(3))]
+def test_hull_level_runs_no_double_description(monkeypatch):
+    # Gamma's volume and the facet certificate read one pass of row masks
+    # on the antichain indicators; Delta's facets and volume are not
+    # computed, and the row system is the one of gamma_hrep
+    monkeypatch.setattr(polytope, "_facets_full_dim", lambda *args: pytest.fail("a double description ran"))
+    passes = []
+    real = polytope._facet_masks
+    monkeypatch.setattr(polytope, "_facet_masks",
+                        lambda points, rows: passes.append((points, rows)) or real(points, rows))
+    assert verify_hull_level(3) == (True, "")
+    assert passes == [(superpotential.gamma_vertex_set(3), gamma_hrep(3).rows)]
 
 
 def test_pulled_back_gamma_rows_are_the_printed_facets():
-    assert pulled_back_gamma_rows(3) == DELTA3_ROWS
-    assert [len(pulled_back_gamma_rows(n)) for n in (2, 3, 4)] == [5, 10, 18]
-
-
-@pytest.mark.parametrize("tamper", ["drop-chain-row", "perturb-row"])
-def test_hull_check_fails_on_a_wrong_gamma_row_system(monkeypatch, tamper):
-    H = gamma_hrep(3)
-    rows = list(H.rows)
-    if tamper == "drop-chain-row":
-        rows.remove(next(row for row in rows if row[1] == 1))
-    else:
-        coeffs, const = rows[0]
-        rows[0] = (coeffs, const + 1)
-    wrong = polytope.HPolytope(dim=H.dim, rows=tuple(rows))
-    monkeypatch.setattr(equivalence, "gamma_hrep", lambda n, *args: wrong)
-    # the vertex level passes; Gamma's volume reads the same rows, so
-    # without a facet it is wrong too
-    facets = "facets of Delta differ from the rows of Gamma pulled back through M_n"
-    assert verify_hull_level(3) == (False, {
-        "drop-chain-row": f"volume of Gamma 0, expected 16; {facets}",
-        "perturb-row": facets,
-    }[tamper])
+    assert oracles.pulled_back_gamma_rows(3) == DELTA3_ROWS
+    assert [len(oracles.pulled_back_gamma_rows(n)) for n in (2, 3, 4)] == [5, 10, 18]
 
 
 def test_hull_level_reports_a_walk_fault_and_stops(monkeypatch):
     # The _hook_element plant of the vertex level at n=3: the innermost
     # hook (1, 0) sent to (2, 2) instead of (3, 3), column and all.  The
-    # hull level returns the walk's witness and runs no facet enumeration.
+    # hull level returns the walk's witness and reads no row of Gamma.
     real = equivalence._hook_element
     monkeypatch.setattr(equivalence, "_hook_element",
                         lambda n, arm, leg: (2, 2) if (arm, leg) == (1, 0) else real(n, arm, leg))
-    monkeypatch.setattr(polytope, "facets", lambda *args: pytest.fail("the hull ran"))
+    monkeypatch.setattr(polytope, "_facet_masks", lambda *args: pytest.fail("the hull ran"))
     ok, witness = verify_hull_level(3)
     assert not ok and witness.startswith("hook bijection fails at"), witness
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from functools import lru_cache
@@ -219,6 +220,31 @@ def test_enumerate_flows_rejects_a_bad_target(J):
     G, O = plabic.corect_network(3)
     with pytest.raises(ValueError, match="not an n-subset"):
         plabic.enumerate_flows(G, O, J)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_enumerate_flows_pauses_the_collector_and_restores_it(monkeypatch, enabled):
+    # the collector is off while the flows are placed, and comes back as it
+    # was, also when the budget runs out part way
+    G, O = plabic.corect_network(4)
+    real, seen = plabic.flow_systems, []
+
+    def watched(*args):
+        for system in real(*args):
+            seen.append(gc.isenabled())
+            yield system
+
+    monkeypatch.setattr(plabic, "flow_systems", watched)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert plabic.enumerate_flows(G, O, (1, 2, 6, 8))
+        assert gc.isenabled() is enabled
+        with pytest.raises(TimeBudgetExceeded):
+            plabic.enumerate_flows(G, O, (1, 2, 6, 8), Deadline(-1))
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen and not any(seen)
 
 
 def _entry(path, left):

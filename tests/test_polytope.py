@@ -17,6 +17,7 @@ from lgrnok.polytope import (
     facets,
     normalized_volume,
     vertices,
+    volume_and_cuts,
 )
 
 
@@ -321,6 +322,26 @@ def test_volume_reads_any_valid_rows_that_include_the_facets(body, volume):
     rows = facets(body).rows
     for H in (HPolytope(d, extra + rows), HPolytope(d, rows + extra)):
         assert normalized_volume(body, Deadline(), H) == volume
+
+
+@pytest.mark.parametrize("body, volume", [
+    (cube(3), 6),
+    (VPolytope.from_points(superpotential.gamma_vertex_set(3)), 16),
+])
+def test_the_cuts_of_the_volume_pass_count_the_facets(body, volume):
+    # one maximal cut per facet, whatever else the rows hold: a doubled
+    # facet row, a row tight on a smaller face or at no point adds none
+    d, rows = body.dim, facets(body).rows
+    extra = (((2,) + (0,) * (d - 1), 0), ((1, 1) + (0,) * (d - 2), 0), ((1,) + (0,) * (d - 1), 1))
+    assert volume_and_cuts(body, HPolytope(d, rows)) == (volume, len(rows))
+    assert volume_and_cuts(body, HPolytope(d, extra + rows)) == (volume, len(rows))
+
+
+def test_a_row_negative_at_a_point_fails_the_volume_pass():
+    body = cube(3)
+    rows = facets(body).rows + (((-1, 0, 0), 0),)
+    with pytest.raises(ValueError, match=r"the row \(\(-1, 0, 0\), 0\) is -1 at \(1, 0, 0\)"):
+        normalized_volume(body, Deadline(), HPolytope(3, rows))
 
 
 def test_volume_polls_the_budget_per_face():

@@ -159,15 +159,66 @@ def test_a_wrong_entry_of_m6_fails_the_hull_level(monkeypatch):
     assert not ok and witness.startswith("hook bijection fails at "), witness
 
 
-def test_a_dropped_chain_row_fails_the_hull_level_at_n6(monkeypatch):
+def redundant_row_added(rows):
+    # the sum of the first two rows, x_0 >= 0 and x_1 >= 0: valid on Gamma,
+    # tight on the face where both are, which is not a facet
+    (c0, d0), (c1, d1) = rows[:2]
+    return rows + ((tuple(map(sum, zip(c0, c1))), d0 + d1),)
+
+
+def row_0_constant_plus_1(rows):
+    # x_0 + 1 >= 0 is tight at no indicator, and lets x_0 = -1 in
+    (c0, d0), *rest = rows
+    return ((c0, d0 + 1), *rest)
+
+
+def middle_chain_row_dropped(rows):
     # a chain in the middle of the rows: every element keeps a bound, so
-    # Gamma stays bounded, but its volume and Delta's facets are wrong
-    real = superpotential.gamma_hrep(6)
-    chains = [row for row in real.rows if row[1] == 1]
-    wrong = real._replace(rows=tuple(row for row in real.rows if row != chains[len(chains) // 2]))
-    monkeypatch.setattr(equivalence, "gamma_hrep", lambda n, *args: wrong)
-    assert hull_level(6) == (False, "volume of Gamma 891551744, expected 1100742656; "
-                             "facets of Delta differ from the rows of Gamma pulled back through M_n")
+    # Gamma stays bounded, but it grows, and so does its vertex set
+    chains = [row for row in rows if row[1] == 1]
+    return tuple(row for row in rows if row != chains[len(chains) // 2])
+
+
+# A planted fault in Gamma's row system against the failing checks of the
+# hull level.  The vertex enumeration shows that the rows include every
+# facet, and the certificate in the hull level's volume pass that each row
+# is one.
+ROW_PLANTS = {
+    redundant_row_added: {"main-theorem-hull-level"},
+    row_0_constant_plus_1: {"gamma-vertex-enumeration", "main-theorem-hull-level"},
+    middle_chain_row_dropped: {"gamma-vertex-enumeration", "main-theorem-hull-level"},
+}
+ROW_WITNESSES = {
+    (redundant_row_added, 3): "11 distinct rows of Gamma against 10 facets",
+    (row_0_constant_plus_1, 3): "10 distinct rows of Gamma against 9 facets",
+    (middle_chain_row_dropped, 3): "volume of Gamma 8, expected 16",
+    (redundant_row_added, 6): "54 distinct rows of Gamma against 53 facets",
+    (row_0_constant_plus_1, 6): "53 distinct rows of Gamma against 52 facets",
+    (middle_chain_row_dropped, 6): "volume of Gamma 891551744, expected 1100742656",
+}
+
+
+@pytest.mark.parametrize("plant, n", list(ROW_WITNESSES), ids=lambda p: getattr(p, "__name__", p))
+def test_a_planted_row_fault_fails_exactly_its_catchers(monkeypatch, plant, n):
+    real = superpotential.gamma_hrep(n)
+    wrong = real._replace(rows=plant(real.rows))
+    monkeypatch.setattr(equivalence, "gamma_hrep", lambda k, *args: wrong)
+    got = failures(n, "hull")
+    assert got.keys() == ROW_PLANTS[plant]
+    assert got["main-theorem-hull-level"] == ROW_WITNESSES[plant, n]
+
+
+def test_a_determinant_of_2_fails_the_hull_level(monkeypatch):
+    # the hull level reads |det M_n| itself: matrix-unimodular is a vertex check
+    monkeypatch.setattr(equivalence, "bareiss_det", lambda matrix: 2)
+    assert failures(4, "hull") == {"main-theorem-hull-level": "M_n has det 2"}
+
+
+def test_the_hull_level_runs_inside_the_vertex_enumeration_range():
+    # the facet certificate rests on gamma-vertex-enumeration at the same n
+    gates = {check.name: check for check in verify.CHECKS}
+    hull, venum = gates["main-theorem-hull-level"], gates["gamma-vertex-enumeration"]
+    assert venum.n_min <= hull.n_min and hull.n_max <= venum.n_max
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -524,10 +575,10 @@ def test_gamma_vertex_enumeration_runs_to_n6(capsys):
     out = capsys.readouterr().out
     assert "  [PASS] gamma-vertex-enumeration\n" in out
     assert "  [PASS] main-theorem-hull-level\n" in out
-    assert main(["verify", "--n", "7", "--level", "hull"]) == 0
+    assert main(["verify", "--n", "8", "--level", "hull"]) == 0
     out = capsys.readouterr().out
-    assert "  [skip] gamma-vertex-enumeration  (vertex enumeration gated to n <= 6)\n" in out
-    assert "  [skip] main-theorem-hull-level  (hull level gated to n <= 6)\n" in out
+    assert "  [skip] gamma-vertex-enumeration  (vertex enumeration gated to n <= 7)\n" in out
+    assert "  [skip] main-theorem-hull-level  (hull level gated to n <= 7)\n" in out
 
 
 def test_vertex_level_budget_holds_at_n9(capsys):
