@@ -14,7 +14,7 @@ import argparse
 import sys
 import time
 
-from lgrnok.budget import Deadline, TimeBudgetExceeded
+from lgrnok.budget import Deadline, TimeBudgetExceeded, arm
 from lgrnok.verify import run_checks
 
 
@@ -30,25 +30,25 @@ def main(argv=None) -> int:
         print("error: time budget must be positive", file=sys.stderr)
         return 2
 
-    deadline = Deadline(args.time_budget)
-    failures = 0
-    for n in range(1, args.max_n + 1):
-        start = time.monotonic()
-        try:
-            results = run_checks(n, "all", deadline)
-        except TimeBudgetExceeded as exc:
-            print(f"error: n={n} {exc}", file=sys.stderr)
-            return 3
-        elapsed = time.monotonic() - start
-        bad = [r for r in results if r["status"] == "fail"]
-        passed = sum(r["status"] == "pass" for r in results)
-        skipped = sum(r["status"] == "skip" for r in results)
-        print(f"n={n}: {passed} passed, {skipped} skipped, "
-              f"{len(bad)} failed  [{elapsed:.1f}s]")
-        for r in bad:
-            print(f"    FAIL {r['name']}: {r['witness']}")
-        failures += len(bad)
-    return 1 if failures else 0
+    with arm(Deadline(args.time_budget)):
+        failures = 0
+        for n in range(1, args.max_n + 1):
+            start = time.monotonic()
+            try:
+                results = run_checks(n, "all")
+            except TimeBudgetExceeded as exc:
+                print(f"error: n={n} {exc}", file=sys.stderr)
+                return 3
+            elapsed = time.monotonic() - start
+            bad = [r for r in results if r["status"] == "fail"]
+            passed = sum(r["status"] == "pass" for r in results)
+            skipped = sum(r["status"] == "skip" for r in results)
+            print(f"n={n}: {passed} passed, {skipped} skipped, "
+                  f"{len(bad)} failed  [{elapsed:.1f}s]")
+            for r in bad:
+                print(f"    FAIL {r['name']}: {r['witness']}")
+            failures += len(bad)
+        return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""The time budget: a Deadline armed once per run and polled by every long
-loop, which raises TimeBudgetExceeded once it has expired.
+"""The time budget: one Deadline per run, armed by `arm`, which every long
+loop looks up through `armed` when it starts and polls.
 
 It sits apart from the polytope engine so that the lattice-path walk can
 poll it without importing the engine.
@@ -8,8 +8,8 @@ poll it without importing the engine.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Iterator
-from functools import wraps
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 
 
 class TimeBudgetExceeded(RuntimeError):
@@ -22,8 +22,8 @@ POLL_EVERY = 1024
 
 
 class Deadline:
-    """A time budget armed once, when it is made, and polled by the engine;
-    with no seconds it never expires."""
+    """A time budget that starts when it is made; with no seconds it never
+    expires."""
 
     def __init__(self, seconds: float | None = None):
         self.expires = None if seconds is None else time.monotonic() + seconds
@@ -42,27 +42,30 @@ class Deadline:
         self.steps += 1
 
 
-def polled(items: Iterable, deadline: Deadline) -> Iterator:
-    """The items, with the deadline polled before the first and then every
-    POLL_EVERY items."""
+_armed = Deadline()
+
+
+def armed() -> Deadline:
+    """The deadline `arm` set for the run, or one that never expires."""
+    return _armed
+
+
+@contextmanager
+def arm(limit: Deadline) -> Iterator[Deadline]:
+    """Arms `limit` in the with block, then restores the deadline before it."""
+    global _armed
+    previous, _armed = _armed, limit
+    try:
+        yield limit
+    finally:
+        _armed = previous
+
+
+def polled(items: Iterable) -> Iterator:
+    """The items, with the armed deadline polled before the first and then
+    every POLL_EVERY items."""
+    check = armed().check
     for count, item in enumerate(items):
         if not count % POLL_EVERY:
-            deadline.check()
+            check()
         yield item
-
-
-def cached_per_n(build: Callable) -> Callable:
-    """functools.cache for a table build(n, deadline) that polls the
-    deadline: the result is kept per n alone, so every caller shares it
-    whichever deadline built it, and a build that ran out of budget keeps
-    nothing.  `cache_clear` empties it, as for functools.cache."""
-    built: dict = {}
-
-    @wraps(build)
-    def cached(n: int, deadline: Deadline = Deadline()):
-        if n not in built:
-            built[n] = build(n, deadline)
-        return built[n]
-
-    cached.cache_clear = built.clear
-    return cached

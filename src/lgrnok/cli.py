@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from itertools import chain, islice
 
 from . import equivalence, plabic, polytope, quiverfold, superpotential, valuation
-from .budget import POLL_EVERY, Deadline, TimeBudgetExceeded, polled
+from .budget import POLL_EVERY, Deadline, TimeBudgetExceeded, arm, armed, polled
 from .partitions import (
     catalan,
     format_partition,
@@ -41,26 +41,26 @@ def _hrep_json(H: polytope.HPolytope, coords) -> dict:
     }
 
 
-def _vrep(title, names, points, fmt, deadline):
+def _vrep(title, names, points, fmt):
     """A point set as JSON, or as the title line and one line per point."""
     if fmt == "json":
-        return {"coords": names, "points": [[str(x) for x in p] for p in polled(points, deadline)]}
+        return {"coords": names, "points": [[str(x) for x in p] for p in polled(points)]}
     return chain([f"{title} ({len(points)}):"], (f"  {p}" for p in points))
 
 
 # -- subcommand handlers -------------------------------------------------------
 #
-# Each handler is (args, deadline) -> (exit code, output): a JSON document
-# for --format json, and an iterable of lines for the other formats, which
-# `main` alone formats and writes (`_text`).  Lines may be made lazily, so
-# that their formatting is polled with the rest.
+# Each handler is args -> (exit code, output): a JSON document for --format
+# json, and an iterable of lines for the other formats, which `main` alone
+# formats and writes (`_text`) under the deadline it armed.  Lines may be
+# made lazily, so that their formatting is polled with the rest.
 
 
-def cmd_graph(args, deadline):
-    G = plabic.build_corect_graph(args.n, deadline)
+def cmd_graph(args):
+    G = plabic.build_corect_graph(args.n)
     if args.format == "dot":
-        return 0, plabic.graph_to_dot(G).splitlines()
-    faces = plabic.faces_json(G, deadline)
+        return 0, plabic.graph_to_dot(G)
+    faces = plabic.faces_json(G)
     if args.format == "json":
         return 0, {"n": args.n, "faces": faces}
     return 0, chain([f"co-rectangles plabic graph, n={args.n}: "
@@ -68,10 +68,10 @@ def cmd_graph(args, deadline):
                     (f"  face {entry['label']}: {' '.join(entry['boundary'])}" for entry in faces))
 
 
-def cmd_orientation(args, deadline):
-    G, O = plabic.corect_network(args.n, deadline)
+def cmd_orientation(args):
+    G, O = plabic.corect_network(args.n)
     if args.format == "dot":
-        return 0, plabic.graph_to_dot(G, O).splitlines()
+        return 0, plabic.graph_to_dot(G, O)
     darts = [[plabic.vertex_name(t), plabic.vertex_name(h)] for t, h in sorted(O.direction)]
     if args.format == "json":
         return 0, {"n": args.n, "sources": list(O.source_set), "darts": darts}
@@ -97,20 +97,20 @@ def _flow_json(n, G, flow, names) -> dict:
     }
 
 
-def cmd_flows(args, deadline):
+def cmd_flows(args):
     # Each flow's monomial is taken once, as its entry or its lines are made.
     try:
         target = tuple(int(x) for x in args.target.split(","))
     except ValueError:
         raise ValueError(f"malformed target {args.target!r}") from None
     n = args.n
-    G, O = plabic.corect_network(n, deadline)
-    flows = plabic.enumerate_flows(G, O, target, deadline)
+    G, O = plabic.corect_network(n)
+    flows = plabic.enumerate_flows(G, O, target)
     names = {label: format_partition(label) for label in G.faces.values()}
     if args.format == "json":
         # a plain loop, so polled here: at n=7 the entries take seconds
         return 0, {"n": n, "target": sorted(target),
-                   "flows": [_flow_json(n, G, f, names) for f in polled(flows, deadline)]}
+                   "flows": [_flow_json(n, G, f, names) for f in polled(flows)]}
 
     def lines():
         yield f"{len(flows)} flow(s) from {list(O.source_set)} to {sorted(target)}"
@@ -128,11 +128,11 @@ def cmd_flows(args, deadline):
     return 0, lines()
 
 
-def cmd_valuations(args, deadline):
+def cmd_valuations(args):
     # The rows are made as the classes stream in, between the walk's polls
     # of the deadline.
     n = args.n
-    rows = valuation.class_valuations(n, deadline=deadline)
+    rows = valuation.class_valuations(n)
     if args.format == "json":
         return 0, [{"partition": format_partition(lam), "indexset": list(indexset),
                     "valuation": list(vec)} for indexset, lam, vec in rows]
@@ -164,30 +164,30 @@ def _render_inequality(coeffs, const, names) -> str:
     return (" ".join(parts) if parts else "0") + " >= 0"
 
 
-def cmd_gamma(args, deadline):
+def cmd_gamma(args):
     n = args.n
     names = _gamma_coords(n)
     if args.vrep:
         return 0, _vrep("superpotential polytope vertices", names,
-                        superpotential.gamma_vertex_set(n, deadline), args.format, deadline)
-    H = superpotential.gamma_hrep(n, deadline)
+                        superpotential.gamma_vertex_set(n), args.format)
+    H = superpotential.gamma_hrep(n)
     if args.format == "json":
         return 0, _hrep_json(H, names)
     return 0, chain([f"superpotential polytope in coordinates ({', '.join(names)}):"],
                     ("  " + _render_inequality(c, d, names) for c, d in H.rows))
 
 
-def cmd_delta(args, deadline):
+def cmd_delta(args):
     n = args.n
-    points = valuation.delta_vertices(n, deadline)
+    points = valuation.delta_vertices(n)
     names = _coordinate_names(n)
     if args.vrep:
-        return 0, _vrep("Newton-Okounkov body generators", names, points, args.format, deadline)
+        return 0, _vrep("Newton-Okounkov body generators", names, points, args.format)
     V = VPolytope.from_points(points)
     if args.fvector:
-        fv = polytope.f_vector(V, deadline)
+        fv = polytope.f_vector(V)
         return 0, {"f_vector": list(fv)} if args.format == "json" else [f"f-vector: {fv}"]
-    H = polytope.facets(V, deadline)
+    H = polytope.facets(V)
     if args.format == "json":
         return 0, _hrep_json(H, names)
     return 0, chain([f"Newton-Okounkov body facets, coordinates ({', '.join(names)}), "
@@ -195,8 +195,8 @@ def cmd_delta(args, deadline):
                     (f"  {d:>3} " + " ".join(f"{x:>3}" for x in c) for c, d in sorted(H.rows)))
 
 
-def cmd_matrix(args, deadline):
-    M = equivalence.build_valuation_matrix(args.n, deadline)
+def cmd_matrix(args):
+    M = equivalence.build_valuation_matrix(args.n)
     if args.format == "json":
         return 0, {
             "n": args.n,
@@ -207,11 +207,11 @@ def cmd_matrix(args, deadline):
     return 0, (" ".join(map(str, row)) for row in M.entries)
 
 
-def cmd_fold(args, deadline):
+def cmd_fold(args):
     if args.format == "dot":
-        Q = quiverfold.dual_quiver(plabic.build_corect_graph(args.n, deadline), deadline)
-        return 0, quiverfold.quiver_to_dot(Q).splitlines()
-    F = quiverfold.folded_matrix(args.n, deadline)
+        Q = quiverfold.dual_quiver(plabic.build_corect_graph(args.n))
+        return 0, quiverfold.quiver_to_dot(Q)
+    F = quiverfold.folded_matrix(args.n)
     if args.format == "json":
         return 0, {
             "n": args.n,
@@ -222,13 +222,13 @@ def cmd_fold(args, deadline):
     return 0, (" ".join(f"{x:>3}" for x in row) for row in F.entries)
 
 
-def cmd_volume(args, deadline):
+def cmd_volume(args):
     n = args.n
     expected = staircase_syt_count(n)
-    gamma = VPolytope.from_points(superpotential.gamma_vertex_set(n, deadline))
-    delta = VPolytope.from_points(valuation.delta_vertices(n, deadline))
-    vol_gamma = polytope.normalized_volume(gamma, deadline)
-    vol_delta = polytope.normalized_volume(delta, deadline)
+    gamma = VPolytope.from_points(superpotential.gamma_vertex_set(n))
+    delta = VPolytope.from_points(valuation.delta_vertices(n))
+    vol_gamma = polytope.normalized_volume(gamma)
+    vol_delta = polytope.normalized_volume(delta)
     code = 0 if vol_gamma == vol_delta == expected else 1
     if args.format == "json":
         return code, {"n": n, "gamma": str(vol_gamma), "delta": str(vol_delta), "degree": expected}
@@ -237,12 +237,12 @@ def cmd_volume(args, deadline):
                   f"degree of LGr({n},{2*n}) (staircase SYT count):       {expected}"]
 
 
-def cmd_counts(args, deadline):
+def cmd_counts(args):
     n = args.n
     P = superpotential.build_poset(n)
-    antichains = superpotential.chain_polytope_points(P, 1, deadline)
+    antichains = superpotential.chain_polytope_points(P, 1)
     syt = staircase_syt_count(n)
-    extensions = superpotential.linear_extension_count(P, deadline)
+    extensions = superpotential.linear_extension_count(P)
     if args.format == "json":
         return 0, {"n": n, "antichains": antichains, "catalan": catalan(n + 1),
                    "linear_extensions": extensions, "staircase_syt": syt}
@@ -252,8 +252,8 @@ def cmd_counts(args, deadline):
                f"staircase SYT count (degree):      {syt}"]
 
 
-def cmd_verify(args, deadline):
-    results = run_checks(args.n, args.level, deadline)
+def cmd_verify(args):
+    results = run_checks(args.n, args.level)
     all_ok = all(r["status"] != "fail" for r in results)
     code = 0 if all_ok else 1
     if args.format == "json":
@@ -325,7 +325,7 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     return parser
 
 
-def _text(output, fmt, deadline) -> list[str]:
+def _text(output, fmt) -> list[str]:
     """A handler's output as text: json.dump(output, indent=2) and a
     newline for JSON, else each line and a newline.  The text is made
     POLL_EVERY chunks at a time, with the deadline polled between them,
@@ -338,7 +338,7 @@ def _text(output, fmt, deadline) -> list[str]:
         chunks = (f"{line}\n" for line in output)
     text = []
     while batch := list(islice(chunks, POLL_EVERY)):
-        deadline.check()
+        armed().check()
         text.append("".join(batch))
     return text
 
@@ -351,9 +351,9 @@ def main(argv=None) -> int:
             raise ValueError("n must be >= 1")
         if not args.time_budget > 0:  # also refuses nan
             raise ValueError("time budget must be positive")
-        deadline = Deadline(args.time_budget)
-        code, output = args.func(args, deadline)
-        text = _text(output, args.format, deadline)
+        with arm(Deadline(args.time_budget)):
+            code, output = args.func(args)
+            text = _text(output, args.format)
     except TimeBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -30,7 +30,7 @@ map.  The tests keep the additivity lemmas, of the valuation and of
 maxdiag face by face, against a cell-by-cell hook decomposition.
 
 The main theorem is checked at two levels, by two functions with the
-shape of the verification registry, (n, deadline) -> (ok, witness).  The
+shape of the verification registry, n -> (ok, witness).  The
 vertex level, `verify_main_theorem`, is the walk above.  The hull level,
 `verify_hull_level`, runs the vertex level first, then asks |det M_n| = 1,
 and then reads the masks of Gamma's rows on the antichain indicators in
@@ -43,11 +43,12 @@ facets of Delta are the rows of Gamma pulled back through M_n.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 from typing import NamedTuple
 
 from . import polytope, superpotential, valuation
-from .budget import Deadline, cached_per_n
+from .budget import armed
 from .linalg import bareiss_det
 from .partitions import (
     Partition,
@@ -97,16 +98,16 @@ class ValuationMatrix(NamedTuple):
         return tuple(row[t] for row in self.entries)
 
 
-@cached_per_n
-def build_valuation_matrix(n: int, deadline: Deadline = Deadline()) -> ValuationMatrix:
+@cache
+def build_valuation_matrix(n: int) -> ValuationMatrix:
     """M_n, one shared matrix per n; the deadline is polled as the
     coordinate system is built and once per column.  Past the packed
     table's range it raises before the coordinate system is built."""
     valuation._check_packed_range(n)
-    rows, pairs = coordinate_system(n, deadline), column_pairs(n)
+    rows, pairs = coordinate_system(n), column_pairs(n)
     columns = []
     for i, j in pairs:
-        deadline.check()
+        armed().check()
         columns.append(valuation_maxdiag(n, column_partition(n, i, j)))
     return ValuationMatrix(n=n, entries=tuple(zip(*columns)), row_labels=rows, col_pairs=pairs)
 
@@ -203,7 +204,7 @@ def verify_singleton_images(n: int) -> tuple[bool, str]:
     return True, ""
 
 
-def image_of_antichains(n: int, deadline: Deadline = Deadline()) -> dict[frozenset, tuple[int, ...]]:
+def image_of_antichains(n: int) -> dict[frozenset, tuple[int, ...]]:
     """M_n applied to each antichain indicator: the sum of the columns the
     antichain picks (the zero vector for the empty antichain).  The
     deadline is polled as the antichains are enumerated.  The main
@@ -212,7 +213,7 @@ def image_of_antichains(n: int, deadline: Deadline = Deadline()) -> dict[frozens
     column = dict(zip(lex_cells(n), zip(*M.entries)))
     zero = (0,) * M.size
     return {a: tuple(map(sum, zip(zero, *map(column.__getitem__, a))))
-            for a in enumerate_antichains(build_poset(n), deadline)}
+            for a in enumerate_antichains(build_poset(n))}
 
 
 def _walk_table(n: int) -> list[list[tuple[int, int, int, int]]]:
@@ -245,7 +246,7 @@ def _walk_table(n: int) -> list[list[tuple[int, int, int, int]]]:
     return hooks
 
 
-def verify_main_theorem(n: int, deadline: Deadline = Deadline()) -> tuple[bool, str]:
+def verify_main_theorem(n: int) -> tuple[bool, str]:
     """Check that the valuation matrix carries the vertices of the
     superpotential polytope onto those of the Newton-Okounkov body: the
     valuation set is M_n(antichain indicators).  Returns (ok, witness).
@@ -280,7 +281,7 @@ def verify_main_theorem(n: int, deadline: Deadline = Deadline()) -> tuple[bool, 
     # the steps that pair into the complement's hooks.
     first_half = (1 << n + 1) - 2
     records = sections = 0
-    for batch in transpose_classes(n, deadline, table[0], table[1], _walk_table(n)):
+    for batch in transpose_classes(n, table[0], table[1], _walk_table(n)):
         for rep, x, image, clash, decoded in batch:
             if clash or image != maxplus(table, x):
                 lam = indexset_to_partition(valuation._indexset(rep, n), n)
@@ -294,7 +295,7 @@ def verify_main_theorem(n: int, deadline: Deadline = Deadline()) -> tuple[bool, 
             f"{sections} section classes against {antichains} antichains")
 
 
-def verify_hull_level(n: int, deadline: Deadline = Deadline()) -> tuple[bool, str]:
+def verify_hull_level(n: int) -> tuple[bool, str]:
     """Check that the rows of `gamma_hrep` are the facets of Gamma, and so,
     pulled back through M_n, the facets of Delta, and that Gamma has the
     normalized volume staircase_syt_count(n), the degree of LGr(n, 2n).
@@ -321,15 +322,15 @@ def verify_hull_level(n: int, deadline: Deadline = Deadline()) -> tuple[bool, st
     masks are the ones the volume reads anyway, the rows need no inverse of
     M_n and their values are small sums of 0/1 coordinates.
     """
-    ok, witness = verify_main_theorem(n, deadline)
+    ok, witness = verify_main_theorem(n)
     if not ok:
         return ok, witness
     ok, witness = is_unimodular(build_valuation_matrix(n))
     if not ok:
         return ok, f"M_n has {witness}"
-    gamma = polytope.VPolytope.from_points(superpotential.gamma_vertex_set(n, deadline))
-    H = gamma_hrep(n, deadline)
-    volume, cuts = polytope.volume_and_cuts(gamma, H, deadline)
+    gamma = polytope.VPolytope.from_points(superpotential.gamma_vertex_set(n))
+    H = gamma_hrep(n)
+    volume, cuts = polytope.volume_and_cuts(gamma, H)
     rows, expected = len(H.row_set()), staircase_syt_count(n)
     detail = []
     if cuts != rows:
@@ -339,11 +340,11 @@ def verify_hull_level(n: int, deadline: Deadline = Deadline()) -> tuple[bool, st
     return not detail, "; ".join(detail)
 
 
-def gamma_vertices_match_hrep(n: int, deadline: Deadline = Deadline()) -> tuple[bool, str]:
+def gamma_vertices_match_hrep(n: int) -> tuple[bool, str]:
     """Vertex enumeration of the superpotential H-rep returns exactly the
     antichain indicator vectors.  Returns (ok, witness), the witness
     naming the first indicator missing and the first vertex extra."""
-    enumerated = polytope.vertices(gamma_hrep(n, deadline), deadline).points
-    expected = superpotential.gamma_vertex_set(n, deadline)
+    enumerated = polytope.vertices(gamma_hrep(n)).points
+    expected = superpotential.gamma_vertex_set(n)
     missing, extra = set(expected) - set(enumerated), set(enumerated) - set(expected)
     return enumerated == expected, f"missing {min(missing, default=None)}, extra {min(extra, default=None)}"

@@ -35,7 +35,7 @@ from itertools import accumulate
 from math import factorial
 from operator import index, lt, sub
 
-from .budget import Deadline
+from .budget import armed
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]  # (row, column), 1-based
@@ -193,8 +193,8 @@ def transpose_indexset(I: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple([2 * n + 1 - h for h in range(2 * n, 0, -1) if h not in steps])
 
 
-def transpose_classes(n: int, deadline: Deadline = Deadline(), base: int = 0,
-                      weights: Sequence[int] = (), hooks=None) -> Iterator[list[tuple[int, ...]]]:
+def transpose_classes(n: int, base: int = 0, weights: Sequence[int] = (),
+                      hooks=None) -> Iterator[list[tuple[int, ...]]]:
     """The one enumerator of the transpose classes: every lattice path of
     the n x n square walked depth first, one record per class at its
     lex-first member I (I <= T = `transpose_indexset` of I), so in order of
@@ -261,7 +261,7 @@ def transpose_classes(n: int, deadline: Deadline = Deadline(), base: int = 0,
                    image, blocked, clash, decoded)
 
     for opened, x, excess, I, T in first(1, (), base, 0, 0, 0):
-        deadline.check()
+        armed().check()
         batch = []
         second(n + 1, opened, len(opened), x, excess, I, T, 0, 0, 0, 0)
         yield batch

@@ -48,7 +48,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .budget import Deadline, cached_per_n, polled
+from .budget import armed, polled
 from .partitions import Partition, normalize
 
 Vertex = tuple
@@ -96,14 +96,14 @@ def vertex_name(v: Vertex) -> str:
 class PlabicGraph:
     """Immutable-by-convention plabic graph with per-edge face sides."""
 
-    def __init__(self, n: int, deadline: Deadline = Deadline()):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n
         self.colors: dict[Vertex, str] = {}
         self.left_face: dict[Dart, FaceId] = {}
         self.faces: dict[FaceId, Partition] = {}
-        self._build(deadline)
+        self._build()
 
     # -- construction -------------------------------------------------
 
@@ -111,7 +111,7 @@ class PlabicGraph:
         self.left_face[(tail, head)] = left
         self.left_face[(head, tail)] = right
 
-    def _build(self, deadline: Deadline):
+    def _build(self):
         """The graph, with the deadline polled once per row or column of
         the grid and once per POLL_EVERY edges."""
         n = self.n
@@ -123,7 +123,7 @@ class PlabicGraph:
         self.colors[L_VERTEX] = "hollow"
 
         for k in range(1, n):
-            deadline.check()
+            armed().check()
             self._add_edge(_b(k), _f(1, k), (k, 0), (k - 1, 0))
             for r in range(1, n):
                 self._add_edge(_f(r, k), _h(r, k), (k, r), (k - 1, r - 1))
@@ -131,7 +131,7 @@ class PlabicGraph:
                 self._add_edge(_h(r, k), _f(r + 1, k), (k, r), (k - 1, r))
             self._add_edge(_h(n - 1, k), T_VERTEX, (k, n - 1), (k - 1, n - 1))
         for r in range(1, n):
-            deadline.check()
+            armed().check()
             self._add_edge(L_VERTEX, _f(r, n - 1), (n - 1, r), (n - 1, r - 1))
             for k in range(2, n):
                 self._add_edge(_h(r, k), _f(r, k - 1), (k - 1, r), (k - 1, r - 1))
@@ -141,15 +141,15 @@ class PlabicGraph:
         self._add_edge(L_VERTEX, _b(n), (n - 1, 0), TOP)
 
         for k in range(n):
-            deadline.check()
+            armed().check()
             for r in range(n):
                 self.faces[(k, r)] = face_label(n, (k, r))
         self.faces[TOP] = face_label(n, TOP)
 
-        seen = {frozenset(d) for d in polled(self.left_face, deadline)}
+        seen = {frozenset(d) for d in polled(self.left_face)}
         self._edges = tuple(sorted(seen, key=lambda e: tuple(sorted(e))))
         neighbours: dict[FaceId, list] = {f: [] for f in self.faces}
-        for e in polled(self._edges, deadline):
+        for e in polled(self._edges):
             left, right = self.face_sides(e)
             neighbours[left].append((e, right))
             neighbours[right].append((e, left))
@@ -209,11 +209,11 @@ class PlabicGraph:
         return frozenset(out)
 
 
-@cached_per_n
-def build_corect_graph(n: int, deadline: Deadline = Deadline()) -> PlabicGraph:
+@cache
+def build_corect_graph(n: int) -> PlabicGraph:
     """Co-rectangles graph on 2n boundary vertices; n = 1 is the degenerate
     two-face triangle through L and T."""
-    return PlabicGraph(n, deadline)
+    return PlabicGraph(n)
 
 
 # -- perfect orientations ----------------------------------------------
@@ -230,8 +230,7 @@ class PerfectOrientation(NamedTuple):
         return {v: tuple(sorted(ws)) for v, ws in adj.items()}
 
 
-def find_perfect_orientation(G: PlabicGraph, sources,
-                             deadline: Deadline = Deadline()) -> PerfectOrientation:
+def find_perfect_orientation(G: PlabicGraph, sources) -> PerfectOrientation:
     """The perfect orientation with the given boundary source set, forced
     edge by edge from the boundary.
 
@@ -252,6 +251,7 @@ def find_perfect_orientation(G: PlabicGraph, sources,
             incident.setdefault(v, []).append(i)
     assign: list[Dart | None] = [None] * len(edges)
     queue: list[int] = []
+    tick = armed().tick
 
     def force(i: int, dart: Dart):
         if assign[i] is None:
@@ -266,7 +266,7 @@ def find_perfect_orientation(G: PlabicGraph, sources,
         (v,) = edges[i] - {b}
         force(i, (b, v) if b[1] in sources else (v, b))
     while queue:
-        deadline.tick()
+        tick()
         for v in edges[queue.pop()]:
             color = G.colors.get(v)
             if color is None:
@@ -287,11 +287,11 @@ def find_perfect_orientation(G: PlabicGraph, sources,
     return PerfectOrientation(direction=tuple(assign), source_set=sources)
 
 
-@cached_per_n
-def corect_network(n: int, deadline: Deadline = Deadline()) -> tuple[PlabicGraph, PerfectOrientation]:
+@cache
+def corect_network(n: int) -> tuple[PlabicGraph, PerfectOrientation]:
     """Graph plus its perfect orientation with sources {1,...,n}."""
-    G = build_corect_graph(n, deadline)
-    return G, find_perfect_orientation(G, range(1, n + 1), deadline)
+    G = build_corect_graph(n)
+    return G, find_perfect_orientation(G, range(1, n + 1))
 
 
 # -- flows ---------------------------------------------------------------
@@ -351,12 +351,8 @@ def path_left_faces(G: PlabicGraph, left: int) -> frozenset:
     return frozenset(face for i, face in enumerate(faces) if left >> i & 1)
 
 
-# One path table per network, built on first use by `_path_table`.
-_PATH_TABLES: dict[tuple, dict[int, dict[int, tuple]]] = {}
-
-
-def _path_table(G: PlabicGraph, O: PerfectOrientation,
-                deadline: Deadline = Deadline()) -> dict[int, dict[int, tuple]]:
+@cache
+def _path_table(G: PlabicGraph, O: PerfectOrientation) -> dict[int, dict[int, tuple]]:
     """Every directed path from each boundary source of O to the boundary,
     keyed by the source's label and then by the label of the path's end,
     the first boundary vertex it reaches; each group in lexicographic
@@ -370,18 +366,17 @@ def _path_table(G: PlabicGraph, O: PerfectOrientation,
     weights assume the base face lies right of every path.  Built on first use,
     once per network; the deadline ticks once per step of the walk.
     """
-    if (G, O) in _PATH_TABLES:
-        return _PATH_TABLES[G, O]
     adj = O.out_neighbors()
     bit = {v: 1 << k for k, v in enumerate(sorted(G.colors))}
     faces, weight = dual_cuts(G)
     base = len(faces) - 1
+    tick = armed().tick
     table = {}
     for s in O.source_set:
         by_end: dict[int, list] = {}
 
         def walk(path: tuple[Vertex, ...], mask: int, left: int):
-            deadline.tick()
+            tick()
             v = path[-1]
             for w in adj.get(v, ()):
                 longer, on_left = path + (w,), left + weight[v, w]
@@ -395,12 +390,10 @@ def _path_table(G: PlabicGraph, O: PerfectOrientation,
 
         walk((_b(s),), 0, 0)
         table[s] = {end: tuple(paths) for end, paths in by_end.items()}
-    _PATH_TABLES[G, O] = table
     return table
 
 
-def flow_systems(G: PlabicGraph, O: PerfectOrientation, J, join: Callable, start,
-                 deadline: Deadline = Deadline()) -> Iterator:
+def flow_systems(G: PlabicGraph, O: PerfectOrientation, J, join: Callable, start) -> Iterator:
     """For each flow from the orientation's source set to J, in
     lexicographic order of its path vertex sequences, the sum
     start + join(vertices, left) + ... over its paths by ascending source,
@@ -425,7 +418,8 @@ def flow_systems(G: PlabicGraph, O: PerfectOrientation, J, join: Callable, start
     if sorted(O.source_set) != list(range(1, n + 1)):
         raise ValueError(f"source set {sorted(O.source_set)} is not 1..{n}: "
                          "the source-to-target matching is not forced")
-    table = _path_table(G, O, deadline)
+    table = _path_table(G, O)
+    tick = armed().tick
     sources = [s for s in range(1, n + 1) if s not in J]
     targets = [t for t in reversed(J) if t > n]
     groups = [[(mask, join(path, left)) for mask, path, left in table[s].get(t, ())]
@@ -442,10 +436,9 @@ def flow_systems(G: PlabicGraph, O: PerfectOrientation, J, join: Callable, start
 
     def place() -> Iterator:
         if not groups:  # J holds every source: the one flow is empty
-            deadline.tick()
+            tick()
             yield start
             return
-        tick = deadline.tick
         for used, acc in prefixes(0, 0, start):
             for mask, part in last:
                 if not mask & used:
@@ -455,8 +448,7 @@ def flow_systems(G: PlabicGraph, O: PerfectOrientation, J, join: Callable, start
     return place()
 
 
-def enumerate_flows(G: PlabicGraph, O: PerfectOrientation, J,
-                    deadline: Deadline = Deadline()) -> tuple[Flow, ...]:
+def enumerate_flows(G: PlabicGraph, O: PerfectOrientation, J) -> tuple[Flow, ...]:
     """All flows from the orientation's source set to J (`flow_systems`,
     with each path joined as a 1-tuple), in lexicographic order of their
     path vertex sequences; the deadline is polled by `flow_systems` and
@@ -474,7 +466,7 @@ def enumerate_flows(G: PlabicGraph, O: PerfectOrientation, J,
     try:
         return tuple(Flow(paths=tuple(path for path, _ in acc),
                           left_faces=tuple(left for _, left in acc))
-                     for acc in polled(flow_systems(G, O, J, join, (), deadline), deadline))
+                     for acc in polled(flow_systems(G, O, J, join, ())))
     finally:
         if enabled:
             gc.enable()
@@ -483,32 +475,30 @@ def enumerate_flows(G: PlabicGraph, O: PerfectOrientation, J,
 # -- exports --------------------------------------------------------------
 
 
-def graph_to_dot(G: PlabicGraph, O: PerfectOrientation | None = None) -> str:
-    lines = ["digraph corect {" if O else "graph corect {"]
+def graph_to_dot(G: PlabicGraph, O: PerfectOrientation | None = None) -> Iterator[str]:
+    """The graph, or the network with O, as the lines of a dot file, made
+    as they are read."""
+    yield "digraph corect {" if O else "graph corect {"
     for v in G.boundary:
-        lines.append(f'  "{vertex_name(v)}" [shape=plaintext];')
+        yield f'  "{vertex_name(v)}" [shape=plaintext];'
     for v in G.internal_vertices():
         fill = "black" if G.colors[v] == "filled" else "white"
-        lines.append(
-            f'  "{vertex_name(v)}" [shape=circle, style=filled, '
-            f'fillcolor={fill}, label=""];'
-        )
+        yield f'  "{vertex_name(v)}" [shape=circle, style=filled, fillcolor={fill}, label=""];'
     if O:
         for (t, h) in sorted(O.direction):
-            lines.append(f'  "{vertex_name(t)}" -> "{vertex_name(h)}";')
+            yield f'  "{vertex_name(t)}" -> "{vertex_name(h)}";'
     else:
         for e in G.edges:
             u, v = sorted(e)
-            lines.append(f'  "{vertex_name(u)}" -- "{vertex_name(v)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f'  "{vertex_name(u)}" -- "{vertex_name(v)}";'
+    yield "}"
 
 
-def faces_json(G: PlabicGraph, deadline: Deadline = Deadline()) -> list[dict]:
+def faces_json(G: PlabicGraph) -> list[dict]:
     from .partitions import format_partition
 
     out = []
-    for face in polled(sorted(G.faces, key=lambda f: (f == TOP, f)), deadline):
+    for face in polled(sorted(G.faces, key=lambda f: (f == TOP, f))):
         out.append(
             {
                 "label": format_partition(G.faces[face]),

@@ -25,9 +25,9 @@ union of the pyramids from its least point over its facets avoiding it, and
 a pyramid's volume is its apex's lattice height times its base's volume.
 No simplex and no determinant is formed.
 
-No dimension is refused.  The one bound is the Deadline, polled in every
-long loop: per inserted row and per plus ray of the double description,
-and per face of the f-vector and of a volume.
+No dimension is refused.  The one bound is the run's armed deadline,
+polled in every long loop: per inserted row and per plus ray of the double
+description, and per face of the f-vector and of a volume.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from math import gcd
 from operator import index, mul
 from typing import NamedTuple
 
-from .budget import Deadline
+from .budget import armed
 from .linalg import affine_pivot_columns, dot, identity, invert, primitive, rref
 
 Point = tuple[int, ...]
@@ -80,7 +80,7 @@ class HPolytope(NamedTuple):
 # -- double description ----------------------------------------------------
 
 
-def _extreme_rays(rows: list[tuple[int, ...]], deadline: Deadline) -> list[tuple[int, ...]]:
+def _extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {x : r.x >= 0 for every row}.
 
     Raises UnboundedError when the rows leave a lineality space, since every
@@ -105,7 +105,7 @@ def _extreme_rays(rows: list[tuple[int, ...]], deadline: Deadline) -> list[tuple
     for idx, row in enumerate(rows):
         if idx in chosen:
             continue
-        deadline.check()
+        armed().check()
         values = {r: sum(map(mul, row, r)) for r in rays}
         bit = 1 << processed
         processed += 1
@@ -119,7 +119,7 @@ def _extreme_rays(rows: list[tuple[int, ...]], deadline: Deadline) -> list[tuple
         fresh = {}
         for rp in plus:
             # a single insertion ran for over 80 s (facets of Delta at n=7)
-            deadline.check()
+            armed().check()
             for rm in minus:
                 common = zero_sets[rp] & zero_sets[rm]
                 # adjacent: no third ray is tight on every row both are
@@ -141,14 +141,14 @@ def _extreme_rays(rows: list[tuple[int, ...]], deadline: Deadline) -> list[tuple
     return sorted(set(rays))
 
 
-def vertices(H: HPolytope, deadline: Deadline = Deadline()) -> VPolytope:
+def vertices(H: HPolytope) -> VPolytope:
     """Exact vertex enumeration; raises UnboundedError for unbounded input
     and ValueError for a vertex off the lattice.  The rays are primitive,
     so the vertex x has the ray (1, x) exactly when x is integral."""
     cone_rows: list[tuple[int, ...]] = [(1,) + (0,) * H.dim]
     for c, d in H.rows:
         cone_rows.append((d,) + tuple(c))
-    rays = _extreme_rays(cone_rows, deadline)
+    rays = _extreme_rays(cone_rows)
     points = []
     for ray in rays:
         if ray[0] == 0:
@@ -170,7 +170,7 @@ def _full_dim(V: VPolytope) -> tuple[Point, ...]:
     return V.points
 
 
-def _facets_full_dim(points: tuple[Point, ...], deadline: Deadline) -> tuple[Row, ...]:
+def _facets_full_dim(points: tuple[Point, ...]) -> tuple[Row, ...]:
     """Irredundant facets of a full-dimensional hull via the polar dual."""
     m = len(points)
     sums = [sum(col) for col in zip(*points)]
@@ -179,7 +179,7 @@ def _facets_full_dim(points: tuple[Point, ...], deadline: Deadline) -> tuple[Row
     cone_rows = [(1,) + (0,) * len(sums)]
     for p in points:
         cone_rows.append(primitive((m,) + tuple(s - m * x for x, s in zip(p, sums))))
-    rays = _extreme_rays(cone_rows, deadline)
+    rays = _extreme_rays(cone_rows)
     rows = []
     for ray in rays:
         if ray[0] == 0:
@@ -191,10 +191,10 @@ def _facets_full_dim(points: tuple[Point, ...], deadline: Deadline) -> tuple[Row
     return tuple(sorted(set(rows)))
 
 
-def facets(V: VPolytope, deadline: Deadline = Deadline()) -> HPolytope:
+def facets(V: VPolytope) -> HPolytope:
     """Irredundant H-representation of conv(points), which must be
     full-dimensional."""
-    return HPolytope(dim=V.dim, rows=_facets_full_dim(_full_dim(V), deadline))
+    return HPolytope(dim=V.dim, rows=_facets_full_dim(_full_dim(V)))
 
 
 # -- face lattice: f-vector and volume ----------------------------------------
@@ -234,7 +234,7 @@ def _facets_of(face: int, facet_masks: list[int]) -> dict[int, int]:
     return maximal
 
 
-def f_vector(V: VPolytope, deadline: Deadline = Deadline()) -> tuple[int, ...]:
+def f_vector(V: VPolytope) -> tuple[int, ...]:
     """(f_0, ..., f_{d-1}) of conv(points), which must be full-dimensional.
 
     The (d-1)-faces are the facet masks of one facet run; going down one
@@ -242,13 +242,13 @@ def f_vector(V: VPolytope, deadline: Deadline = Deadline()) -> tuple[int, ...]:
     The deadline is polled once per face.
     """
     points = _full_dim(V)
-    masks = _facet_masks(points, _facets_full_dim(points, deadline))
+    masks = _facet_masks(points, _facets_full_dim(points))
     faces = set(masks)
     counts = [len(faces)]
     for _ in range(V.dim - 1):
         below: set[int] = set()
         for face in faces:
-            deadline.check()
+            armed().check()
             below.update(_facets_of(face, masks))
         faces = below
         counts.append(len(faces))
@@ -277,23 +277,22 @@ def _split_lattice(basis: Sequence[Sequence[int]],
     return abs(g), kernel
 
 
-def normalized_volume(V: VPolytope, deadline: Deadline = Deadline(),
-                      H: HPolytope | None = None) -> int:
-    """dim! times the Euclidean volume of the full-dimensional conv(points).
-    H, rows valid on V that include all of its facets, saves the facet
-    run: a redundant row cuts each face in a face that is not maximal or
-    that a facet row cuts too, and a row tight at no point cuts nothing.
-    A row negative at a point raises ValueError.  See `volume_and_cuts`."""
-    return volume_and_cuts(V, facets(V, deadline) if H is None else H, deadline)[0]
+def normalized_volume(V: VPolytope) -> int:
+    """dim! times the Euclidean volume of the full-dimensional conv(points),
+    taken on V's own facets (`volume_and_cuts`)."""
+    return volume_and_cuts(V, facets(V))[0]
 
 
-def volume_and_cuts(V: VPolytope, H: HPolytope, deadline: Deadline = Deadline()) -> tuple[int, int]:
-    """normalized_volume(V, deadline, H), and the number of maximal cuts
-    of V's points by H's rows (`_facets_of`), both read off one pass of
-    H's masks.  When the rows include all of V's facets, the maximal cuts
-    are the facets, one mask each, so the cuts are as many as the distinct
-    rows exactly when every row is a facet: a row that is not one cuts in
-    a face that is not maximal, in a facet row's mask, or in nothing.
+def volume_and_cuts(V: VPolytope, H: HPolytope) -> tuple[int, int]:
+    """The normalized volume of V, and the number of maximal cuts of V's
+    points by H's rows (`_facets_of`), both read off one pass of H's masks.
+
+    H's rows must be valid on V and include all of V's facets: a row
+    negative at a point raises ValueError, but a missing facet gives a
+    wrong volume, not an error.  A redundant row is harmless: it cuts each
+    face in a face that is not maximal or that a facet row cuts too, or in
+    nothing.  So the maximal cuts are the facets, one mask each, and they
+    are as many as the distinct rows exactly when every row is a facet.
 
     The volume is a sum of lattice pyramids over the faces: a face F, with
     least point a (a vertex, the points being sorted) and a basis of its
@@ -313,7 +312,7 @@ def volume_and_cuts(V: VPolytope, H: HPolytope, deadline: Deadline = Deadline())
             return 1
         if face in memo:
             return memo[face]
-        deadline.check()
+        armed().check()
         apex_bit = face & -face
         apex = points[apex_bit.bit_length() - 1]
         total = 0

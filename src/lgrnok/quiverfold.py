@@ -12,10 +12,11 @@ column orbit member is used.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from . import plabic
-from .budget import Deadline, polled
+from .budget import armed, polled
 from .partitions import Partition, format_partition, transpose
 
 
@@ -29,12 +30,12 @@ class Quiver(NamedTuple):
         return Counter(self.arrows)
 
 
-def dual_quiver(G: plabic.PlabicGraph, deadline: Deadline = Deadline()) -> Quiver:
+def dual_quiver(G: plabic.PlabicGraph) -> Quiver:
     """The quiver, with the deadline polled every POLL_EVERY edges and
     every POLL_EVERY face pairs."""
     frozen = frozenset(G.faces[f] for f in G.boundary_adjacent_faces())
     raw: Counter = Counter()
-    for edge in polled(G.edges, deadline):
+    for edge in polled(G.edges):
         u, v = sorted(edge)
         if u not in G.colors or v not in G.colors:
             continue
@@ -45,7 +46,7 @@ def dual_quiver(G: plabic.PlabicGraph, deadline: Deadline = Deadline()) -> Quive
             continue
         raw[(source, target)] += 1
     arrows: list[tuple[Partition, Partition]] = []
-    for (a, b) in polled(sorted({tuple(sorted(pair)) for pair in raw}), deadline):
+    for (a, b) in polled(sorted({tuple(sorted(pair)) for pair in raw})):
         net = raw.get((a, b), 0) - raw.get((b, a), 0)  # cancel 2-cycles
         if net > 0:
             arrows.extend([(a, b)] * net)
@@ -82,7 +83,7 @@ class FoldedMatrix(NamedTuple):
     entries: tuple[tuple[int, ...], ...]
 
 
-def fold(Q: Quiver, deadline: Deadline = Deadline()) -> FoldedMatrix:
+def fold(Q: Quiver) -> FoldedMatrix:
     """Orbit-summed exchange matrix, mutable orbits first, in one pass over
     the arrows: an arrow mu -> nu must have its transpose with the same
     count, and it adds that count to the sum of mu's row orbit at the
@@ -101,11 +102,12 @@ def fold(Q: Quiver, deadline: Deadline = Deadline()) -> FoldedMatrix:
     col_of = {v: c for c, orbit in enumerate(cols) for v in orbit}
     counts = Q.arrow_counter()
     flip = {v: transpose(v) for v in {v for arrow in counts for v in arrow}}
+    check = armed().check
     # sums[r, c][nu]: B_{mu, nu} summed over the mu of row orbit r, at the
     # member nu of column orbit c
     sums: dict[tuple[int, int], dict[Partition, int]] = {}
     for (a, b), count in counts.items():
-        deadline.check()
+        check()
         if counts.get((flip[a], flip[b]), 0) != count:
             raise ValueError(f"transpose involution breaks at arrow {a} -> {b}")
         for mu, nu, entry in ((a, b, count), (b, a, -count)):
@@ -115,7 +117,7 @@ def fold(Q: Quiver, deadline: Deadline = Deadline()) -> FoldedMatrix:
 
     entries = [[0] * len(cols) for _ in rows]
     for (r, c), at in sorted(sums.items()):
-        deadline.check()
+        check()
         by_member = {nu: at.get(nu, 0) for nu in cols[c]}
         if len(set(by_member.values())) != 1:
             raise ValueError(
@@ -125,16 +127,16 @@ def fold(Q: Quiver, deadline: Deadline = Deadline()) -> FoldedMatrix:
     return FoldedMatrix(n=n, row_orbits=rows, col_orbits=cols, entries=tuple(map(tuple, entries)))
 
 
-def folded_matrix(n: int, deadline: Deadline = Deadline()) -> FoldedMatrix:
-    return fold(dual_quiver(plabic.build_corect_graph(n, deadline), deadline), deadline)
+def folded_matrix(n: int) -> FoldedMatrix:
+    return fold(dual_quiver(plabic.build_corect_graph(n)))
 
 
-def quiver_to_dot(Q: Quiver) -> str:
-    lines = ["digraph quiver {"]
+def quiver_to_dot(Q: Quiver) -> Iterator[str]:
+    """The quiver as the lines of a dot file, made as they are read."""
+    yield "digraph quiver {"
     for v in Q.vertices:
         shape = "box" if v in Q.frozen else "ellipse"
-        lines.append(f'  "{format_partition(v)}" [shape={shape}];')
+        yield f'  "{format_partition(v)}" [shape={shape}];'
     for (a, b) in Q.arrows:
-        lines.append(f'  "{format_partition(a)}" -> "{format_partition(b)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  "{format_partition(a)}" -> "{format_partition(b)}";'
+    yield "}"

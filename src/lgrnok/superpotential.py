@@ -18,7 +18,7 @@ from itertools import compress, product
 from operator import or_
 from typing import NamedTuple
 
-from .budget import Deadline, polled
+from .budget import armed, polled
 from .polytope import HPolytope
 
 Element = tuple[int, int]
@@ -70,15 +70,16 @@ def _clash_masks(P: PosetPn) -> list[int]:
             for x in P.elements]
 
 
-def _antichain_masks(P: PosetPn, deadline: Deadline) -> list[int]:
+def _antichain_masks(P: PosetPn) -> list[int]:
     """Every antichain including the empty one, in a fixed order, as an int
     with one byte per element of P: 1 for a member, 0 for the rest.  The
     deadline ticks once per antichain."""
     clash = _clash_masks(P)
     out: list[int] = []
+    tick = armed().tick
 
     def grow(start: int, chosen: int, blocked: int):
-        deadline.tick()
+        tick()
         out.append(chosen)
         for t in range(start, len(clash)):
             if not blocked >> t & 1:
@@ -88,11 +89,11 @@ def _antichain_masks(P: PosetPn, deadline: Deadline) -> list[int]:
     return out
 
 
-def enumerate_antichains(P: PosetPn, deadline: Deadline = Deadline()) -> tuple[frozenset[Element], ...]:
+def enumerate_antichains(P: PosetPn) -> tuple[frozenset[Element], ...]:
     """Every antichain including the empty one, in a fixed order; the
     deadline is polled every POLL_EVERY antichains."""
     return tuple(frozenset(compress(P.elements, mask.to_bytes(len(P.elements), "little")))
-                 for mask in _antichain_masks(P, deadline))
+                 for mask in _antichain_masks(P))
 
 
 def maximal_chains(P: PosetPn) -> tuple[tuple[Element, ...], ...]:
@@ -122,7 +123,7 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def linear_extension_count(P: PosetPn, deadline: Deadline = Deadline()) -> int:
+def linear_extension_count(P: PosetPn) -> int:
     """Exact count by dynamic programming over the sets of elements still
     to place, each held as a bitmask over P.elements with the mask of its
     minimal elements: a linear extension places one of them at each step.
@@ -146,10 +147,11 @@ def linear_extension_count(P: PosetPn, deadline: Deadline = Deadline()) -> int:
     N = len(down)
     full = (1 << N) - 1
     ways = {full: 1 << N | sum(1 << k for k, below in enumerate(down) if not below)}
+    tick = armed().tick
     for _ in down:
         fewer: dict[int, int] = {}
         for rest, state in ways.items():
-            deadline.tick()
+            tick()
             minima = state & full
             lifted = state ^ minima  # the ways, still shifted
             left = minima  # _bits(minima), inlined: this is the DP's inner loop
@@ -173,7 +175,7 @@ def linear_extension_count(P: PosetPn, deadline: Deadline = Deadline()) -> int:
 # -- lattice points -------------------------------------------------------
 
 
-def chain_polytope_points(P: PosetPn, k: int, deadline: Deadline = Deadline()) -> int:
+def chain_polytope_points(P: PosetPn, k: int) -> int:
     """The lattice points of k times the chain polytope of P: the integer
     x >= 0 with every chain sum at most k, counted level by level down the
     covers of P, level j holding the elements (i, j); each cover goes down
@@ -196,7 +198,7 @@ def chain_polytope_points(P: PosetPn, k: int, deadline: Deadline = Deadline()) -
     for j in range(1, P.n + 1):
         stride = 1
         for _ in level:
-            deadline.check()
+            armed().check()
             for state in range(stride, len(counts)):
                 if state // stride % base:
                     counts[state] += counts[state - stride]
@@ -205,7 +207,7 @@ def chain_polytope_points(P: PosetPn, k: int, deadline: Deadline = Deadline()) -
         position = {x: t for t, x in enumerate(below)}
         bounds = [[position[q] for q in lower.get(p, ())] for p in level]
         reach = []
-        for m in polled(product(range(base), repeat=len(below)), deadline):
+        for m in polled(product(range(base), repeat=len(below))):
             state = 0
             for qs in bounds:
                 state = state * base + (min(map(m.__getitem__, qs)) if qs else k)
@@ -255,11 +257,11 @@ def lex_cells(n: int) -> tuple[Element, ...]:
     return build_poset(n).elements
 
 
-def build_superpotential(n: int, deadline: Deadline = Deadline()) -> tuple[SuperpotentialTerm, ...]:
+def build_superpotential(n: int) -> tuple[SuperpotentialTerm, ...]:
     """The linear terms, then one quantum term per strict partition; the
     deadline is polled every POLL_EVERY quantum terms."""
     terms = [SuperpotentialTerm("linear", (c,)) for c in lex_cells(n)]
-    for lam in polled(strict_staircase_partitions(n), deadline):
+    for lam in polled(strict_staircase_partitions(n)):
         terms.append(SuperpotentialTerm("quantum", quantum_denominator(n, lam)))
     return tuple(terms)
 
@@ -285,22 +287,22 @@ def chain_polytope_rows(P: PosetPn) -> Iterator[tuple[tuple[int, ...], int]]:
         yield tuple(-1 if c in chain else 0 for c in cells), 1
 
 
-def gamma_hrep(n: int, deadline: Deadline = Deadline()) -> HPolytope:
+def gamma_hrep(n: int) -> HPolytope:
     """H-representation of the superpotential polytope in coordinates A_ij
     ordered lexicographically: the tropicalized rows, one per term of the
     superpotential.  The check gamma-tropicalization-vs-chain-polytope
     compares them with `chain_polytope_rows`.  The deadline is polled every
     POLL_EVERY terms and every POLL_EVERY rows."""
-    rows = tuple(polled(tropicalize(n, build_superpotential(n, deadline)), deadline))
+    rows = tuple(polled(tropicalize(n, build_superpotential(n))))
     return HPolytope(dim=n * (n + 1) // 2, rows=rows)
 
 
-def gamma_vertex_set(n: int, deadline: Deadline = Deadline()) -> tuple[tuple[int, ...], ...]:
+def gamma_vertex_set(n: int) -> tuple[tuple[int, ...], ...]:
     """Indicator vectors of the antichains of P_n, sorted: the bytes of
     each antichain's mask (`_antichain_masks`), whose elements come in the
     order of `lex_cells(n)`; sorted as bytes, they come in the order of
     their tuples.  The deadline is polled every POLL_EVERY antichains, as
     they are enumerated, decoded and turned into tuples."""
-    masks, size = _antichain_masks(build_poset(n), deadline), n * (n + 1) // 2
-    indicators = sorted(mask.to_bytes(size, "little") for mask in polled(masks, deadline))
-    return tuple(map(tuple, polled(indicators, deadline)))
+    masks, size = _antichain_masks(build_poset(n)), n * (n + 1) // 2
+    indicators = sorted(mask.to_bytes(size, "little") for mask in polled(masks))
+    return tuple(map(tuple, polled(indicators)))

@@ -57,7 +57,7 @@ from operator import mul
 from types import MappingProxyType
 
 from . import plabic
-from .budget import Deadline, cached_per_n, polled
+from .budget import polled
 from .partitions import (
     Partition,
     _path_partition,
@@ -69,13 +69,13 @@ from .partitions import (
 )
 
 
-@cached_per_n
-def coordinate_system(n: int, deadline: Deadline = Deadline()) -> tuple[Partition, ...]:
+@cache
+def coordinate_system(n: int) -> tuple[Partition, ...]:
     """Orbit representatives of the nonempty face labels, ordered by
     descending reverse-lexicographic comparison of their index sets.  The
     deadline is polled every POLL_EVERY labels."""
     G = plabic.build_corect_graph(n)
-    reps = {orbit_representative(label) for label in polled(G.faces.values(), deadline) if label}
+    reps = {orbit_representative(label) for label in polled(G.faces.values()) if label}
 
     def key(rep: Partition):
         return tuple(reversed(partition_to_indexset(rep, n)))
@@ -285,7 +285,7 @@ def _indexset(bits: int, n: int) -> tuple[int, ...]:
     return tuple([k for k in range(1, 2 * n + 1) if bits >> k & 1])
 
 
-def class_valuations(n: int, cross_check: bool = False, deadline: Deadline = Deadline(),
+def class_valuations(n: int, cross_check: bool = False,
                      ) -> Iterator[tuple[tuple[int, ...], Partition, tuple[int, ...]]]:
     """(index set, representative, valuation) of each transpose class, in
     ascending index-set order, streamed from the lattice-path walk
@@ -300,7 +300,7 @@ def class_valuations(n: int, cross_check: bool = False, deadline: Deadline = Dea
     """
     table = _packed_table(n)  # past MAX_PACKED_N, raise before the walk
     base, masks, *_, N = table
-    for batch in transpose_classes(n, deadline, base, masks):
+    for batch in transpose_classes(n, base, masks):
         for rep, x, *_ in batch:
             indexset = _indexset(rep, n)
             lam = _path_partition(indexset, n)
@@ -315,14 +315,13 @@ def class_valuations(n: int, cross_check: bool = False, deadline: Deadline = Dea
             yield indexset, lam, value
 
 
-def all_plucker_valuations(n: int, cross_check: bool = False,
-                           deadline: Deadline = Deadline()) -> dict[Partition, tuple[int, ...]]:
+def all_plucker_valuations(n: int, cross_check: bool = False) -> dict[Partition, tuple[int, ...]]:
     """Valuation of one representative per transpose class, keyed by the
     representative, in ascending index-set order (`class_valuations`)."""
-    return {rep: value for _, rep, value in class_valuations(n, cross_check, deadline)}
+    return {rep: value for _, rep, value in class_valuations(n, cross_check)}
 
 
-def delta_vertices(n: int, deadline: Deadline = Deadline()) -> tuple[tuple[int, ...], ...]:
+def delta_vertices(n: int) -> tuple[tuple[int, ...], ...]:
     """Value set of the Pluecker valuations: the generators whose convex
     hull is the Newton-Okounkov body.  Only the distinct packed values of
     the walk's operands are kept and decoded; sorted as bytes, they come
@@ -331,5 +330,5 @@ def delta_vertices(n: int, deadline: Deadline = Deadline()) -> tuple[tuple[int, 
     table = _packed_table(n)
     base, masks, *_, N = table
     values = {_packed_maxplus(table, x)
-              for batch in transpose_classes(n, deadline, base, masks) for _, x, *_ in batch}
+              for batch in transpose_classes(n, base, masks) for _, x, *_ in batch}
     return tuple(map(tuple, sorted(value.to_bytes(N, "little") for value in values)))

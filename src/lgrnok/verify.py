@@ -1,8 +1,8 @@
 """The verification suite: the table `CHECKS` and its one run loop, `run_checks`.
 
-A check is a plain function (n, deadline) -> (ok, witness), the witness
-reported only on failure.  Outside its entry's n-range a check is skipped,
-with the entry's reason as its witness.
+A check is a plain function n -> (ok, witness), the witness reported only
+on failure, that polls the run's armed deadline.  Outside its entry's
+n-range a check is skipped, with the entry's reason as its witness.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from operator import ne
 from typing import NamedTuple
 
 from . import equivalence, partitions, plabic, polytope, quiverfold, superpotential, valuation
-from .budget import POLL_EVERY, Deadline, TimeBudgetExceeded, polled
+from .budget import POLL_EVERY, TimeBudgetExceeded, armed, polled
 from .polytope import VPolytope
 
 
-def roundtrip(n, deadline):
+def roundtrip(n):
     """The two path maps against both sides of the dictionary, listed in C
     and walked in lockstep: the n-subsets I of [2n] in lexicographic order,
     and the partitions in the n x n box as the weakly decreasing n-tuples
@@ -38,7 +38,7 @@ def roundtrip(n, deadline):
     boxes = map(tuple, map(filter, repeat(None),
                            combinations_with_replacement(range(n, -1, -1), n)))
     while chunk := list(islice(sets, POLL_EVERY)):
-        deadline.check()
+        armed().check()
         lams = list(islice(boxes, len(chunk)))
         if (any(map(ne, map(forward, chunk, repeat(n)), lams))
                 or any(map(ne, map(inverse, lams, repeat(n)), chunk))):
@@ -47,25 +47,25 @@ def roundtrip(n, deadline):
     return True, ""
 
 
-def orientation_unique(n, deadline):
+def orientation_unique(n):
     plabic.corect_network(n)  # raises unless every edge is forced, hence unique
     return True, ""
 
 
-def oracle(n, deadline):
+def oracle(n):
     """The flow model replayed against the closed form at every class, and
     the class stream counted: (C(2n, n) + 2^n) / 2 transpose classes (2^n
     of the C(2n, n) index sets are their own transpose) taking Catalan(n+1)
     distinct values."""
-    table = valuation.all_plucker_valuations(n, cross_check=True, deadline=deadline)
+    table = valuation.all_plucker_valuations(n, cross_check=True)
     classes = (math.comb(2 * n, n) + 2 ** n) // 2
     values, expected = len(set(table.values())), partitions.catalan(n + 1)
     return (len(table) == classes and values == expected,
             f"{len(table)} classes against {classes}, {values} values against {expected}")
 
 
-def table_lgr36(n, deadline):
-    table = valuation.all_plucker_valuations(n, deadline=deadline)
+def table_lgr36(n):
+    table = valuation.all_plucker_valuations(n)
     rows = table.get((3, 2, 1)), table.get(())
     return (rows == ((0, 2, 0, 2, 1, 1), (2, 4, 1, 4, 2, 3)) and len(table) == 14,
             f"(3,2,1) -> {rows[0]}, () -> {rows[1]}, {len(table)} classes")
@@ -76,7 +76,7 @@ def table_lgr36(n, deadline):
 FLOWS_145 = [(0, 2, 0, 2, 1, 2), (0, 2, 1, 2, 1, 2), (0, 2, 1, 2, 2, 2)]
 
 
-def flow_polynomial_145(n, deadline):
+def flow_polynomial_145(n):
     G, O = plabic.corect_network(n)
     flows = plabic.enumerate_flows(G, O, (1, 4, 5))
     vectors = sorted(valuation.orbit_vector(n, f.monomial(G)) for f in flows)
@@ -85,38 +85,38 @@ def flow_polynomial_145(n, deadline):
             and minimal == valuation.valuation_maxdiag(n, (3, 1, 1))), f"vectors {vectors}"
 
 
-def term_count(n, deadline):
-    terms = superpotential.build_superpotential(n, deadline)
+def term_count(n):
+    terms = superpotential.build_superpotential(n)
     return len(terms) == n * (n + 1) // 2 + 2 ** (n - 1), f"{len(terms)} terms"
 
 
-def gamma_routes(n, deadline):
-    trop = set(superpotential.gamma_hrep(n, deadline).rows)
-    chain = set(polled(superpotential.chain_polytope_rows(superpotential.build_poset(n)), deadline))
+def gamma_routes(n):
+    trop = set(superpotential.gamma_hrep(n).rows)
+    chain = set(polled(superpotential.chain_polytope_rows(superpotential.build_poset(n))))
     return trop == chain, f"missing {sorted(chain - trop)}, extra {sorted(trop - chain)}"
 
 
-def catalan(n, deadline):
+def catalan(n):
     """The antichains of P_n are the lattice points of its chain polytope,
     counted down the covers of P_n, none of them listed."""
-    count = superpotential.chain_polytope_points(superpotential.build_poset(n), 1, deadline)
+    count = superpotential.chain_polytope_points(superpotential.build_poset(n), 1)
     return count == partitions.catalan(n + 1), f"{count}"
 
 
-def extensions(n, deadline):
-    got = superpotential.linear_extension_count(superpotential.build_poset(n), deadline)
+def extensions(n):
+    got = superpotential.linear_extension_count(superpotential.build_poset(n))
     return got == partitions.staircase_syt_count(n), f"{got}"
 
 
-def blocks(n, deadline):
+def blocks(n):
     return equivalence.check_blocks(equivalence.build_valuation_matrix(n))
 
 
-def unimodular(n, deadline):
+def unimodular(n):
     return equivalence.is_unimodular(equivalence.build_valuation_matrix(n))
 
 
-def singletons(n, deadline):
+def singletons(n):
     return equivalence.verify_singleton_images(n)
 
 
@@ -131,16 +131,16 @@ PRINTED_FOLD = {
 }
 
 
-def fold(n, deadline):
-    F = quiverfold.folded_matrix(n, deadline)  # raises if ill-defined
+def fold(n):
+    F = quiverfold.folded_matrix(n)  # raises if ill-defined
     return F.entries == PRINTED_FOLD.get(n, F.entries), str(F.entries)
 
 
-def gamma_vertices(n, deadline):
-    return equivalence.gamma_vertices_match_hrep(n, deadline)
+def gamma_vertices(n):
+    return equivalence.gamma_vertices_match_hrep(n)
 
 
-def lattice_points(n, deadline):
+def lattice_points(n):
     """The lattice points of k Gamma for k = 1, 2, 3 against dim V(k omega_n)
     of Sp(2n).  Delta = M_n(Gamma) is the Newton-Okounkov body of LGr(n, 2n)
     in its Pluecker embedding, whose degree-k sections span V(k omega_n)
@@ -148,7 +148,7 @@ def lattice_points(n, deadline):
     assume the match.  At k = 1 the points are the antichain indicators,
     Catalan(n+1) of them."""
     P, rho = superpotential.build_poset(n), tuple(range(n, 0, -1))
-    got = [superpotential.chain_polytope_points(P, k, deadline) for k in (1, 2, 3)]
+    got = [superpotential.chain_polytope_points(P, k) for k in (1, 2, 3)]
     expected = [partitions.symplectic_dimension(k, rho) for k in (1, 2, 3)]
     return (got == expected and got[0] == partitions.catalan(n + 1),
             f"{got} points against dimensions {expected}")
@@ -163,24 +163,24 @@ PRINTED_DELTA3 = frozenset({
 })
 
 
-def delta_printed(n, deadline):
-    V = VPolytope.from_points(valuation.delta_vertices(n, deadline))
-    rows = polytope.facets(V, deadline).row_set()
+def delta_printed(n):
+    V = VPolytope.from_points(valuation.delta_vertices(n))
+    rows = polytope.facets(V).row_set()
     return rows == PRINTED_DELTA3, (f"missing {sorted(PRINTED_DELTA3 - rows)}, "
                                     f"extra {sorted(rows - PRINTED_DELTA3)}")
 
 
-def f_vector(n, deadline):
-    delta = VPolytope.from_points(valuation.delta_vertices(n, deadline))
-    gamma = VPolytope.from_points(superpotential.gamma_vertex_set(n, deadline))
-    fv_delta, fv_gamma = polytope.f_vector(delta, deadline), polytope.f_vector(gamma, deadline)
+def f_vector(n):
+    delta = VPolytope.from_points(valuation.delta_vertices(n))
+    gamma = VPolytope.from_points(superpotential.gamma_vertex_set(n))
+    fv_delta, fv_gamma = polytope.f_vector(delta), polytope.f_vector(gamma)
     return fv_delta == fv_gamma == (14, 51, 86, 78, 39, 10), f"{fv_delta} / {fv_gamma}"
 
 
 class Check(NamedTuple):
     name: str
     level: str  # "vertex" or "hull"
-    run: Callable[[int, Deadline], tuple[bool, str]]
+    run: Callable[[int], tuple[bool, str]]
     n_min: int = 1
     n_max: float = math.inf
     skip: str = ""  # the witness of a check skipped for n outside [n_min, n_max]
@@ -205,7 +205,7 @@ CHECKS = (
     # Looked up when called, so that a wrapper set on the module later (the
     # benchmark's traced run) still sees each call of the main theorem.
     Check("main-theorem-vertex-level", "vertex",
-          lambda n, deadline: equivalence.verify_main_theorem(n, deadline)),
+          lambda n: equivalence.verify_main_theorem(n)),
     Check("folded-exchange-matrix", "vertex", fold),
     # In-process: 0.3 s at n=6, 13 s at n=7.  The facet certificate of
     # main-theorem-hull-level rests on it, so its n-range holds that one's.
@@ -221,12 +221,12 @@ CHECKS = (
     # In-process, most of it Gamma's volume: 1.4 s at n=6, 52 s at n=7
     # (78 MB peak).
     Check("main-theorem-hull-level", "hull",
-          lambda n, deadline: equivalence.verify_hull_level(n, deadline),
+          lambda n: equivalence.verify_hull_level(n),
           n_max=7, skip="hull level gated to n <= 7"),
 )
 
 
-def run_checks(n: int, level: str, deadline: Deadline) -> list[dict]:
+def run_checks(n: int, level: str) -> list[dict]:
     """Runs the checks of `level` ("vertex", "hull" or "all") at n, in table
     order, and returns one {"name", "status", "witness"} per check, status
     "pass", "fail" or "skip".
@@ -243,8 +243,8 @@ def run_checks(n: int, level: str, deadline: Deadline) -> list[dict]:
             results.append({"name": check.name, "status": "skip", "witness": check.skip})
             continue
         try:
-            ok, witness = check.run(n, deadline)
-            deadline.check()
+            ok, witness = check.run(n)
+            armed().check()
         except TimeBudgetExceeded as exc:
             raise TimeBudgetExceeded(f"{check.name}: {exc}") from exc
         except Exception as exc:  # a raising check is a failing check

@@ -41,11 +41,13 @@ compare these with the facets that `lgrnok delta` prints), flow
 polynomials and their monomials, the order of P_n as the closure of
 its covers (lgrnok reads the covers off a closed form of the order), a
 vertex's neighbours, antichains, down-sets and the Dyck path of an
-antichain and its inverse, a graph with one vertex recoloured and the
-Euler relation of an f-vector.  Only the tests read them.
+antichain and its inverse, a graph with one vertex recoloured, the
+Euler relation of an f-vector, and a sweep that empties every cached
+table.  Only the tests read them.
 """
 
 import copy
+import sys
 from functools import cache
 from itertools import combinations
 from operator import mul
@@ -208,7 +210,7 @@ def antichain_from_partition(n, lam):
     return members
 
 
-def triangulate_by_face_hulls(points, memo, deadline):
+def triangulate_by_face_hulls(points, memo):
     """Simplices (as point tuples) triangulating conv(points), the integer
     points sorted.
 
@@ -223,7 +225,7 @@ def triangulate_by_face_hulls(points, memo, deadline):
         memo[points] = [points]
         return memo[points]
     projected = tuple(tuple(p[c] for c in pivots) for p in points)
-    proj_rows = _facets_full_dim(tuple(sorted(set(projected))), deadline)
+    proj_rows = _facets_full_dim(tuple(sorted(set(projected))))
     apex = points[0]
     apex_proj = projected[0]
     simplices = []
@@ -233,13 +235,13 @@ def triangulate_by_face_hulls(points, memo, deadline):
         on_facet = tuple(
             p for p, q in zip(points, projected) if dot(coeffs, q) + const == 0
         )
-        for s in triangulate_by_face_hulls(on_facet, memo, deadline):
+        for s in triangulate_by_face_hulls(on_facet, memo):
             simplices.append((apex,) + s)
     memo[points] = simplices
     return simplices
 
 
-def f_vector_by_face_ranks(V, deadline):
+def f_vector_by_face_ranks(V):
     """(f_0, ..., f_{d-1}) of a full-dimensional conv(points).
 
     A point is a vertex when the normals of the facets through it span the
@@ -247,7 +249,7 @@ def f_vector_by_face_ranks(V, deadline):
     and each face is ranked by the affine rank of its vertices.
     """
     points = V.points
-    rows = _facets_full_dim(points, deadline)
+    rows = _facets_full_dim(points)
     verts = []
     for p in points:
         normals = [c for c, d in rows if dot(c, p) + d == 0]
@@ -258,7 +260,6 @@ def f_vector_by_face_ranks(V, deadline):
     faces = set(facet_sets)
     frontier = set(facet_sets)
     while frontier:
-        deadline.check()
         fresh = set()
         for face in frontier:
             for fs in facet_sets:
@@ -669,3 +670,13 @@ def recoloured(G, v):
 def euler_characteristic_ok(fvec):
     d = len(fvec)
     return sum((-1) ** i * f for i, f in enumerate(fvec)) == 1 - (-1) ** d
+
+
+def clear_tables():
+    """Empties every table lgrnok keeps: `cache_clear` on each attribute of
+    an lgrnok module that has one, so that the next call builds afresh."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lgrnok."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()

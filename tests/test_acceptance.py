@@ -11,7 +11,7 @@ from itertools import combinations
 from math import prod
 
 from lgrnok import plabic, polytope
-from lgrnok.budget import Deadline, TimeBudgetExceeded
+from lgrnok.budget import Deadline, TimeBudgetExceeded, arm
 from lgrnok.equivalence import (
     build_valuation_matrix,
     check_blocks,
@@ -229,12 +229,12 @@ def test_criterion_8_main_theorem_hull_level():
     ok &= polytope.normalized_volume(
         polytope.VPolytope.from_points(gamma_vertex_set(3))) == 16
     # n=4, inside the 30 minute budget (runs in seconds)
-    budget = Deadline(1800.0)
     gamma4 = polytope.VPolytope.from_points(gamma_vertex_set(4))
     delta4 = polytope.VPolytope.from_points(delta_vertices(4))
     try:
-        ok &= polytope.normalized_volume(gamma4, budget) == 768
-        ok &= polytope.normalized_volume(delta4, budget) == 768
+        with arm(Deadline(1800.0)):
+            ok &= polytope.normalized_volume(gamma4) == 768
+            ok &= polytope.normalized_volume(delta4) == 768
         n4 = "n=4 volumes 768"
     except TimeBudgetExceeded:
         n4 = "n=4 volume budget exceeded (not a mathematical failure)"

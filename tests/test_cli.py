@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from lgrnok import cli, superpotential, valuation
-from lgrnok.budget import Deadline, TimeBudgetExceeded
+from lgrnok.budget import Deadline, TimeBudgetExceeded, armed
 from lgrnok.cli import main
+from lgrnok.partitions import staircase_syt_count
 from oracles import pulled_back_gamma_rows
 
 
@@ -130,9 +131,9 @@ def test_every_command_polls_the_budget_as_it_writes(monkeypatch, capsys, comman
     # between polls of the deadline, so nothing is printed
     handler = _subcommands()[command].get_default("func")
 
-    def expiring(args, deadline):
-        result = handler(args, deadline)
-        deadline.expires = time.monotonic() - 1
+    def expiring(args):
+        result = handler(args)
+        armed().expires = time.monotonic() - 1
         return result
 
     monkeypatch.setattr(cli, handler.__name__, expiring)
@@ -339,6 +340,19 @@ def test_budget_exceeded_exit_code():
     assert main(["counts", "--n", "8", "--time-budget", "1e-9"]) == 3
 
 
+@pytest.mark.parametrize("entry", ["cli", "script"])
+def test_a_run_out_of_budget_leaves_none_armed_behind(capsys, entry):
+    # each entry arms its budget for its own call: after a run that used up
+    # 1e-9 s, a library call in the same process runs to completion
+    run = main if entry == "cli" else _run_verification_main()
+    argv = ["counts", "--n", "8"] if entry == "cli" else ["--max-n", "3"]
+    assert run([*argv, "--time-budget", "1e-9"]) == 3
+    assert "exceeded its time budget" in capsys.readouterr().err
+    assert armed().expires is None
+    P = superpotential.build_poset(8)
+    assert superpotential.linear_extension_count(P) == staircase_syt_count(8)
+
+
 def test_volume_n5(capsys):
     code, out = run_cli(capsys, "volume", "--n", "5")
     assert code == 0
@@ -397,7 +411,7 @@ def test_point_sets_poll_the_budget_after_the_enumeration(monkeypatch, capsys, c
 
     def expiring(*args):
         result = real(*args)
-        args[-1].expires = time.monotonic() - 1
+        armed().expires = time.monotonic() - 1
         return result
 
     monkeypatch.setattr(module, name, expiring)

@@ -6,6 +6,10 @@ the tests read belongs in tests/oracles.py.
 
 The scan matches names, not bindings, so a definition that shares its name
 with a name used elsewhere counts as read.
+
+No function of the program takes a `deadline` parameter either: the run's
+one deadline is armed by its entry point and looked up by the loops that
+poll it (`lgrnok.budget`).
 """
 
 import ast
@@ -14,6 +18,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PROGRAM = sorted((ROOT / "src" / "lgrnok").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def public_definitions(tree):
@@ -33,8 +38,7 @@ def names_read(node) -> Counter:
 
 
 def test_every_public_definition_is_read_by_the_program():
-    program = sorted((ROOT / "src" / "lgrnok").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
-    trees = {path: ast.parse(path.read_text()) for path in program}
+    trees = {path: ast.parse(path.read_text()) for path in PROGRAM}
     read = sum((names_read(tree) for tree in trees.values()), Counter())
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     pinned = {m["name"].split(".")[1] for m in metrics if m["name"].count(".") == 2}
@@ -43,3 +47,13 @@ def test_every_public_definition_is_read_by_the_program():
               for node in public_definitions(tree)
               if node.name not in pinned and read[node.name] == names_read(node)[node.name]]
     assert not unread
+
+
+def test_no_function_takes_a_deadline():
+    taking = [f"{path.name}: {getattr(node, 'name', 'lambda')}"
+              for path in PROGRAM for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+              for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+                          node.args.vararg, node.args.kwarg)
+              if arg is not None and arg.arg == "deadline"]
+    assert PROGRAM and not taking

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from lgrnok import equivalence, polytope, superpotential, valuation
-from lgrnok.budget import Deadline
 from lgrnok.cli import main
 from lgrnok.equivalence import (
     build_valuation_matrix,
@@ -24,7 +23,7 @@ from lgrnok.equivalence import (
     verify_main_theorem,
     verify_singleton_images,
 )
-from lgrnok.budget import POLL_EVERY
+from lgrnok.budget import POLL_EVERY, arm
 from lgrnok.linalg import bareiss_det
 from lgrnok.partitions import (
     catalan,
@@ -201,9 +200,10 @@ def test_image_of_antichains_is_matrix_image(n):
 
 
 def test_image_of_antichains_polls_the_deadline():
-    # P_7 has catalan(8) = 1430 antichains
-    deadline = CountingDeadline()
-    assert len(image_of_antichains(7, deadline)) == catalan(8) == 1430
+    # P_7 has catalan(8) = 1430 antichains; M_7 is built before the count
+    build_valuation_matrix(7)
+    with arm(CountingDeadline()) as deadline:
+        assert len(image_of_antichains(7)) == catalan(8) == 1430
     assert deadline.polls == -(-catalan(8) // POLL_EVERY)
 
 
@@ -449,8 +449,9 @@ def test_walk_refuses_columns_too_wide_to_pack(monkeypatch, entry, guarded):
 
 
 def test_vertex_level_polls_once_per_first_half():
-    deadline = CountingDeadline()
-    assert verify_main_theorem(7, deadline)[0]
+    build_valuation_matrix(7)  # built before the count
+    with arm(CountingDeadline()) as deadline:
+        assert verify_main_theorem(7)[0]
     assert deadline.polls == 2 ** 7
 
 

@@ -4,7 +4,6 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from lgrnok.budget import Deadline
 from lgrnok.partitions import (
     catalan,
     cells,
@@ -226,7 +225,7 @@ def test_walk_sums_the_lex_first_member(n):
     hooks = [[(1, 1, bit.get((j, h), 0), 1 << j | 1 << h) for h in range(n + 1)]
              for j in range(2 * n + 1)]
     weights = [-(1 << 8 * d) for d in range(2 * n - 1)]
-    records = walked_classes(n, Deadline(), 0, weights, hooks)
+    records = walked_classes(n, 0, weights, hooks)
     assert [lam for lam, _ in records] == list(oracles.transpose_classes(n))
     for lam, (x, image, clash, decoded) in records:
         I = partition_to_indexset(lam, n)

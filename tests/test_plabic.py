@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from lgrnok import plabic
-from lgrnok.budget import POLL_EVERY, Deadline, TimeBudgetExceeded
+from lgrnok.budget import POLL_EVERY, Deadline, TimeBudgetExceeded, arm
 from lgrnok.partitions import partition_to_indexset, transpose
 from lgrnok.valuation import orbit_vector
 from oracles import (
@@ -209,9 +209,10 @@ def test_a_dual_tree_rooted_off_the_base_face_fails_the_walk(monkeypatch):
     G = plabic.PlabicGraph(3)
     assert plabic.dual_cuts(G)[0][-1] == plabic.TOP
     O = plabic.find_perfect_orientation(G, range(1, 4))
+    kept = plabic._path_table.cache_info().currsize
     with pytest.raises(ValueError, match="does not have the base face on its right"):
         plabic._path_table(G, O)
-    assert (G, O) not in plabic._PATH_TABLES
+    assert plabic._path_table.cache_info().currsize == kept
 
 
 @pytest.mark.parametrize("J", [(1, 1, 2), (4, 5, 5), (0, 1, 2), (1, 2, 7), (1, 2), (1, 2, 3, 4)],
@@ -239,8 +240,8 @@ def test_enumerate_flows_pauses_the_collector_and_restores_it(monkeypatch, enabl
     try:
         assert plabic.enumerate_flows(G, O, (1, 2, 6, 8))
         assert gc.isenabled() is enabled
-        with pytest.raises(TimeBudgetExceeded):
-            plabic.enumerate_flows(G, O, (1, 2, 6, 8), Deadline(-1))
+        with arm(Deadline(-1)), pytest.raises(TimeBudgetExceeded):
+            plabic.enumerate_flows(G, O, (1, 2, 6, 8))
         assert gc.isenabled() is enabled
     finally:
         gc.enable()
@@ -265,17 +266,18 @@ def test_flows_poll_the_deadline_in_the_path_table_and_the_placement():
     G = plabic.PlabicGraph(6)
     O = plabic.find_perfect_orientation(G, range(1, 7))
     J = (1, 2, 4, 7, 9, 11)
-    with pytest.raises(TimeBudgetExceeded):
-        plabic.flow_systems(G, O, J, _entry, (), Deadline(-1))
-    assert (G, O) not in plabic._PATH_TABLES
-    cold = CountingDeadline()
-    systems = list(plabic.flow_systems(G, O, J, _entry, (), cold))
+    kept = plabic._path_table.cache_info().currsize
+    with arm(Deadline(-1)), pytest.raises(TimeBudgetExceeded):
+        plabic.flow_systems(G, O, J, _entry, ())
+    assert plabic._path_table.cache_info().currsize == kept
+    with arm(CountingDeadline()) as cold:
+        systems = list(plabic.flow_systems(G, O, J, _entry, ()))
     assert len(systems) > POLL_EVERY
-    warm = CountingDeadline()
-    assert list(plabic.flow_systems(G, O, J, _entry, (), warm)) == systems
+    with arm(CountingDeadline()) as warm:
+        assert list(plabic.flow_systems(G, O, J, _entry, ())) == systems
     assert warm.polls == math.ceil(len(systems) / POLL_EVERY) < cold.polls
-    flows = CountingDeadline()
-    assert len(plabic.enumerate_flows(G, O, J, flows)) == len(systems)
+    with arm(CountingDeadline()) as flows:
+        assert len(plabic.enumerate_flows(G, O, J)) == len(systems)
     assert flows.polls == 2 * warm.polls
 
 
@@ -425,5 +427,5 @@ def test_face_boundaries_and_exports():
     assert len(entries) == 10
     interior = next(e for e in entries if e["label"] == "3,1,1")
     assert len(interior["boundary"]) == 6  # hexagonal interior cell
-    dot = plabic.graph_to_dot(G, plabic.corect_network(3)[1])
+    dot = "\n".join(plabic.graph_to_dot(G, plabic.corect_network(3)[1]))
     assert dot.startswith("digraph") and '"T"' in dot

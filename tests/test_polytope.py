@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from lgrnok import polytope, superpotential, valuation
-from lgrnok.budget import Deadline, TimeBudgetExceeded
+from lgrnok.budget import Deadline, TimeBudgetExceeded, arm, armed
 from lgrnok.linalg import affine_pivot_columns, bareiss_det, dot
 from lgrnok.polytope import (
     HPolytope,
@@ -55,7 +55,7 @@ def test_vertices_drops_non_extreme_points():
     assert len(H.rows) == 4
     assert set(vertices(H).points) == {(0, 0), (2, 0), (0, 2), (2, 2)}
     # the edge point (1, 0) and the centre are not vertices
-    assert f_vector(sq) == oracles.f_vector_by_face_ranks(sq, Deadline()) == (4, 4)
+    assert f_vector(sq) == oracles.f_vector_by_face_ranks(sq) == (4, 4)
 
 
 def test_rational_coordinates():
@@ -127,16 +127,17 @@ def test_facet_rows_are_certified(data, dim):
 def test_f_vector_bounds_the_facet_run(monkeypatch):
     from lgrnok import polytope
 
-    armed = []
+    bounded = []
     real = polytope._extreme_rays
 
-    def recording(rows, deadline):
-        armed.append(deadline.expires is not None)
-        return real(rows, deadline)
+    def recording(rows):
+        bounded.append(armed().expires is not None)
+        return real(rows)
 
     monkeypatch.setattr(polytope, "_extreme_rays", recording)
-    assert f_vector(cube(4), Deadline(5.0)) == (16, 32, 24, 8)
-    assert armed and all(armed)
+    with arm(Deadline(5.0)):
+        assert f_vector(cube(4)) == (16, 32, 24, 8)
+    assert bounded and all(bounded)
 
 
 class CountingDeadline(Deadline):
@@ -151,8 +152,8 @@ class CountingDeadline(Deadline):
 
 def test_facet_run_polls_inside_an_insertion():
     # the polar cone of the 4-cube has 5 basis rows and 12 inserted ones
-    deadline = CountingDeadline()
-    assert len(facets(cube(4), deadline).rows) == 8
+    with arm(CountingDeadline()) as deadline:
+        assert len(facets(cube(4)).rows) == 8
     inserted = len(cube(4).points) + 1 - 5
     assert deadline.polls > inserted
 
@@ -160,7 +161,7 @@ def test_facet_run_polls_inside_an_insertion():
 def assert_matches_face_hull_oracle(body):
     """The volume from one facet run is the volume of the reference
     triangulation that hulls every face again."""
-    simplices = oracles.triangulate_by_face_hulls(body.points, {}, Deadline())
+    simplices = oracles.triangulate_by_face_hulls(body.points, {})
     total = sum(abs(bareiss_det([[x - b for x, b in zip(p, s[0])] for p in s[1:]]))
                 for s in simplices)
     assert normalized_volume(body) == total
@@ -321,7 +322,7 @@ def test_volume_reads_any_valid_rows_that_include_the_facets(body, volume):
     )
     rows = facets(body).rows
     for H in (HPolytope(d, extra + rows), HPolytope(d, rows + extra)):
-        assert normalized_volume(body, Deadline(), H) == volume
+        assert volume_and_cuts(body, H)[0] == volume
 
 
 @pytest.mark.parametrize("body, volume", [
@@ -341,7 +342,7 @@ def test_a_row_negative_at_a_point_fails_the_volume_pass():
     body = cube(3)
     rows = facets(body).rows + (((-1, 0, 0), 0),)
     with pytest.raises(ValueError, match=r"the row \(\(-1, 0, 0\), 0\) is -1 at \(1, 0, 0\)"):
-        normalized_volume(body, Deadline(), HPolytope(3, rows))
+        volume_and_cuts(body, HPolytope(3, rows))[0]
 
 
 def test_volume_polls_the_budget_per_face():
@@ -350,8 +351,8 @@ def test_volume_polls_the_budget_per_face():
     there, inside the recursion."""
     delta4 = VPolytope.from_points(valuation.delta_vertices(4))
     H = facets(delta4)
-    counted = CountingDeadline()
-    assert normalized_volume(delta4, counted, H) == 768
+    with arm(CountingDeadline()) as counted:
+        assert volume_and_cuts(delta4, H)[0] == 768
     assert 100 < counted.polls <= sum(F_VECTOR_4)
 
     class ExpiresAtPoll100(CountingDeadline):
@@ -360,12 +361,11 @@ def test_volume_polls_the_budget_per_face():
                 self.expires = time.monotonic() - 1.0
             super().check()
 
-    expiring = ExpiresAtPoll100()
-    with pytest.raises(TimeBudgetExceeded) as raised:
-        normalized_volume(delta4, expiring, H)
+    with arm(ExpiresAtPoll100()) as expiring, pytest.raises(TimeBudgetExceeded) as raised:
+        volume_and_cuts(delta4, H)[0]
     assert expiring.polls == 100
     names = [entry.name for entry in raised.traceback]
-    assert "normalized_volume" in names and names[names.index("check") - 1] == "volume"
+    assert "volume_and_cuts" in names and names[names.index("check") - 1] == "volume"
 
 
 @settings(max_examples=40, deadline=None)
@@ -379,15 +379,15 @@ def test_f_vector_matches_face_rank_oracle(data, dim):
     )
     body = VPolytope.from_points(points)
     assume(len(affine_pivot_columns(body.points)) == dim)
-    assert f_vector(body) == oracles.f_vector_by_face_ranks(body, Deadline())
+    assert f_vector(body) == oracles.f_vector_by_face_ranks(body)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_f_vector_matches_face_rank_oracle_on_delta_and_gamma(n):
     delta = VPolytope.from_points(valuation.delta_vertices(n))
     gamma = VPolytope.from_points(superpotential.gamma_vertex_set(n))
-    fv = oracles.f_vector_by_face_ranks(delta, Deadline())
-    assert oracles.f_vector_by_face_ranks(gamma, Deadline()) == fv
+    fv = oracles.f_vector_by_face_ranks(delta)
+    assert oracles.f_vector_by_face_ranks(gamma) == fv
     assert f_vector(delta) == f_vector(gamma) == fv
     if n == 3:
         assert fv == (14, 51, 86, 78, 39, 10)

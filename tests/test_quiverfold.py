@@ -2,7 +2,7 @@ import pytest
 
 import oracles
 from lgrnok import plabic, quiverfold
-from lgrnok.budget import POLL_EVERY
+from lgrnok.budget import POLL_EVERY, arm, armed
 from lgrnok.partitions import transpose
 from lgrnok.quiverfold import (
     dual_quiver,
@@ -174,7 +174,7 @@ def test_a_column_orbit_that_is_no_transpose_pair_names_the_ill_defined_sum(monk
 
 def test_dot_export():
     Q = dual_quiver(plabic.build_corect_graph(3))
-    dot = quiver_to_dot(Q)
+    dot = "\n".join(quiver_to_dot(Q))
     assert "shape=box" in dot and "->" in dot
 
 
@@ -182,18 +182,20 @@ def test_the_graph_quiver_and_orientation_poll_the_budget(monkeypatch):
     # fold, graph and orientation build these before their own first poll:
     # at n=70 the graph takes about 0.2 s and the quiver 0.25 s
     n = 40
-    graph, quiver, orientation = CountingDeadline(), CountingDeadline(), CountingDeadline()
-    G = plabic.PlabicGraph(n, graph)
-    dual_quiver(G, quiver)
-    plabic.find_perfect_orientation(G, range(1, n + 1), orientation)
+    with arm(CountingDeadline()) as graph:
+        G = plabic.PlabicGraph(n)
+    with arm(CountingDeadline()) as quiver:
+        dual_quiver(G)
+    with arm(CountingDeadline()) as orientation:
+        plabic.find_perfect_orientation(G, range(1, n + 1))
     assert graph.polls >= 3 * n - 2  # each row and column of the grid, each strip of faces
     assert quiver.polls > len(G.edges) // POLL_EVERY
     assert orientation.polls == -(-len(G.edges) // POLL_EVERY)  # every edge is forced once
-    # folded_matrix hands its deadline to both builds, the graph uncached here
+    # folded_matrix builds both under the armed deadline, the graph uncached here
     before_fold = []
     real = quiverfold.fold
     monkeypatch.setattr(plabic, "build_corect_graph", plabic.build_corect_graph.__wrapped__)
-    monkeypatch.setattr(quiverfold, "fold",
-                        lambda Q, deadline: before_fold.append(deadline.polls) or real(Q, deadline))
-    folded_matrix(n, CountingDeadline())
+    monkeypatch.setattr(quiverfold, "fold", lambda Q: before_fold.append(armed().polls) or real(Q))
+    with arm(CountingDeadline()):
+        folded_matrix(n)
     assert before_fold == [graph.polls + quiver.polls]

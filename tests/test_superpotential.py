@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from lgrnok import superpotential, verify
-from lgrnok.budget import POLL_EVERY, Deadline, TimeBudgetExceeded
+from lgrnok.budget import POLL_EVERY, Deadline, TimeBudgetExceeded, arm
 from lgrnok.partitions import catalan, staircase_syt_count
 from lgrnok.superpotential import (
     build_poset,
@@ -66,8 +66,8 @@ def test_antichain_count_lists_nothing(monkeypatch):
     monkeypatch.setattr(superpotential, "_antichain_masks",
                         lambda *args: pytest.fail("the antichains were listed"))
     for n in range(7, 11):
-        assert verify.catalan(n, Deadline()) == (True, str(catalan(n + 1)))
-    assert {r["status"] for r in verify.run_checks(7, "vertex", Deadline())} == {"pass", "skip"}
+        assert verify.catalan(n) == (True, str(catalan(n + 1)))
+    assert {r["status"] for r in verify.run_checks(7, "vertex")} == {"pass", "skip"}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -147,11 +147,11 @@ POLLS_P8 = math.ceil(catalan(9) / POLL_EVERY)
 
 def test_antichains_and_ideals_poll_the_deadline():
     P = build_poset(8)
-    deadline = CountingDeadline()
-    assert len(enumerate_antichains(P, deadline)) == catalan(9)
+    with arm(CountingDeadline()) as deadline:
+        assert len(enumerate_antichains(P)) == catalan(9)
     assert deadline.polls == POLLS_P8
-    deadline = CountingDeadline()
-    assert linear_extension_count(P, deadline) == staircase_syt_count(8)
+    with arm(CountingDeadline()) as deadline:
+        assert linear_extension_count(P) == staircase_syt_count(8)
     assert deadline.polls == POLLS_P8
 
 
@@ -160,11 +160,11 @@ def test_antichains_and_ideals_poll_the_deadline():
 @pytest.mark.parametrize("check, polls", [(verify.catalan, 28 + 8), (verify.extensions, POLLS_P8)],
                          ids=["catalan", "extensions"])
 def test_poset_checks_pass_their_deadline(check, polls):
-    deadline = CountingDeadline()
-    assert check(8, deadline)[0]
+    with arm(CountingDeadline()) as deadline:
+        assert check(8)[0]
     assert deadline.polls == polls
-    with pytest.raises(TimeBudgetExceeded):
-        check(8, Deadline(-1))
+    with arm(Deadline(-1)), pytest.raises(TimeBudgetExceeded):
+        check(8)
 
 
 def test_superpotential_n3():
@@ -194,14 +194,14 @@ def test_strict_partitions_come_in_lexicographic_order(n):
 
 
 def test_the_quantum_terms_poll_before_the_partitions_are_listed():
-    deadline = CountingDeadline()
-    assert len(build_superpotential(12, deadline)) == 78 + 2 ** 11
+    with arm(CountingDeadline()) as deadline:
+        assert len(build_superpotential(12)) == 78 + 2 ** 11
     assert deadline.polls == 2 ** 11 // POLL_EVERY
     # the first partition is polled before the next is made: listing all
     # 2^19 of them first takes most of a second
     start = time.monotonic()
-    with pytest.raises(TimeBudgetExceeded):
-        build_superpotential(20, Deadline(-1))
+    with arm(Deadline(-1)), pytest.raises(TimeBudgetExceeded):
+        build_superpotential(20)
     assert time.monotonic() - start < 0.2
 
 
@@ -283,10 +283,10 @@ def test_chain_polytope_points_at_k1_are_the_antichains(n):
 
 
 def test_chain_polytope_points_poll_the_deadline():
-    deadline = CountingDeadline()
-    assert chain_polytope_points(build_poset(6), 2, deadline) == 40898
+    with arm(CountingDeadline()) as deadline:
+        assert chain_polytope_points(build_poset(6), 2) == 40898
     # one poll per prefix sweep, 0 + 1 + ... + 5 of them, and one per
     # POLL_EVERY of the 3^j states of each level j
     assert deadline.polls == 15 + sum(-(-3 ** j // POLL_EVERY) for j in range(1, 7)) == 21
-    with pytest.raises(TimeBudgetExceeded):
-        chain_polytope_points(build_poset(6), 2, Deadline(-1))
+    with arm(Deadline(-1)), pytest.raises(TimeBudgetExceeded):
+        chain_polytope_points(build_poset(6), 2)

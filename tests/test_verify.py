@@ -4,16 +4,17 @@ import hashlib
 import math
 import re
 import time
+from functools import cache
 from pathlib import Path
 from types import MappingProxyType
 
 import pytest
 
 from lgrnok import equivalence, partitions, plabic, superpotential, valuation, verify
-from lgrnok.budget import Deadline, TimeBudgetExceeded
+from lgrnok.budget import Deadline, TimeBudgetExceeded, arm
 from lgrnok.cli import main
 from lgrnok.linalg import bareiss_det
-from oracles import recoloured
+from oracles import clear_tables, recoloured
 
 BASELINE = Path(__file__).resolve().parents[1] / "benchmark" / "baseline"
 
@@ -80,7 +81,7 @@ def test_flow_polynomial_145_fails_without_one_flow(monkeypatch, capsys, dropped
 
 def test_recoloured_vertex_fails_the_orientation_check(monkeypatch, capsys):
     planted = recoloured(plabic.build_corect_graph(3), ("f", 1, 2))
-    monkeypatch.setattr(plabic, "build_corect_graph", lambda n, deadline=None: planted)
+    monkeypatch.setattr(plabic, "build_corect_graph", lambda n: planted)
     monkeypatch.setattr(plabic, "corect_network", plabic.corect_network.__wrapped__)
     assert main(["verify", "--n", "3", "--level", "vertex"]) == 1
     assert ("  [FAIL] perfect-orientation-unique  (ValueError: hollow vertex f(1,2) cannot "
@@ -96,7 +97,7 @@ def test_table_lgr36_names_the_rows_that_differ(monkeypatch):
         return table
 
     monkeypatch.setattr(valuation, "all_plucker_valuations", planted)
-    assert verify.table_lgr36(3, Deadline()) == (
+    assert verify.table_lgr36(3) == (
         False, "(3,2,1) -> (0, 2, 0, 2, 1, 1), () -> (0, 0, 0, 0, 0, 0), 14 classes")
 
 
@@ -104,12 +105,12 @@ def test_delta_printed_names_the_rows_that_differ(monkeypatch):
     real_row = ((0, 0, -1, 0, 0, 0), 1)
     wrong_row = ((0, 0, -1, 0, 0, 0), 2)
     monkeypatch.setattr(verify, "PRINTED_DELTA3", verify.PRINTED_DELTA3 - {real_row} | {wrong_row})
-    assert verify.delta_printed(3, Deadline()) == (
+    assert verify.delta_printed(3) == (
         False, f"missing {[wrong_row]}, extra {[real_row]}")
 
 
 def failures(n, level):
-    return {r["name"]: r["witness"] for r in verify.run_checks(n, level, Deadline())
+    return {r["name"]: r["witness"] for r in verify.run_checks(n, level)
             if r["status"] == "fail"}
 
 
@@ -128,9 +129,9 @@ def test_a_dropped_chain_row_fails_only_the_gamma_routes_check(monkeypatch):
 def test_an_extra_quantum_term_fails_the_gamma_routes_check(monkeypatch):
     real = superpotential.build_superpotential
     extra = superpotential.SuperpotentialTerm("quantum", ((1, 1), (1, 2)))
-    monkeypatch.setattr(superpotential, "build_superpotential", lambda n, *args: real(n, *args) + (extra,))
+    monkeypatch.setattr(superpotential, "build_superpotential", lambda n: real(n) + (extra,))
     row = ((-1, -1, 0, 0, 0, 0), 1)
-    assert verify.gamma_routes(3, Deadline()) == (False, f"missing [], extra {[row]}")
+    assert verify.gamma_routes(3) == (False, f"missing [], extra {[row]}")
 
 
 def test_a_wrong_entry_of_m5_fails_the_hull_level(monkeypatch, capsys):
@@ -147,7 +148,7 @@ def hull_level(n):
     """The registry's main-theorem-hull-level run alone at n, inside its gate."""
     check = next(check for check in verify.CHECKS if check.name == "main-theorem-hull-level")
     assert check.n_min <= n <= check.n_max
-    return check.run(n, Deadline())
+    return check.run(n)
 
 
 def test_a_wrong_entry_of_m6_fails_the_hull_level(monkeypatch):
@@ -246,7 +247,7 @@ def test_a_wrong_entry_of_m3_names_the_column_that_fails_the_singletons(monkeypa
     M = real(3)
     wrong = M._replace(entries=((M.entries[0][0] + 1,) + M.entries[0][1:],) + M.entries[1:])
     monkeypatch.setattr(equivalence, "build_valuation_matrix", lambda n: wrong if n == 3 else real(n))
-    assert verify.singletons(3, Deadline()) == (
+    assert verify.singletons(3) == (
         False, "column 0 of (1, 1) is (2, 1, 1, 2, 1, 1), expected (1, 1, 1, 2, 1, 1)")
 
 
@@ -368,7 +369,7 @@ def test_a_dropped_cover_fails_the_lattice_counts_and_the_chains(monkeypatch, n)
             "lattice-points-vs-weyl-dimension": "[16, 104, 430] points against dimensions [14, 84, 330]",
         }
     for check in (verify.gamma_routes, verify.catalan, verify.lattice_points):
-        assert check(n, Deadline())[0] is False
+        assert check(n)[0] is False
 
 
 @pytest.mark.parametrize("n, level, failing", [
@@ -564,7 +565,7 @@ def test_a_dart_weight_plus_one_fails_the_flow_checks(monkeypatch, n, level, exp
     dart = (("f", 1, 2), ("h", 1, 2))
     planted = faces, MappingProxyType(dict(weight) | {dart: weight[dart] + 1})
     monkeypatch.setattr(plabic, "dual_cuts", lambda graph: planted if graph is G else real(graph))
-    monkeypatch.setattr(plabic, "_PATH_TABLES", {})
+    monkeypatch.setattr(plabic, "_path_table", cache(plabic._path_table.__wrapped__))
     got = failures(n, level)
     assert got.keys() == expected.keys()
     assert all(got[name].startswith(witness) for name, witness in expected.items())
@@ -589,11 +590,31 @@ def test_vertex_level_budget_holds_at_n9(capsys):
     assert "exceeded its time budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", verify.CHECKS, ids=lambda check: check.name)
+def test_every_check_stops_at_an_expired_budget_on_cold_tables(check):
+    # no check reaches an answer, a table built before the budget or a loop
+    # that reads none: every one polls the deadline armed for the run
+    clear_tables()
+    with arm(Deadline(-1)), pytest.raises(TimeBudgetExceeded):
+        check.run(3)
+
+
+@pytest.mark.parametrize("check, n", [(verify.orientation_unique, 90), (verify.blocks, 40)],
+                         ids=["orientation", "blocks"])
+def test_a_large_table_stops_at_an_expired_budget_before_it_is_built(check, n):
+    # unpolled, the network at n=90 and M_40 take a third of a second and more
+    clear_tables()
+    start = time.monotonic()
+    with arm(Deadline(-1)), pytest.raises(TimeBudgetExceeded):
+        check(n)
+    assert time.monotonic() - start < 0.2
+
+
 def test_roundtrip_polls_the_deadline():
     # the whole round trip at n=10 (184,756 index sets) takes far longer
     start = time.monotonic()
-    with pytest.raises(TimeBudgetExceeded):
-        verify.roundtrip(10, Deadline(0.05))
+    with arm(Deadline(0.05)), pytest.raises(TimeBudgetExceeded):
+        verify.roundtrip(10)
     assert time.monotonic() - start < 0.5
 
 
@@ -603,8 +624,8 @@ def test_vertex_level_loop_polls_the_deadline():
     # are made ready first, so that only the walk is timed.
     equivalence.build_valuation_matrix(10)
     start = time.monotonic()
-    with pytest.raises(TimeBudgetExceeded):
-        equivalence.verify_main_theorem(10, Deadline(0.05))
+    with arm(Deadline(0.05)), pytest.raises(TimeBudgetExceeded):
+        equivalence.verify_main_theorem(10)
     assert time.monotonic() - start < 0.5
 
 
