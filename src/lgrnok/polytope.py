@@ -23,7 +23,13 @@ from the facets.  Volumes are normalized (dim! times Euclidean) and come
 from a recursion of lattice pyramids, memoized per face: each face is the
 union of the pyramids from its least point over its facets avoiding it, and
 a pyramid's volume is its apex's lattice height times its base's volume.
-No simplex and no determinant is formed.
+The height is the row's value at the apex, read off the pass that builds
+the masks, divided by the g that generates the row's values on the face's
+lattice; g divides that value, so a value of 1 is a height of 1, and a
+basis of the face's lattice is built only where a value exceeds 1.  On
+Gamma, whose rows take only the values 0 and 1 at its points, and on
+Delta = M_n(Gamma) none is ever built.  No simplex and no determinant is
+formed.
 
 No dimension is refused.  The one bound is the run's armed deadline,
 polled in every long loop: per inserted row and per plus ray of the double
@@ -122,8 +128,11 @@ def _extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
             armed().check()
             for rm in minus:
                 common = zero_sets[rp] & zero_sets[rm]
-                # adjacent: no third ray is tight on every row both are
-                if any(
+                # adjacent rays of the pointed d-dimensional cone share
+                # tight rows of rank d - 2 (Fukuda-Prodon), so at least
+                # d - 2 of them; and no third ray is tight on every row
+                # both are
+                if common.bit_count() < d - 2 or any(
                     r3 is not rp and r3 is not rm and (common & ~zero_sets[r3]) == 0
                     for r3 in rays
                 ):
@@ -200,17 +209,21 @@ def facets(V: VPolytope) -> HPolytope:
 # -- face lattice: f-vector and volume ----------------------------------------
 
 
-def _facet_masks(points: tuple[Point, ...], rows: tuple[Row, ...]) -> list[int]:
-    """Bit i of a row's mask: points[i] lies on the row's hyperplane.
-    Raises ValueError at the first point where a row is negative."""
-    masks = []
+def _facet_masks(points: tuple[Point, ...],
+                 rows: tuple[Row, ...]) -> tuple[list[int], list[list[int]]]:
+    """(masks, values): bit i of a row's mask is set when points[i] lies on
+    the row's hyperplane, and a row's values are c.p + d at the points, in
+    their order.  Raises ValueError at the first point where a row is
+    negative."""
+    masks, table = [], []
     for coeffs, const in rows:
         values = [dot(coeffs, p) + const for p in points]
         low = min(values)
         if low < 0:
             raise ValueError(f"the row {(coeffs, const)} is {low} at {points[values.index(low)]}")
         masks.append(sum(1 << i for i, v in enumerate(values) if not v))
-    return masks
+        table.append(values)
+    return masks, table
 
 
 def _facets_of(face: int, facet_masks: list[int]) -> dict[int, int]:
@@ -242,7 +255,7 @@ def f_vector(V: VPolytope) -> tuple[int, ...]:
     The deadline is polled once per face.
     """
     points = _full_dim(V)
-    masks = _facet_masks(points, _facets_full_dim(points))
+    masks = _facet_masks(points, _facets_full_dim(points))[0]
     faces = set(masks)
     counts = [len(faces)]
     for _ in range(V.dim - 1):
@@ -256,13 +269,13 @@ def f_vector(V: VPolytope) -> tuple[int, ...]:
 
 
 def _split_lattice(basis: Sequence[Sequence[int]],
-                   coeffs: Sequence[int]) -> tuple[int, list[Sequence[int]]]:
-    """(g, kernel) for a lattice basis and a functional c not zero on it: g
-    generates the values of c on the lattice, and kernel is a basis of the
-    sublattice on which c vanishes.
+                   coeffs: Sequence[int]) -> list[Sequence[int]]:
+    """A basis of the sublattice on which a functional c vanishes, for a
+    lattice basis and a c not zero on it.
 
     One extended-Euclid pass: each basis vector is reduced against the
-    vector kept so far by unimodular integer steps until its value is 0.
+    vector kept so far, whose value g ends as a generator of c's values
+    on the lattice, by unimodular integer steps until its value is 0.
     """
     pivot, g, kernel = None, 0, []
     for b in basis:
@@ -274,7 +287,7 @@ def _split_lattice(basis: Sequence[Sequence[int]],
             q = g // v
             pivot, g, b, v = b, v, [x - q * y for x, y in zip(pivot, b)], g - q * v
         kernel.append(b)
-    return abs(g), kernel
+    return kernel
 
 
 def normalized_volume(V: VPolytope) -> int:
@@ -295,43 +308,51 @@ def volume_and_cuts(V: VPolytope, H: HPolytope) -> tuple[int, int]:
     are as many as the distinct rows exactly when every row is a facet.
 
     The volume is a sum of lattice pyramids over the faces: a face F, with
-    least point a (a vertex, the points being sorted) and a basis of its
-    lattice aff(F) ∩ Z^dim, has Vol(F) = sum of h_G(a) Vol(G) over the
-    facets G of F that avoid a, where Vol is normalized in each face's own
-    lattice and h_G(a) = (c.a + d) / g is the lattice height of a above G:
-    (c, d) is a facet row cutting F in G, and g generates c's values on F's
-    lattice.  A point has volume 1.  Memoized on the face; the deadline is
-    polled once per face.
+    least point a (a vertex, the points being sorted) and lattice
+    aff(F) ∩ Z^dim, has Vol(F) = sum of h_G(a) Vol(G) over the facets G of
+    F that avoid a, where Vol is normalized in each face's own lattice and
+    h_G(a) = (c.a + d) / g is the lattice height of a above G: (c, d) is a
+    facet row cutting F in G, and g generates c's values on F's lattice.
+    c.a + d is read off the pass's values.  a minus a point of G lies in
+    F's lattice, and c takes the value c.a + d there, so g divides it:
+    c.a + d = 1 gives g = 1.  Only a greater value needs a basis of F's
+    lattice, split on demand (`_split_lattice`) from the bases of the faces
+    above F along the rows that cut them, each split once.  A point has
+    volume 1.  Memoized on the face; the deadline is polled once per face.
     """
     points, rows = _full_dim(V), H.rows
-    masks = _facet_masks(points, rows)
+    masks, values = _facet_masks(points, rows)
     memo: dict[int, int] = {}
 
-    def volume(face: int, basis: Sequence[Sequence[int]]) -> int:
+    def basis(lattice: list) -> list[Sequence[int]]:
+        # [basis] of a face's lattice, or [None, the lattice of the face
+        # above, the row cutting this face from it], split on first use
+        if lattice[0] is None:
+            lattice[0] = _split_lattice(basis(lattice[1]), lattice[2])
+        return lattice[0]
+
+    def volume(face: int, lattice: list) -> int:
         if not face & (face - 1):
             return 1
-        if face in memo:
-            return memo[face]
         armed().check()
         apex_bit = face & -face
-        apex = points[apex_bit.bit_length() - 1]
+        apex = apex_bit.bit_length() - 1
         total = 0
         for cut, i in _facets_of(face, masks).items():
             if cut & apex_bit:
                 continue
-            coeffs, const = rows[i]
-            if cut in memo or not cut & (cut - 1):
-                # The cut's volume is known, so only g is needed: no kernel.
-                g, kernel = gcd(*[dot(coeffs, b) for b in basis]), ()
+            coeffs, lift = rows[i][0], values[i][apex]
+            if lift == 1:
+                height = 1
             else:
-                g, kernel = _split_lattice(basis, coeffs)
-            lift = dot(coeffs, apex) + const
-            height, rest = divmod(lift, g)
-            if rest:
-                raise ArithmeticError(f"height {lift} is not a multiple of {g}")
-            total += height * volume(cut, kernel)
-        memo[face] = total
+                g = gcd(*[dot(coeffs, b) for b in basis(lattice)])
+                height, rest = divmod(lift, g)
+                if rest:
+                    raise ArithmeticError(f"height {lift} is not a multiple of {g}")
+            if cut not in memo:
+                memo[cut] = volume(cut, [None, lattice, coeffs])
+            total += height * memo[cut]
         return total
 
     whole = (1 << len(points)) - 1
-    return volume(whole, identity(V.dim)), len(_facets_of(whole, masks))
+    return volume(whole, [identity(V.dim)]), len(_facets_of(whole, masks))

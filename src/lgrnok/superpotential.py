@@ -257,6 +257,7 @@ def lex_cells(n: int) -> tuple[Element, ...]:
     return build_poset(n).elements
 
 
+@cache
 def build_superpotential(n: int) -> tuple[SuperpotentialTerm, ...]:
     """The linear terms, then one quantum term per strict partition; the
     deadline is polled every POLL_EVERY quantum terms."""
@@ -287,6 +288,7 @@ def chain_polytope_rows(P: PosetPn) -> Iterator[tuple[tuple[int, ...], int]]:
         yield tuple(-1 if c in chain else 0 for c in cells), 1
 
 
+@cache
 def gamma_hrep(n: int) -> HPolytope:
     """H-representation of the superpotential polytope in coordinates A_ij
     ordered lexicographically: the tropicalized rows, one per term of the

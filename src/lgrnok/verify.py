@@ -207,7 +207,7 @@ CHECKS = (
     Check("main-theorem-vertex-level", "vertex",
           lambda n: equivalence.verify_main_theorem(n)),
     Check("folded-exchange-matrix", "vertex", fold),
-    # In-process: 0.3 s at n=6, 13 s at n=7.  The facet certificate of
+    # In-process: 0.17 s at n=6, 11 s at n=7.  The facet certificate of
     # main-theorem-hull-level rests on it, so its n-range holds that one's.
     Check("gamma-vertex-enumeration", "hull", gamma_vertices,
           n_max=7, skip="vertex enumeration gated to n <= 7"),
@@ -218,8 +218,8 @@ CHECKS = (
           n_min=3, n_max=3, skip="printed system is for n=3"),
     Check("f-vector", "hull", f_vector,
           n_min=3, n_max=3, skip="reference f-vector is for n=3"),
-    # In-process, most of it Gamma's volume: 1.4 s at n=6, 52 s at n=7
-    # (78 MB peak).
+    # In-process, most of it Gamma's volume: 0.8 s at n=6, 29 s at n=7
+    # (77 MB peak).
     Check("main-theorem-hull-level", "hull",
           lambda n: equivalence.verify_hull_level(n),
           n_max=7, skip="hull level gated to n <= 7"),

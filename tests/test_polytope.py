@@ -9,6 +9,7 @@ import oracles
 from lgrnok import polytope, superpotential, valuation
 from lgrnok.budget import Deadline, TimeBudgetExceeded, arm, armed
 from lgrnok.linalg import affine_pivot_columns, bareiss_det, dot
+from lgrnok.partitions import staircase_syt_count
 from lgrnok.polytope import (
     HPolytope,
     UnboundedError,
@@ -343,6 +344,16 @@ def test_a_row_negative_at_a_point_fails_the_volume_pass():
     rows = facets(body).rows + (((-1, 0, 0), 0),)
     with pytest.raises(ValueError, match=r"the row \(\(-1, 0, 0\), 0\) is -1 at \(1, 0, 0\)"):
         volume_and_cuts(body, HPolytope(3, rows))[0]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_gamma_volume_splits_no_lattice(monkeypatch, n):
+    # every apex height on Gamma is 1, and g divides it, so no face needs
+    # a basis of its lattice; test_rational_coordinates and the unimodular
+    # maps reach heights above 1, where the split runs
+    monkeypatch.setattr(polytope, "_split_lattice", lambda *args: pytest.fail("a lattice was split"))
+    gamma = VPolytope.from_points(superpotential.gamma_vertex_set(n))
+    assert volume_and_cuts(gamma, superpotential.gamma_hrep(n))[0] == staircase_syt_count(n)
 
 
 def test_volume_polls_the_budget_per_face():

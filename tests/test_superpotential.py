@@ -194,6 +194,7 @@ def test_strict_partitions_come_in_lexicographic_order(n):
 
 
 def test_the_quantum_terms_poll_before_the_partitions_are_listed():
+    build_superpotential.cache_clear()  # the terms are one table per n
     with arm(CountingDeadline()) as deadline:
         assert len(build_superpotential(12)) == 78 + 2 ** 11
     assert deadline.polls == 2 ** 11 // POLL_EVERY

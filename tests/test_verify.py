@@ -127,9 +127,12 @@ def test_a_dropped_chain_row_fails_only_the_gamma_routes_check(monkeypatch):
 
 
 def test_an_extra_quantum_term_fails_the_gamma_routes_check(monkeypatch):
+    # gamma_hrep keeps one table per n, so the plant reads a fresh, empty
+    # one, and the real table is back untouched after the test
     real = superpotential.build_superpotential
     extra = superpotential.SuperpotentialTerm("quantum", ((1, 1), (1, 2)))
     monkeypatch.setattr(superpotential, "build_superpotential", lambda n: real(n) + (extra,))
+    monkeypatch.setattr(superpotential, "gamma_hrep", cache(superpotential.gamma_hrep.__wrapped__))
     row = ((-1, -1, 0, 0, 0, 0), 1)
     assert verify.gamma_routes(3) == (False, f"missing [], extra {[row]}")
 
