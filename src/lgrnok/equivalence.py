@@ -310,11 +310,13 @@ def verify_hull_level(n: int) -> tuple[bool, str]:
     One pass of the rows' masks on the indicators gives Gamma's volume and
     the facet certificate (`polytope.volume_and_cuts`): each row is >= 0
     at every indicator, or the pass raises, and the maximal cuts of the
-    indicators are as many as the distinct rows.  The rows include all of
-    Gamma's facets: `gamma-vertex-enumeration`, whose n-range holds this
-    check's, shows that they cut out the hull of the indicators.  So the
-    maximal cuts are exactly the facets, and equal counts leave no row
-    that is not one.
+    indicators are as many as the distinct rows.  Each row is a coordinate
+    or 1 minus the sum along a chain of P_n, 0 or 1 at every indicator, so
+    every pyramid of the volume has height 1 and the pass refuses none.
+    The rows include all of Gamma's facets: `gamma-vertex-enumeration`,
+    whose n-range holds this check's, shows that they cut out the hull of
+    the indicators.  So the maximal cuts are exactly the facets, and equal
+    counts leave no row that is not one.
 
     The certificate runs on Gamma's 0/1 points, not on Delta's: M_n carries
     each indicator to its valuation and each row to its pull-back with the

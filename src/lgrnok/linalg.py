@@ -10,13 +10,6 @@ from __future__ import annotations
 from math import gcd
 from operator import mul
 
-IntMatrix = tuple[tuple[int, ...], ...]
-
-
-def identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def dot(u, v):
     return sum(map(mul, u, v))
 

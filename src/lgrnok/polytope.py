@@ -19,17 +19,11 @@ One facet run gives the whole face lattice.  A face is the set of points on
 it, held as a bitmask, and its facets are its maximal proper nonempty
 intersections with the polytope's facets (`_facets_of`), so no face is
 hulled again.  The f-vector counts the faces one dimension at a time, down
-from the facets.  Volumes are normalized (dim! times Euclidean) and come
-from a recursion of lattice pyramids, memoized per face: each face is the
-union of the pyramids from its least point over its facets avoiding it, and
-a pyramid's volume is its apex's lattice height times its base's volume.
-The height is the row's value at the apex, read off the pass that builds
-the masks, divided by the g that generates the row's values on the face's
-lattice; g divides that value, so a value of 1 is a height of 1, and a
-basis of the face's lattice is built only where a value exceeds 1.  On
-Gamma, whose rows take only the values 0 and 1 at its points, and on
-Delta = M_n(Gamma) none is ever built.  No simplex and no determinant is
-formed.
+from the facets.  Volumes are normalized (dim! times Euclidean) and summed
+from unit-height pyramids over the faces (`volume_and_cuts`), a greater
+height refused: that holds on every compressed polytope, as on Gamma, whose
+rows are 0 or 1 at its points, and on Delta = M_n(Gamma), M_n unimodular.
+No simplex, no determinant and no lattice basis is formed.
 
 No dimension is refused.  The one bound is the run's armed deadline,
 polled in every long loop: per inserted row and per plus ray of the double
@@ -38,13 +32,11 @@ description, and per face of the f-vector and of a volume.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from math import gcd
 from operator import index, mul
 from typing import NamedTuple
 
 from .budget import armed
-from .linalg import affine_pivot_columns, dot, identity, invert, primitive, rref
+from .linalg import affine_pivot_columns, dot, invert, primitive, rref
 
 Point = tuple[int, ...]
 Row = tuple[tuple[int, ...], int]  # (coefficients, constant): c.x + d >= 0
@@ -268,28 +260,6 @@ def f_vector(V: VPolytope) -> tuple[int, ...]:
     return tuple(reversed(counts))
 
 
-def _split_lattice(basis: Sequence[Sequence[int]],
-                   coeffs: Sequence[int]) -> list[Sequence[int]]:
-    """A basis of the sublattice on which a functional c vanishes, for a
-    lattice basis and a c not zero on it.
-
-    One extended-Euclid pass: each basis vector is reduced against the
-    vector kept so far, whose value g ends as a generator of c's values
-    on the lattice, by unimodular integer steps until its value is 0.
-    """
-    pivot, g, kernel = None, 0, []
-    for b in basis:
-        v = dot(coeffs, b)
-        if v and not g:
-            pivot, g = b, v
-            continue
-        while v:
-            q = g // v
-            pivot, g, b, v = b, v, [x - q * y for x, y in zip(pivot, b)], g - q * v
-        kernel.append(b)
-    return kernel
-
-
 def normalized_volume(V: VPolytope) -> int:
     """dim! times the Euclidean volume of the full-dimensional conv(points),
     taken on V's own facets (`volume_and_cuts`)."""
@@ -304,34 +274,26 @@ def volume_and_cuts(V: VPolytope, H: HPolytope) -> tuple[int, int]:
     negative at a point raises ValueError, but a missing facet gives a
     wrong volume, not an error.  A redundant row is harmless: it cuts each
     face in a face that is not maximal or that a facet row cuts too, or in
-    nothing.  So the maximal cuts are the facets, one mask each, and they
-    are as many as the distinct rows exactly when every row is a facet.
+    nothing, and a multiple of a row is read as that row.  So the maximal
+    cuts are the facets, one mask each, and they are as many as the
+    distinct rows exactly when every row is a facet.
 
-    The volume is a sum of lattice pyramids over the faces: a face F, with
-    least point a (a vertex, the points being sorted) and lattice
-    aff(F) ∩ Z^dim, has Vol(F) = sum of h_G(a) Vol(G) over the facets G of
-    F that avoid a, where Vol is normalized in each face's own lattice and
-    h_G(a) = (c.a + d) / g is the lattice height of a above G: (c, d) is a
-    facet row cutting F in G, and g generates c's values on F's lattice.
-    c.a + d is read off the pass's values.  a minus a point of G lies in
-    F's lattice, and c takes the value c.a + d there, so g divides it:
-    c.a + d = 1 gives g = 1.  Only a greater value needs a basis of F's
-    lattice, split on demand (`_split_lattice`) from the bases of the faces
-    above F along the rows that cut them, each split once.  A point has
-    volume 1.  Memoized on the face; the deadline is polled once per face.
+    A face F with least point a (a vertex, the points being sorted) is the
+    union of the pyramids from a over the facets G of F that avoid a.  If
+    the row cutting F in G is 1 at a, read off the pass's values, a is at
+    lattice height 1 above G, and the pyramid's volume is Vol(G), each
+    volume normalized in its face's own lattice.  A greater value raises
+    ValueError naming the row, its value and the apex: so every such row
+    must be 1 at its apex, as every facet row of a compressed polytope is,
+    Gamma and Delta among them.  A point has volume 1.  Memoized on the
+    face; the deadline is polled once per face.
     """
-    points, rows = _full_dim(V), H.rows
+    points = _full_dim(V)
+    rows = tuple(normalize_row(c, d) for c, d in H.rows)
     masks, values = _facet_masks(points, rows)
     memo: dict[int, int] = {}
 
-    def basis(lattice: list) -> list[Sequence[int]]:
-        # [basis] of a face's lattice, or [None, the lattice of the face
-        # above, the row cutting this face from it], split on first use
-        if lattice[0] is None:
-            lattice[0] = _split_lattice(basis(lattice[1]), lattice[2])
-        return lattice[0]
-
-    def volume(face: int, lattice: list) -> int:
+    def volume(face: int) -> int:
         if not face & (face - 1):
             return 1
         armed().check()
@@ -341,18 +303,13 @@ def volume_and_cuts(V: VPolytope, H: HPolytope) -> tuple[int, int]:
         for cut, i in _facets_of(face, masks).items():
             if cut & apex_bit:
                 continue
-            coeffs, lift = rows[i][0], values[i][apex]
-            if lift == 1:
-                height = 1
-            else:
-                g = gcd(*[dot(coeffs, b) for b in basis(lattice)])
-                height, rest = divmod(lift, g)
-                if rest:
-                    raise ArithmeticError(f"height {lift} is not a multiple of {g}")
+            if values[i][apex] > 1:
+                raise ValueError(f"the row {rows[i]} is {values[i][apex]} at the apex "
+                                 f"{points[apex]}: not a unit-height pyramid")
             if cut not in memo:
-                memo[cut] = volume(cut, [None, lattice, coeffs])
-            total += height * memo[cut]
+                memo[cut] = volume(cut)
+            total += memo[cut]
         return total
 
     whole = (1 << len(points)) - 1
-    return volume(whole, [identity(V.dim)]), len(_facets_of(whole, masks))
+    return volume(whole), len(_facets_of(whole, masks))

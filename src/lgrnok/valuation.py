@@ -81,7 +81,9 @@ def coordinate_system(n: int) -> tuple[Partition, ...]:
         return tuple(reversed(partition_to_indexset(rep, n)))
 
     order = tuple(sorted(reps, key=key, reverse=True))
-    assert len(order) == n * (n + 1) // 2
+    expected = n * (n + 1) // 2
+    if len(order) != expected:
+        raise AssertionError(f"{len(order)} face orbits at n={n}, expected n(n+1)/2 = {expected}")
     return order
 
 

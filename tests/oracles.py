@@ -5,7 +5,7 @@ lgrnok reads diagonal balances, transpose classes, diagonal lengths and the
 hooks of a complement off the index set of a partition in O(n).  The
 definitions here work cell by cell and hook by hook instead: slow, and
 checkable by eye.  Likewise lgrnok finds every face of a polytope from one
-facet run and takes a volume by lattice heights, with no simplex; the
+facet run and takes a volume by unit-height pyramids, with no simplex; the
 reference triangulation hulls each face again from its own points, its
 simplices summed by determinant, and the reference f-vector closes the
 vertex sets of the facets under intersection and ranks each face by its

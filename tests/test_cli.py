@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from lgrnok import cli, superpotential, valuation
+from lgrnok import cli, quiverfold, superpotential, valuation
 from lgrnok.budget import Deadline, TimeBudgetExceeded, armed
 from lgrnok.cli import main
 from lgrnok.partitions import staircase_syt_count
@@ -418,6 +418,32 @@ def test_point_sets_poll_the_budget_after_the_enumeration(monkeypatch, capsys, c
     assert main([command, "--n", "5", "--vrep", "--format", fmt]) == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: computation exceeded its time budget\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_fold_output_polls_the_budget_per_row(monkeypatch, capsys, fmt):
+    # the deadline expires once the fold is built: the output stops at its
+    # first row, not after 1,024 text lines or every JSON row (at n=70 a
+    # row holds 2,415 entries)
+    real = quiverfold.folded_matrix
+    read = []
+
+    def expiring(n):
+        F = real(n)
+        armed().expires = time.monotonic() - 1
+
+        def rows():
+            for row in F.entries:
+                read.append(row)
+                yield row
+
+        return F._replace(entries=rows())
+
+    monkeypatch.setattr(quiverfold, "folded_matrix", expiring)
+    assert main(["fold", "--n", "6", "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: computation exceeded its time budget\n")
+    assert len(read) == 1
 
 
 def test_valuations_budget_covers_the_output(monkeypatch, capsys):

@@ -66,21 +66,23 @@ def test_rational_coordinates():
     H = facets(tri)
     assert len(H.rows) == 3
     assert vertices(H).points == tri.points
-    area2 = normalized_volume(tri)
-    assert isinstance(area2, int)
     # the lines 2x + 3y = 210, 50x - 21y + 1470 = 0 and 10x - 49y = 1050
-    # through pairs of the corners, and twice the area |det(b - a, c - a)|,
-    # 210^2 times the 32/105 of the unscaled triangle
+    # through pairs of the corners
     assert H.row_set() == {((-2, -3), 210), ((50, -21), 1470), ((-10, 49), 1050)}
-    assert area2 == 13440
+    # the least corner is 384 above the first line, so the volume pass,
+    # which takes unit-height pyramids only, refuses the triangle
+    with pytest.raises(ValueError, match=r"the row \(\(-2, -3\), 210\) is 384 at the apex \(-42, -30\)"):
+        normalized_volume(tri)
 
 
 def test_scaled_simplex_is_exact():
     double = VPolytope.from_points([tuple(2 * x for x in p) for p in simplex(3).points])
-    assert normalized_volume(double) == 8
     assert facets(double).row_set() == {
         ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), 2)
     }
+    # its volume 8 is one pyramid of height 2, which the pass refuses
+    with pytest.raises(ValueError, match=r"the row \(\(-1, -1, -1\), 2\) is 2 at the apex \(0, 0, 0\)"):
+        normalized_volume(double)
     flat = VPolytope.from_points([(2, 0), (0, 2)])
     with pytest.raises(ValueError, match="full-dimensional"):
         facets(flat)
@@ -126,8 +128,6 @@ def test_facet_rows_are_certified(data, dim):
 
 
 def test_f_vector_bounds_the_facet_run(monkeypatch):
-    from lgrnok import polytope
-
     bounded = []
     real = polytope._extreme_rays
 
@@ -159,38 +159,59 @@ def test_facet_run_polls_inside_an_insertion():
     assert deadline.polls > inserted
 
 
-def assert_matches_face_hull_oracle(body):
-    """The volume from one facet run is the volume of the reference
-    triangulation that hulls every face again."""
+def face_hull_volume(body):
+    """The normalized volume of the reference triangulation that hulls
+    every face again."""
     simplices = oracles.triangulate_by_face_hulls(body.points, {})
-    total = sum(abs(bareiss_det([[x - b for x, b in zip(p, s[0])] for p in s[1:]]))
-                for s in simplices)
-    assert normalized_volume(body) == total
+    return sum(abs(bareiss_det([[x - b for x, b in zip(p, s[0])] for p in s[1:]]))
+               for s in simplices)
 
 
-@pytest.mark.parametrize("points", [
-    list(product(range(3), repeat=3)),
-    [p for p in product(range(4), repeat=3) if sum(p) <= 3],
+def is_compressed(body):
+    """Every facet row is 0 or 1 at every point."""
+    return all(dot(c, p) + d <= 1 for c, d in facets(body).rows for p in body.points)
+
+
+@pytest.mark.parametrize("points, refusal", [
+    (list(product(range(3), repeat=3)), r"the row \(\(-1, 0, 0\), 2\) is 2 at the apex \(0, 0, 0\)"),
+    ([p for p in product(range(4), repeat=3) if sum(p) <= 3],
+     r"the row \(\(-1, -1, -1\), 3\) is 3 at the apex \(0, 0, 0\)"),
     # a 3-face and a facet that meet in an edge, not a ridge
-    [(0, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1), (1, 0, 1, 0), (1, 0, 1, 1), (1, 1, 0, 1),
-     (1, 1, 1, 1)],
+    ([(0, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1), (1, 0, 1, 0), (1, 0, 1, 1), (1, 1, 0, 1),
+      (1, 1, 1, 1)], None),
 ], ids=["cube-grid", "simplex-grid", "0/1-polytope"])
-def test_triangulation_with_boundary_points_matches_oracle(points):
-    assert_matches_face_hull_oracle(VPolytope.from_points(points))
+def test_triangulation_with_boundary_points_matches_oracle(points, refusal):
+    # the grids have a facet at height 2 or 3 above their least point, and
+    # the pass refuses them; the 0/1-polytope is compressed
+    body = VPolytope.from_points(points)
+    if refusal:
+        with pytest.raises(ValueError, match=refusal):
+            normalized_volume(body)
+    else:
+        assert normalized_volume(body) == face_hull_volume(body)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data(), st.integers(min_value=1, max_value=5))
 def test_triangulation_matches_oracle(data, dim):
-    # few distinct coordinates, so faces are often not simplices
-    # the shapes of [-1, -1/2, 0, 1/3, 1], scaled by 6 to the lattice
-    coords = st.sampled_from([-6, -3, 0, 2, 6])
+    """Wherever the volume pass does not refuse a body, it is the oracle's
+    volume, and it refuses none whose facet rows are all 0/1 at its points."""
+    # few distinct coordinates, so faces are often not simplices: 0/1
+    # points, or the shapes of [-1, -1/2, 0, 1/3, 1] scaled by 6 to the
+    # lattice
+    coords = st.sampled_from(data.draw(st.sampled_from([(0, 1), (-6, -3, 0, 2, 6)])))
     points = data.draw(
         st.lists(st.tuples(*[coords] * dim), min_size=dim + 2, max_size=dim + 8)
     )
     body = VPolytope.from_points(points)
     assume(len(affine_pivot_columns(body.points)) == dim)
-    assert_matches_face_hull_oracle(body)
+    try:
+        volume = normalized_volume(body)
+    except ValueError as refused:
+        assert "not a unit-height pyramid" in str(refused)
+        assert not is_compressed(body)
+    else:
+        assert volume == face_hull_volume(body)
 
 
 def test_unbounded_detection():
@@ -249,8 +270,10 @@ def test_round_trip_on_cross_polytope():
     H = facets(body)
     assert len(H.rows) == 8
     assert vertices(H).points == body.points
-    assert normalized_volume(body) == 8  # 2^d for the cross polytope
     assert f_vector(body) == (6, 12, 8)
+    # its volume 8 = 2^d has pyramids of height 2 from every vertex
+    with pytest.raises(ValueError, match=r"the row \(\(-1, -1, -1\), 1\) is 2 at the apex \(-1, 0, 0\)"):
+        normalized_volume(body)
 
 
 def mapped(body, matrix, translation=None):
@@ -281,28 +304,23 @@ def unimodular_matrix(draw, dim):
     return tuple(tuple(r) for r in rows)
 
 
+COMPRESSED = [
+    (cube(3), 6),
+    (VPolytope.from_points(superpotential.gamma_vertex_set(3)), 16),
+    (VPolytope.from_points(valuation.delta_vertices(3)), 16),
+]
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.data(), st.integers(min_value=2, max_value=6))
-def test_volume_invariant_under_unimodular_maps(data, dim):
-    pts = [
-        tuple(data.draw(st.integers(min_value=-4, max_value=4)) for _ in range(dim))
-        for _ in range(dim + 1)
-    ]
-    base = pts[0]
-    assume(bareiss_det([[x - b for x, b in zip(p, base)] for p in pts[1:]]) != 0)
-    matrix = data.draw(unimodular_matrix(dim))
-    body = VPolytope.from_points(pts)
-    image = mapped(body, matrix)
-    assert normalized_volume(image) == normalized_volume(body)
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.data())
-def test_cube_volume_invariant(data):
-    matrix = data.draw(unimodular_matrix(3))
-    trans = tuple(data.draw(st.integers(min_value=-5, max_value=5)) for _ in range(3))
-    image = mapped(cube(3), matrix, trans)
-    assert normalized_volume(image) == 6
+@given(st.data(), st.sampled_from(COMPRESSED))
+def test_volume_invariant_under_unimodular_maps(data, known):
+    # a unimodular map and a translation keep a body compressed, but move
+    # its least points, and with them the pyramids the pass takes
+    body, volume = known
+    matrix = data.draw(unimodular_matrix(body.dim))
+    trans = tuple(data.draw(st.integers(min_value=-5, max_value=5)) for _ in range(body.dim))
+    image = mapped(body, matrix, trans)
+    assert normalized_volume(image) == face_hull_volume(image) == volume
 
 
 @pytest.mark.parametrize("body, volume", [
@@ -310,18 +328,18 @@ def test_cube_volume_invariant(data):
     (VPolytope.from_points(superpotential.gamma_vertex_set(3)), 16),
 ])
 def test_volume_reads_any_valid_rows_that_include_the_facets(body, volume):
-    # A facet row doubled, a redundant row tight on a smaller face, and
+    # Every facet row doubled, a redundant row tight on a smaller face, and
     # rows tight at no point change nothing, placed before the facets or
-    # after them.
+    # after them: a doubled row is 2 at an apex off its facet, and counts
+    # as its primitive row, which is 1 there.
     d = body.dim
-    extra = (
-        ((2,) + (0,) * (d - 1), 0),
+    rows = facets(body).rows
+    extra = tuple((tuple(2 * x for x in c), 2 * e) for c, e in rows) + (
         ((1, 1) + (0,) * (d - 2), 0),
         ((-1,) * d, d),
         ((1,) + (0,) * (d - 1), 1),
         ((0,) * d, 1),
     )
-    rows = facets(body).rows
     for H in (HPolytope(d, extra + rows), HPolytope(d, rows + extra)):
         assert volume_and_cuts(body, H)[0] == volume
 
@@ -346,14 +364,28 @@ def test_a_row_negative_at_a_point_fails_the_volume_pass():
         volume_and_cuts(body, HPolytope(3, rows))[0]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_gamma_volume_splits_no_lattice(monkeypatch, n):
-    # every apex height on Gamma is 1, and g divides it, so no face needs
-    # a basis of its lattice; test_rational_coordinates and the unimodular
-    # maps reach heights above 1, where the split runs
-    monkeypatch.setattr(polytope, "_split_lattice", lambda *args: pytest.fail("a lattice was split"))
-    gamma = VPolytope.from_points(superpotential.gamma_vertex_set(n))
-    assert volume_and_cuts(gamma, superpotential.gamma_hrep(n))[0] == staircase_syt_count(n)
+def test_an_invalid_cut_is_refused():
+    # x >= 0, y >= 0 and 5 - 2x - 3y >= 0 are valid on the unit square and
+    # cut it in as many maximal cuts as rows, but miss two facets; the
+    # third row is 5 at the apex, and taken as a height it gives a volume
+    # of 5 against the square's 2
+    H = HPolytope(2, (((1, 0), 0), ((0, 1), 0), ((-2, -3), 5)))
+    with pytest.raises(ValueError, match=r"the row \(\(-2, -3\), 5\) is 5 at the apex \(0, 0\)"):
+        volume_and_cuts(cube(2), H)
+
+
+@pytest.mark.parametrize("body, n", [("gamma", n) for n in range(3, 7)]
+                         + [("delta", n) for n in range(3, 6)])
+def test_gamma_and_delta_volumes_take_unit_height_pyramids(body, n):
+    # Gamma is compressed, its rows 0/1 at its points, and so is Delta =
+    # M_n(Gamma): the pass refuses neither, on the rows the hull level and
+    # `lgrnok volume` give it
+    if body == "gamma":
+        V, H = VPolytope.from_points(superpotential.gamma_vertex_set(n)), superpotential.gamma_hrep(n)
+    else:
+        V = VPolytope.from_points(valuation.delta_vertices(n))
+        H = facets(V)
+    assert volume_and_cuts(V, H)[0] == staircase_syt_count(n)
 
 
 def test_volume_polls_the_budget_per_face():

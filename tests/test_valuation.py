@@ -61,6 +61,18 @@ def test_coordinate_system_pinned():
         assert len(coordinate_system(n)) == n * (n + 1) // 2
 
 
+def test_coordinate_system_refuses_an_orbit_count_off_n_n_plus_1_over_2(monkeypatch):
+    # an orbit map that does not merge transposes leaves more orbits than
+    # n(n+1)/2; the count is checked by a raise that python -O keeps
+    coordinate_system.cache_clear()
+    monkeypatch.setattr(valuation, "orbit_representative", lambda label: label)
+    try:
+        with pytest.raises(AssertionError, match=r"face orbits at n=3, expected n\(n\+1\)/2 = 6"):
+            coordinate_system(3)
+    finally:
+        coordinate_system.cache_clear()
+
+
 def test_valuation_table_n3():
     assert all_plucker_valuations(3) == TABLE_N3
 
