@@ -323,6 +323,15 @@ def test_volume_invariant_under_unimodular_maps(data, known):
     assert normalized_volume(image) == face_hull_volume(image) == volume
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_cube_volume_invariant(data):
+    matrix = data.draw(unimodular_matrix(3))
+    trans = tuple(data.draw(st.integers(min_value=-5, max_value=5)) for _ in range(3))
+    image = mapped(cube(3), matrix, trans)
+    assert normalized_volume(image) == 6
+
+
 @pytest.mark.parametrize("body, volume", [
     (cube(3), 6),
     (VPolytope.from_points(superpotential.gamma_vertex_set(3)), 16),
