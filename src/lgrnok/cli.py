@@ -215,8 +215,8 @@ def cmd_fold(args):
     if args.format == "json":
         return 0, {
             "n": args.n,
-            "row_orbits": [[format_partition(p) for p in o] for o in F.row_orbits],
-            "col_orbits": [[format_partition(p) for p in o] for o in F.col_orbits],
+            "row_orbits": [[format_partition(p) for p in o] for o in polled(F.row_orbits)],
+            "col_orbits": [[format_partition(p) for p in o] for o in polled(F.col_orbits)],
             "entries": [list(r) for r in polled(F.entries)],
         }
 

@@ -29,12 +29,13 @@ network, grouped by source and by end, each with a bitmask of its internal
 vertices and one of its left faces.  The left faces come from the dual BFS
 tree rooted at the face of the empty label, which lies right of every
 path: it gives each dart a weight (`dual_cuts`), and the walk that lists
-the paths adds one weight per step.  One placement routine, `flow_systems`, chooses a flow path by path
-from that table: a path fits when its end is free and its mask misses the
-others.  It streams, per flow, a start value plus each path's contribution
-as its caller joins it: `enumerate_flows` joins paths as 1-tuples onto ()
-and wraps each system in a `Flow` for the callers that show them; the flow
-oracle in `valuation` joins packed counts onto 0, so no flow is listed.
+the paths adds one weight per step.  One placement routine, `flow_systems`,
+chooses a flow path by path from a table laid out like that one, with one
+value per path: a path fits when its end is free and its mask misses the
+others, and a flow streams as a start value plus its paths' values.
+`enumerate_flows` sums 1-tuples of vertices and left faces onto () and wraps
+each in a `Flow`; the flow oracle in `valuation` reads one row table per n
+of packed counts, summed onto 0, so no flow is listed.
 Each group of the table is in lexicographic order, so the flows come out
 in lexicographic order too.
 """
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from functools import cache
 from types import MappingProxyType
 from typing import NamedTuple
@@ -393,23 +394,21 @@ def _path_table(G: PlabicGraph, O: PerfectOrientation) -> dict[int, dict[int, tu
     return table
 
 
-def flow_systems(G: PlabicGraph, O: PerfectOrientation, J, join: Callable, start) -> Iterator:
+def flow_systems(G: PlabicGraph, O: PerfectOrientation, J, rows: dict, start) -> Iterator:
     """For each flow from the orientation's source set to J, in
-    lexicographic order of its path vertex sequences, the sum
-    start + join(vertices, left) + ... over its paths by ascending source,
-    streamed; `left` is the path's left-face bitmask.
+    lexicographic order of its path vertex sequences, the sum start +
+    value + ... of its paths' values by ascending source, streamed; `rows`
+    holds them laid out like `_path_table`, (mask, value) per path.
 
     A flow joins each source outside J to its own target of J outside the
     source set, by vertex-disjoint paths.  The matching is forced: the
     sources are 1..n and the targets lie in n+1..2n, and disjoint paths in
     the disk cannot cross, so the i-th smallest source goes to the i-th
     largest target.  Raises ValueError if the source set is not 1..n.
-    The paths come whole from `_path_table`, each joined once per call:
-    each source in ascending order takes a path to its target whose mask
-    misses the union of the masks taken so far, in the group's
-    lexicographic order.  A boundary vertex has one edge, so the masks
-    alone keep the ends apart.  The deadline ticks while the table is
-    built and once per flow.
+    Each source in ascending order takes a path to its target whose mask
+    misses the union of the masks taken so far, in its group's order.  A
+    boundary vertex has one edge, so the masks alone keep the ends apart.
+    The deadline ticks once per flow.
     """
     J = tuple(sorted(J))
     n = G.n
@@ -418,12 +417,10 @@ def flow_systems(G: PlabicGraph, O: PerfectOrientation, J, join: Callable, start
     if sorted(O.source_set) != list(range(1, n + 1)):
         raise ValueError(f"source set {sorted(O.source_set)} is not 1..{n}: "
                          "the source-to-target matching is not forced")
-    table = _path_table(G, O)
     tick = armed().tick
     sources = [s for s in range(1, n + 1) if s not in J]
     targets = [t for t in reversed(J) if t > n]
-    groups = [[(mask, join(path, left)) for mask, path, left in table[s].get(t, ())]
-              for s, t in zip(sources, targets)]
+    groups = [rows[s].get(t, ()) for s, t in zip(sources, targets)]
     *first, last = groups or [()]
 
     def prefixes(i: int, used: int, acc) -> Iterator:
@@ -449,24 +446,24 @@ def flow_systems(G: PlabicGraph, O: PerfectOrientation, J, join: Callable, start
 
 
 def enumerate_flows(G: PlabicGraph, O: PerfectOrientation, J) -> tuple[Flow, ...]:
-    """All flows from the orientation's source set to J (`flow_systems`,
-    with each path joined as a 1-tuple), in lexicographic order of their
-    path vertex sequences; the deadline is polled by `flow_systems` and
-    every POLL_EVERY flows.
+    """All flows from the orientation's source set to J (`flow_systems` on
+    the paths of `_path_table` from outside J into J, each valued as the
+    1-tuple of its vertices and left faces), in lexicographic order of their
+    path vertex sequences; the deadline is polled by both and every POLL_EVERY flows.
 
     The cyclic garbage collector is paused while the flows are built, and
     restored after: they hold no cycle, and at n=8 (990,648 flows to
     1,2,4,6,9,11,13,15) its full collections of the growing tuple took
     about half the time."""
-    def join(path, left):
-        return ((path, path_left_faces(G, left)),)
-
+    rows = {s: {t: [(mask, ((path, path_left_faces(G, left)),)) for mask, path, left in group]
+                for t, group in ends.items() if t in J}
+            for s, ends in _path_table(G, O).items() if s not in J}
     enabled = gc.isenabled()
     gc.disable()
     try:
         return tuple(Flow(paths=tuple(path for path, _ in acc),
                           left_faces=tuple(left for _, left in acc))
-                     for acc in polled(flow_systems(G, O, J, join, ())))
+                     for acc in polled(flow_systems(G, O, J, rows, ())))
     finally:
         if enabled:
             gc.enable()

@@ -90,7 +90,7 @@ def fold(Q: Quiver) -> FoldedMatrix:
     column vertex nu and takes it from the sum of nu's row orbit at mu.
     Each vertex is transposed once.  Only the sums the arrows reach can be
     nonzero, so only those can make an entry ill-defined.  The deadline is
-    polled once per arrow and once per sum reached.
+    polled per arrow, per sum reached and every POLL_EVERY items between.
 
     Raises if the transpose involution is not an arrow-preserving symmetry
     or if a column sum depends on the orbit member chosen.
@@ -98,10 +98,10 @@ def fold(Q: Quiver) -> FoldedMatrix:
     n = Q.n
     cols = mutable_orbit_order(n)
     rows = cols + frozen_orbit_order(n)
-    row_of = {v: r for r, orbit in enumerate(rows) for v in orbit}
+    row_of = {v: r for r, orbit in enumerate(polled(rows)) for v in orbit}
     col_of = {v: c for c, orbit in enumerate(cols) for v in orbit}
     counts = Q.arrow_counter()
-    flip = {v: transpose(v) for v in {v for arrow in counts for v in arrow}}
+    flip = {v: transpose(v) for v in polled({v for arrow in counts for v in arrow})}
     check = armed().check
     # sums[r, c][nu]: B_{mu, nu} summed over the mu of row orbit r, at the
     # member nu of column orbit c
@@ -115,7 +115,7 @@ def fold(Q: Quiver) -> FoldedMatrix:
                 at = sums.setdefault((row_of[mu], col_of[nu]), {})
                 at[nu] = at.get(nu, 0) + entry
 
-    entries = [[0] * len(cols) for _ in rows]
+    entries = [[0] * len(cols) for _ in polled(rows)]
     for (r, c), at in sorted(sums.items()):
         check()
         by_member = {nu: at.get(nu, 0) for nu in cols[c]}
@@ -124,7 +124,7 @@ def fold(Q: Quiver) -> FoldedMatrix:
                 f"fold ill-defined at rows {rows[r]} x columns {cols[c]}: {by_member}"
             )
         entries[r][c] = by_member[cols[c][0]]
-    return FoldedMatrix(n=n, row_orbits=rows, col_orbits=cols, entries=tuple(map(tuple, entries)))
+    return FoldedMatrix(n=n, row_orbits=rows, col_orbits=cols, entries=tuple(map(tuple, polled(entries))))
 
 
 def folded_matrix(n: int) -> FoldedMatrix:

@@ -40,20 +40,20 @@ only; no check of the program reads them.
 A flow's exponent vector is the sum over its paths of the coordinate counts
 of the path's left faces.  Each path of the network's table carries its
 left faces as a bitmask, summed from dart weights along the path
-(`plabic.dual_cuts`); the counts are cached per bitmask as one packed int,
-one byte per orbit like the valuations of `_packed_table`.
-`plabic.flow_systems` streams each flow's vector as the int sum of its
-paths' counts, and the minimum over the flows is merged bytewise as they
-come, with the number of flows that attain it: no `Flow` and no list
-of flows is built.
+(`plabic.dual_cuts`).  The oracle's row table (`_flow_rows`, once per n)
+keeps each path's mask and counts, one packed int with a byte per orbit like
+`_packed_table`'s, decoded eight faces per lookup.  `plabic.flow_systems`
+streams each flow's vector as the int sum of its paths' counts, and the
+minimum over the flows is merged bytewise as they come, with the number of
+flows that attain it: no `Flow` and no list of flows is built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from functools import cache
-from operator import mul
+from operator import getitem, mul
 from types import MappingProxyType
 
 from . import plabic
@@ -117,25 +117,38 @@ def orbit_vector(n: int, monomial: Counter) -> tuple[int, ...]:
     return tuple(totals)
 
 
+def _left_face_counts(n: int) -> Callable[[int], int]:
+    """The coordinate counts of a left-face bitmask (`plabic.dual_cuts`),
+    one byte per orbit, read eight faces per lookup: table k maps byte k
+    of the mask to the counts of faces 8k..8k+7, the empty label's face 0."""
+    faces, _ = plabic.dual_cuts(plabic.build_corect_graph(n))
+    coords = face_coordinates(n)
+    fields = [0 if coords[face] is None else 1 << FIELD_BITS * coords[face] for face in faces]
+    tables = []
+    for k in range(0, len(fields), 8):
+        tables.append([0])
+        for field in fields[k:k + 8]:  # each face of the byte doubles its table
+            tables[-1] += [counts + field for counts in tables[-1]]
+    return lambda left: sum(map(getitem, tables, left.to_bytes(len(tables), "little")))
+
+
 # A flow has at most n paths and an orbit at most two faces, each on the
 # left of a path at most once, so a coordinate of a flow's vector is at
 # most 2n: below the guard bit 2**7 of a FIELD_BITS byte for n <= MAX_PACKED_N.
 @cache
-def _left_faces_packed(n: int, left: int) -> int:
-    """Coordinate counts of the faces of one left-face bitmask
-    (`plabic.dual_cuts`), one byte per orbit."""
-    coords = face_coordinates(n)
-    faces, _ = plabic.dual_cuts(plabic.build_corect_graph(n))
-    return sum(1 << FIELD_BITS * coords[face] for i, face in enumerate(faces)
-               if left >> i & 1 and coords[face] is not None)
+def _flow_rows(n: int) -> dict[int, dict[int, tuple[tuple[int, int], ...]]]:
+    """The oracle's row table: `plabic._path_table` of the network with
+    (mask, `_left_face_counts` of its left faces) per path, in the same
+    groups and order; polled once per group."""
+    counts, table = _left_face_counts(n), plabic._path_table(*plabic.corect_network(n))
+    return {s: {end: tuple([(mask, counts(left)) for mask, _, left in polled(group)])
+                for end, group in ends.items()} for s, ends in table.items()}
 
 
 def _flow_sums(n: int, J) -> Iterator[int]:
     """The exponent vector of every flow to J, packed one byte per orbit,
-    streamed by `plabic.flow_systems` as the sum of its paths' packed
-    left-face counts."""
-    G, O = plabic.corect_network(n)
-    return plabic.flow_systems(G, O, J, lambda path, left: _left_faces_packed(n, left), 0)
+    streamed by `plabic.flow_systems` as the sum of its paths' packed counts."""
+    return plabic.flow_systems(*plabic.corect_network(n), J, _flow_rows(n), 0)
 
 
 def valuation_from_flows(n: int, lam: Partition) -> tuple[int, ...]:

@@ -422,19 +422,19 @@ def test_point_sets_poll_the_budget_after_the_enumeration(monkeypatch, capsys, c
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_fold_output_polls_the_budget_per_row(monkeypatch, capsys, fmt):
-    # the deadline expires once the fold is built: the output stops at its
-    # first row, not after 1,024 text lines or every JSON row (at n=70 a
-    # row holds 2,415 entries)
+    # the deadline expires as the first row is read, after the JSON orbit
+    # names, which are polled too: the output stops at that row, not after
+    # 1,024 text lines or every JSON row (at n=70 a row holds 2,415 entries)
     real = quiverfold.folded_matrix
     read = []
 
     def expiring(n):
         F = real(n)
-        armed().expires = time.monotonic() - 1
 
         def rows():
             for row in F.entries:
                 read.append(row)
+                armed().expires = time.monotonic() - 1
                 yield row
 
         return F._replace(entries=rows())
@@ -444,6 +444,23 @@ def test_fold_output_polls_the_budget_per_row(monkeypatch, capsys, fmt):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: computation exceeded its time budget\n")
     assert len(read) == 1
+
+
+def test_fold_json_polls_the_budget_over_its_orbit_names(monkeypatch, capsys):
+    # the deadline expires once the fold is built: the JSON output stops at
+    # its orbit names (0.06 s at n=70), before any row is read
+    real, read = quiverfold.folded_matrix, []
+
+    def expiring(n):
+        F = real(n)
+        armed().expires = time.monotonic() - 1
+        return F._replace(entries=(read.append(row) or row for row in F.entries))
+
+    monkeypatch.setattr(quiverfold, "folded_matrix", expiring)
+    assert main(["fold", "--n", "6", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: computation exceeded its time budget\n")
+    assert read == []
 
 
 def test_valuations_budget_covers_the_output(monkeypatch, capsys):

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
-from lgrnok import plabic
+from lgrnok import plabic, valuation
 from lgrnok.budget import POLL_EVERY, Deadline, TimeBudgetExceeded, arm
 from lgrnok.partitions import partition_to_indexset, transpose
 from lgrnok.valuation import orbit_vector
@@ -248,8 +248,11 @@ def test_enumerate_flows_pauses_the_collector_and_restores_it(monkeypatch, enabl
     assert seen and not any(seen)
 
 
-def _entry(path, left):
-    return ((path, left),)
+def _rows(G, O):
+    """The path table as `flow_systems` reads it, each path's value the
+    1-tuple of its vertices and left-face bitmask."""
+    return {s: {end: tuple((mask, ((path, left),)) for mask, path, left in group)
+                for end, group in ends.items()} for s, ends in plabic._path_table(G, O).items()}
 
 
 def test_flow_systems_refuse_sources_that_do_not_force_the_matching():
@@ -258,7 +261,7 @@ def test_flow_systems_refuse_sources_that_do_not_force_the_matching():
     G, O = plabic.corect_network(3)
     assert sorted(O.source_set) == [1, 2, 3]
     with pytest.raises(ValueError, match="is not 1..3"):
-        plabic.flow_systems(G, O._replace(source_set=(1, 2, 4)), (1, 5, 6), _entry, ())
+        plabic.flow_systems(G, O._replace(source_set=(1, 2, 4)), (1, 5, 6), _rows(G, O), ())
 
 
 def test_flows_poll_the_deadline_in_the_path_table_and_the_placement():
@@ -268,17 +271,31 @@ def test_flows_poll_the_deadline_in_the_path_table_and_the_placement():
     J = (1, 2, 4, 7, 9, 11)
     kept = plabic._path_table.cache_info().currsize
     with arm(Deadline(-1)), pytest.raises(TimeBudgetExceeded):
-        plabic.flow_systems(G, O, J, _entry, ())
+        plabic.enumerate_flows(G, O, J)
     assert plabic._path_table.cache_info().currsize == kept
     with arm(CountingDeadline()) as cold:
-        systems = list(plabic.flow_systems(G, O, J, _entry, ()))
-    assert len(systems) > POLL_EVERY
+        flows = plabic.enumerate_flows(G, O, J)
+    rows = _rows(G, O)
     with arm(CountingDeadline()) as warm:
-        assert list(plabic.flow_systems(G, O, J, _entry, ())) == systems
-    assert warm.polls == math.ceil(len(systems) / POLL_EVERY) < cold.polls
-    with arm(CountingDeadline()) as flows:
-        assert len(plabic.enumerate_flows(G, O, J)) == len(systems)
-    assert flows.polls == 2 * warm.polls
+        systems = list(plabic.flow_systems(G, O, J, rows, ()))
+    assert len(systems) == len(flows) > POLL_EVERY
+    assert [tuple(path for path, _ in system) for system in systems] == [f.paths for f in flows]
+    assert warm.polls == math.ceil(len(systems) / POLL_EVERY)
+    with arm(CountingDeadline()) as again:
+        assert plabic.enumerate_flows(G, O, J) == flows
+    assert again.polls == 2 * warm.polls < cold.polls
+
+
+def test_the_flow_row_table_polls_the_deadline_and_keeps_no_entry_when_stopped():
+    # every table it reads built first, so that the build itself must poll
+    assert valuation._flow_rows(4)
+    valuation._flow_rows.cache_clear()
+    with arm(Deadline(-1)), pytest.raises(TimeBudgetExceeded):
+        valuation._flow_rows(4)
+    assert valuation._flow_rows.cache_info().currsize == 0
+    with arm(CountingDeadline()) as deadline:
+        rows = valuation._flow_rows(4)
+    assert deadline.polls == sum(map(len, rows.values()))  # once per group
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 20])

@@ -539,11 +539,11 @@ def test_swapped_face_coordinates_fail_the_flow_oracle_at_n6(monkeypatch, capsys
     assert real[a] != real[b]
     planted = MappingProxyType(dict(real) | {a: real[b], b: real[a]})
     monkeypatch.setattr(valuation, "face_coordinates", lambda n: planted)
-    valuation._left_faces_packed.cache_clear()
+    clear_tables()
     try:
         assert main(["verify", "--n", "6", "--level", "vertex"]) == 1
     finally:
-        valuation._left_faces_packed.cache_clear()
+        clear_tables()
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  [FAIL]")]
     assert len(failed) == 1 and failed[0].startswith(
         "  [FAIL] valuation-oracle-equivalence  (AssertionError: valuation oracle mismatch at ")
@@ -559,7 +559,7 @@ def test_swapped_face_coordinates_fail_the_flow_oracle_at_n6(monkeypatch, capsys
         "valuation-oracle-equivalence": "AssertionError: valuation oracle mismatch at (6, 6, 6, 6, 6): ",
     }),
 ])
-def test_a_dart_weight_plus_one_fails_the_flow_checks(monkeypatch, n, level, expected):
+def test_a_dart_weight_plus_one_fails_the_flow_checks(plant, n, level, expected):
     # +1 on the weight of the dart f(1,2) -> h(1,2): every path through it
     # sums to a wrong left-face bitmask, read by the flows alone
     G, _ = plabic.corect_network(n)
@@ -567,8 +567,8 @@ def test_a_dart_weight_plus_one_fails_the_flow_checks(monkeypatch, n, level, exp
     faces, weight = real(G)
     dart = (("f", 1, 2), ("h", 1, 2))
     planted = faces, MappingProxyType(dict(weight) | {dart: weight[dart] + 1})
-    monkeypatch.setattr(plabic, "dual_cuts", lambda graph: planted if graph is G else real(graph))
-    monkeypatch.setattr(plabic, "_path_table", cache(plabic._path_table.__wrapped__))
+    plant(plabic, "dual_cuts", lambda graph: planted if graph is G else real(graph))
+    plant(plabic, "_path_table", cache(plabic._path_table.__wrapped__))
     got = failures(n, level)
     assert got.keys() == expected.keys()
     assert all(got[name].startswith(witness) for name, witness in expected.items())
