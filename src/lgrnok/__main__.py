@@ -1,10 +1,11 @@
-import gc
+import os
 import sys
 
 from .cli import main
 
 code = main()
-# The output is written.  Frozen, the heap the run built is left out of the
-# collection at interpreter exit, which would otherwise walk all of it.
-gc.freeze()
-sys.exit(code)
+# The output is written and nothing else is open: flushed, the run leaves
+# without the teardown that would free every module and object it built.
+sys.stdout.flush()
+sys.stderr.flush()
+os._exit(code)

@@ -43,9 +43,9 @@ facets of Delta are the rows of Gamma pulled back through M_n.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
 from math import comb
-from typing import NamedTuple
 
 from . import polytope, superpotential, valuation
 from .budget import armed
@@ -84,11 +84,8 @@ def column_partition(n: int, i: int, j: int) -> Partition:
     return normalize((n,) * j + (n - 1,) * (n - 1 - j) + (i,))
 
 
-class ValuationMatrix(NamedTuple):
-    n: int
-    entries: tuple[tuple[int, ...], ...]
-    row_labels: tuple[Partition, ...]
-    col_pairs: tuple[Pair, ...]
+class ValuationMatrix(namedtuple("ValuationMatrix", "n entries row_labels col_pairs")):
+    __slots__ = ()
 
     @property
     def size(self) -> int:

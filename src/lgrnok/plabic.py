@@ -43,11 +43,10 @@ in lexicographic order too.
 from __future__ import annotations
 
 import gc
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterator
 from functools import cache
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .budget import armed, polled
 from .partitions import Partition, normalize
@@ -220,9 +219,10 @@ def build_corect_graph(n: int) -> PlabicGraph:
 # -- perfect orientations ----------------------------------------------
 
 
-class PerfectOrientation(NamedTuple):
-    direction: tuple[Dart, ...]  # one (tail, head) per edge
-    source_set: tuple[int, ...]
+class PerfectOrientation(namedtuple("PerfectOrientation", "direction source_set")):
+    """direction holds one (tail, head) dart per edge."""
+
+    __slots__ = ()
 
     def out_neighbors(self) -> dict[Vertex, tuple[Vertex, ...]]:
         adj: dict[Vertex, list[Vertex]] = {}
@@ -298,12 +298,11 @@ def corect_network(n: int) -> tuple[PlabicGraph, PerfectOrientation]:
 # -- flows ---------------------------------------------------------------
 
 
-class Flow(NamedTuple):
+class Flow(namedtuple("Flow", "paths left_faces")):
     """Vertex-disjoint directed paths; left_faces[i] collects every face on
     the left of paths[i], not just the faces it borders."""
 
-    paths: tuple[tuple[Vertex, ...], ...]
-    left_faces: tuple[frozenset, ...]
+    __slots__ = ()
 
     def monomial(self, G: PlabicGraph) -> Counter:
         return Counter(G.faces[f] for faces in self.left_faces for f in faces)

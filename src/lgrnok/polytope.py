@@ -32,8 +32,8 @@ description, and per face of the f-vector and of a volume.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import index, mul
-from typing import NamedTuple
 
 from .budget import armed
 from .linalg import affine_pivot_columns, dot, invert, primitive, rref
@@ -51,9 +51,8 @@ def normalize_row(coeffs, const) -> Row:
     return ints[:-1], ints[-1]
 
 
-class VPolytope(NamedTuple):
-    dim: int
-    points: tuple[Point, ...]
+class VPolytope(namedtuple("VPolytope", "dim points")):
+    __slots__ = ()
 
     @staticmethod
     def from_points(points) -> "VPolytope":
@@ -67,9 +66,8 @@ class VPolytope(NamedTuple):
         return VPolytope(dim=len(pts[0]), points=pts)
 
 
-class HPolytope(NamedTuple):
-    dim: int
-    rows: tuple[Row, ...]
+class HPolytope(namedtuple("HPolytope", "dim rows")):
+    __slots__ = ()
 
     def row_set(self) -> frozenset[Row]:
         return frozenset(normalize_row(c, d) for c, d in self.rows)

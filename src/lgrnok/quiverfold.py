@@ -11,20 +11,20 @@ column orbit member is used.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterator
-from typing import NamedTuple
+from itertools import combinations
 
 from . import plabic
 from .budget import armed, polled
 from .partitions import Partition, format_partition, transpose
 
 
-class Quiver(NamedTuple):
-    n: int
-    vertices: tuple[Partition, ...]
-    frozen: frozenset[Partition]
-    arrows: tuple[tuple[Partition, Partition], ...]  # with multiplicity
+class Quiver(namedtuple("Quiver", "n vertices frozen arrows")):
+    """The vertices sorted, the frozen ones as a set, and the arrows as
+    sorted (tail, head) pairs with multiplicity."""
+
+    __slots__ = ()
 
     def arrow_counter(self) -> Counter:
         return Counter(self.arrows)
@@ -46,24 +46,22 @@ def dual_quiver(G: plabic.PlabicGraph) -> Quiver:
             continue
         raw[(source, target)] += 1
     arrows: list[tuple[Partition, Partition]] = []
-    for (a, b) in polled(sorted({tuple(sorted(pair)) for pair in raw})):
-        net = raw.get((a, b), 0) - raw.get((b, a), 0)  # cancel 2-cycles
+    for (a, b), count in polled(raw.items()):
+        net = count - raw.get((b, a), 0)  # cancel 2-cycles
         if net > 0:
             arrows.extend([(a, b)] * net)
-        elif net < 0:
-            arrows.extend([(b, a)] * (-net))
     vertices = tuple(sorted(G.faces.values()))
     return Quiver(n=G.n, vertices=vertices, frozen=frozen, arrows=tuple(sorted(arrows)))
 
 
 def mutable_orbit_order(n: int) -> tuple[tuple[Partition, ...], ...]:
     """Self-paired cells first by descending strip, then the true pairs by
-    descending strip then height; matches the printed n=4 convention."""
+    descending strip then height; matches the printed n=4 convention.  The
+    deadline is polled every POLL_EVERY pairs."""
     singles = [plabic.face_label(n, (k, k)) for k in range(n - 1, 0, -1)]
     pairs = [
         (plabic.face_label(n, (k, r)), plabic.face_label(n, (r, k)))
-        for k in range(n - 1, 0, -1)
-        for r in range(k - 1, 0, -1)
+        for k, r in polled(combinations(range(n - 1, 0, -1), 2))
     ]
     return tuple([(s,) for s in singles] + pairs)
 
@@ -76,11 +74,8 @@ def frozen_orbit_order(n: int) -> tuple[tuple[Partition, ...], ...]:
     return tuple(orbits)
 
 
-class FoldedMatrix(NamedTuple):
-    n: int
-    row_orbits: tuple[tuple[Partition, ...], ...]
-    col_orbits: tuple[tuple[Partition, ...], ...]
-    entries: tuple[tuple[int, ...], ...]
+class FoldedMatrix(namedtuple("FoldedMatrix", "n row_orbits col_orbits entries")):
+    __slots__ = ()
 
 
 def fold(Q: Quiver) -> FoldedMatrix:
@@ -116,8 +111,9 @@ def fold(Q: Quiver) -> FoldedMatrix:
                 at[nu] = at.get(nu, 0) + entry
 
     entries = [[0] * len(cols) for _ in polled(rows)]
-    for (r, c), at in sorted(sums.items()):
+    for r, c in sorted(sums):
         check()
+        at = sums[r, c]
         by_member = {nu: at.get(nu, 0) for nu in cols[c]}
         if len(set(by_member.values())) != 1:
             raise ValueError(

@@ -12,11 +12,11 @@ chain polytope of P_n.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from functools import cache, reduce
 from itertools import compress, product
 from operator import or_
-from typing import NamedTuple
 
 from .budget import armed, polled
 from .polytope import HPolytope
@@ -24,9 +24,10 @@ from .polytope import HPolytope
 Element = tuple[int, int]
 
 
-class PosetPn(NamedTuple):
-    n: int
-    elements: tuple[Element, ...]  # in lexicographic order, the coordinate order of Gamma
+class PosetPn(namedtuple("PosetPn", "n elements")):
+    """elements in lexicographic order, the coordinate order of Gamma."""
+
+    __slots__ = ()
 
     def below(self, x: Element, y: Element) -> bool:
         """x <= y: x = (k, l) is reached from y = (i, j) by l - j steps
@@ -219,12 +220,11 @@ def chain_polytope_points(P: PosetPn, k: int) -> int:
 # -- the superpotential ----------------------------------------------------
 
 
-class SuperpotentialTerm(NamedTuple):
+class SuperpotentialTerm(namedtuple("SuperpotentialTerm", "kind cells")):
     """A linear term a_ij, or a quantum term q / prod a_{cell} with one
-    denominator cell per column."""
+    denominator cell per column; kind is "linear" or "quantum"."""
 
-    kind: str  # "linear" | "quantum"
-    cells: tuple[Element, ...]
+    __slots__ = ()
 
 
 def strict_staircase_partitions(n: int) -> Iterator[tuple[int, ...]]:

@@ -8,10 +8,9 @@ n-range a check is skipped, with the entry's reason as its witness.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections import namedtuple
 from itertools import combinations, combinations_with_replacement, islice, repeat
 from operator import ne
-from typing import NamedTuple
 
 from . import equivalence, partitions, plabic, polytope, quiverfold, superpotential, valuation
 from .budget import POLL_EVERY, TimeBudgetExceeded, armed, polled
@@ -177,13 +176,11 @@ def f_vector(n):
     return fv_delta == fv_gamma == (14, 51, 86, 78, 39, 10), f"{fv_delta} / {fv_gamma}"
 
 
-class Check(NamedTuple):
-    name: str
-    level: str  # "vertex" or "hull"
-    run: Callable[[int], tuple[bool, str]]
-    n_min: int = 1
-    n_max: float = math.inf
-    skip: str = ""  # the witness of a check skipped for n outside [n_min, n_max]
+class Check(namedtuple("Check", "name level run n_min n_max skip", defaults=(1, math.inf, ""))):
+    """A check at level "vertex" or "hull"; run(n) gives (passed, witness),
+    and skip is the witness of a check skipped for n outside [n_min, n_max]."""
+
+    __slots__ = ()
 
 
 CHECKS = (

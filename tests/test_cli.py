@@ -2,6 +2,7 @@ import argparse
 import ast
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from lgrnok import cli, quiverfold, superpotential, valuation
+from lgrnok import cli, equivalence, plabic, polytope, quiverfold, superpotential, valuation, verify
 from lgrnok.budget import Deadline, TimeBudgetExceeded, armed
 from lgrnok.cli import main
 from lgrnok.partitions import staircase_syt_count
@@ -40,13 +41,43 @@ def test_usage_errors_exit_2(capsys):
 def test_entry_import_loads_no_heavy_stdlib(entry):
     # Startup is most of a short run.  Every point, row and volume is an
     # int, so nothing needs `fractions` (which loads `decimal`); the records
-    # are NamedTuples, not dataclasses (which load `inspect`); and only the
-    # JSON writer imports `json`, when it is called.
-    heavy = "{'dataclasses', 'inspect', 'json', 'fractions', 'decimal'}"
+    # are `collections.namedtuple`s, neither dataclasses (which load
+    # `inspect`) nor `typing.NamedTuple`s (which load `typing` and compile
+    # each field's annotation); and only the JSON writer imports `json`,
+    # when it is called.  `-S` leaves out `site`, which may import `typing`
+    # itself.
+    heavy = "{'dataclasses', 'inspect', 'json', 'fractions', 'decimal', 'typing'}"
     code = f"import sys, {entry}; print(sorted({heavy} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_the_records_keep_their_fields_defaults_and_methods():
+    records = {
+        equivalence.ValuationMatrix: "n entries row_labels col_pairs",
+        plabic.PerfectOrientation: "direction source_set",
+        plabic.Flow: "paths left_faces",
+        polytope.VPolytope: "dim points",
+        polytope.HPolytope: "dim rows",
+        quiverfold.Quiver: "n vertices frozen arrows",
+        quiverfold.FoldedMatrix: "n row_orbits col_orbits entries",
+        superpotential.PosetPn: "n elements",
+        superpotential.SuperpotentialTerm: "kind cells",
+        verify.Check: "name level run n_min n_max skip",
+    }
+    for record, fields in records.items():
+        assert record._fields == tuple(fields.split()), record
+        assert not hasattr(record(*fields.split()), "__dict__"), record
+    check = verify.Check("name", "hull", len)
+    assert check[3:] == (1, math.inf, "")
+    assert check._replace(n_max=6, skip="why") == ("name", "hull", len, 1, 6, "why")
+    assert repr(check._replace(run=None)) == (
+        "Check(name='name', level='hull', run=None, n_min=1, n_max=inf, skip='')")
+    P = superpotential.build_poset(2)
+    assert repr(P) == "PosetPn(n=2, elements=((1, 1), (1, 2), (2, 2)))"
+    assert P.below((2, 2), (1, 1)) and P._replace(n=3).elements == P.elements
+    assert hash(P) == hash((2, P.elements)) and P == (2, P.elements)
 
 
 def test_main_is_the_one_writer():
@@ -311,15 +342,27 @@ def test_malformed_target(capsys):
     assert main(["matrix", "--n", "0"]) == 2
 
 
-def run_module(*argv):
-    # stdout is a pipe, block-buffered as for any user who pipes the output
+def run_module(*argv, stdout=subprocess.PIPE):
+    # stdout is a pipe or a file, block-buffered as for any user who pipes
+    # or redirects the output
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    return subprocess.run([sys.executable, "-m", "lgrnok", *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "lgrnok", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env)
 
 
-def test_console_entry_point(capsys):
-    # `python -m lgrnok` freezes the heap after main returns: its output and
-    # exit codes are main's
+def test_console_entry_point(capsys, tmp_path):
+    # `python -m lgrnok` flushes both streams after main returns and leaves
+    # by `os._exit`: its output and exit codes are main's, to a pipe and to
+    # a regular file, as the benchmark sends it
+    for argv, code in ((["verify", "--n", "3", "--level", "vertex"], 0), (["matrix", "--n", "0"], 2),
+                       (["counts", "--n", "8", "--time-budget", "1e-9"], 3)):
+        with open(tmp_path / "stdout", "w+") as out:
+            proc = run_module(*argv, stdout=out)
+            out.seek(0)
+            written = out.read()
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert (proc.returncode, written, proc.stderr) == (code, captured.out, captured.err)
     proc = run_module("matrix", "--n", "2")
     assert proc.returncode == 0
     assert proc.stdout == "1 2 0\n1 1 0\n1 1 1\n"

@@ -204,12 +204,16 @@ def test_the_graph_quiver_and_orientation_poll_the_budget(monkeypatch):
 def test_fold_polls_the_budget_before_and_after_its_loops():
     # at n=70 the orbit orders with the transposes before the arrow loop,
     # and the zero matrix and its rows as tuples after it, went 0.07-0.15 s
-    # unpolled: each now polls every POLL_EVERY row orbits, vertices or rows
+    # unpolled, and the pair orbits about 0.03 s: each now polls every
+    # POLL_EVERY pairs, row orbits, vertices or rows
+    with arm(CountingDeadline()) as orders:
+        pairs = mutable_orbit_order(50)[49:]
+    assert orders.polls == -(-len(pairs) // POLL_EVERY) == 2
     Q = dual_quiver(plabic.build_corect_graph(40))
     with arm(CountingDeadline()) as empty:
         F = fold(Q._replace(arrows=()))
     assert len(F.row_orbits) < POLL_EVERY and not any(map(any, F.entries))
-    assert empty.polls == 3  # the row orbits, the zero rows, the rows as tuples
+    assert empty.polls == 4  # the pair orbits, the row orbits, the zero rows, the rows as tuples
     vertices = {v for arrow in Q.arrows for v in arrow}
     with arm(CountingDeadline()) as full:
         fold(Q)
