@@ -1,13 +1,15 @@
 """Command-line surface: every computation and the report of `verify`.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error, 3 time budget exceeded.  `--time-budget` bounds the whole command.
+error, 3 time budget exceeded, 141 stdout closed by its reader, with no
+traceback.  `--time-budget` bounds the whole command.
 Output is deterministic: identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 from itertools import chain, islice
@@ -368,7 +370,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.writelines(text)
+    try:
+        sys.stdout.writelines(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout's reader is gone: no later flush may raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # as for a process that SIGPIPE ends
     return code
 
 

@@ -33,12 +33,12 @@ The main theorem is checked at two levels, by two functions with the
 shape of the verification registry, n -> (ok, witness).  The
 vertex level, `verify_main_theorem`, is the walk above.  The hull level,
 `verify_hull_level`, runs the vertex level first, then asks |det M_n| = 1,
-and then reads the masks of Gamma's rows on the antichain indicators in
-one pass: every row is a facet of Gamma, and Gamma's normalized volume is
-the staircase SYT count.  It runs no double description.  That the rows
-include every facet of Gamma is `gamma-vertex-enumeration`, whose n-range
-holds the hull level's; so with the vertex level and the determinant, the
-facets of Delta are the rows of Gamma pulled back through M_n.
+looks up Gamma's coordinate rows, and reads the masks of Gamma's rows on
+the antichain indicators in one pass: Gamma's normalized volume is the
+staircase SYT count and no cut falls short of a facet, so the rows are
+exactly Gamma's facets.  It runs no double description; with the vertex
+level and the determinant, the facets of Delta are the rows of Gamma
+pulled back through M_n.
 """
 
 from __future__ import annotations
@@ -304,16 +304,18 @@ def verify_hull_level(n: int) -> tuple[bool, str]:
     cached M_n: with it, M_n is an automorphism of the lattice, so Delta =
     M_n(Gamma), with the same face lattice and the same normalized volume.
 
-    One pass of the rows' masks on the indicators gives Gamma's volume and
-    the facet certificate (`polytope.volume_and_cuts`): each row is >= 0
-    at every indicator, or the pass raises, and the maximal cuts of the
-    indicators are as many as the distinct rows.  Each row is a coordinate
-    or 1 minus the sum along a chain of P_n, 0 or 1 at every indicator, so
-    every pyramid of the volume has height 1 and the pass refuses none.
-    The rows include all of Gamma's facets: `gamma-vertex-enumeration`,
-    whose n-range holds this check's, shows that they cut out the hull of
-    the indicators.  So the maximal cuts are exactly the facets, and equal
-    counts leave no row that is not one.
+    The rows then certify themselves.  Say Q = conv(indicators).  Its
+    facets through its least point, the origin, are the coordinate rows
+    x_e >= 0 (every point is >= 0, and 0 and each e_i are indicators);
+    no pyramid of the volume stands on them, so they are looked up.  One
+    pass of the rows' masks on the indicators (`polytope.volume_and_cuts`)
+    raises unless every row is >= 0 at every indicator and every cut it
+    builds on is a facet of its face (the leaf check); each row is 0 or 1
+    at every indicator, so no pyramid is refused for its height.  Then the
+    volume is at most Vol(Q), below it if a facet of Q or of a face below
+    is missing, and Vol(Q) = e(P_n) = staircase_syt_count(n) (Stanley, Two
+    poset polytopes, 1986).  So no facet is missing, and as many maximal
+    cuts as distinct rows leave no row that is not one.
 
     The certificate runs on Gamma's 0/1 points, not on Delta's: M_n carries
     each indicator to its valuation and each row to its pull-back with the
@@ -327,23 +329,26 @@ def verify_hull_level(n: int) -> tuple[bool, str]:
     ok, witness = is_unimodular(build_valuation_matrix(n))
     if not ok:
         return ok, f"M_n has {witness}"
-    gamma = polytope.VPolytope.from_points(superpotential.gamma_vertex_set(n))
     H = gamma_hrep(n)
+    rows = H.row_set()
+    missing = [cell for t, cell in enumerate(lex_cells(n))
+               if ((0,) * t + (1,) + (0,) * (H.dim - 1 - t), 0) not in rows]
+    detail = [f"no coordinate row x_{missing[0]} >= 0 among Gamma's rows"] if missing else []
+    gamma = polytope.VPolytope.from_points(superpotential.gamma_vertex_set(n))
     volume, cuts = polytope.volume_and_cuts(gamma, H)
-    rows, expected = len(H.row_set()), staircase_syt_count(n)
-    detail = []
-    if cuts != rows:
-        detail.append(f"{rows} distinct rows of Gamma against {cuts} facets")
+    expected = staircase_syt_count(n)
+    if cuts != len(rows):
+        detail.append(f"{len(rows)} distinct rows of Gamma against {cuts} facets")
     if volume != expected:
         detail.append(f"volume of Gamma {volume}, expected {expected}")
     return not detail, "; ".join(detail)
 
 
-def gamma_vertices_match_hrep(n: int) -> tuple[bool, str]:
-    """Vertex enumeration of the superpotential H-rep returns exactly the
-    antichain indicator vectors.  Returns (ok, witness), the witness
-    naming the first indicator missing and the first vertex extra."""
-    enumerated = polytope.vertices(gamma_hrep(n)).points
-    expected = superpotential.gamma_vertex_set(n)
-    missing, extra = set(expected) - set(enumerated), set(enumerated) - set(expected)
-    return enumerated == expected, f"missing {min(missing, default=None)}, extra {min(extra, default=None)}"
+def gamma_facets_match_hrep(n: int) -> tuple[bool, str]:
+    """The double description of the antichain indicators' hull gives
+    exactly the rows of `gamma_hrep`, a second route to the hull level's
+    facet certificate.  Returns (ok, witness), the witness naming the least
+    facet missing from the rows and the least row that is not a facet."""
+    hull = polytope.facets(polytope.VPolytope.from_points(superpotential.gamma_vertex_set(n)))
+    got, rows = hull.row_set(), gamma_hrep(n).row_set()
+    return got == rows, f"missing {min(got - rows, default=None)}, extra {min(rows - got, default=None)}"

@@ -1,19 +1,19 @@
 """Exact polytope engine over the integers.
 
 V-polytopes are point lists, H-polytopes are systems c.x + d >= 0 with the
-rows scaled to primitive integer vectors.  Conversions both ways run the
-double description method on a pointed cone with the combinatorial
-adjacency test, updating the zero sets of the rays as rows are inserted;
-no floating point anywhere.
+rows scaled to primitive integer vectors.  The one conversion, points to
+facets (`facets`), runs the double description method on the polar cone
+with the combinatorial adjacency test, updating the zero sets of the rays
+as rows are inserted; no floating point anywhere.
 
 Points are lattice points, tuples of ints, everywhere: Delta is the hull
 of integer valuation vectors and Gamma has 0/1 vertices, and M_n is
-unimodular, so no point, vertex, facet or volume the program builds is
-ever non-integral.  `VPolytope.from_points` refuses a non-integer
-coordinate, `vertices` refuses a vertex off the lattice, and
-`normalized_volume` is an int.  A point set must be full-dimensional:
-`facets`, `f_vector` and `normalized_volume` raise ValueError otherwise
-(Delta and Gamma are full-dimensional at every n).
+unimodular, so no point, facet or volume the program builds is ever
+non-integral.  `VPolytope.from_points` refuses a non-integer coordinate,
+and `normalized_volume` is an int.  A point set must be full-dimensional:
+`facets`, `f_vector` and `normalized_volume` raise ValueError otherwise,
+and so does `volume_and_cuts`, through its leaf check (Delta and Gamma
+are full-dimensional at every n).
 
 One facet run gives the whole face lattice.  A face is the set of points on
 it, held as a bitmask, and its facets are its maximal proper nonempty
@@ -40,10 +40,6 @@ from .linalg import affine_pivot_columns, dot, invert, primitive, rref
 
 Point = tuple[int, ...]
 Row = tuple[tuple[int, ...], int]  # (coefficients, constant): c.x + d >= 0
-
-
-class UnboundedError(ValueError):
-    pass
 
 
 def normalize_row(coeffs, const) -> Row:
@@ -79,14 +75,14 @@ class HPolytope(namedtuple("HPolytope", "dim rows")):
 def _extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {x : r.x >= 0 for every row}.
 
-    Raises UnboundedError when the rows leave a lineality space, since every
-    caller here wants a pointed cone.
+    Raises ValueError when the rows leave a lineality space: the one caller,
+    the polar of a full-dimensional hull, always has a pointed cone.
     """
     d = len(rows[0])
     # The pivot columns of the transpose are the first rows that span.
     basis_idx = rref([list(col) for col in zip(*rows)])[1]
     if len(basis_idx) < d:
-        raise UnboundedError("cone has a lineality space")
+        raise ValueError("cone has a lineality space")
     # Column j of adj solves basis.x = det.e_j: the ray leaving basis row j.
     adj, det = invert([rows[i] for i in basis_idx])
     sign = 1 if det > 0 else -1
@@ -138,28 +134,6 @@ def _extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         zero_sets.update(fresh)
         rays = plus + zero + sorted(set(fresh) - set(plus) - set(zero))
     return sorted(set(rays))
-
-
-def vertices(H: HPolytope) -> VPolytope:
-    """Exact vertex enumeration; raises UnboundedError for unbounded input
-    and ValueError for a vertex off the lattice.  The rays are primitive,
-    so the vertex x has the ray (1, x) exactly when x is integral."""
-    cone_rows: list[tuple[int, ...]] = [(1,) + (0,) * H.dim]
-    for c, d in H.rows:
-        cone_rows.append((d,) + tuple(c))
-    rays = _extreme_rays(cone_rows)
-    points = []
-    for ray in rays:
-        if ray[0] == 0:
-            if any(ray[1:]):
-                raise UnboundedError(f"recession ray {ray[1:]}")
-            continue
-        if ray[0] != 1:
-            raise ValueError(f"vertex {ray[1:]}/{ray[0]} is not a lattice point")
-        points.append(ray[1:])
-    if not points:
-        raise ValueError("empty polytope")
-    return VPolytope.from_points(points)
 
 
 def _full_dim(V: VPolytope) -> tuple[Point, ...]:
@@ -268,13 +242,12 @@ def volume_and_cuts(V: VPolytope, H: HPolytope) -> tuple[int, int]:
     """The normalized volume of V, and the number of maximal cuts of V's
     points by H's rows (`_facets_of`), both read off one pass of H's masks.
 
-    H's rows must be valid on V and include all of V's facets: a row
-    negative at a point raises ValueError, but a missing facet gives a
-    wrong volume, not an error.  A redundant row is harmless: it cuts each
-    face in a face that is not maximal or that a facet row cuts too, or in
-    nothing, and a multiple of a row is read as that row.  So the maximal
-    cuts are the facets, one mask each, and they are as many as the
-    distinct rows exactly when every row is a facet.
+    H's rows must be valid on V: a row negative at a point raises
+    ValueError.  A redundant row is harmless: it cuts each face in a face
+    that is not maximal or that a facet row cuts too, or in nothing, and a
+    multiple of a row is read as that row.  So where the rows include the
+    facets, the maximal cuts are the facets, one mask each, and they are
+    as many as the distinct rows exactly when every row is a facet.
 
     A face F with least point a (a vertex, the points being sorted) is the
     union of the pyramids from a over the facets G of F that avoid a.  If
@@ -283,16 +256,29 @@ def volume_and_cuts(V: VPolytope, H: HPolytope) -> tuple[int, int]:
     volume normalized in its face's own lattice.  A greater value raises
     ValueError naming the row, its value and the apex: so every such row
     must be 1 at its apex, as every facet row of a compressed polytope is,
-    Gamma and Delta among them.  A point has volume 1.  Memoized on the
-    face; the deadline is polled once per face.
+    Gamma and Delta among them.  A point has volume 1.
+
+    The leaf check: the whole set is taken at dimension V.dim and each cut
+    one lower, and a single point reached at a positive dimension, or a
+    face reached at two, raises ValueError.  A cut's affine rank is below
+    its face's, so that refuses a set that is not full-dimensional and a
+    cut that is not a facet of its face.  A passing run's pyramids do not
+    overlap, so its volume is at most Vol(V), below it if a facet is
+    missing.  Memoized on the face, volume and dimension packed in one
+    int; the deadline is polled once per face.
     """
-    points = _full_dim(V)
+    points = V.points
     rows = tuple(normalize_row(c, d) for c, d in H.rows)
     masks, values = _facet_masks(points, rows)
-    memo: dict[int, int] = {}
+    width = V.dim.bit_length()
+    dims = (1 << width) - 1
+    memo: dict[int, int] = {}  # face -> volume << width | the dimension it was reached at
 
-    def volume(face: int) -> int:
+    def volume(face: int, dim: int) -> int:
         if not face & (face - 1):
+            if dim:
+                raise ValueError(f"the point {points[face.bit_length() - 1]} is reached at "
+                                 f"dimension {dim}: a cut above it is not a facet")
             return 1
         armed().check()
         apex_bit = face & -face
@@ -304,10 +290,15 @@ def volume_and_cuts(V: VPolytope, H: HPolytope) -> tuple[int, int]:
             if values[i][apex] > 1:
                 raise ValueError(f"the row {rows[i]} is {values[i][apex]} at the apex "
                                  f"{points[apex]}: not a unit-height pyramid")
-            if cut not in memo:
-                memo[cut] = volume(cut)
-            total += memo[cut]
+            packed = memo.get(cut)
+            if packed is None:
+                packed = memo[cut] = volume(cut, dim - 1) << width | dim - 1
+            elif packed & dims != dim - 1:
+                raise ValueError(f"the face of {cut.bit_count()} points from "
+                                 f"{points[(cut & -cut).bit_length() - 1]} is reached at dimensions "
+                                 f"{packed & dims} and {dim - 1}: a cut above it is not a facet")
+            total += packed >> width
         return total
 
     whole = (1 << len(points)) - 1
-    return volume(whole), len(_facets_of(whole, masks))
+    return volume(whole, V.dim), len(_facets_of(whole, masks))

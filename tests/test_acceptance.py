@@ -179,11 +179,11 @@ def test_criterion_4_gamma_n3():
         ]
     }
     chain_route = set(chain_polytope_rows(build_poset(3)))
-    enumerated = polytope.vertices(gamma_hrep(3)).points
     indicators = gamma_vertex_set(3)
-    ok = trop == printed and chain_route == printed and enumerated == indicators \
-        and len(indicators) == 14
-    _report(4, ok, "the 10 printed inequalities, both routes, and the 14 indicator vertices")
+    hull = polytope.facets(polytope.VPolytope.from_points(indicators)).row_set()
+    ok = trop == printed and chain_route == printed and hull == printed \
+        and gamma_hrep(3).row_set() == printed and len(indicators) == 14
+    _report(4, ok, "the 10 printed inequalities, both routes, and the facets of the 14 indicator vertices")
 
 
 def test_criterion_5_counting_suite():

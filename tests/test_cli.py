@@ -376,6 +376,27 @@ def test_console_entry_point(capsys, tmp_path):
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("entry", [["-m", "lgrnok"],
+                                   ["-c", "import sys; from lgrnok.cli import main; sys.exit(main())"]],
+                         ids=["module", "console-script"])
+def test_a_closed_stdout_ends_the_command_quietly(entry):
+    # The reader of the pipe is gone before the command writes.  An output
+    # larger than the stdout buffer (valuations --n 7) and one that fits it
+    # (matrix --n 2) both end with exit code 141 and an empty stderr, from
+    # `python -m lgrnok` and from the console script, which calls
+    # `lgrnok.cli:main` and leaves by sys.exit, skipping `__main__`.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for argv in (["valuations", "--n", "7"], ["matrix", "--n", "2"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, *entry, *argv], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, ""), argv
+
+
 def test_budget_exceeded_exit_code():
     # an absurdly small budget on a hull computation must exit 3
     assert main(["delta", "--n", "4", "--hrep", "--time-budget", "1e-9"]) == 3

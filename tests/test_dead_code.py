@@ -1,8 +1,9 @@
-"""Every public function, class and method of lgrnok has a reader in the
-program: a name or attribute in `src/` or `scripts/` outside its own
-definition.  The one exception is a function that a per-layer metric of
-BENCHMARK.json names, which the traced benchmark run reads.  Code that only
-the tests read belongs in tests/oracles.py.
+"""Every function, class and method of lgrnok, public or private (dunders
+aside), has a reader in the program: a name or attribute in `src/` or
+`scripts/` outside its own definition.  The one exception is a public
+function that a per-layer metric of BENCHMARK.json names, which the traced
+benchmark run reads.  Code that only the tests read belongs in
+tests/oracles.py.
 
 The scan matches names, not bindings, so a definition that shares its name
 with a name used elsewhere counts as read.
@@ -21,15 +22,23 @@ ROOT = Path(__file__).resolve().parents[1]
 PROGRAM = sorted((ROOT / "src" / "lgrnok").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
-def public_definitions(tree):
-    """The public functions and classes of a module and the public methods
-    of its classes, as AST nodes."""
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(tree, public):
+    """The module-level functions and classes of a module and the methods of
+    its classes, as AST nodes: the public ones, or the private ones (a
+    leading underscore, dunders excepted)."""
+    def wanted(name):
+        return not name.startswith("_") if public else name.startswith("_") and not is_dunder(name)
+
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and wanted(node.name):
             yield node
         if isinstance(node, ast.ClassDef):
             yield from (item for item in node.body
-                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+                        if isinstance(item, ast.FunctionDef) and wanted(item.name))
 
 
 def names_read(node) -> Counter:
@@ -37,16 +46,25 @@ def names_read(node) -> Counter:
                    for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
 
 
-def test_every_public_definition_is_read_by_the_program():
+def unread(public):
+    """The definitions of lgrnok that nothing in the program reads."""
     trees = {path: ast.parse(path.read_text()) for path in PROGRAM}
     read = sum((names_read(tree) for tree in trees.values()), Counter())
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     pinned = {m["name"].split(".")[1] for m in metrics if m["name"].count(".") == 2}
-    unread = [f"{path.name}: {node.name}"
-              for path, tree in trees.items() if path.parent.name == "lgrnok"
-              for node in public_definitions(tree)
-              if node.name not in pinned and read[node.name] == names_read(node)[node.name]]
-    assert not unread
+    return [f"{path.name}: {node.name}"
+            for path, tree in trees.items() if path.parent.name == "lgrnok"
+            for node in definitions(tree, public)
+            if node.name not in pinned and read[node.name] == names_read(node)[node.name]]
+
+
+def test_every_public_definition_is_read_by_the_program():
+    assert not unread(public=True)
+
+
+def test_every_private_definition_is_read_by_the_program():
+    # a helper left behind by a deletion, such as a lone `_full_dim`
+    assert not unread(public=False)
 
 
 def test_no_function_takes_a_deadline():

@@ -14,7 +14,7 @@ from lgrnok.equivalence import (
     check_blocks,
     column_pairs,
     column_partition,
-    gamma_vertices_match_hrep,
+    gamma_facets_match_hrep,
     image_of_antichains,
     is_unimodular,
     singleton_column_pair,
@@ -252,18 +252,26 @@ def test_hull_level_reports_a_walk_fault_and_stops(monkeypatch):
     assert not ok and witness.startswith("hook bijection fails at"), witness
 
 
-def test_gamma_vertex_enumeration():
-    for n in (1, 2, 3):
-        ok, witness = gamma_vertices_match_hrep(n)
-        assert ok, witness
+def test_gamma_vertex_enumeration(monkeypatch):
+    # the check keeps its registry name: the facets of the indicators' hull
+    # are the rows of gamma_hrep, none missing and none extra
+    for n in (1, 2, 3, 4):
+        assert gamma_facets_match_hrep(n) == (True, "missing None, extra None")
+    real = gamma_hrep(3)
+    for rows, witness in ((real.rows[1:], f"missing {real.rows[0]}, extra None"),
+                          (real.rows + (((1,) * 6, 0),), "missing None, extra ((1, 1, 1, 1, 1, 1), 0)")):
+        monkeypatch.setattr(equivalence, "gamma_hrep", lambda n, rows=rows: real._replace(rows=rows))
+        assert gamma_facets_match_hrep(3) == (False, witness)
 
 
 def test_hull_round_trip_on_both_polytopes():
+    # the facet run's rows, read back by the volume pass on the same
+    # points: one maximal cut per row and the known volume
     from lgrnok.superpotential import gamma_vertex_set
 
     for points in (delta_vertices(3), gamma_vertex_set(3)):
         body = polytope.VPolytope.from_points(points)
-        assert polytope.vertices(polytope.facets(body)).points == body.points
+        assert polytope.volume_and_cuts(body, polytope.facets(body)) == (16, 10)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -276,16 +284,18 @@ def test_facets_of_indicator_hull_close_the_loop(n):
 
 
 def test_gamma3_facets_irredundant():
+    # Removing any facet row of Delta_3 lowers the volume that the pass
+    # takes from Delta_3's least point or from that of its reflection -Delta_3:
+    # a missing facet shows from an apex off it
     body = polytope.VPolytope.from_points(delta_vertices(3))
+    reflected = polytope.VPolytope.from_points(tuple(-x for x in p) for p in body.points)
     H = polytope.facets(body)
-    base = set(polytope.vertices(H).points)
     for skip in range(len(H.rows)):
-        rows = tuple(r for i, r in enumerate(H.rows) if i != skip)
-        try:
-            trimmed = set(polytope.vertices(polytope.HPolytope(dim=H.dim, rows=rows)).points)
-        except polytope.UnboundedError:
-            continue
-        assert trimmed != base
+        rows = H.rows[:skip] + H.rows[skip + 1:]
+        volumes = (polytope.volume_and_cuts(body, H._replace(rows=rows))[0],
+                   polytope.volume_and_cuts(reflected, H._replace(
+                       rows=tuple((tuple(-x for x in c), d) for c, d in rows)))[0])
+        assert min(volumes) < 16, (H.rows[skip], volumes)
 
 
 # -- the vertex level can fail ------------------------------------------------

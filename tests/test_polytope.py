@@ -12,12 +12,10 @@ from lgrnok.linalg import affine_pivot_columns, bareiss_det, dot
 from lgrnok.partitions import staircase_syt_count
 from lgrnok.polytope import (
     HPolytope,
-    UnboundedError,
     VPolytope,
     f_vector,
     facets,
     normalized_volume,
-    vertices,
     volume_and_cuts,
 )
 
@@ -31,11 +29,22 @@ def simplex(d):
     return VPolytope.from_points(pts)
 
 
+def cube_rows(d):
+    """x_i >= 0 and 1 - x_i >= 0 for each coordinate i."""
+    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    return {(u, 0) for u in units} | {(tuple(-x for x in u), 1) for u in units}
+
+
+def simplex_rows(d):
+    """x_i >= 0 for each coordinate i, and 1 - (x_1 + ... + x_d) >= 0."""
+    return {(tuple(int(i == j) for i in range(d)), 0) for j in range(d)} | {((-1,) * d, 1)}
+
+
 def test_cube_3d():
     c = cube(3)
     H = facets(c)
     assert len(H.rows) == 6
-    assert vertices(H).points == c.points
+    assert H.row_set() == cube_rows(3)
     assert f_vector(c) == (8, 12, 6)
     assert normalized_volume(c) == 6
 
@@ -53,8 +62,7 @@ def test_vertices_drops_non_extreme_points():
         [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (1, 0)]
     )
     H = facets(sq)
-    assert len(H.rows) == 4
-    assert set(vertices(H).points) == {(0, 0), (2, 0), (0, 2), (2, 2)}
+    assert H.row_set() == {((1, 0), 0), ((0, 1), 0), ((-1, 0), 2), ((0, -1), 2)}
     # the edge point (1, 0) and the centre are not vertices
     assert f_vector(sq) == oracles.f_vector_by_face_ranks(sq) == (4, 4)
 
@@ -65,7 +73,6 @@ def test_rational_coordinates():
     tri = VPolytope.from_points([(105, 0), (0, 70), (-42, -30)])
     H = facets(tri)
     assert len(H.rows) == 3
-    assert vertices(H).points == tri.points
     # the lines 2x + 3y = 210, 50x - 21y + 1470 = 0 and 10x - 49y = 1050
     # through pairs of the corners
     assert H.row_set() == {((-2, -3), 210), ((50, -21), 1470), ((-10, 49), 1050)}
@@ -93,16 +100,6 @@ def test_non_integer_coordinates_are_refused(coordinate):
     # a coordinate must be an int; nothing is truncated or rounded
     with pytest.raises(TypeError):
         VPolytope.from_points([(0, 0), (coordinate, 0), (0, 1)])
-
-
-def test_vertex_off_the_lattice_is_refused():
-    # x, y >= 0 and 2x + 2y <= 1: the corners (1/2, 0) and (0, 1/2)
-    H = HPolytope(dim=2, rows=(((1, 0), 0), ((0, 1), 0), ((-2, -2), 1)))
-    with pytest.raises(ValueError, match="not a lattice point"):
-        vertices(H)
-    # twice as large, every corner is a lattice point
-    doubled = HPolytope(dim=2, rows=(((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)))
-    assert vertices(doubled).points == ((0, 0), (0, 1), (1, 0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -214,49 +211,35 @@ def test_triangulation_matches_oracle(data, dim):
         assert volume == face_hull_volume(body)
 
 
-def test_unbounded_detection():
-    with pytest.raises(UnboundedError):
-        vertices(HPolytope(dim=2, rows=(((1, 0), 0), ((0, 1), 0))))
-    with pytest.raises(UnboundedError):
-        vertices(HPolytope(dim=1, rows=(((1,), 0),)))
-
-
-def test_empty_polytope_reported():
-    with pytest.raises(ValueError):
-        vertices(HPolytope(dim=1, rows=(((1,), -1), ((-1,), 0))))
-
-
 def test_degenerate_input_is_refused():
     flat = VPolytope.from_points([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
     for engine in (facets, f_vector, normalized_volume):
         with pytest.raises(ValueError, match="full-dimensional"):
             engine(flat)
-    # the square's rows, with z = 1 as two opposite rows, still give its corners
+    # the square's rows, with z = 1 as two opposite rows, are valid on it
+    # and cut it in its four edges, but the volume pass starts it at
+    # dimension 3, and its corners are reached at dimension 1
     H = HPolytope(dim=3, rows=(((1, 0, 0), 0), ((-1, 0, 0), 1), ((0, 1, 0), 0),
                                ((0, -1, 0), 1), ((0, 0, 1), -1), ((0, 0, -1), 1)))
-    assert set(vertices(H).points) == set(flat.points)
+    with pytest.raises(ValueError, match=r"the point \(1, 1, 1\) is reached at dimension 1"):
+        volume_and_cuts(flat, H)
 
 
 def test_single_point():
     pt = VPolytope.from_points([(3, 4)])
     with pytest.raises(ValueError, match="full-dimensional"):
         facets(pt)
+    # the point is the whole body, at dimension 2
     H = HPolytope(dim=2, rows=(((1, 0), -3), ((-1, 0), 3), ((0, 1), -4), ((0, -1), 4)))
-    assert vertices(H).points == pt.points
+    with pytest.raises(ValueError, match=r"the point \(3, 4\) is reached at dimension 2"):
+        volume_and_cuts(pt, H)
 
 
 def test_facets_irredundant():
-    # removing any facet row changes the vertex set
-    for body in (cube(3), simplex(3)):
-        H = facets(body)
-        base = set(vertices(H).points)
-        for skip in range(len(H.rows)):
-            rows = tuple(r for i, r in enumerate(H.rows) if i != skip)
-            try:
-                got = set(vertices(HPolytope(dim=H.dim, rows=rows)).points)
-            except UnboundedError:
-                continue
-            assert got != base
+    # the facets are the known rows, no more
+    for d in (1, 2, 3, 4):
+        assert facets(cube(d)).row_set() == cube_rows(d)
+        assert facets(simplex(d)).row_set() == simplex_rows(d)
 
 
 def test_euler_relation():
@@ -268,8 +251,8 @@ def test_round_trip_on_cross_polytope():
     pts = [tuple(s if i == j else 0 for i in range(3)) for j in range(3) for s in (1, -1)]
     body = VPolytope.from_points(pts)
     H = facets(body)
-    assert len(H.rows) == 8
-    assert vertices(H).points == body.points
+    # 1 - s.x >= 0 for each of the 8 sign vectors s
+    assert H.row_set() == {(tuple(-x for x in s), 1) for s in product((1, -1), repeat=3)}
     assert f_vector(body) == (6, 12, 8)
     # its volume 8 = 2^d has pyramids of height 2 from every vertex
     with pytest.raises(ValueError, match=r"the row \(\(-1, -1, -1\), 1\) is 2 at the apex \(-1, 0, 0\)"):
@@ -371,6 +354,33 @@ def test_a_row_negative_at_a_point_fails_the_volume_pass():
     rows = facets(body).rows + (((-1, 0, 0), 0),)
     with pytest.raises(ValueError, match=r"the row \(\(-1, 0, 0\), 0\) is -1 at \(1, 0, 0\)"):
         volume_and_cuts(body, HPolytope(3, rows))[0]
+
+
+def test_a_cut_that_is_not_a_facet_is_refused():
+    # x >= 0 and 1 - x >= 0 are valid on the unit triangle, its area is 1
+    # and the rows cut it in as many maximal cuts as rows, yet they cut out
+    # an unbounded strip: the cut x = 1 is the point (1, 0), not an edge,
+    # and the leaf check finds it at dimension 1
+    triangle = VPolytope.from_points([(0, 0), (0, 1), (1, 0)])
+    H = HPolytope(2, (((1, 0), 0), ((-1, 0), 1)))
+    with pytest.raises(ValueError, match=r"the point \(1, 0\) is reached at dimension 1"):
+        volume_and_cuts(triangle, H)
+    assert volume_and_cuts(triangle, facets(triangle)) == (1, 3)
+
+
+def test_a_face_reached_at_two_dimensions_is_refused():
+    # the unit cube's six rows on six of its corners, (0, 1, 1) and
+    # (1, 1, 0) left out: valid, but y = 1 is an edge of the hull, and two
+    # facets of the hull are missing.  The cut y = 1, the edge from
+    # (0, 1, 0) to (1, 1, 1), is taken as a 2-face, and its far end
+    # (1, 1, 1), reached before at dimension 0, comes again at dimension 1
+    body = VPolytope.from_points([(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1), (1, 1, 1)])
+    H = HPolytope(3, tuple(sorted(cube_rows(3))))
+    with pytest.raises(ValueError, match=r"the face of 1 points from \(1, 1, 1\) is reached "
+                                         r"at dimensions 0 and 1"):
+        volume_and_cuts(body, H)
+    hull = facets(body).row_set()
+    assert len(hull - cube_rows(3)) == 2 and cube_rows(3) - hull == {((0, -1, 0), 1)}
 
 
 def test_an_invalid_cut_is_refused():

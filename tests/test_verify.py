@@ -10,7 +10,7 @@ from types import MappingProxyType
 
 import pytest
 
-from lgrnok import equivalence, partitions, plabic, superpotential, valuation, verify
+from lgrnok import equivalence, partitions, plabic, polytope, superpotential, valuation, verify
 from lgrnok.budget import Deadline, TimeBudgetExceeded, arm
 from lgrnok.cli import main
 from lgrnok.linalg import bareiss_det
@@ -116,8 +116,8 @@ def failures(n, level):
 
 def test_a_dropped_chain_row_fails_only_the_gamma_routes_check(monkeypatch):
     # gamma_hrep builds the tropicalized rows only, so the chain polytope
-    # is read by this one check, and the vertex enumeration and the hull
-    # level see the right Gamma
+    # is read by this one check, and the facet run and the hull level see
+    # the right Gamma
     real = superpotential.chain_polytope_rows
     dropped = list(real(superpotential.build_poset(3)))[-1]
     monkeypatch.setattr(superpotential, "chain_polytope_rows",
@@ -183,22 +183,35 @@ def middle_chain_row_dropped(rows):
     return tuple(row for row in rows if row != chains[len(chains) // 2])
 
 
+def coordinate_row_dropped(rows):
+    # x_0 >= 0 is a facet through the origin, the least point, so no
+    # pyramid of the volume pass stands on it, and without it Gamma is
+    # unbounded
+    coordinate = next(row for row in rows if row[1] == 0)
+    return tuple(row for row in rows if row != coordinate)
+
+
 # A planted fault in Gamma's row system against the failing checks of the
-# hull level.  The vertex enumeration shows that the rows include every
-# facet, and the certificate in the hull level's volume pass that each row
-# is one.
+# hull level.  The hull level certifies its rows by itself: the coordinate
+# rows looked up, and the volume pass's leaf check, volume and cut count.
+# The facet run of gamma-vertex-enumeration is a second route to the same
+# rows.
 ROW_PLANTS = {
-    redundant_row_added: {"main-theorem-hull-level"},
+    redundant_row_added: {"gamma-vertex-enumeration", "main-theorem-hull-level"},
     row_0_constant_plus_1: {"gamma-vertex-enumeration", "main-theorem-hull-level"},
     middle_chain_row_dropped: {"gamma-vertex-enumeration", "main-theorem-hull-level"},
+    coordinate_row_dropped: {"gamma-vertex-enumeration", "main-theorem-hull-level"},
 }
+NO_X11 = "no coordinate row x_(1, 1) >= 0 among Gamma's rows"
 ROW_WITNESSES = {
     (redundant_row_added, 3): "11 distinct rows of Gamma against 10 facets",
-    (row_0_constant_plus_1, 3): "10 distinct rows of Gamma against 9 facets",
+    (row_0_constant_plus_1, 3): f"{NO_X11}; 10 distinct rows of Gamma against 9 facets",
     (middle_chain_row_dropped, 3): "volume of Gamma 8, expected 16",
+    (coordinate_row_dropped, 3): NO_X11,
     (redundant_row_added, 6): "54 distinct rows of Gamma against 53 facets",
-    (row_0_constant_plus_1, 6): "53 distinct rows of Gamma against 52 facets",
+    (row_0_constant_plus_1, 6): f"{NO_X11}; 53 distinct rows of Gamma against 52 facets",
     (middle_chain_row_dropped, 6): "volume of Gamma 891551744, expected 1100742656",
+    (coordinate_row_dropped, 6): NO_X11,
 }
 
 
@@ -212,17 +225,20 @@ def test_a_planted_row_fault_fails_exactly_its_catchers(monkeypatch, plant, n):
     assert got["main-theorem-hull-level"] == ROW_WITNESSES[plant, n]
 
 
+@pytest.mark.parametrize("plant", list(ROW_PLANTS), ids=lambda p: p.__name__)
+def test_a_planted_row_fault_fails_the_hull_level_alone(monkeypatch, plant):
+    # no double description runs, gamma-vertex-enumeration's or another
+    real = superpotential.gamma_hrep(3)
+    wrong = real._replace(rows=plant(real.rows))
+    monkeypatch.setattr(equivalence, "gamma_hrep", lambda k, *args: wrong)
+    monkeypatch.setattr(polytope, "_facets_full_dim", lambda *args: pytest.fail("a double description ran"))
+    assert hull_level(3) == (False, ROW_WITNESSES[plant, 3])
+
+
 def test_a_determinant_of_2_fails_the_hull_level(monkeypatch):
     # the hull level reads |det M_n| itself: matrix-unimodular is a vertex check
     monkeypatch.setattr(equivalence, "bareiss_det", lambda matrix: 2)
     assert failures(4, "hull") == {"main-theorem-hull-level": "M_n has det 2"}
-
-
-def test_the_hull_level_runs_inside_the_vertex_enumeration_range():
-    # the facet certificate rests on gamma-vertex-enumeration at the same n
-    gates = {check.name: check for check in verify.CHECKS}
-    hull, venum = gates["main-theorem-hull-level"], gates["gamma-vertex-enumeration"]
-    assert venum.n_min <= hull.n_min and hull.n_max <= venum.n_max
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -391,9 +407,10 @@ def test_a_pair_dropped_from_below_fails_the_chains_and_the_catalan_count(monkey
     got = failures(n, level)
     assert set(got) == failing
     if n == 3:
-        # {b_22, b_23} is now read as an antichain, and its indicator is no
-        # vertex of the Gamma that the superpotential cuts out
-        assert got["gamma-vertex-enumeration"] == "missing (0, 0, 0, 1, 1, 0), extra None"
+        # {b_22, b_23} is now read as an antichain, and its indicator is -1
+        # on the superpotential's row for the chain b_11 > b_22 > b_23, so
+        # that row is no facet of the indicators' hull
+        assert got["gamma-vertex-enumeration"] == "missing None, extra ((-1, 0, 0, -1, -1, 0), 1)"
 
 
 def last_row_plus_one(monkeypatch):
