@@ -355,8 +355,9 @@ def _text(output, fmt) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    text, leave = (), None
     try:
+        args = build_parser(argv).parse_args(argv)
         if args.n < 1:
             raise ValueError("n must be >= 1")
         if not args.time_budget > 0:  # also refuses nan
@@ -364,6 +365,10 @@ def main(argv=None) -> int:
         with arm(Deadline(args.time_budget)):
             code, output = args.func(args)
             text = _text(output, args.format)
+    except SystemExit as exc:
+        # --help and a usage error leave argparse here, the help still in
+        # stdout's buffer, where argparse's own write cannot see a closed pipe
+        leave = exc
     except TimeBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -376,6 +381,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # stdout's reader is gone: no later flush may raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # as for a process that SIGPIPE ends
+    if leave is not None:
+        raise leave
     return code
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 from math import comb
+from operator import itemgetter
 
 from . import polytope, superpotential, valuation
 from .budget import armed
@@ -270,8 +271,10 @@ def verify_main_theorem(n: int) -> tuple[bool, str]:
     all the antichains.  Then every valuation is an image, and every image
     is a section's valuation.  That the images are distinct follows from
     `matrix-unimodular`.  Sections are decided at the representative, so a
-    class named by its other member shows in their count.  The deadline is
-    polled once per first half of a path.
+    class named by its other member shows in their count.  The batches
+    are read as they come; a failure names the lex-least failing class of
+    its batch, the first in the lexicographic order of the index sets.
+    The deadline is polled once per first half of a path.
     """
     table, maxplus = valuation._packed_table(n), valuation._packed_maxplus
     # rep ^ first_half: the vertical steps > n and the horizontal steps <= n,
@@ -279,8 +282,13 @@ def verify_main_theorem(n: int) -> tuple[bool, str]:
     first_half = (1 << n + 1) - 2
     records = sections = 0
     for batch in transpose_classes(n, table[0], table[1], _walk_table(n)):
-        for rep, x, image, clash, decoded in batch:
+        for rep, x, image, clash, decoded, _ in batch:
             if clash or image != maxplus(table, x):
+                # the batch's lex-least failing class, the one with the least T
+                rep, _, _, clash, *_ = min(
+                    (record for record in batch
+                     if record[3] or record[2] != maxplus(table, record[1])),
+                    key=itemgetter(5))
                 lam = indexset_to_partition(valuation._indexset(rep, n), n)
                 return False, (f"the hooks of {lam} do not form an antichain" if clash
                                else f"hook bijection fails at {lam}")

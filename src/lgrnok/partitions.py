@@ -17,12 +17,16 @@ n-tuples over 0..n in that same order, and lam_r = n - (I_r - r).
 
 The transpose classes are enumerated by one walk over the lattice paths,
 `transpose_classes`, which the valuation table, Delta's points and the
-main theorem all read.  The path gives each index set in O(n) its
-diagonal-length vector (`diagonal_lengths`), and the diagonal balance of a
-partition (`diagonal_excess`) takes one pass over the rows.  The walk pairs
-each vertical step of a path's second half with the horizontal step of its
-first half that the step closes; those pairs are the principal hooks of the
-complement, and the walk is the one place that reads them off.  The
+main theorem all read.  It walks each class once: the second half of a
+path runs from its last step inward, so that I <= T is decided at the
+outermost pair of steps that tells I from its transpose T, and the paths
+of the lex-later members are cut there.  The path gives each index set in
+O(n) its diagonal-length vector (`diagonal_lengths`), and the diagonal
+balance of a partition (`diagonal_excess`) takes one pass over the rows.
+The walk pairs each vertical step of a path's second half with the
+horizontal step of its first half that the step closes; those pairs are
+the principal hooks of the complement, and the walk is the one place that
+reads them off.  The
 cell-based helpers `skew_cells` and `maxdiag` are the definitions the
 closed form is checked against in the tests; no program code calls them,
 and they stay because the benchmark's per-layer metrics count their calls.
@@ -195,45 +199,58 @@ def transpose_indexset(I: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 def transpose_classes(n: int, base: int = 0, weights: Sequence[int] = (),
                       hooks=None) -> Iterator[list[tuple[int, ...]]]:
-    """The one enumerator of the transpose classes: every lattice path of
+    """The one enumerator of the transpose classes: the lattice paths of
     the n x n square walked depth first, one record per class at its
-    lex-first member I (I <= T = `transpose_indexset` of I), so in order of
-    first appearance along the index sets in lexicographic order.
+    lex-first member I (I <= T = `transpose_indexset` of I).  No record of
+    a lex-later member is built: the walk cuts that half of the paths.
 
-    A record (rep, x, image, clash, decoded) holds, as bitmasks with bit k
-    for step k, the representative: I when I's diagonal excess is >= 0,
+    A record (rep, x, image, clash, decoded, T) holds, as bitmasks with bit
+    k for step k, the representative: I when I's diagonal excess is >= 0,
     else T (the smaller index set carries the larger partition, so a tie
     goes to I, as in `orbit_representative`); x = base - sum_d l(d)
-    weights[d + n - 1] over I's diagonal lengths (`diagonal_lengths`); and
-    over the principal hooks of I's complement the sum of their columns,
-    whether a hook's bit meets the clash masks of those before it
-    (nonzero), and the union of their decode masks, taken from
-    hooks[j][h] = (bit, clash, column, decode) for the hook (j-n, n-h) that
-    the vertical step j > n closes with the horizontal step h <= n.  With
-    no weights x is base, and with no hooks the last three are 0.
+    weights[d + n - 1] over I's diagonal lengths (`diagonal_lengths`); over
+    the principal hooks of I's complement the sum of their columns, whether
+    a hook's bit meets the clash mask of a hook met before it (nonzero),
+    and the union of their decode masks, taken from hooks[j][h] = (bit,
+    clash, column, decode) for the hook (j-n, n-h) that the vertical step
+    j > n closes with the horizontal step h <= n; and T.  With no weights x
+    is base, and with no hooks the middle three are 0.  Which bits of clash
+    are set depends on the order in which the hooks are met; whether any is
+    set does not, as long as the clash masks are symmetric, which those of
+    `superpotential._clash_masks` are.
 
-    Each vertical step j > n closes the latest horizontal step h <= n still
-    open.  The complement's path is I's reversed, so its arms are j - n over
-    those vertical steps and its legs n - h over those horizontal ones,
-    paired outermost first: the pairs are the complement's principal hooks,
-    and this pairing is the program's one map from an index set to them.
+    The first half of a path (the steps 1..n) is walked forward, the second
+    half backward, from step 2n down to step n+1, so that the pairs of
+    steps (m, 2n+1-m) that decide I <= T come outermost first.  I and T
+    differ first at the least m whose pair is two steps of one kind: two
+    vertical steps put m in I only (I < T), two horizontal ones in T only
+    (I > T), and a path with no such pair is its own transpose (I = T).  So
+    a subtree is cut at its first pair of horizontal steps, and after its
+    first pair of vertical steps it is walked without further test.
+
+    The complement's path is I's reversed, so its arms are j - n over the
+    vertical steps j > n and its legs n - h over the horizontal steps
+    h <= n, paired outermost first: the v-th vertical step met from the end
+    closes the v-th horizontal step of the first half.  Those pairs are the
+    complement's principal hooks, and this pairing is the program's one map
+    from an index set to them.
 
     A vertical step k <= n lengthens the diagonals 0..n-k, and a horizontal
     step k >= n+2 the diagonals n+1-k..-1; x, the excess, I, T and the hook
-    sums move forward one step at a time.  The records come in lists, one
-    per first half of a path (the steps 1..n), and the deadline is polled
-    once per list.
+    sums move one step at a time.  The records come in lists, one per first
+    half of a path, unordered within a list: there, ascending T is the
+    lexicographic order of I.  The deadline is polled once per list.
     """
     last = 2 * n
     weights = weights or (0,) * (2 * n - 1)
     hooks = hooks or [[(0, 0, 0, 0)] * (n + 1)] * (last + 1)
     vertical = [(sum(weights[n - 1:last - k]), n - k) for k in range(n + 1)]
     horizontal = [(sum(weights[last - k:n - 1]), n + 1 - k) for k in range(last + 1)]
-    # tail[k]: the horizontal steps k..2n taken together, with T's bits of them
-    tail = [(0, 0, 0)] * (last + 2)
-    for k in range(last, n, -1):
-        cells, below, bits = tail[k + 1]
-        tail[k] = (cells + horizontal[k][0], below + horizontal[k][1], bits | 1 << last + 1 - k)
+    # head[k]: the horizontal steps n+1..k taken together, with T's bits of them
+    head = [(0, 0, 0)] * (last + 1)
+    for k in range(n + 1, last + 1):
+        cells, below, bits = head[k - 1]
+        head[k] = (cells + horizontal[k][0], below + horizontal[k][1], bits | 1 << last + 1 - k)
 
     def first(k, opened, x, excess, I, T):
         if k > n:
@@ -244,26 +261,42 @@ def transpose_classes(n: int, base: int = 0, weights: Sequence[int] = (),
         yield from first(k + 1, opened + (k,), x, excess, I, T | 1 << last + 1 - k)
 
     def second(k, opened, r, x, excess, I, T, image, blocked, clash, decoded):
+        # the steps k down to n+1, r of them vertical, of a path with I < T
+        # or, when r is 0 on the tied walk, I = T
         if not r:  # every step left is horizontal
-            cells, below, bits = tail[k]
+            cells, below, bits = head[k]
             T |= bits
-            diff = I ^ T  # I <= T exactly when their lowest differing step is I's
-            if not diff & -diff & T:
-                batch.append((I if excess + below >= 0 else T, x - cells, image, clash, decoded))
+            batch.append((I if excess + below >= 0 else T, x - cells, image, clash, decoded, T))
             return
-        # a vertical step closes the latest open horizontal step
-        bit, mask, column, decode = hooks[k][opened[r - 1]]
-        second(k + 1, opened, r - 1, x, excess, I | 1 << k, T, image + column,
+        # a vertical step closes the outermost open horizontal step
+        bit, mask, column, decode = hooks[k][opened[-r]]
+        second(k - 1, opened, r - 1, x, excess, I | 1 << k, T, image + column,
                blocked | mask, clash | blocked & bit, decoded | decode)
-        if r <= last - k:
+        if r < k - n:
             cells, below = horizontal[k]
-            second(k + 1, opened, r, x - cells, excess + below, I, T | 1 << last + 1 - k,
+            second(k - 1, opened, r, x - cells, excess + below, I, T | 1 << last + 1 - k,
                    image, blocked, clash, decoded)
+
+    def tied(k, opened, r, x, excess, I, T, image, blocked, clash, decoded):
+        # as second, on a path where I and T agree so far: each pair of
+        # steps (2n+1-j, j) with j > k is one vertical and one horizontal step
+        if not r:  # every partner left is vertical: I = T
+            return second(k, opened, r, x, excess, I, T, image, blocked, clash, decoded)
+        partner = I >> last + 1 - k & 1  # step 2n+1-k is vertical
+        bit, mask, column, decode = hooks[k][opened[-r]]
+        # a vertical step k: I < T from here on when its partner is vertical too
+        (second if partner else tied)(k - 1, opened, r - 1, x, excess, I | 1 << k, T,
+                                      image + column, blocked | mask, clash | blocked & bit,
+                                      decoded | decode)
+        if partner:  # a horizontal step k; with a horizontal partner I > T
+            cells, below = horizontal[k]
+            tied(k - 1, opened, r, x - cells, excess + below, I, T | 1 << last + 1 - k,
+                 image, blocked, clash, decoded)
 
     for opened, x, excess, I, T in first(1, (), base, 0, 0, 0):
         armed().check()
         batch = []
-        second(n + 1, opened, len(opened), x, excess, I, T, 0, 0, 0, 0)
+        tied(last, opened, len(opened), x, excess, I, T, 0, 0, 0, 0)
         yield batch
 
 

@@ -53,7 +53,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterator
 from functools import cache
-from operator import getitem, mul
+from operator import getitem, itemgetter, mul
 from types import MappingProxyType
 
 from . import plabic
@@ -303,12 +303,15 @@ def _indexset(bits: int, n: int) -> tuple[int, ...]:
 def class_valuations(n: int, cross_check: bool = False,
                      ) -> Iterator[tuple[tuple[int, ...], Partition, tuple[int, ...]]]:
     """(index set, representative, valuation) of each transpose class, in
-    ascending index-set order, streamed from the lattice-path walk
-    (`partitions.transpose_classes`): the slot merge of the walk's operand
-    at the lex-first member, which the closed form, invariant under
-    transposition, gives the representative too.  The deadline is polled
-    once per first half of a path, so a caller's work on the rows between
-    two polls is polled too.
+    ascending order of its lex-first index set, streamed from the
+    lattice-path walk (`partitions.transpose_classes`): the slot merge of
+    the walk's operand at the lex-first member, which the closed form,
+    invariant under transposition, gives the representative too.  The walk
+    yields the classes in lists, one per first half of a path, in that
+    order between the lists but not within one; each list is sorted on T,
+    which within it is the lexicographic order of I.  The deadline is
+    polled once per first half of a path, so a caller's work on the rows
+    between two polls is polled too.
 
     With cross_check, the flow model is replayed against the closed form
     at every class; a mismatch raises.
@@ -316,6 +319,7 @@ def class_valuations(n: int, cross_check: bool = False,
     table = _packed_table(n)  # past MAX_PACKED_N, raise before the walk
     base, masks, *_, N = table
     for batch in transpose_classes(n, base, masks):
+        batch.sort(key=itemgetter(5))  # by T, which is by I in lexicographic order
         for rep, x, *_ in batch:
             indexset = _indexset(rep, n)
             lam = _path_partition(indexset, n)

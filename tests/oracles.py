@@ -48,8 +48,9 @@ table.  Only the tests read them.
 
 import copy
 import sys
+from collections import Counter
 from functools import cache
-from itertools import combinations
+from itertools import combinations, islice
 from operator import mul
 
 from lgrnok import equivalence, plabic, quiverfold
@@ -127,6 +128,17 @@ def orbit_representative(lam):
 def transpose_classes(n):
     """One representative per transpose class, in order of first appearance."""
     return tuple(dict.fromkeys(orbit_representative(lam) for lam in partitions_in_box(n)))
+
+
+def as_runs(batches, items):
+    """The batches and items cut into consecutive runs as long as the
+    batches, each run as a multiset; the items must run out with the last
+    batch.  Equal lists of runs say that each batch holds its run of the
+    items, in whatever order."""
+    items = iter(items)
+    cut = [list(islice(items, len(batch))) for batch in batches]
+    assert next(items, cut) is cut, "items left after the last batch"
+    return list(map(Counter, batches)), list(map(Counter, cut))
 
 
 def hook_decomposition(lam):

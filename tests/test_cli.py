@@ -342,12 +342,16 @@ def test_malformed_target(capsys):
     assert main(["matrix", "--n", "0"]) == 2
 
 
-def run_module(*argv, stdout=subprocess.PIPE):
+def run_python(*args, stdout=subprocess.PIPE):
     # stdout is a pipe or a file, block-buffered as for any user who pipes
-    # or redirects the output
+    # or redirects the output, whatever PYTHONUNBUFFERED the tests run under
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    return subprocess.run([sys.executable, "-m", "lgrnok", *argv], stdout=stdout,
+    return subprocess.run([sys.executable, *args], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, env=env)
+
+
+def run_module(*argv, stdout=subprocess.PIPE):
+    return run_python("-m", "lgrnok", *argv, stdout=stdout)
 
 
 def test_console_entry_point(capsys, tmp_path):
@@ -381,17 +385,16 @@ def test_console_entry_point(capsys, tmp_path):
                          ids=["module", "console-script"])
 def test_a_closed_stdout_ends_the_command_quietly(entry):
     # The reader of the pipe is gone before the command writes.  An output
-    # larger than the stdout buffer (valuations --n 7) and one that fits it
-    # (matrix --n 2) both end with exit code 141 and an empty stderr, from
+    # larger than the stdout buffer (valuations --n 7), one that fits it
+    # (matrix --n 2) and the help, which argparse writes and leaves by
+    # SystemExit, all end with exit code 141 and an empty stderr, from
     # `python -m lgrnok` and from the console script, which calls
     # `lgrnok.cli:main` and leaves by sys.exit, skipping `__main__`.
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    for argv in (["valuations", "--n", "7"], ["matrix", "--n", "2"]):
+    for argv in (["valuations", "--n", "7"], ["matrix", "--n", "2"], ["--help"], ["verify", "--help"]):
         read, write = os.pipe()
         os.close(read)
         try:
-            proc = subprocess.run([sys.executable, *entry, *argv], stdout=write,
-                                  stderr=subprocess.PIPE, text=True, env=env)
+            proc = run_python(*entry, *argv, stdout=write)
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (141, ""), argv

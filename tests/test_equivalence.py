@@ -415,21 +415,50 @@ def test_vertex_level_fails_on_a_wrong_clash_table(monkeypatch, capsys):
     assert "do not form an antichain" in vertex_level_fails(capsys)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_wrong_column_names_the_first_class_in_lexicographic_order(monkeypatch, n):
+    # One hook's column off by one fails every class whose complement has
+    # that hook, several of them in one batch of the walk, which comes in
+    # no fixed order within a batch.  The witness is the first of them in
+    # the order of the lex-first index sets, read cell by cell.
+    real = equivalence._walk_table
+    first_with = {}
+    for lam in oracles.transpose_classes(n):
+        I = partition_to_indexset(lam, n)
+        I = min(I, transpose_indexset(I, n))
+        for arm, leg in oracles.hook_decomposition(complement(indexset_to_partition(I, n), n)):
+            first_with.setdefault((n + arm, n - leg), lam)
+    for (j, h), lam in first_with.items():
+        def planted(n):
+            hooks = real(n)
+            bit, mask, column, decode = hooks[j][h]
+            hooks[j][h] = (bit, mask, column + 1, decode)
+            return hooks
+
+        monkeypatch.setattr(equivalence, "_walk_table", planted)
+        assert verify_main_theorem(n) == (False, f"hook bijection fails at {lam}"), (j, h)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_vertex_walk_keeps_one_representative_per_class(monkeypatch, n):
     # The walk evaluates exactly the reference classes, each once, at its
-    # lex-first member: the same packed operands, base - sum l(d) masks[d].
+    # lex-first member: the same packed operands, base - sum l(d) masks[d],
+    # each batch those of its run of the reference classes.
     base, masks, *_ = valuation._packed_table(n)
     build_valuation_matrix(n)  # evaluated before the count starts
-    operands = []
-    real = valuation._packed_maxplus
+    operands, batches = [], []
+    real, walk = valuation._packed_maxplus, equivalence.transpose_classes
     monkeypatch.setattr(valuation, "_packed_maxplus",
                         lambda table, x: operands.append(x) or real(table, x))
+    monkeypatch.setattr(equivalence, "transpose_classes",
+                        lambda *args: (batches.append(batch) or batch for batch in walk(*args)))
     assert verify_main_theorem(n)[0]
     members = [partition_to_indexset(lam, n) for lam in oracles.transpose_classes(n)]
     members = [min(I, transpose_indexset(I, n)) for I in members]
     expected = [base - sum(map(mul, diagonal_lengths(I, n), masks)) for I in members]
-    assert operands == expected
+    assert operands == [x for batch in batches for _, x, *_ in batch]
+    got, expected = oracles.as_runs([[x for _, x, *_ in batch] for batch in batches], expected)
+    assert got == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])

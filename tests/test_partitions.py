@@ -191,10 +191,16 @@ def test_diagonal_balance_swaps_under_transpose(nl):
     assert diagonal_excess(transpose(lam)) == -diagonal_excess(lam)
 
 
+def walked_batches(n, *args):
+    """The walk's records, batch by batch, with each representative's
+    partition."""
+    return [[(indexset_to_partition([k for k in range(1, 2 * n + 1) if rep >> k & 1], n), rest)
+             for rep, *rest in batch] for batch in transpose_classes(n, *args)]
+
+
 def walked_classes(n, *args):
-    """The walk's records, in order, with each representative's partition."""
-    return [(indexset_to_partition([k for k in range(1, 2 * n + 1) if rep >> k & 1], n), rest)
-            for batch in transpose_classes(n, *args) for rep, *rest in batch]
+    """The walk's records, in the walk's order."""
+    return [record for batch in walked_batches(n, *args) for record in batch]
 
 
 def test_class_counts():
@@ -205,9 +211,15 @@ def test_class_counts():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_transpose_classes_in_first_appearance_order(n):
-    # the oracle keeps the first appearance of the cell-based representative
+    # the oracle keeps the first appearance of the cell-based representative;
+    # each batch holds its run of them in some order, and sorted on T, the
+    # record's last field, in the oracle's order
     seen = oracles.transpose_classes(n)
-    assert [lam for lam, _ in walked_classes(n)] == list(seen)
+    batches = walked_batches(n)
+    got, expected = oracles.as_runs([[lam for lam, _ in batch] for batch in batches], seen)
+    assert got == expected
+    in_order = [lam for batch in batches for lam, _ in sorted(batch, key=lambda record: record[1][-1])]
+    assert in_order == list(seen)
     # 2^n self-conjugate partitions fit in the box
     assert len(seen) == (comb(2 * n, n) + 2 ** n) // 2
 
@@ -225,11 +237,14 @@ def test_walk_sums_the_lex_first_member(n):
     hooks = [[(1, 1, bit.get((j, h), 0), 1 << j | 1 << h) for h in range(n + 1)]
              for j in range(2 * n + 1)]
     weights = [-(1 << 8 * d) for d in range(2 * n - 1)]
-    records = walked_classes(n, 0, weights, hooks)
-    assert [lam for lam, _ in records] == list(oracles.transpose_classes(n))
-    for lam, (x, image, clash, decoded) in records:
+    batches = walked_batches(n, 0, weights, hooks)
+    got, expected = oracles.as_runs([[lam for lam, _ in batch] for batch in batches],
+                                    oracles.transpose_classes(n))
+    assert got == expected
+    for lam, (x, image, clash, decoded, T) in (record for batch in batches for record in batch):
         I = partition_to_indexset(lam, n)
         I = min(I, transpose_indexset(I, n))
+        assert T == sum(1 << k for k in transpose_indexset(I, n))
         assert x == sum(length << 8 * d for d, length in enumerate(diagonal_lengths(I, n)))
         hooks_of_complement = hook_decomposition(complement(indexset_to_partition(I, n), n))
         pairs = {(n + arm, n - leg) for arm, leg in hooks_of_complement}

@@ -1,8 +1,10 @@
 """The verification registry `lgrnok.verify` and its one run loop."""
 
 import hashlib
+import inspect
 import math
 import re
+import textwrap
 import time
 from functools import cache
 from pathlib import Path
@@ -513,6 +515,54 @@ def test_a_dropped_class_fails_the_vertex_level(monkeypatch, n, witness):
     classes = (math.comb(2 * n, n) + 2 ** n) // 2
     assert got.pop("main-theorem-vertex-level").startswith(f"{classes - 1} classes against {classes}, ")
     assert got == ({"valuation-oracle-equivalence": witness} if witness else {})
+
+
+def walk_plant(old, new):
+    """A fault planted in the walk: `transpose_classes` rebuilt from its
+    source with `old` replaced by `new`, for the valuation table, Delta's
+    points and the main theorem alike."""
+    def plant(monkeypatch):
+        source = textwrap.dedent(inspect.getsource(partitions.transpose_classes))
+        assert source.count(old) == 1, old
+        namespace = dict(vars(partitions))
+        exec(compile(source.replace(old, new), partitions.__file__, "exec"), namespace)
+        for module in (valuation, equivalence):
+            monkeypatch.setattr(module, "transpose_classes", namespace["transpose_classes"])
+    return plant
+
+
+# The walk's three rulings on a pair of steps (m, 2n+1-m), each planted
+# away, with the number of records the walk then yields at n.  Two
+# horizontal steps left undecided let every path through, a lex-later
+# member of each class too; two vertical steps left undecided cut a path
+# at a later pair of horizontal steps though I < T was settled; and with
+# the paths that are their own transpose goes one class per first half.
+WALK_PLANTS = {
+    "both-horizontal-left-undecided": (
+        walk_plant("if partner:", "if r < k - n:"), lambda n: math.comb(2 * n, n)),
+    "both-vertical-left-undecided": (
+        walk_plant("(second if partner else tied)(", "tied("), {3: 13, 4: 34, 5: 89, 6: 233, 7: 610}.get),
+    "self-transpose-leaves-dropped": (
+        walk_plant("return second(k, opened, r, x, excess, I, T, image, blocked, clash, decoded)", "return"),
+        lambda n: (math.comb(2 * n, n) - 2 ** n) // 2),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("plant", list(WALK_PLANTS))
+def test_a_misjudged_pair_of_steps_fails_the_vertex_level_by_its_count(monkeypatch, plant, n):
+    # The main theorem counts the walk's records, and the flow oracle (to
+    # n = 6) counts the rows of the valuation table as they stream.  At
+    # n = 3 the reference table, keyed by representative, sees a lost class.
+    fault, records = WALK_PLANTS[plant]
+    fault(monkeypatch)
+    got = failures(n, "vertex")
+    classes = (math.comb(2 * n, n) + 2 ** n) // 2
+    witness = f"{records(n)} classes against {classes}, "
+    assert got.pop("main-theorem-vertex-level").startswith(witness)
+    if n <= 6:
+        assert got.pop("valuation-oracle-equivalence").startswith(witness)
+    assert set(got) == ({"valuation-table-lgr36"} if n == 3 and records(n) < classes else set())
 
 
 # Checks taken out of the registry that a benchmark baseline still lists,
