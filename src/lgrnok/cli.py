@@ -8,11 +8,10 @@ Output is deterministic: identical invocations produce identical bytes.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from collections.abc import Sequence
 from itertools import chain, islice
+from types import SimpleNamespace
 
 from . import equivalence, plabic, polytope, quiverfold, superpotential, valuation
 from .budget import POLL_EVERY, Deadline, TimeBudgetExceeded, arm, armed, polled
@@ -277,62 +276,127 @@ def cmd_verify(args):
 
 # -- entry ----------------------------------------------------------------------
 
+DESCRIPTION = "Newton-Okounkov body and superpotential polytope of LGr(n,2n), exactly"
+_TEXT, _DOT = ("text", "json"), ("text", "json", "dot")
+# name: (handler, help, formats, the options beyond --n, --format and --time-budget:
+# (flag, what it reads, a type or choices; its default, None when required; its help),
+# or a bare flag for a switch, which excludes the command's other switches)
+COMMANDS = {
+    "graph": (cmd_graph, "plabic graph and faces", _DOT, ()),
+    "orientation": (cmd_orientation, "perfect orientation", _DOT, ()),
+    "flows": (cmd_flows, "flows to a target index set", _TEXT,
+              (("--target", str, None, "comma-separated n-subset of 1..2n"),)),
+    "valuations": (cmd_valuations, "Pluecker valuation table", _TEXT, ()),
+    "gamma": (cmd_gamma, "superpotential polytope", _TEXT, ("--hrep", "--vrep")),
+    "delta": (cmd_delta, "Newton-Okounkov body", _TEXT, ("--hrep", "--vrep", "--fvector")),
+    "matrix": (cmd_matrix, "the valuation matrix", _TEXT, ()),
+    "fold": (cmd_fold, "folded exchange matrix / quiver", _DOT, ()),
+    "volume": (cmd_volume, "normalized volumes of both polytopes", _TEXT, ()),
+    "counts": (cmd_counts, "antichains, linear extensions, SYT", _TEXT, ()),
+    "verify": (cmd_verify, "run the verification suite", _TEXT,
+               (("--level", ("vertex", "hull", "all"), "all", ""),)),
+}
 
-def _switches(*flags):
-    """Adds mutually exclusive on/off options to a subparser."""
-    def add(p):
-        group = p.add_mutually_exclusive_group()
-        for flag in flags:
-            group.add_argument(flag, action="store_true")
-    return add
+
+class Usage(Exception):
+    """A parse that runs no command: (exit code, lines for stdout, text for stderr)."""
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser of `lgrnok`.  When argv[0] names a command, only that
-    command's subparser is built, the one a parse of argv can enter;
-    otherwise all of them are."""
-    text, dot = ("text", "json"), ("text", "json", "dot")
-    # name: (handler, help, formats, the options beyond --n, --format and
-    # --time-budget); looked up when called, so a handler set on the module
-    # later is the one registered
-    commands = {
-        "graph": (cmd_graph, "plabic graph and faces", dot, None),
-        "orientation": (cmd_orientation, "perfect orientation", dot, None),
-        "flows": (cmd_flows, "flows to a target index set", text,
-                  lambda p: p.add_argument("--target", required=True,
-                                           help="comma-separated n-subset of 1..2n")),
-        "valuations": (cmd_valuations, "Pluecker valuation table", text, None),
-        "gamma": (cmd_gamma, "superpotential polytope", text, _switches("--hrep", "--vrep")),
-        "delta": (cmd_delta, "Newton-Okounkov body", text, _switches("--hrep", "--vrep", "--fvector")),
-        "matrix": (cmd_matrix, "the valuation matrix", text, None),
-        "fold": (cmd_fold, "folded exchange matrix / quiver", dot, None),
-        "volume": (cmd_volume, "normalized volumes of both polytopes", text, None),
-        "counts": (cmd_counts, "antichains, linear extensions, SYT", text, None),
-        "verify": (cmd_verify, "run the verification suite", text,
-                   lambda p: p.add_argument("--level", choices=("vertex", "hull", "all"),
-                                            default="all")),
-    }
-    parser = argparse.ArgumentParser(
-        prog="lgrnok",
-        description="Newton-Okounkov body and superpotential polytope of LGr(n,2n), exactly",
-    )
-    names = argv[:1] if argv[:1] and argv[0] in commands else commands
-    # with one command registered, the usage that argparse prints for an
-    # argument left over after it still lists them all; in the full parser
-    # a metavar would rename `subcommand` in its errors
-    metavar = "{" + ",".join(commands) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
-    for name in names:
-        func, help, formats, options = commands[name]
-        p = sub.add_parser(name, help=help)
-        p.add_argument("--n", type=int, required=True, help="side of the square")
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--time-budget", type=float, default=1800.0,
-                       help="seconds allowed for the whole command")
-        p.set_defaults(func=func)
-        if options:
-            options(p)
-    return parser
+def _options(name) -> dict:  # flag -> (what it reads, bool for a switch; default; help)
+    common = (("--n", int, None, "side of the square"), ("--format", COMMANDS[name][2], "text", ""),
+              ("--time-budget", float, 1800.0, "seconds allowed for the whole command"))
+    return {flag: spec for flag, *spec in ((o, bool, False, "") if isinstance(o, str) else o
+                                           for o in common + COMMANDS[name][3])}
+
+
+def _help(name=None) -> tuple[str, str]:
+    """The usage and the help of `lgrnok [<name>]`, set at a fixed 80 columns."""
+    def row(head, help):  # the help from column 24, or below
+        return head + (" " * (24 - len(head)) if len(head) <= 22 else "\n" + " " * 24) + help if help else head
+
+    def usage(prog, parts, positionals=()):  # each passes 78 columns: wrapped under the first part
+        lines = ["usage: " + prog]
+        for k, part in enumerate([*parts, *positionals]):
+            if k == len(parts) or len(lines[-1]) + len(part) >= 78:
+                lines.append(" " * (len(prog) + 7))
+            lines[-1] += " " + part
+        return "\n".join(lines) + "\n"
+
+    rows = [row("  -h, --help", "show this help message and exit")]
+    if name is None:
+        choices = "{" + ",".join(COMMANDS) + "}"
+        top = usage("lgrnok", ["[-h]"], [choices, "..."])
+        commands = "".join(row("    " + command, entry[1]) + "\n" for command, entry in COMMANDS.items())
+        return top, f"{top}\n{DESCRIPTION}\n\npositional arguments:\n  {choices}\n{commands}\noptions:\n{rows[0]}\n"
+    parts, options = ["[-h]"], _options(name)
+    switches = " | ".join(flag for flag, (kind, _, _) in options.items() if kind is bool)
+    for flag, (kind, default, help) in options.items():
+        metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else flag[2:].upper().replace("-", "_")
+        rows.append(row("  " + (flag if kind is bool else f"{flag} {metavar}"), help))
+        if kind is not bool:
+            parts += [flag, metavar] if default is None else [f"[{flag} {metavar}]"]
+    text = usage(f"lgrnok {name}", parts + [f"[{switches}]"] * bool(switches))
+    return text, f"{text}\noptions:\n" + "\n".join(rows) + "\n"
+
+
+def _read(token, flags):
+    """What `token` is among `flags`: (a flag, by a unique prefix too, and its value after
+    '=' or None); (None, None) for another option; None for an argument or a negative number."""
+    flag, eq, value = token.partition("=")
+    found = [flag] if flag in flags else [f for f in flags if f.startswith(flag)] if token[:2] == "--" != token else []
+    if len(found) > 1:
+        raise ValueError(f"ambiguous option: {token} could match {', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    number = token[1:].replace(".", "", 1)
+    return None if token[:1] != "-" or token == "-" or " " in token or number.isdecimal() and token[-1] != "." else (None, None)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """`argv` read from COMMANDS: the help, or the first usage error, raises Usage."""
+    name, values, extras, j = None, {}, [], 0
+    options = {"subcommand": (tuple(COMMANDS), None, "")}  # the first argument, required
+    reads = [_read(token, ("-h", "--help")) for token in argv]
+
+    def fail(message):
+        raise Usage(2, [], f"{_help(name)[0]}lgrnok{' ' + name if name else ''}: error: {message}\n")
+
+    while j < len(argv):
+        read, j = reads[j], j + 1
+        flag, value = read or ((None, None) if name else ("subcommand", argv[j - 1]))
+        kind = options.get(flag, (bool,))[0]
+        if flag is None:
+            extras.append(argv[j - 1])
+        elif kind is bool:  # the help or a switch
+            if value is not None:
+                fail(f"argument {'-h/--help' if flag in ('-h', '--help') else flag}: "
+                     f"ignored explicit argument {value!r}")
+            if flag in ("-h", "--help"):
+                raise Usage(0, [_help(name)[1]], "")
+            if other := next((f for f in values if f != flag and options[f][0] is bool), None):
+                fail(f"argument {flag}: not allowed with argument {other}")
+            values[flag] = True
+        else:
+            if value is None and (j == len(argv) or reads[j]):
+                fail(f"argument {flag}: expected one argument")
+            value, j = (argv[j], j + 1) if value is None else (value, j)
+            try:  # a type, or choices, whose index() refuses any other value
+                values[flag] = kind(value) if callable(kind) else kind[kind.index(value)]
+            except ValueError:
+                fail(f"argument {flag}: " + (f"invalid {kind.__name__} value: {value!r}" if callable(kind) else
+                                             f"invalid choice: {value!r} (choose from {', '.join(map(repr, kind))})"))
+        if flag == "subcommand":  # what follows is read with the command's options
+            name, options, values = value, _options(value), {}
+            try:  # an ambiguous prefix fails before any option is read
+                reads[j:] = [_read(token, ["-h", "--help", *options]) for token in argv[j:]]
+            except ValueError as exc:
+                fail(exc)
+    if missing := [flag for flag, (_, default, _) in options.items() if default is None and flag not in values]:
+        fail(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise Usage(2, [], f"{_help()[0]}lgrnok: error: unrecognized arguments: {' '.join(extras)}\n")
+    return SimpleNamespace(subcommand=name, **{flag[2:].replace("-", "_"): values.get(flag, spec[1])
+                                               for flag, spec in options.items()})
 
 
 def _text(output, fmt) -> list[str]:
@@ -355,20 +419,18 @@ def _text(output, fmt) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    text, leave = (), None
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = parse_args(argv)
         if args.n < 1:
             raise ValueError("n must be >= 1")
         if not args.time_budget > 0:  # also refuses nan
             raise ValueError("time budget must be positive")
         with arm(Deadline(args.time_budget)):
-            code, output = args.func(args)
+            code, output = COMMANDS[args.subcommand][0](args)
             text = _text(output, args.format)
-    except SystemExit as exc:
-        # --help and a usage error leave argparse here, the help still in
-        # stdout's buffer, where argparse's own write cannot see a closed pipe
-        leave = exc
+    except Usage as exc:  # the help, or a usage error
+        code, text, error = exc.args
+        print(error, end="", file=sys.stderr)
     except TimeBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -381,8 +443,6 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # stdout's reader is gone: no later flush may raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # as for a process that SIGPIPE ends
-    if leave is not None:
-        raise leave
     return code
 
 

@@ -28,6 +28,9 @@ replayed here as a lemma, with the integer matrix product they need.
 And lgrnok folds the exchange matrix in one pass over the quiver's
 arrows; the reference sums each exchange entry over each row orbit, for
 every member of every column orbit.
+And lgrnok reads its command line, and prints its help, from its own
+command table; the reference is the argparse parser built from the same
+table.
 
 The additivity lemmas, of the valuation and of maxdiag face by face,
 split a class over the hooks of its complement read cell by cell; lgrnok
@@ -46,14 +49,17 @@ Euler relation of an f-vector, and a sweep that empties every cached
 table.  Only the tests read them.
 """
 
+import argparse
 import copy
+import io
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from itertools import combinations, islice
 from operator import mul
 
-from lgrnok import equivalence, plabic, quiverfold
+from lgrnok import cli, equivalence, plabic, quiverfold
 from lgrnok.linalg import affine_pivot_columns, dot, invert, rref
 from lgrnok.partitions import (
     cells,
@@ -692,3 +698,35 @@ def clear_tables():
             for value in vars(module).values():
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
+
+
+def argparse_parser():
+    """The argparse parser of `lgrnok`, from `cli.COMMANDS`: on a terminal
+    of COLUMNS=80 it prints what `cli.parse_args` prints."""
+    parser = argparse.ArgumentParser(prog="lgrnok", description=cli.DESCRIPTION)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (_, help, _, _) in cli.COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        options = cli._options(name).items()
+        switches = [flag for flag, (kind, _, _) in options if kind is bool]
+        group = p.add_mutually_exclusive_group() if switches else None
+        for flag, (kind, default, help) in options:
+            if kind is bool:
+                group.add_argument(flag, action="store_true")
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, default=default, help=help or None)
+            else:
+                p.add_argument(flag, type=kind, default=default, required=default is None, help=help or None)
+    return parser
+
+
+def argparse_parse_args(argv):
+    """`cli.parse_args` done by argparse: the parsed namespace, or, where
+    argparse exits, `cli.Usage` with its exit code and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return argparse_parser().parse_args(argv)
+    except SystemExit as exc:
+        assert not (out.getvalue() and err.getvalue())
+        raise cli.Usage(exc.code, [out.getvalue()] if out.getvalue() else [], err.getvalue()) from None

@@ -1,4 +1,3 @@
-import argparse
 import ast
 import importlib.util
 import json
@@ -15,7 +14,7 @@ from lgrnok import cli, equivalence, plabic, polytope, quiverfold, superpotentia
 from lgrnok.budget import Deadline, TimeBudgetExceeded, armed
 from lgrnok.cli import main
 from lgrnok.partitions import staircase_syt_count
-from oracles import pulled_back_gamma_rows
+from oracles import argparse_parse_args, pulled_back_gamma_rows
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +36,9 @@ def test_usage_errors_exit_2(capsys):
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+_SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+
 @pytest.mark.parametrize("entry", ["lgrnok.cli", "lgrnok.valuation"])
 def test_entry_import_loads_no_heavy_stdlib(entry):
     # Startup is most of a short run.  Every point, row and volume is an
@@ -44,13 +46,22 @@ def test_entry_import_loads_no_heavy_stdlib(entry):
     # are `collections.namedtuple`s, neither dataclasses (which load
     # `inspect`) nor `typing.NamedTuple`s (which load `typing` and compile
     # each field's annotation); and only the JSON writer imports `json`,
-    # when it is called.  `-S` leaves out `site`, which may import `typing`
-    # itself.
-    heavy = "{'dataclasses', 'inspect', 'json', 'fractions', 'decimal', 'typing'}"
+    # when it is called; the command line is read without `argparse` (and
+    # `gettext`).  `-S` leaves out `site`, which may import `typing` itself.
+    heavy = "{'dataclasses', 'inspect', 'json', 'fractions', 'decimal', 'typing', 'argparse', 'gettext'}"
     code = f"import sys, {entry}; print(sorted({heavy} & set(sys.modules)))"
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=_SRC_ENV, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_a_run_loads_no_argument_parser():
+    # a command reads argv, and prints its help, from its own table: neither
+    # argparse nor what argparse loads as it formats (locale, shutil) is
+    # imported
+    code = ("import sys; from lgrnok.cli import main; main(['verify', '--n', '1']); "
+            "print(sorted({'argparse', 'gettext', 'locale', 'shutil'} & set(sys.modules)), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=_SRC_ENV, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "[]\n")
 
 
 def test_the_records_keep_their_fields_defaults_and_methods():
@@ -97,56 +108,45 @@ def test_main_is_the_one_writer():
     assert writes(main_node) == writes(tree) > 0
 
 
-def _subcommands(argv=()):
-    """The subparsers of `lgrnok` that `build_parser(argv)` builds, by name."""
-    parser = cli.build_parser(argv)
-    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+def _stub(args):
+    return 0, [repr(sorted(vars(args).items()))]
 
 
-def _reads(sub) -> tuple:
-    """What a parse reads off a subparser: each option's strings, choices,
-    default, type and whether it is required; the exclusive groups; the
-    handler; and the name its messages carry."""
-    return ([(a.option_strings, a.dest, a.choices, a.default, a.type, a.required, a.help)
-             for a in sub._actions],
-            [[a.dest for a in group._group_actions] for group in sub._mutually_exclusive_groups],
-            sub.get_default("func"), sub.prog)
+@pytest.mark.parametrize("argv", [
+    *([name, "--help"] for name in cli.COMMANDS), ["--help"], ["-h"], ["--he"], ["--help=x"],
+    # the usage errors, as each earlier test pinned them
+    [], ["nosuch"], ["bogus", "--n", "2"], ["--n", "3", "verify"], ["matrix"], ["flows", "--n", "3"],
+    ["verify", "--n", "3", "extra"], ["--x", "verify", "--n", "3", "extra", "--y"],
+    ["verify", "--n", "0"], ["matrix", "--n", "2", "--time-budget", "0"],
+    ["counts", "--n", "3", "--time-budget", "nan"], ["counts", "--n", "3", "--time-budget", "-1"],
+    # values joined by '=', unique prefixes, an ambiguous one, repeats
+    ["verify", "--n=3", "--level=vertex"], ["verify", "--n", "3", "--lev", "vertex"],
+    ["verify", "--n", "3", "--le=hull", "--f", "json", "--ti", "2.5"],
+    ["delta", "--n", "3", "--h"], ["flows", "--n", "3", "--t", "1,2"], ["delta", "--n", "x", "--h"],
+    ["verify", "--n", "2", "--n", "3", "--level", "hull", "--level", "vertex"], ["delta", "--n", "3", "--vrep", "--vrep"],
+    # values that look like options, or are not values
+    ["flows", "--n", "3", "--target", "-1,2"], ["verify", "--n", "-3"], ["verify", "--n", "3", "--time-budget", "-.5"],
+    ["verify", "--n"], ["verify", "--n", "--level", "hull"], ["verify", "--n", "x"], ["verify", "--n", "3", "--time-budget", "x"],
+    ["verify", "--n", "3", "--level", "x"], ["matrix", "--n", "2", "--format", "dot"], ["verify", "--n 3"],
+    # switches, and the help after other options
+    ["delta", "--n", "3", "--hrep", "--vrep"], ["delta", "--fvector", "--n", "3", "--hrep"], ["gamma", "--n", "3", "--fvector"],
+    ["delta", "--n", "3", "--hrep=x"], ["verify", "--n", "3", "-h"], ["delta", "--hrep", "--vrep", "-h"],
+    ["delta", "--n", "x", "--help"], ["verify", "--level", "x", "-h"], ["--x", "-h", "verify"], ["verify", "-h", "extra"],
+], ids=lambda argv: " ".join(argv) or "none")
+def test_the_command_line_reads_as_argparse_read_it(monkeypatch, capsys, argv):
+    # The same exit code, stdout and stderr as the argparse parser built from
+    # the same table, on a terminal 80 columns wide.  Every handler prints the
+    # values it was given, so a parse that runs a command shows what it read.
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, entry in cli.COMMANDS.items():
+        monkeypatch.setitem(cli.COMMANDS, name, (_stub, *entry[1:]))
 
-
-@pytest.mark.parametrize("name", list(_subcommands()))
-def test_a_run_builds_the_full_parsers_subparser_for_its_command(name):
-    one = _subcommands([name, "--n", "3"])
-    assert list(one) == [name]
-    assert _reads(one[name]) == _reads(_subcommands()[name])
-
-
-COMMANDS = "{graph,orientation,flows,valuations,gamma,delta,matrix,fold,volume,counts,verify}"
-
-
-@pytest.mark.parametrize("command, errors", [
-    ("verify --n 3 extra", (COMMANDS, "lgrnok: error: unrecognized arguments: extra")),
-    ("flows --n 3", ("lgrnok flows: error: the following arguments are required: --target",)),
-    ("nosuch", ("lgrnok: error: argument subcommand: invalid choice: 'nosuch'",)),
-    ("", ("lgrnok: error: the following arguments are required: subcommand",)),
-    ("--n 3 verify", ("lgrnok: error: argument subcommand: invalid choice: '3'",)),
-    ("-h", ()), ("verify -h", ()),
-], ids=lambda p: (p or "none") if isinstance(p, str) else "")
-def test_usage_errors_read_as_from_the_full_parser(monkeypatch, capsys, command, errors):
-    # a run that builds its command's subparser alone prints what the full
-    # parser prints; the usage for an argument left over after the command
-    # still lists all eleven
     def run():
-        try:
-            code = main(command.split())
-        except SystemExit as exc:
-            code = exc.code
-        return (code, *capsys.readouterr())
+        return (main(list(argv)), *capsys.readouterr())
 
-    one = run()
-    assert all(error in one[2] for error in errors)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=(): full())
-    assert run() == one
+    own = run()
+    monkeypatch.setattr(cli, "parse_args", argparse_parse_args)
+    assert run() == own
 
 
 # The options a subcommand requires besides --n.
@@ -154,20 +154,19 @@ REQUIRED = {"flows": ["--target", "1,4,5"]}
 
 
 @pytest.mark.parametrize("command, fmt", [
-    (name, fmt) for name, sub in _subcommands().items()
-    for fmt in next(a for a in sub._actions if a.dest == "format").choices
+    (name, fmt) for name, (_, _, formats, _) in cli.COMMANDS.items() for fmt in formats
 ])
 def test_every_command_polls_the_budget_as_it_writes(monkeypatch, capsys, command, fmt):
     # the deadline expires as the handler returns: its output is formatted
     # between polls of the deadline, so nothing is printed
-    handler = _subcommands()[command].get_default("func")
+    handler, *entry = cli.COMMANDS[command]
 
     def expiring(args):
         result = handler(args)
         armed().expires = time.monotonic() - 1
         return result
 
-    monkeypatch.setattr(cli, handler.__name__, expiring)
+    monkeypatch.setitem(cli.COMMANDS, command, (expiring, *entry))
     assert main([command, "--n", "3", "--format", fmt, *REQUIRED.get(command, [])]) == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: computation exceeded its time budget\n")
@@ -327,13 +326,13 @@ def test_verify_all_n3_json(capsys):
     assert all(c["status"] in ("pass", "skip") for c in doc["checks"])
 
 
-def test_usage_errors():
-    with pytest.raises(SystemExit) as exc:
-        main(["bogus", "--n", "2"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["matrix"])  # missing --n
-    assert exc.value.code == 2
+def test_usage_errors(capsys):
+    # main returns 2, as for --n 0, and prints the usage and the error
+    for argv, error in [(["bogus", "--n", "2"], "lgrnok: error: argument subcommand: invalid choice: 'bogus'"),
+                        (["matrix"], "lgrnok matrix: error: the following arguments are required: --n\n")]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: lgrnok") and error in captured.err
 
 
 def test_malformed_target(capsys):
@@ -342,16 +341,20 @@ def test_malformed_target(capsys):
     assert main(["matrix", "--n", "0"]) == 2
 
 
-def run_python(*args, stdout=subprocess.PIPE):
+def run_python(*args, stdout=subprocess.PIPE, **env):
     # stdout is a pipe or a file, block-buffered as for any user who pipes
-    # or redirects the output, whatever PYTHONUNBUFFERED the tests run under
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    # or redirects the output, whatever PYTHONUNBUFFERED the tests run under,
+    # unless `env` sets it; a variable that `env` sets to None is unset
+    env = {k: v for k, v in {**os.environ, "PYTHONUNBUFFERED": None, **env}.items() if v is not None}
     return subprocess.run([sys.executable, *args], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, env=env)
 
 
-def run_module(*argv, stdout=subprocess.PIPE):
-    return run_python("-m", "lgrnok", *argv, stdout=stdout)
+def run_module(*argv, stdout=subprocess.PIPE, **env):
+    return run_python("-m", "lgrnok", *argv, stdout=stdout, **env)
+
+
+CONSOLE_SCRIPT = ["-c", "import sys; from lgrnok.cli import main; sys.exit(main())"]
 
 
 def test_console_entry_point(capsys, tmp_path):
@@ -359,7 +362,7 @@ def test_console_entry_point(capsys, tmp_path):
     # by `os._exit`: its output and exit codes are main's, to a pipe and to
     # a regular file, as the benchmark sends it
     for argv, code in ((["verify", "--n", "3", "--level", "vertex"], 0), (["matrix", "--n", "0"], 2),
-                       (["counts", "--n", "8", "--time-budget", "1e-9"], 3)):
+                       (["matrix"], 2), (["counts", "--n", "8", "--time-budget", "1e-9"], 3)):
         with open(tmp_path / "stdout", "w+") as out:
             proc = run_module(*argv, stdout=out)
             out.seek(0)
@@ -378,26 +381,37 @@ def test_console_entry_point(capsys, tmp_path):
     proc = run_module("verify", "--n", "4", "--level", "vertex")
     assert run_cli(capsys, "verify", "--n", "4", "--level", "vertex") == (proc.returncode, proc.stdout)
     assert proc.returncode == 0
+    # a usage error exits 2 from the console script too
+    proc = run_python(*CONSOLE_SCRIPT, "matrix")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith("lgrnok matrix: error: the following arguments are required: --n\n")
 
 
-@pytest.mark.parametrize("entry", [["-m", "lgrnok"],
-                                   ["-c", "import sys; from lgrnok.cli import main; sys.exit(main())"]],
-                         ids=["module", "console-script"])
+def test_the_help_is_the_same_on_any_terminal():
+    # 80 columns wide, whatever COLUMNS says: identical invocations print
+    # identical bytes
+    runs = {columns: run_module("verify", "--help", COLUMNS=columns) for columns in ("40", "200", None)}
+    assert {(proc.returncode, proc.stdout) for proc in runs.values()} == {(0, runs[None].stdout)}
+
+
+@pytest.mark.parametrize("entry", [["-m", "lgrnok"], CONSOLE_SCRIPT], ids=["module", "console-script"])
 def test_a_closed_stdout_ends_the_command_quietly(entry):
     # The reader of the pipe is gone before the command writes.  An output
     # larger than the stdout buffer (valuations --n 7), one that fits it
-    # (matrix --n 2) and the help, which argparse writes and leaves by
-    # SystemExit, all end with exit code 141 and an empty stderr, from
-    # `python -m lgrnok` and from the console script, which calls
-    # `lgrnok.cli:main` and leaves by sys.exit, skipping `__main__`.
+    # (matrix --n 2) and the help all end with exit code 141 and an empty
+    # stderr, from `python -m lgrnok` and from the console script, which
+    # calls `lgrnok.cli:main` and leaves by sys.exit, skipping `__main__`;
+    # stdout buffered, or not (PYTHONUNBUFFERED=1), where the first write
+    # meets the closed pipe.
     for argv in (["valuations", "--n", "7"], ["matrix", "--n", "2"], ["--help"], ["verify", "--help"]):
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            proc = run_python(*entry, *argv, stdout=write)
-        finally:
-            os.close(write)
-        assert (proc.returncode, proc.stderr) == (141, ""), argv
+        for unbuffered in (None, "1"):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = run_python(*entry, *argv, stdout=write, PYTHONUNBUFFERED=unbuffered)
+            finally:
+                os.close(write)
+            assert (proc.returncode, proc.stderr) == (141, ""), (argv, unbuffered)
 
 
 def test_budget_exceeded_exit_code():
